@@ -31,12 +31,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_displacement(rho, n: int) -> np.ndarray:
-    """Validate and return a length-n displacement vector as a float array."""
+def as_displacement(rho, n: int, batch: bool = False) -> np.ndarray:
+    """Validate and return a length-n displacement vector as a float array.
+
+    With batch=True an n x k matrix of displacement columns is accepted as
+    well; callers that reduce over the joints leave it off, so they reject
+    a batch instead of reducing over every column at once.
+    """
     rho = np.asarray(rho, dtype=float)
-    if rho.shape != (n,):
-        raise ValueError(f"displacement vector must have shape ({n},), got {rho.shape}")
-    if not np.all(np.isfinite(rho)):
+    if rho.shape != (n,) and not (batch and rho.ndim == 2 and rho.shape[0] == n):
+        shapes = f"({n},) or ({n}, k)" if batch else f"({n},)"
+        raise ValueError(f"displacement vector must have shape {shapes}, got {rho.shape}")
+    if not np.isfinite(rho).all():
         raise ValueError("displacement vector entries must be finite")
     return rho
 
@@ -46,9 +52,17 @@ def as_clarke(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,):
         raise ValueError(f"Clarke coordinates must have shape (2,), got {xi.shape}")
-    if not np.all(np.isfinite(xi)):
+    if not np.isfinite(xi).all():
         raise ValueError("Clarke coordinates must be finite")
     return xi
+
+
+def _joint_count(n) -> int:
+    if int(n) != n:
+        raise ValueError(f"joint count must be an integer, got {n!r}")
+    if n < 3:
+        raise ValueError(f"need at least 3 joints, got n={int(n)}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -64,11 +78,7 @@ class JointLayout:
     psi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if int(self.n) != self.n:
-            raise ValueError(f"joint count must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if self.n < 3:
-            raise ValueError(f"need at least 3 joints, got n={self.n}")
+        object.__setattr__(self, "n", _joint_count(self.n))
         if not self.d > 0.0:
             raise ValueError(f"joint radius d must be positive, got {self.d}")
         psi = TWO_PI * np.arange(self.n) / self.n
@@ -99,14 +109,14 @@ def build_transform(layout: JointLayout | int) -> ClarkeTransform:
     """Construct (or fetch from cache) the transform pair for a layout.
 
     Accepts a JointLayout or a bare joint count; the matrices depend only
-    on n. Rejects n < 3.
+    on n. Rejects n < 3 and a non-integral n; the check runs only on a
+    cache miss, since a cached count has passed it already.
     """
-    n = layout.n if isinstance(layout, JointLayout) else int(layout)
-    if n < 3:
-        raise ValueError(f"need at least 3 joints, got n={n}")
+    n = layout.n if isinstance(layout, JointLayout) else layout
     cached = _TRANSFORM_CACHE.get(n)
     if cached is not None:
         return cached
+    n = _joint_count(n)
     psi = TWO_PI * np.arange(n) / n
     cos_psi = np.cos(psi)
     sin_psi = np.sin(psi)
@@ -118,8 +128,12 @@ def build_transform(layout: JointLayout | int) -> ClarkeTransform:
 
 
 def transform(t: ClarkeTransform, rho) -> np.ndarray:
-    """Map n displacements to Clarke coordinates (rho_re, rho_im)."""
-    rho = as_displacement(rho, t.n)
+    """Map n displacements to Clarke coordinates (rho_re, rho_im).
+
+    An n x k matrix of displacement columns maps column by column to a
+    2 x k matrix.
+    """
+    rho = as_displacement(rho, t.n, batch=True)
     return t.forward @ rho
 
 

@@ -29,7 +29,8 @@ from .control import (
     save_trace_csv,
     trace_to_dict,
 )
-from .kinematics import Pose, fk_direct, ik
+from .csvio import csv_text, displacement_header, format_float, format_rows, read_csv
+from .kinematics import Pose, fk_direct, ik, ik_position
 from .sampling import (
     ALL_METHODS,
     SamplerConfig,
@@ -37,7 +38,6 @@ from .sampling import (
     histogram_csv,
     sample,
     sample_direct_batched,
-    save_batch_csv,
     stats_csv,
 )
 
@@ -49,8 +49,8 @@ class UsageError(Exception):
     """Inconsistent or missing arguments; maps to exit code 2."""
 
 
-def _fmt(x: float, digits: int = 17) -> str:
-    return format(float(x), f".{digits}g")
+POSE_HEADER = [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)] + ["px", "py", "pz"]
+POSITION_HEADER = ["px", "py", "pz"]
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -76,10 +76,10 @@ def cmd_matrix(args) -> int:
     t = build_transform(args.n)
     lines = [f"forward (2 x {t.n}):"]
     for row in t.forward:
-        lines.append("  " + "  ".join(_fmt(v, 15) for v in row))
+        lines.append("  " + "  ".join(format(float(v), ".15g") for v in row))
     lines.append(f"inverse ({t.n} x 2):")
     for row in t.inverse:
-        lines.append("  " + "  ".join(_fmt(v, 15) for v in row))
+        lines.append("  " + "  ".join(format(float(v), ".15g") for v in row))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -108,18 +108,7 @@ def _pose_payload(pose: Pose) -> dict:
 def _format_payload(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, default=float) + "\n"
-    lines = []
-    for key, value in payload.items():
-        flat = np.asarray(value, dtype=float).ravel()
-        lines.append(key + "," + ",".join(_fmt(v) for v in flat))
-    return "\n".join(lines) + "\n"
-
-
-def _read_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-    return header, np.array(rows) if rows else np.empty((0, len(header)))
+    return "".join(key + "," + format_rows(np.reshape(value, (1, -1))) for key, value in payload.items())
 
 
 def cmd_fk(args) -> int:
@@ -130,24 +119,14 @@ def cmd_fk(args) -> int:
         pose = fk_direct(geom, _parse_floats(args.rho))
         _emit(_format_payload(_pose_payload(pose), args.format), args.out)
         return 0
-    _, rows = _read_csv_rows(args.infile)
-    header = [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)] + ["px", "py", "pz"]
-    lines = [",".join(header)]
-    for row in rows:
-        pose = fk_direct(geom, row)
-        flat = list(pose.rotation.ravel()) + list(pose.position)
-        lines.append(",".join(_fmt(v) for v in flat))
-    _emit("\n".join(lines) + "\n", args.out)
+    _, rows = read_csv(args.infile, [displacement_header(args.n)])
+    poses = fk_direct(geom, rows.T)
+    flat = np.hstack([poses.rotation.reshape(-1, 9), poses.position])
+    _emit(csv_text(POSE_HEADER, flat), args.out)
     return 0
 
 
-def _target_from_args(args, row: np.ndarray | None = None):
-    if row is not None:
-        if len(row) == 3:
-            return row
-        if len(row) == 12:
-            return Pose(rotation=row[:9].reshape(3, 3), position=row[9:])
-        raise ValueError(f"batch ik rows need 3 (position) or 12 (pose) values, got {len(row)}")
+def _target_from_args(args):
     given = [v for v in (args.position, args.rotation, args.pose) if v is not None]
     if len(given) != 1:
         raise UsageError("give exactly one of --position, --rotation or --pose")
@@ -167,12 +146,12 @@ def _target_from_args(args, row: np.ndarray | None = None):
 def cmd_ik(args) -> int:
     geom = _geometry(args)
     if args.infile is not None:
-        _, rows = _read_csv_rows(args.infile)
-        lines = [",".join(f"rho_{i + 1}" for i in range(args.n))]
-        for row in rows:
-            rho = ik(geom, _target_from_args(args, row))
-            lines.append(",".join(_fmt(v) for v in rho))
-        _emit("\n".join(lines) + "\n", args.out)
+        header, rows = read_csv(args.infile, [POSE_HEADER, POSITION_HEADER])
+        if header == POSE_HEADER:
+            rho = ik(geom, Pose(rotation=rows[:, :9].reshape(-1, 3, 3), position=rows[:, 9:]))
+        else:
+            rho = ik_position(geom, rows)
+        _emit(csv_text(displacement_header(args.n), rho.T), args.out)
         return 0
     rho = ik(geom, _target_from_args(args))
     _emit(_format_payload({"rho": list(rho)}, args.format), args.out)
@@ -212,13 +191,10 @@ def cmd_sample(args) -> int:
         batch, stats = sample(cfg, args.k, args.method)
         stats_line = (
             f"method {stats.method}: k={args.k} iterations={stats.iterations} "
-            f"resamples={stats.resamples} success_rate={_fmt(stats.success_rate)} "
-            f"time_s={_fmt(stats.wall_time)} seed={args.seed}\n"
+            f"resamples={stats.resamples} success_rate={format_float(stats.success_rate)} "
+            f"time_s={format_float(stats.wall_time)} seed={args.seed}\n"
         )
-    if args.out:
-        save_batch_csv(batch, args.out)
-    else:
-        save_batch_csv(batch, "/dev/stdout")
+    _emit(csv_text(displacement_header(cfg.layout.n), batch.columns.T), args.out)
     sys.stderr.write(stats_line)
     return 0
 
@@ -388,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fk", help="forward kinematics from displacements")
     _add_common(p)
     p.add_argument("--rho", help="comma-separated displacements")
-    p.add_argument("--in", dest="infile", help="batch CSV with one displacement row per line")
+    p.add_argument("--in", dest="infile", help="batch CSV: header rho_1..rho_n, one displacement row per line")
     p.set_defaults(func=cmd_fk)
 
     p = sub.add_parser("ik", help="inverse kinematics to a position, rotation or pose")
@@ -396,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--position", help="px,py,pz")
     p.add_argument("--rotation", help="9 row-major rotation entries")
     p.add_argument("--pose", help="9 rotation entries followed by px,py,pz")
-    p.add_argument("--in", dest="infile", help="batch CSV: rows of 3 (position) or 12 (pose) values")
+    p.add_argument("--in", dest="infile", help="batch CSV: header r11..r33,px,py,pz (poses) or px,py,pz (positions)")
     p.set_defaults(func=cmd_ik)
 
     p = sub.add_parser("sample", help="draw displacement samples with one method")

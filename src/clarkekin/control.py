@@ -21,6 +21,7 @@ import numpy as np
 
 from .arcspace import SegmentGeometry
 from .clarke import as_clarke, as_displacement, build_transform, projector
+from .csvio import read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class PT1Plant:
         if not self.tau > 0.0:
             raise ValueError(f"time constant must be positive, got {self.tau}")
         state = np.ascontiguousarray(self.state, dtype=float)
-        if state.ndim != 1 or not np.all(np.isfinite(state)):
+        if state.ndim != 1 or not np.isfinite(state).all():
             raise ValueError("plant state must be a finite vector")
         state.setflags(write=False)
         object.__setattr__(self, "state", state)
@@ -350,23 +351,12 @@ def noise_propagation(layout, sigma: float, joint_index: int) -> NoisePropagatio
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_trace_csv(trace: SimTrace, path) -> None:
     """Columns t, rho_d_1..n, rho_m_1..n, rho_cmd_1..n, rho_plant_1..n."""
     n = trace.rho_desired.shape[0]
-    header = ["t"]
-    for prefix in ("rho_d", "rho_m", "rho_cmd", "rho_plant"):
-        header += [f"{prefix}_{i + 1}" for i in range(n)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, ti in enumerate(trace.time):
-            row = [_fmt(ti)]
-            for arr in (trace.rho_desired, trace.rho_measured, trace.rho_command, trace.rho_plant):
-                row += [_fmt(v) for v in arr[:, i]]
-            fh.write(",".join(row) + "\n")
+    header = ["t"] + [f"{prefix}_{i + 1}" for prefix in ("rho_d", "rho_m", "rho_cmd", "rho_plant") for i in range(n)]
+    columns = (trace.time, trace.rho_desired, trace.rho_measured, trace.rho_command, trace.rho_plant)
+    write_csv(path, header, np.vstack(columns).T)
 
 
 def trace_to_dict(trace: SimTrace) -> dict:
@@ -381,11 +371,9 @@ def trace_to_dict(trace: SimTrace) -> dict:
 
 def load_trace_csv(path) -> SimTrace:
     """Read a trace CSV back (lossless at 17 significant digits)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+    header, rows = read_csv(path)
     n = (len(header) - 1) // 4
-    data = np.array(rows).T
+    data = rows.T
     return SimTrace(
         time=data[0],
         rho_desired=data[1 : 1 + n],

@@ -1,0 +1,75 @@
+"""CSV text: the one float format, the row writer and the header-checked reader.
+
+Every float is written as "%.17g", which reads back to the same double and
+gives the same text as format(float(v), ".17g") for every value, nan, inf
+and -0.0 included. A file starts with one header line naming its columns.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+
+# The text of a block of rows is built in memory before it is written, so
+# the block size, not the file's length, bounds the memory a file costs.
+_BLOCK_ROWS = 256
+
+
+def format_float(x: float) -> str:
+    """One float as 17 significant digits."""
+    return "%.17g" % x
+
+
+def format_rows(rows) -> str:
+    """One line per row of a 2-D array, values as %.17g joined by commas."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
+def displacement_header(n: int) -> list[str]:
+    """Column names rho_1..rho_n of a file of displacement rows."""
+    return [f"rho_{i + 1}" for i in range(n)]
+
+
+def csv_text(header: list[str], rows) -> str:
+    """The header line, then one line per row of `rows`."""
+    return ",".join(header) + "\n" + format_rows(rows)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write csv_text(header, rows) to path, formatting _BLOCK_ROWS rows at a time."""
+    rows = np.asarray(rows, dtype=float)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows.shape[0], _BLOCK_ROWS):
+            fh.write(format_rows(rows[start : start + _BLOCK_ROWS]))
+
+
+def read_csv(path, headers: list[list[str]] | None = None) -> tuple[list[str], np.ndarray]:
+    """The header and the (rows, columns) float array of a CSV file.
+
+    Line 1 must be one of `headers` if given; blank lines are skipped. A different
+    header, a row whose value count differs from the header's, or a value
+    that is not a number raises ValueError with a one-line message. A file
+    holding only the header gives zero rows.
+    """
+    with open(path) as fh:
+        first = fh.readline()
+        header = [name.strip() for name in first.split(",")]
+        if headers is not None and header not in headers:
+            expected = " or ".join(repr(",".join(h)) for h in headers)
+            raise ValueError(f"{path}: line 1 must be the header {expected}, got {first.strip()!r}")
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns on a file with no rows; zero rows are valid.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if rows.size == 0:
+        rows = rows.reshape(0, len(header))
+    if rows.shape[1] != len(header):
+        raise ValueError(f"{path}: rows hold {rows.shape[1]} values, the header names {len(header)}")
+    return header, rows

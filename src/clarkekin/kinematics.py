@@ -35,6 +35,11 @@ MANIFOLD_TOL = 1e-9
 _I3 = np.eye(3)
 _I3.setflags(write=False)
 
+# Elementwise functions by the number of dimensions of rho in fk_direct:
+# `math` for one column keeps it bit-identical to the scalar formula and
+# as fast, numpy evaluates a batch of columns in one pass.
+_ELEMENTWISE = {1: math, 2: np}
+
 
 @dataclass(frozen=True)
 class RegularizationConfig:
@@ -47,26 +52,58 @@ class RegularizationConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
+def _check_rotations(r: np.ndarray, what: str) -> None:
+    # One vectorized check over a (3, 3) matrix or a (k, 3, 3) stack. Each
+    # test is written as `not err <= tol`, so a NaN entry fails it. The
+    # cofactor expansion costs less than np.linalg.det on one matrix and a
+    # tenth of it on a stack.
+    gram_err = np.abs(r.swapaxes(-1, -2) @ r - _I3).max(initial=0.0)
+    if not gram_err <= 1e-9:
+        raise ValueError(f"{what} is not orthonormal")
+    # det(R) = det(R^T); .T moves a batch axis last, so m[i, j] is entry
+    # (i, j) of every transposed matrix.
+    m = r.T
+    det = (
+        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+    )
+    if not np.abs(det - 1.0).max(initial=0.0) <= 1e-9:
+        raise ValueError(f"{what} must have determinant +1")
+
+
 @dataclass(frozen=True)
 class Pose:
-    """Tip pose: 3x3 rotation matrix and position vector in meters."""
+    """Tip pose: rotation matrix and position vector in meters.
+
+    One pose has a (3, 3) rotation and a (3,) position. A stack of k poses
+    has a (k, 3, 3) rotation and a (k, 3) position, pose i at index i.
+    One vectorized check rejects the whole pose or stack if any rotation
+    is not orthonormal with determinant +1 (within 1e-9) or any entry is
+    not finite.
+    """
 
     rotation: np.ndarray
     position: np.ndarray
 
     def __post_init__(self):
-        rotation = np.ascontiguousarray(self.rotation, dtype=float)
-        position = np.ascontiguousarray(self.position, dtype=float)
-        if rotation.shape != (3, 3) or position.shape != (3,):
-            raise ValueError("pose needs a 3x3 rotation and a 3-vector position")
-        if np.max(np.abs(rotation.T @ rotation - _I3)) > 1e-9:
-            raise ValueError("rotation matrix is not orthonormal")
-        if abs(np.linalg.det(rotation) - 1.0) > 1e-9:
-            raise ValueError("rotation matrix must have determinant +1")
+        rotation = np.asarray(self.rotation, dtype=float)
+        position = np.asarray(self.position, dtype=float)
+        if rotation.shape[-2:] != (3, 3) or rotation.ndim > 3 or position.shape != rotation.shape[:-1]:
+            raise ValueError(
+                "pose needs a (3, 3) rotation and a (3,) position, "
+                "or a (k, 3, 3) rotation and a (k, 3) position for a stack"
+            )
+        _check_rotations(rotation, "rotation matrix")
+        if not np.isfinite(position).all():
+            raise ValueError("position entries must be finite")
         rotation.setflags(write=False)
         position.setflags(write=False)
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "position", position)
+
+
+_DEFAULT_REG = RegularizationConfig()
 
 
 def _transform_for(geom: SegmentGeometry) -> ClarkeTransform:
@@ -154,15 +191,24 @@ def f_ind(geom: SegmentGeometry, arc) -> Pose:
 def fk_direct(geom: SegmentGeometry, rho, reg: RegularizationConfig | None = None) -> Pose:
     """Forward kinematics straight from displacements, with no branch on kappa.
 
+    rho is one displacement column (n,), giving one Pose, or a batch of k
+    columns (n, k), giving a stacked Pose with (k, 3, 3) rotations and
+    (k, 3) positions. One formula serves both. A single column evaluates
+    its elementwise functions with `math` and a batch with numpy, so a row
+    of a batch agrees with the single-column call within 1e-14 absolute
+    (numpy's cos, sin and hypot and a matrix-matrix product differ from
+    their scalar counterparts in the last bits), not bit for bit.
+
     Every quantity is derived from the regularized Clarke amplitude
     A = |xi + (delta, 0)| + delta^2 with delta the Clarke-space image of the
     configured epsilon. The nudge along +x pins the straight configuration
     to theta = 0, so rho = 0 evaluates to the straight pose without any
     conditional; the introduced error is linear in epsilon.
     """
-    eps = (reg or RegularizationConfig()).epsilon
+    eps = (reg or _DEFAULT_REG).epsilon
     t = _transform_for(geom)
-    rho = as_displacement(rho, t.n)
+    rho = as_displacement(rho, t.n, batch=True)
+    elementwise = _ELEMENTWISE[rho.ndim]
     d = geom.layout.d
     l = geom.l
 
@@ -170,22 +216,26 @@ def fk_direct(geom: SegmentGeometry, rho, reg: RegularizationConfig | None = Non
     delta = math.sqrt(2.0 / t.n) * eps
     w_re = xi[0] + delta
     w_im = xi[1]
-    amp = math.hypot(w_re, w_im) + delta * delta
+    amp = elementwise.hypot(w_re, w_im) + delta * delta
     ct = w_re / amp
     st = w_im / amp
     phi = amp / d
-    cp = math.cos(phi)
-    sp = math.sin(phi)
+    cp = elementwise.cos(phi)
+    sp = elementwise.sin(phi)
     inv_kappa = d * l / amp
     bow = (1.0 - cp) * inv_kappa
-    position = np.array([ct * bow, st * bow, sp * inv_kappa])
+    zero = 0.0 * amp  # +0.0, shaped like amp (amp > 0)
+    # Built entry-major and transposed, so a batch index moves to the
+    # front and a single pose comes out as written: the literal holds the
+    # columns of the rotation.
+    position = np.array([ct * bow, st * bow, sp * inv_kappa]).T
     rotation = np.array(
         [
-            [ct * cp, -st, ct * sp],
-            [st * cp, ct, st * sp],
-            [-sp, 0.0, cp],
+            [ct * cp, st * cp, -sp],
+            [-st, ct, zero],
+            [ct * sp, st * sp, cp],
         ]
-    )
+    ).T
     return Pose(rotation=rotation, position=position)
 
 
@@ -198,32 +248,31 @@ def _classify_target(target) -> tuple[str, np.ndarray | Pose]:
     if arr.shape == (3, 3):
         return "rotation", arr
     raise TypeError(
-        "target must be a position (3,), a rotation (3, 3), or a Pose, "
-        f"got shape {getattr(arr, 'shape', None)}"
+        "target must be a position (3,), a rotation (3, 3), or a Pose "
+        f"(a stack of positions goes to ik_position), got shape {getattr(arr, 'shape', None)}"
     )
 
 
 def _check_position_target(p: np.ndarray) -> None:
-    if float(np.dot(p, p)) == 0.0:
+    # p is one position (3,) or a stack (k, 3).
+    if not np.isfinite(p).all():
+        raise ValueError("target position entries must be finite")
+    x, y, z = p.T
+    if not (x * x + y * y + z * z != 0.0).all():
         raise ValueError("target position at the origin is prohibited")
-    if p[2] <= POSITION_Z_FLOOR:
+    if not (z > POSITION_Z_FLOOR).all():
         raise ValueError(
-            f"target p_z={p[2]:.3e} is in the prohibited region: the reachable "
+            f"target p_z={np.min(z):.3e} is in the prohibited region: the reachable "
             f"workspace requires p_z > {POSITION_Z_FLOOR:.1e} m"
         )
-
-
-def _check_rotation_target(r: np.ndarray) -> None:
-    if np.max(np.abs(r.T @ r - _I3)) > 1e-9 or abs(np.linalg.det(r) - 1.0) > 1e-9:
-        raise ValueError("target rotation matrix is not a valid rotation")
 
 
 def f_ind_inverse(geom: SegmentGeometry, target) -> CurvatureCurvature:
     """Arc curvatures reaching a task-space target.
 
     The target may be a tip position (3-vector), a tip rotation (3x3), or a
-    full Pose. Positions with p_z at or below POSITION_Z_FLOOR, and the
-    origin, are rejected as unreachable.
+    full Pose (one pose, not a stack). Positions with p_z at or below
+    POSITION_Z_FLOOR, and the origin, are rejected as unreachable.
     """
     kind, data = _classify_target(target)
     l = geom.l
@@ -234,13 +283,14 @@ def f_ind_inverse(geom: SegmentGeometry, target) -> CurvatureCurvature:
         return CurvatureCurvature(kappa_x=2.0 * p[0] / s, kappa_y=2.0 * p[1] / s)
     if kind == "rotation":
         r = data
-        _check_rotation_target(r)
+        _check_rotations(r, "target rotation matrix")
         phi = math.atan2(-r[2, 0], r[2, 2])
         # r12 = -sin(theta) and r22 = cos(theta) in this frame convention,
         # hence the minus sign on the kappa_y numerator.
         return CurvatureCurvature(kappa_x=r[1, 1] * phi / l, kappa_y=-r[0, 1] * phi / l)
     pose = data
-    _check_rotation_target(pose.rotation)
+    if pose.position.ndim != 1:
+        raise ValueError("f_ind_inverse takes one pose, not a stack")
     _check_position_target(pose.position)
     r = pose.rotation
     pz = pose.position[2]
@@ -250,34 +300,54 @@ def f_ind_inverse(geom: SegmentGeometry, target) -> CurvatureCurvature:
     )
 
 
+def ik_position(geom: SegmentGeometry, positions) -> np.ndarray:
+    """Closed-form inverse kinematics to tip positions.
+
+    positions is one position (3,), giving an (n,) displacement vector, or
+    a stack (k, 3), giving (n, k) displacement columns; row i agrees with
+    the single-position call within 1e-14 absolute. Positions have their
+    own entry point because ik reads a (3, 3) array as one rotation, never
+    as three positions. Positions with p_z at or below POSITION_Z_FLOOR,
+    the origin and non-finite entries are rejected.
+    """
+    p = np.asarray(positions, dtype=float)
+    if p.shape[-1:] != (3,) or p.ndim > 2:
+        raise ValueError(f"positions must have shape (3,) or (k, 3), got {p.shape}")
+    _check_position_target(p)
+    t = _transform_for(geom)
+    x, y, z = p.T
+    s = x * x + y * y + z * z
+    return (2.0 * geom.layout.d * geom.l / s) * (t.inverse @ np.array([x, y]))
+
+
 def ik(geom: SegmentGeometry, target) -> np.ndarray:
     """Closed-form inverse kinematics to a position, rotation, or pose target.
 
     Returns the displacement vector on the manifold that reproduces the
-    target under fk_direct. A rotation-only target fixes the bending plane
+    target under fk_direct: (n,) for one target, and (n, k) columns for a
+    stacked Pose of k poses, column i within 1e-14 absolute of the call on
+    pose i alone. A position (3,) goes to ik_position, which also takes
+    stacks of positions. A rotation-only target fixes the bending plane
     and the product kappa*l but not the segment length; the returned
     displacements are independent of l.
     """
     kind, data = _classify_target(target)
+    if kind == "position":
+        return ik_position(geom, data)
     t = _transform_for(geom)
     d = geom.layout.d
-    l = geom.l
-    if kind == "position":
-        p = data
-        _check_position_target(p)
-        s = float(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
-        return (2.0 * d * l / s) * (t.inverse @ np.array([p[0], p[1]]))
     if kind == "rotation":
         r = data
-        _check_rotation_target(r)
+        _check_rotations(r, "target rotation matrix")
         phi = math.atan2(-r[2, 0], r[2, 2])
         return d * phi * (t.inverse @ np.array([r[1, 1], -r[0, 1]]))
-    pose = data
-    _check_rotation_target(pose.rotation)
-    _check_position_target(pose.position)
-    r = pose.rotation
-    pz = pose.position[2]
-    return (-d * l * r[2, 0] / pz) * (t.inverse @ np.array([r[1, 1], -r[0, 1]]))
+    # A Pose checked its rotations when it was built; the region of its
+    # positions is what remains. Transposed, a stack's entries index as
+    # r[j, i] = R[..., i, j] with the batch axis last.
+    _check_position_target(data.position)
+    r = data.rotation.T
+    pz = data.position.T[2]
+    return (-d * geom.l * r[0, 2] / pz) * (t.inverse @ np.array([r[1, 1], -r[1, 0]]))
 
 
 def recover_pose_from_position(geom: SegmentGeometry, p) -> Pose:

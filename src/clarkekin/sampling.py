@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clarke import TWO_PI, JointLayout
+from .csvio import displacement_header, format_float, read_csv, write_csv
 
 REJECTION_METHODS = ("a", "b")
 DIRECT_METHODS = ("c", "d", "e")
@@ -329,30 +330,17 @@ def benchmark(
     return results
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_batch_csv(batch: SampleBatch, path) -> None:
     """Write one sample per row with header rho_1..rho_n, 17 significant digits."""
-    n = batch.columns.shape[0]
-    with open(path, "w") as fh:
-        fh.write(",".join(f"rho_{i + 1}" for i in range(n)) + "\n")
-        for col in batch.columns.T:
-            fh.write(",".join(_fmt(v) for v in col) + "\n")
+    write_csv(path, displacement_header(batch.columns.shape[0]), batch.columns.T)
 
 
 def load_batch_csv(path) -> np.ndarray:
     """Read a batch CSV back into an n x k column matrix (lossless)."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("rho_1"):
-            raise ValueError(f"{path}: not a sample batch CSV (header {header.strip()!r})")
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-    if not rows:
-        n = len(header.strip().split(","))
-        return np.empty((n, 0))
-    return np.array(rows).T
+    header, rows = read_csv(path)
+    if header != displacement_header(len(header)):
+        raise ValueError(f"{path}: not a sample batch CSV (header {','.join(header)!r})")
+    return rows.T
 
 
 def stats_csv(results: list[MethodBenchmark]) -> str:
@@ -363,11 +351,11 @@ def stats_csv(results: list[MethodBenchmark]) -> str:
             ",".join(
                 [
                     r.method,
-                    _fmt(r.time_mean),
-                    _fmt(r.factor),
-                    _fmt(r.iterations_mean),
-                    _fmt(r.resamples_mean),
-                    _fmt(r.success_rate),
+                    format_float(r.time_mean),
+                    format_float(r.factor),
+                    format_float(r.iterations_mean),
+                    format_float(r.resamples_mean),
+                    format_float(r.success_rate),
                 ]
             )
         )
@@ -379,5 +367,5 @@ def histogram_csv(result: MethodBenchmark, joint: int) -> str:
     lines = ["bin_lo,bin_hi,count"]
     counts = result.histograms[joint]
     for lo, hi, c in zip(result.bin_edges[:-1], result.bin_edges[1:], counts):
-        lines.append(f"{_fmt(lo)},{_fmt(hi)},{int(c)}")
+        lines.append(f"{format_float(lo)},{format_float(hi)},{int(c)}")
     return "\n".join(lines) + "\n"

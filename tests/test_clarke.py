@@ -82,6 +82,43 @@ class TestBuildTransform:
     def test_cached_and_deterministic(self):
         assert build_transform(7) is build_transform(7)
 
+    def test_rejects_non_integral_n(self):
+        build_transform(3)  # a cached n = 3 must not answer for 3.7
+        for bad in (3.7, 5.5, 64.01):
+            with pytest.raises(ValueError, match="integer"):
+                build_transform(bad)
+        assert build_transform(4.0) is build_transform(4)
+
+
+class TestDisplacementBatches:
+    """as_displacement accepts n x k columns only where callers work column-wise."""
+
+    def test_transform_is_column_wise(self):
+        rng = np.random.default_rng(11)
+        for n in (3, 5, 12, 64):
+            t = build_transform(n)
+            cols = rng.standard_normal((n, 7))
+            batch = transform(t, cols)
+            assert batch.shape == (2, 7)
+            for i in range(7):
+                assert np.max(np.abs(batch[:, i] - transform(t, cols[:, i]))) <= 1e-14
+
+    def test_reducing_callers_reject_batches(self):
+        t = build_transform(4)
+        cols = np.zeros((4, 3))
+        with pytest.raises(ValueError, match=r"shape \(4,\)"):
+            manifold_residual(t, cols)
+        with pytest.raises(ValueError, match=r"shape \(4,\)"):
+            is_on_manifold(t, cols)
+
+    def test_batch_shape_errors(self):
+        t = build_transform(4)
+        for bad in (np.zeros((3, 2)), np.zeros((4, 2, 1)), np.zeros(())):
+            with pytest.raises(ValueError, match="shape"):
+                transform(t, bad)
+        with pytest.raises(ValueError, match="finite"):
+            transform(t, np.array([[0.0], [np.nan], [0.0], [0.0]]))
+
 
 class TestMatrixIdentities:
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 17, 64])

@@ -110,6 +110,98 @@ class TestKinematics:
         assert np.max(np.abs(first - again)) < 1e-9
 
 
+POSE_HEADER = "r11,r12,r13,r21,r22,r23,r31,r32,r33,px,py,pz"
+
+
+class TestBatchCsv:
+    """fk/ik --in: header rule, shape checks, one kernel call per file."""
+
+    def write(self, tmp_path, text, name="in.csv"):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def poses_file(self, capsys, tmp_path, rows):
+        from clarkekin import JointLayout, SamplerConfig, sample_direct_batched
+        from clarkekin.sampling import save_batch_csv
+
+        cfg = SamplerConfig(layout=JointLayout(n=4, d=0.01), rho_min=0.001, rho_max=0.028, seed=5)
+        rho_file = tmp_path / "rho.csv"
+        save_batch_csv(sample_direct_batched(cfg, rows, "annulus"), rho_file)
+        pose_file = tmp_path / "poses.csv"
+        code, _, _ = run_cli(capsys, "fk", "--n", "4", "--in", str(rho_file), "--out", str(pose_file))
+        assert code == 0
+        return rho_file, pose_file
+
+    def assert_domain_error(self, capsys, *argv, match):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert match in err
+        return err
+
+    def test_headerless_file_rejected(self, capsys, tmp_path):
+        path = self.write(tmp_path, "0.01,-0.005,-0.005\n0.02,-0.01,-0.01\n")
+        self.assert_domain_error(capsys, "fk", "--n", "3", "--in", path, match="header")
+
+    def test_wrong_header_rejected(self, capsys, tmp_path):
+        path = self.write(tmp_path, "rho_1,rho_2,rho_3,rho_4\n0.01,0,-0.01,0\n")
+        self.assert_domain_error(capsys, "fk", "--n", "3", "--in", path, match="rho_1,rho_2,rho_3")
+        path = self.write(tmp_path, "rho_1,rho_2,rho_3\n0.01,0,-0.01\n")
+        self.assert_domain_error(capsys, "ik", "--n", "3", "--in", path, match="px,py,pz")
+
+    def test_wrong_column_count_rejected(self, capsys, tmp_path):
+        path = self.write(tmp_path, "px,py,pz\n0.01,0,0.09,1\n")
+        self.assert_domain_error(capsys, "ik", "--n", "3", "--in", path, match="values")
+
+    def test_ragged_and_non_numeric_rows_rejected(self, capsys, tmp_path):
+        path = self.write(tmp_path, "rho_1,rho_2,rho_3\n0.01,-0.005,-0.005\n0.01,-0.01\n")
+        self.assert_domain_error(capsys, "fk", "--n", "3", "--in", path, match="in.csv")
+        path = self.write(tmp_path, "px,py,pz\n0.01,zero,0.09\n")
+        self.assert_domain_error(capsys, "ik", "--n", "3", "--in", path, match="zero")
+
+    def test_nan_rows_rejected(self, capsys, tmp_path):
+        path = self.write(tmp_path, "px,py,pz\n0.01,0,0.09\nnan,0,nan\n")
+        self.assert_domain_error(capsys, "ik", "--n", "3", "--in", path, match="finite")
+        path = self.write(tmp_path, "rho_1,rho_2,rho_3\n0.01,nan,-0.005\n")
+        self.assert_domain_error(capsys, "fk", "--n", "3", "--in", path, match="finite")
+
+    def test_invalid_pose_row_rejected(self, capsys, tmp_path):
+        _, pose_file = self.poses_file(capsys, tmp_path, 4)
+        lines = pose_file.read_text().split("\n")
+        lines[2] = ",".join(["2"] + lines[2].split(",")[1:])
+        path = self.write(tmp_path, "\n".join(lines), "bad_poses.csv")
+        self.assert_domain_error(capsys, "ik", "--n", "4", "--in", path, match="orthonormal")
+
+    @pytest.mark.parametrize(
+        "command, header, out_header",
+        [
+            ("fk", "rho_1,rho_2,rho_3", POSE_HEADER),
+            ("ik", POSE_HEADER, "rho_1,rho_2,rho_3"),
+            ("ik", "px,py,pz", "rho_1,rho_2,rho_3"),
+        ],
+    )
+    def test_header_only_gives_header_only(self, capsys, tmp_path, command, header, out_header):
+        path = self.write(tmp_path, header + "\n")
+        code, out, _ = run_cli(capsys, command, "--n", "3", "--in", path)
+        assert code == 0
+        assert out == out_header + "\n"
+
+    def test_three_position_rows_give_three_solutions(self, capsys, tmp_path):
+        rho_file, pose_file = self.poses_file(capsys, tmp_path, 3)
+        rows = [line.split(",")[9:] for line in pose_file.read_text().strip().split("\n")[1:]]
+        path = self.write(tmp_path, "px,py,pz\n" + "\n".join(",".join(r) for r in rows) + "\n", "pos.csv")
+        code, out, _ = run_cli(capsys, "ik", "--n", "4", "--in", path)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "rho_1,rho_2,rho_3,rho_4"
+        back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        expected = np.loadtxt(rho_file, delimiter=",", skiprows=1)
+        assert back.shape == (3, 4)
+        assert np.max(np.abs(back - expected)) < 1e-9
+
+
 class TestSample:
     def test_seeded_csv_byte_identical(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -120,6 +212,13 @@ class TestSample:
             assert code == 0
             assert "success_rate=1" in err
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_stdout_goes_through_sys_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--method", "d", "--k", "4", "--seed", "7")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "rho_1,rho_2,rho_3"
+        assert len(lines) == 5
 
     def test_annulus_bad_bounds(self, capsys, tmp_path):
         code, _, err = run_cli(

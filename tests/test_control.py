@@ -103,6 +103,23 @@ class TestControllerStep:
             ControllerConfig(kp=1.0, dt=0.0, geometry=geom)
 
 
+class TestBatchesRejected:
+    """The per-tick steps take one displacement vector, never a batch.
+
+    controller_step centers its measurement with a sum over the joints; on
+    an n x k matrix that sum would run over every column at once.
+    """
+
+    def test_controller_step(self, cfg):
+        with pytest.raises(ValueError, match=r"shape \(5,\)"):
+            controller_step(cfg, np.array([0.01, 0.0]), np.zeros((5, 3)))
+
+    def test_plant_step(self):
+        plant = PT1Plant(tau=0.25, state=np.zeros(5))
+        with pytest.raises(ValueError, match=r"shape \(5,\)"):
+            plant_step(plant, np.zeros((5, 3)), 1e-3)
+
+
 class TestPlantStep:
     def test_equilibrium(self):
         plant = PT1Plant(tau=0.25, state=np.full(5, 0.37))

@@ -6,6 +6,8 @@ import tokenize
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarkekin import (
     CurvatureAngle,
@@ -23,6 +25,7 @@ from clarkekin import (
     f_ind_inverse,
     fk_direct,
     ik,
+    ik_position,
     inverse_transform,
     is_on_manifold,
     recover_pose_from_position,
@@ -409,3 +412,182 @@ class TestPoseType:
         pose = Pose(rotation=np.eye(3), position=np.zeros(3))
         with pytest.raises((ValueError, AttributeError)):
             pose.position[0] = 1.0
+
+
+def scalar_fk_oracle(geom, rho, eps=1e-12):
+    """The single-column FK formula written with scalar math only.
+
+    The reference that the one-column path of fk_direct must reproduce
+    bit for bit.
+    """
+    t = build_transform(geom.layout.n)
+    d = geom.layout.d
+    l = geom.l
+    xi = t.forward @ np.asarray(rho, dtype=float)
+    delta = math.sqrt(2.0 / t.n) * eps
+    w_re = xi[0] + delta
+    w_im = xi[1]
+    amp = math.hypot(w_re, w_im) + delta * delta
+    ct = w_re / amp
+    st = w_im / amp
+    phi = amp / d
+    cp = math.cos(phi)
+    sp = math.sin(phi)
+    inv_kappa = d * l / amp
+    bow = (1.0 - cp) * inv_kappa
+    position = np.array([ct * bow, st * bow, sp * inv_kappa])
+    rotation = np.array(
+        [
+            [ct * cp, -st, ct * sp],
+            [st * cp, ct, st * sp],
+            [-sp, 0.0, cp],
+        ]
+    )
+    return rotation, position
+
+
+def displacement_columns(n, d, amplitude_fractions, thetas):
+    """Columns amp*cos(psi - theta) with amp = fraction*d*pi."""
+    psi = 2.0 * np.pi * np.arange(n) / n
+    amp = np.asarray(amplitude_fractions) * d * np.pi
+    return amp[None, :] * np.cos(psi[:, None] - np.asarray(thetas)[None, :])
+
+
+BATCH_TOL = 1e-14
+
+fractions = st.one_of(st.just(0.0), st.floats(0.0, 0.99))
+angles = st.floats(-np.pi, np.pi)
+
+
+@st.composite
+def fk_batches(draw):
+    n = draw(st.integers(3, 64))
+    d = draw(st.sampled_from([1e-3, 1e-2, 1e-1]))
+    l = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    pairs = draw(st.lists(st.tuples(fractions, angles), min_size=1, max_size=12))
+    cols = displacement_columns(n, d, [f for f, _ in pairs], [a for _, a in pairs])
+    return make_geom(n=n, d=d, l=l), cols
+
+
+class TestBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(fk_batches())
+    def test_fk_batch_rows_match_single_calls(self, case):
+        geom, cols = case
+        poses = fk_direct(geom, cols)
+        k = cols.shape[1]
+        assert poses.rotation.shape == (k, 3, 3)
+        assert poses.position.shape == (k, 3)
+        for i in range(k):
+            one = fk_direct(geom, cols[:, i])
+            assert np.max(np.abs(poses.rotation[i] - one.rotation)) <= BATCH_TOL
+            assert np.max(np.abs(poses.position[i] - one.position)) <= BATCH_TOL
+
+    @settings(max_examples=200, deadline=None)
+    @given(fk_batches())
+    def test_single_column_is_bitwise_the_scalar_formula(self, case):
+        geom, cols = case
+        for i in range(cols.shape[1]):
+            pose = fk_direct(geom, cols[:, i])
+            rotation, position = scalar_fk_oracle(geom, cols[:, i])
+            assert pose.rotation.tobytes() == rotation.tobytes()
+            assert pose.position.tobytes() == position.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(fk_batches())
+    def test_ik_batch_matches_per_target_calls(self, case):
+        geom, cols = case
+        # Bend angles stay below pi, so every tip has p_z > 0 and is reachable.
+        poses = fk_direct(geom, cols)
+        by_pose = ik(geom, poses)
+        by_position = ik_position(geom, poses.position)
+        assert by_pose.shape == by_position.shape == cols.shape
+        for i in range(cols.shape[1]):
+            one = Pose(rotation=poses.rotation[i], position=poses.position[i])
+            assert np.max(np.abs(by_pose[:, i] - ik(geom, one))) <= BATCH_TOL
+            assert np.max(np.abs(by_position[:, i] - ik(geom, one.position))) <= BATCH_TOL
+
+    def test_batch_round_trip(self):
+        geom = make_geom(n=12)
+        cols = manifold_samples(geom, 500, seed=3)
+        poses = fk_direct(geom, cols)
+        assert np.max(np.abs(ik(geom, poses) - cols)) < 1e-9
+        assert np.max(np.abs(ik_position(geom, poses.position) - cols)) < 1e-9
+
+    def test_empty_batch(self):
+        geom = make_geom(n=4)
+        poses = fk_direct(geom, np.empty((4, 0)))
+        assert poses.rotation.shape == (0, 3, 3)
+        assert poses.position.shape == (0, 3)
+        assert ik(geom, poses).shape == (4, 0)
+        assert ik_position(geom, np.empty((0, 3))).shape == (4, 0)
+
+    def test_three_positions_are_not_a_rotation(self):
+        geom = make_geom(n=5)
+        cols = manifold_samples(geom, 3, seed=4)
+        positions = fk_direct(geom, cols).position
+        assert positions.shape == (3, 3)
+        assert np.max(np.abs(ik_position(geom, positions) - cols)) < 1e-9
+        # ik reads the same (3, 3) array as one rotation, which it is not.
+        with pytest.raises(ValueError, match="rotation"):
+            ik(geom, positions)
+
+    def test_ik_rejects_position_stack(self):
+        geom = make_geom()
+        with pytest.raises(TypeError, match="ik_position"):
+            ik(geom, np.tile([0.0, 0.0, 0.1], (4, 1)))
+
+    def test_ik_position_rejects_bad_shapes(self):
+        geom = make_geom()
+        for bad in (np.zeros(4), np.zeros((2, 2)), np.zeros((2, 3, 3))):
+            with pytest.raises(ValueError, match="shape"):
+                ik_position(geom, bad)
+
+    def test_stack_rejected_when_one_target_is_unreachable(self):
+        geom = make_geom()
+        positions = np.array([[0.01, 0.0, 0.09], [0.01, 0.0, -0.05]])
+        with pytest.raises(ValueError, match="p_z"):
+            ik_position(geom, positions)
+
+    def test_f_ind_inverse_rejects_pose_stack(self):
+        geom = make_geom()
+        poses = fk_direct(geom, manifold_samples(geom, 2, seed=6))
+        with pytest.raises(ValueError, match="stack"):
+            f_ind_inverse(geom, poses)
+
+
+class TestNonFinite:
+    def test_pose_rejects_nan_rotation(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            Pose(rotation=np.full((3, 3), np.nan), position=np.array([0.0, 0.0, 0.1]))
+
+    def test_pose_rejects_non_finite_position(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Pose(rotation=np.eye(3), position=np.array([0.0, bad, 0.1]))
+
+    def test_pose_stack_rejects_one_bad_member(self):
+        rotation = np.stack([np.eye(3), np.eye(3)])
+        rotation[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="orthonormal"):
+            Pose(rotation=rotation, position=np.zeros((2, 3)))
+        reflection = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0])])
+        with pytest.raises(ValueError, match="determinant"):
+            Pose(rotation=reflection, position=np.zeros((2, 3)))
+
+    def test_pose_rejects_mismatched_stack(self):
+        with pytest.raises(ValueError, match="stack"):
+            Pose(rotation=np.stack([np.eye(3)] * 2), position=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="stack"):
+            Pose(rotation=np.zeros((1, 2, 3, 3)), position=np.zeros((1, 2, 3)))
+
+    @pytest.mark.parametrize(
+        "target", [[np.nan, 0.0, np.nan], [0.0, 0.0, np.nan], [np.inf, 0.0, 0.1], [0.01, 0.0, np.inf]]
+    )
+    def test_ik_rejects_non_finite_position(self, target):
+        with pytest.raises(ValueError, match="finite"):
+            ik(make_geom(), target)
+
+    def test_ik_rejects_nan_rotation(self):
+        with pytest.raises(ValueError, match="rotation"):
+            ik(make_geom(), np.full((3, 3), np.nan))
