@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clarke import JointLayout, as_clarke
+from .clarke import JointLayout, as_clarke, check_finite
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,8 @@ class CurvatureAngle:
     theta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.kappa) or not math.isfinite(self.theta):
-            raise ValueError("arc parameters must be finite")
-        if self.kappa < 0.0:
-            raise ValueError(f"curvature must be non-negative, got {self.kappa}")
+        check_finite("curvature", self.kappa, "non-negative")
+        check_finite("bending-plane angle", self.theta, None)
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,8 @@ class CurvatureCurvature:
     kappa_y: float
 
     def __post_init__(self):
-        if not math.isfinite(self.kappa_x) or not math.isfinite(self.kappa_y):
-            raise ValueError("curvature components must be finite")
+        check_finite("kappa_x", self.kappa_x, None)
+        check_finite("kappa_y", self.kappa_y, None)
 
 
 @dataclass(frozen=True)
@@ -54,10 +52,8 @@ class AngleAngle:
     theta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.phi) or not math.isfinite(self.theta):
-            raise ValueError("arc angles must be finite")
-        if self.phi < 0.0:
-            raise ValueError(f"bending angle must be non-negative, got {self.phi}")
+        check_finite("bending angle", self.phi, "non-negative")
+        check_finite("bending-plane angle", self.theta, None)
 
 
 @dataclass(frozen=True)
@@ -68,8 +64,7 @@ class SegmentGeometry:
     l: float
 
     def __post_init__(self):
-        if not self.l > 0.0:
-            raise ValueError(f"segment length must be positive, got {self.l}")
+        check_finite("segment length", self.l)
 
 
 def ccr_to_car(cc: CurvatureCurvature) -> CurvatureAngle:
@@ -92,15 +87,13 @@ def car_to_ccr(ca: CurvatureAngle) -> CurvatureCurvature:
 
 def car_to_aar(ca: CurvatureAngle, l: float) -> AngleAngle:
     """Curvature-angle to angle-angle via phi = kappa*l."""
-    if not l > 0.0:
-        raise ValueError(f"segment length must be positive, got {l}")
+    check_finite("segment length", l)
     return AngleAngle(phi=ca.kappa * l, theta=ca.theta)
 
 
 def aar_to_car(aa: AngleAngle, l: float) -> CurvatureAngle:
     """Angle-angle to curvature-angle via kappa = phi/l."""
-    if not l > 0.0:
-        raise ValueError(f"segment length must be positive, got {l}")
+    check_finite("segment length", l)
     return CurvatureAngle(kappa=aa.phi / l, theta=aa.theta)
 
 

@@ -57,6 +57,17 @@ def as_clarke(xi) -> np.ndarray:
     return xi
 
 
+def check_finite(name: str, value, sign: str | None = "positive") -> None:
+    """Raise ValueError unless value is finite and, with sign set, of that sign.
+
+    sign is "positive", "non-negative" or None for any finite value; NaN
+    and the infinities always fail. Shared by every configuration type.
+    """
+    in_sign = sign is None or value > 0.0 or (sign == "non-negative" and value == 0.0)
+    if not (math.isfinite(value) and in_sign):
+        raise ValueError(f"{name} must be finite{' and ' + sign if sign else ''}, got {value}")
+
+
 def _joint_count(n) -> int:
     if int(n) != n:
         raise ValueError(f"joint count must be an integer, got {n!r}")
@@ -79,8 +90,7 @@ class JointLayout:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _joint_count(self.n))
-        if not self.d > 0.0:
-            raise ValueError(f"joint radius d must be positive, got {self.d}")
+        check_finite("joint radius d", self.d)
         psi = TWO_PI * np.arange(self.n) / self.n
         # Equal distribution makes both trigonometric sums vanish; guard the
         # construction against accidental edits.
@@ -170,8 +180,7 @@ def is_on_manifold(t: ClarkeTransform, rho, tol: float = 1e-12) -> bool:
     n = 3; for n >= 4 vectors such as [1, -1, 1, -1] sum to zero yet are
     geometrically infeasible, so full subspace membership is required.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_finite("tolerance", tol)
     rho = as_displacement(rho, t.n)
     if abs(float(rho.sum())) > tol:
         return False
@@ -195,18 +204,8 @@ def rectangular_to_polar(xi) -> tuple[float, float]:
 
 def polar_to_rectangular(amplitude: float, angle: float) -> np.ndarray:
     """Convert polar (amplitude, angle) to Clarke coordinates."""
-    if amplitude < 0.0:
-        raise ValueError(f"amplitude must be non-negative, got {amplitude}")
+    check_finite("amplitude", amplitude, "non-negative")
     return np.array([amplitude * math.cos(angle), amplitude * math.sin(angle)])
-
-
-def displacement_from_rectangular(layout: JointLayout, rho_re: float, rho_im: float) -> np.ndarray:
-    """Per-joint displacements rho_i = rho_re*cos(psi_i) + rho_im*sin(psi_i).
-
-    Computed joint by joint from the layout angles; equivalent to
-    inverse_transform and kept as an independent formulation of the same map.
-    """
-    return rho_re * np.cos(layout.psi) + rho_im * np.sin(layout.psi)
 
 
 def wrap_to_two_pi(angle: float) -> float:

@@ -9,6 +9,7 @@ noise-report. Every randomized subcommand takes an explicit --seed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -315,8 +316,18 @@ def cmd_noise_report(args) -> int:
     return 0
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _config_tokens(path: str, args) -> list[str]:
+    """The KEY = VALUE lines of a config file as argv tokens --key-with-dashes=VALUE.
+
+    A switch (a flag that takes no value, False unless given) becomes the
+    bare flag when its value is true and is left out when it is false.
+    Every other value is parsed and checked by argparse like a typed flag.
+    """
+    tokens = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -327,8 +338,14 @@ def _load_config_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if not key:
                 raise UsageError(f"{path}:{lineno}: empty key")
-            values[key.replace("-", "_")] = value
-    return values
+            flag = "--" + key.replace("_", "-")
+            if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
+                tokens.append(f"{flag}={value}")
+            elif value.lower() in _TRUE:
+                tokens.append(flag)
+            elif value.lower() not in _FALSE:
+                raise UsageError(f"{path}:{lineno}: {key} is a switch, give true or false, got {value!r}")
+    return tokens
 
 
 def _add_common(p: argparse.ArgumentParser, *, n: int = 3, d: float = 0.01, l: float = 0.1) -> None:
@@ -343,7 +360,9 @@ def _add_common(p: argparse.ArgumentParser, *, n: int = 3, d: float = 0.01, l: f
     p.add_argument("--config", default=None, help="KEY = VALUE defaults file; flags override it")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="clarkekin",
         description="Clarke-transform toolkit for displacement-actuated continuum robots",
@@ -420,46 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _explicit_flags(argv: list[str]) -> set[str]:
-    flags = set()
-    for token in argv:
-        if token.startswith("--"):
-            flags.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return flags
-
-
-def _apply_config(args, argv: list[str], file_values: dict) -> None:
-    # Flags given on the command line win over the config file.
-    given = _explicit_flags(argv)
-    for key, raw in file_values.items():
-        if key in given or not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int):
-            setattr(args, key, int(raw))
-        elif isinstance(current, float):
-            setattr(args, key, float(raw))
-        else:
-            # Flags defaulting to None (paths, bounds): guess numbers first.
-            for caster in (int, float):
-                try:
-                    setattr(args, key, caster(raw))
-                    break
-                except ValueError:
-                    continue
-            else:
-                setattr(args, key, raw)
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            _apply_config(args, argv, _load_config_file(args.config))
+        if args.config:
+            # The file's tokens go right after the subcommand, so a flag on
+            # the command line comes later and wins: argparse keeps the last.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args.config, args) + argv[at:])
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcspace import SegmentGeometry
-from .clarke import as_clarke, as_displacement, build_transform, projector
+from .clarke import as_clarke, as_displacement, build_transform, check_finite, projector
 from .csvio import read_csv, write_csv
 
 
@@ -38,10 +38,8 @@ class ControllerConfig:
     feedforward: bool = True
 
     def __post_init__(self):
-        if not self.kp > 0.0:
-            raise ValueError(f"kp must be positive, got {self.kp}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        check_finite("kp", self.kp)
+        check_finite("dt", self.dt)
 
 
 @dataclass(frozen=True)
@@ -52,8 +50,7 @@ class PT1Plant:
     state: np.ndarray
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError(f"time constant must be positive, got {self.tau}")
+        check_finite("time constant tau", self.tau)
         state = np.ascontiguousarray(self.state, dtype=float)
         if state.ndim != 1 or not np.isfinite(state).all():
             raise ValueError("plant state must be a finite vector")
@@ -77,10 +74,9 @@ class NoiseModel:
     quantum: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError(f"noise half-width must be non-negative, got {self.epsilon}")
-        if self.quantum < 0.0:
-            raise ValueError(f"quantum must be non-negative, got {self.quantum}")
+        check_finite("noise half-width epsilon", self.epsilon, "non-negative")
+        check_finite("bias", self.bias, None)
+        check_finite("quantum", self.quantum, "non-negative")
 
 
 @dataclass(frozen=True)
@@ -101,8 +97,8 @@ class TrajectorySpec:
         pts = tuple(as_clarke(w) for w in self.waypoints)
         if len(pts) < 2:
             raise ValueError(f"need at least 2 waypoints, got {len(pts)}")
-        if not (self.v_max > 0.0 and self.a_max > 0.0 and self.d_max > 0.0):
-            raise ValueError("kinematic limits must be positive")
+        for name in ("v_max", "a_max", "d_max"):
+            check_finite(name, getattr(self, name))
         object.__setattr__(self, "waypoints", pts)
 
 
@@ -153,8 +149,7 @@ def plant_step(plant: PT1Plant, command, dt: float) -> PT1Plant:
     Exact zero-order-hold discretization x+ = a*x + (1-a)*u with
     a = exp(-dt/tau); stable for every dt, tau > 0.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_finite("dt", dt)
     u = as_displacement(command, len(plant.state))
     a = math.exp(-dt / plant.tau)
     return PT1Plant(tau=plant.tau, state=a * plant.state + (1.0 - a) * u)
@@ -198,8 +193,7 @@ def generate_trajectory(layout, spec: TrajectorySpec, dt: float) -> np.ndarray:
     The result is mapped to joints through the right-inverse, so every
     column lies on the manifold.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_finite("dt", dt)
     t = build_transform(layout)
     xi_cols = [np.asarray(spec.waypoints[0], dtype=float)]
     for start, goal in zip(spec.waypoints[:-1], spec.waypoints[1:]):
@@ -351,12 +345,15 @@ def noise_propagation(layout, sigma: float, joint_index: int) -> NoisePropagatio
     )
 
 
+def _trace_header(n: int) -> list[str]:
+    """Columns t, rho_d_1..n, rho_m_1..n, rho_cmd_1..n, rho_plant_1..n of a trace CSV."""
+    return ["t"] + [f"{prefix}_{i + 1}" for prefix in ("rho_d", "rho_m", "rho_cmd", "rho_plant") for i in range(n)]
+
+
 def save_trace_csv(trace: SimTrace, path) -> None:
-    """Columns t, rho_d_1..n, rho_m_1..n, rho_cmd_1..n, rho_plant_1..n."""
-    n = trace.rho_desired.shape[0]
-    header = ["t"] + [f"{prefix}_{i + 1}" for prefix in ("rho_d", "rho_m", "rho_cmd", "rho_plant") for i in range(n)]
+    """Write a trace as CSV, one row per tick, under the _trace_header columns."""
     columns = (trace.time, trace.rho_desired, trace.rho_measured, trace.rho_command, trace.rho_plant)
-    write_csv(path, header, np.vstack(columns).T)
+    write_csv(path, _trace_header(trace.rho_desired.shape[0]), np.vstack(columns).T)
 
 
 def trace_to_dict(trace: SimTrace) -> dict:
@@ -370,9 +367,15 @@ def trace_to_dict(trace: SimTrace) -> dict:
 
 
 def load_trace_csv(path) -> SimTrace:
-    """Read a trace CSV back (lossless at 17 significant digits)."""
+    """Read a trace CSV back (lossless at 17 significant digits).
+
+    Line 1 must be the header save_trace_csv writes for some n >= 1.
+    """
     header, rows = read_csv(path)
     n = (len(header) - 1) // 4
+    if n < 1 or header != _trace_header(n):
+        expected = "t,rho_d_1..n,rho_m_1..n,rho_cmd_1..n,rho_plant_1..n"
+        raise ValueError(f"{path}: line 1 must be the trace header {expected}, got {','.join(header)!r}")
     data = rows.T
     return SimTrace(
         time=data[0],

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car
-from .clarke import ClarkeTransform, as_displacement, build_transform
+from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car, car_to_ccr
+from .clarke import as_displacement, build_transform, check_finite, manifold_residual
 
 # Targets with p_z at or below this height (meters) are rejected: the tip of
 # a forward-bending constant-curvature segment never reaches the p_z <= 0
@@ -48,8 +48,7 @@ class RegularizationConfig:
     epsilon: float = 1e-12
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        check_finite("epsilon", self.epsilon)
 
 
 def _check_rotations(r: np.ndarray, what: str) -> None:
@@ -106,8 +105,24 @@ class Pose:
 _DEFAULT_REG = RegularizationConfig()
 
 
-def _transform_for(geom: SegmentGeometry) -> ClarkeTransform:
-    return build_transform(geom.layout.n)
+def _rotation(ct, st, cp, sp) -> np.ndarray:
+    """Rz(theta) @ Ry(phi) from cos/sin of theta and phi: (3, 3), or (k, 3, 3) from (k,) arrays."""
+    zero = 0.0 * abs(ct)  # +0.0 shaped like ct; 0.0 * ct is -0.0 for ct < 0
+    # Built entry-major and transposed, so a batch index moves to the
+    # front and a single rotation comes out as written: the literal holds
+    # the columns of the rotation.
+    return np.array(
+        [
+            [ct * cp, st * cp, -sp],
+            [-st, ct, zero],
+            [ct * sp, st * sp, cp],
+        ]
+    ).T
+
+
+def _joints(geom: SegmentGeometry, bend: np.ndarray) -> np.ndarray:
+    """rho = d * inverse @ bend of bending vectors l*(kappa_x, kappa_y), (2,) or (2, k)."""
+    return geom.layout.d * (build_transform(geom.layout).inverse @ bend)
 
 
 def f_dep_inverse(geom: SegmentGeometry, arc) -> np.ndarray:
@@ -116,14 +131,8 @@ def f_dep_inverse(geom: SegmentGeometry, arc) -> np.ndarray:
     Accepts either arc representation; the result lies on the displacement
     manifold and is linear in the curvature components.
     """
-    t = _transform_for(geom)
-    if isinstance(arc, CurvatureCurvature):
-        kx, ky = arc.kappa_x, arc.kappa_y
-    else:
-        ca = _as_car(arc)
-        kx = ca.kappa * math.cos(ca.theta)
-        ky = ca.kappa * math.sin(ca.theta)
-    return geom.layout.d * geom.l * (t.inverse @ np.array([kx, ky]))
+    cc = arc if isinstance(arc, CurvatureCurvature) else car_to_ccr(_as_car(arc))
+    return _joints(geom, geom.l * np.array([cc.kappa_x, cc.kappa_y]))
 
 
 def f_dep(geom: SegmentGeometry, rho) -> CurvatureCurvature:
@@ -132,7 +141,7 @@ def f_dep(geom: SegmentGeometry, rho) -> CurvatureCurvature:
     For rho off the manifold this equals f_dep of the projected vector,
     by linearity.
     """
-    t = _transform_for(geom)
+    t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n)
     kxy = (t.forward @ rho) / (geom.layout.d * geom.l)
     return CurvatureCurvature(kappa_x=float(kxy[0]), kappa_y=float(kxy[1]))
@@ -146,9 +155,9 @@ def f_dep_curvature_angle(geom: SegmentGeometry, rho) -> CurvatureAngle:
     residual exceeds MANIFOLD_TOL, because the norm-based curvature formula
     is only valid on the manifold.
     """
-    t = _transform_for(geom)
+    t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n)
-    residual = float(np.max(np.abs(t.inverse @ (t.forward @ rho) - rho)))
+    residual = manifold_residual(t, rho)
     if residual > MANIFOLD_TOL:
         raise ValueError(
             f"displacement vector is off the manifold: projector residual "
@@ -178,14 +187,7 @@ def f_ind(geom: SegmentGeometry, arc) -> Pose:
     cp, sp = math.cos(phi), math.sin(phi)
     bow = (1.0 - cp) / ca.kappa
     position = np.array([ct * bow, st * bow, sp / ca.kappa])
-    rotation = np.array(
-        [
-            [ct * cp, -st, ct * sp],
-            [st * cp, ct, st * sp],
-            [-sp, 0.0, cp],
-        ]
-    )
-    return Pose(rotation=rotation, position=position)
+    return Pose(rotation=_rotation(ct, st, cp, sp), position=position)
 
 
 def fk_direct(geom: SegmentGeometry, rho, reg: RegularizationConfig | None = None) -> Pose:
@@ -206,7 +208,7 @@ def fk_direct(geom: SegmentGeometry, rho, reg: RegularizationConfig | None = Non
     conditional; the introduced error is linear in epsilon.
     """
     eps = (reg or _DEFAULT_REG).epsilon
-    t = _transform_for(geom)
+    t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n, batch=True)
     elementwise = _ELEMENTWISE[rho.ndim]
     d = geom.layout.d
@@ -224,33 +226,9 @@ def fk_direct(geom: SegmentGeometry, rho, reg: RegularizationConfig | None = Non
     sp = elementwise.sin(phi)
     inv_kappa = d * l / amp
     bow = (1.0 - cp) * inv_kappa
-    zero = 0.0 * amp  # +0.0, shaped like amp (amp > 0)
-    # Built entry-major and transposed, so a batch index moves to the
-    # front and a single pose comes out as written: the literal holds the
-    # columns of the rotation.
+    # Transposed, so a batch index moves to the front: (k, 3) positions.
     position = np.array([ct * bow, st * bow, sp * inv_kappa]).T
-    rotation = np.array(
-        [
-            [ct * cp, st * cp, -sp],
-            [-st, ct, zero],
-            [ct * sp, st * sp, cp],
-        ]
-    ).T
-    return Pose(rotation=rotation, position=position)
-
-
-def _classify_target(target) -> tuple[str, np.ndarray | Pose]:
-    if isinstance(target, Pose):
-        return "pose", target
-    arr = np.asarray(target, dtype=float)
-    if arr.shape == (3,):
-        return "position", arr
-    if arr.shape == (3, 3):
-        return "rotation", arr
-    raise TypeError(
-        "target must be a position (3,), a rotation (3, 3), or a Pose "
-        f"(a stack of positions goes to ik_position), got shape {getattr(arr, 'shape', None)}"
-    )
+    return Pose(rotation=_rotation(ct, st, cp, sp), position=position)
 
 
 def _check_position_target(p: np.ndarray) -> None:
@@ -267,41 +245,59 @@ def _check_position_target(p: np.ndarray) -> None:
         )
 
 
+def _bend(geom: SegmentGeometry, target, positions: bool = False) -> np.ndarray:
+    """The bending vector phi*(cos theta, sin theta) = l*(kappa_x, kappa_y) of IK targets.
+
+    The target is a Pose (one or a stack), a rotation (3, 3) or a position
+    (3,); with positions=True, a position (3,) or a stack (k, 3), never a
+    rotation. Gives (2,) for one target and (2, k) for a stack. In the tip
+    frame R = Rz(theta) @ Ry(phi), R[1, 1] = cos(theta), R[0, 1] = -sin(theta).
+    """
+    if isinstance(target, Pose) and not positions:
+        # A Pose checked its rotations when it was built; the region of its
+        # positions is what remains. sin(phi) = -R[2, 0] and
+        # p_z = l*sin(phi)/phi. Transposed, a stack's entries index as
+        # r[j, i] = R[..., i, j] with the batch axis last.
+        _check_position_target(target.position)
+        r = target.rotation.T
+        return (-geom.l * r[0, 2] / target.position.T[2]) * np.array([r[1, 1], -r[1, 0]])
+    if np.shape(target) == (3, 3) and not positions:
+        # phi comes from the rotation alone, so l never enters: the result
+        # does not depend on the segment length, bit for bit.
+        r = np.asarray(target, dtype=float)
+        _check_rotations(r, "target rotation matrix")
+        phi = math.atan2(-r[2, 0], r[2, 2])
+        return phi * np.array([r[1, 1], -r[0, 1]])
+    p = np.asarray(target, dtype=float)
+    if not positions and p.shape != (3,):
+        raise TypeError(
+            "target must be a position (3,), a rotation (3, 3), or a Pose "
+            f"(a stack of positions goes to ik_position), got shape {p.shape}"
+        )
+    if p.shape[-1:] != (3,) or p.ndim > 2:
+        raise ValueError(f"positions must have shape (3,) or (k, 3), got {p.shape}")
+    _check_position_target(p)
+    x, y, z = p.T
+    return (2.0 * geom.l / (x * x + y * y + z * z)) * np.array([x, y])
+
+
 def f_ind_inverse(geom: SegmentGeometry, target) -> CurvatureCurvature:
-    """Arc curvatures reaching a task-space target.
+    """Arc curvatures reaching a task-space target: its bending vector over l.
 
     The target may be a tip position (3-vector), a tip rotation (3x3), or a
     full Pose (one pose, not a stack). Positions with p_z at or below
-    POSITION_Z_FLOOR, and the origin, are rejected as unreachable.
+    POSITION_Z_FLOOR, and the origin, are rejected as unreachable. ik is
+    f_dep_inverse of this map's result, computed without the division by l.
     """
-    kind, data = _classify_target(target)
-    l = geom.l
-    if kind == "position":
-        p = data
-        _check_position_target(p)
-        s = float(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
-        return CurvatureCurvature(kappa_x=2.0 * p[0] / s, kappa_y=2.0 * p[1] / s)
-    if kind == "rotation":
-        r = data
-        _check_rotations(r, "target rotation matrix")
-        phi = math.atan2(-r[2, 0], r[2, 2])
-        # r12 = -sin(theta) and r22 = cos(theta) in this frame convention,
-        # hence the minus sign on the kappa_y numerator.
-        return CurvatureCurvature(kappa_x=r[1, 1] * phi / l, kappa_y=-r[0, 1] * phi / l)
-    pose = data
-    if pose.position.ndim != 1:
+    bend = _bend(geom, target)
+    if bend.ndim != 1:
         raise ValueError("f_ind_inverse takes one pose, not a stack")
-    _check_position_target(pose.position)
-    r = pose.rotation
-    pz = pose.position[2]
-    return CurvatureCurvature(
-        kappa_x=-r[2, 0] * r[1, 1] / pz,
-        kappa_y=r[2, 0] * r[0, 1] / pz,
-    )
+    kx, ky = bend / geom.l
+    return CurvatureCurvature(kappa_x=float(kx), kappa_y=float(ky))
 
 
 def ik_position(geom: SegmentGeometry, positions) -> np.ndarray:
-    """Closed-form inverse kinematics to tip positions.
+    """Closed-form inverse kinematics to tip positions: f_dep_inverse ∘ f_ind_inverse.
 
     positions is one position (3,), giving an (n,) displacement vector, or
     a stack (k, 3), giving (n, k) displacement columns; row i agrees with
@@ -310,44 +306,22 @@ def ik_position(geom: SegmentGeometry, positions) -> np.ndarray:
     as three positions. Positions with p_z at or below POSITION_Z_FLOOR,
     the origin and non-finite entries are rejected.
     """
-    p = np.asarray(positions, dtype=float)
-    if p.shape[-1:] != (3,) or p.ndim > 2:
-        raise ValueError(f"positions must have shape (3,) or (k, 3), got {p.shape}")
-    _check_position_target(p)
-    t = _transform_for(geom)
-    x, y, z = p.T
-    s = x * x + y * y + z * z
-    return (2.0 * geom.layout.d * geom.l / s) * (t.inverse @ np.array([x, y]))
+    return _joints(geom, _bend(geom, positions, positions=True))
 
 
 def ik(geom: SegmentGeometry, target) -> np.ndarray:
     """Closed-form inverse kinematics to a position, rotation, or pose target.
 
+    ik = f_dep_inverse ∘ f_ind_inverse: the target's bending vector
+    l*(kappa_x, kappa_y) mapped to joints, with no branch on the curvature.
     Returns the displacement vector on the manifold that reproduces the
     target under fk_direct: (n,) for one target, and (n, k) columns for a
     stacked Pose of k poses, column i within 1e-14 absolute of the call on
-    pose i alone. A position (3,) goes to ik_position, which also takes
-    stacks of positions. A rotation-only target fixes the bending plane
-    and the product kappa*l but not the segment length; the returned
-    displacements are independent of l.
+    pose i alone. Stacks of positions go to ik_position. A rotation-only
+    target fixes the bending plane and the product kappa*l but not the
+    segment length; the returned displacements are independent of l.
     """
-    kind, data = _classify_target(target)
-    if kind == "position":
-        return ik_position(geom, data)
-    t = _transform_for(geom)
-    d = geom.layout.d
-    if kind == "rotation":
-        r = data
-        _check_rotations(r, "target rotation matrix")
-        phi = math.atan2(-r[2, 0], r[2, 2])
-        return d * phi * (t.inverse @ np.array([r[1, 1], -r[0, 1]]))
-    # A Pose checked its rotations when it was built; the region of its
-    # positions is what remains. Transposed, a stack's entries index as
-    # r[j, i] = R[..., i, j] with the batch axis last.
-    _check_position_target(data.position)
-    r = data.rotation.T
-    pz = data.position.T[2]
-    return (-d * geom.l * r[0, 2] / pz) * (t.inverse @ np.array([r[1, 1], -r[1, 0]]))
+    return _joints(geom, _bend(geom, target))
 
 
 def recover_pose_from_position(geom: SegmentGeometry, p) -> Pose:
@@ -373,11 +347,4 @@ def recover_pose_from_position(geom: SegmentGeometry, p) -> Pose:
     st = p[1] / r
     sp = 2.0 * p[2] * r / s
     cp = (p[2] * p[2] - r * r) / s
-    rotation = np.array(
-        [
-            [ct * cp, -st, ct * sp],
-            [st * cp, ct, st * sp],
-            [-sp, 0.0, cp],
-        ]
-    )
-    return Pose(rotation=rotation, position=p)
+    return Pose(rotation=_rotation(ct, st, cp, sp), position=p)

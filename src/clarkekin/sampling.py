@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clarke import TWO_PI, JointLayout
+from .clarke import TWO_PI, JointLayout, check_finite
 from .csvio import displacement_header, format_float, read_csv, write_csv
 
 REJECTION_METHODS = ("a", "b")
@@ -55,10 +55,11 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite("rho_min", self.rho_min, None)
+        check_finite("rho_max", self.rho_max, None)
         if not self.rho_max > self.rho_min:
             raise ValueError(f"need rho_max > rho_min, got [{self.rho_min}, {self.rho_max}]")
-        if not self.rounding_epsilon > 0.0:
-            raise ValueError(f"rounding_epsilon must be positive, got {self.rounding_epsilon}")
+        check_finite("rounding_epsilon", self.rounding_epsilon)
 
 
 @dataclass(frozen=True)

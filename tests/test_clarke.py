@@ -8,7 +8,6 @@ import pytest
 from clarkekin import (
     JointLayout,
     build_transform,
-    displacement_from_rectangular,
     inverse_transform,
     is_on_manifold,
     manifold_residual,
@@ -366,6 +365,15 @@ class TestPolarForms:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             polar_to_rectangular(-1.0, 0.0)
+
+
+def displacement_from_rectangular(layout, rho_re, rho_im):
+    """Per-joint displacements rho_i = rho_re*cos(psi_i) + rho_im*sin(psi_i).
+
+    Computed joint by joint from the layout angles: an oracle for
+    inverse_transform written independently of the transform matrices.
+    """
+    return rho_re * np.cos(layout.psi) + rho_im * np.sin(layout.psi)
 
 
 class TestDisplacementFromRectangular:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from clarkekin.cli import main
+from clarkekin.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -343,6 +343,78 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "noise-report", "--config", str(config))
         assert code == 2
         assert "bad.cfg:2" in err
+
+    @staticmethod
+    def config(tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return str(path)
+
+    def test_numeric_looking_string_stays_a_string(self, capsys, tmp_path):
+        # rho = 0 is the string "0" for --rho: one value for three joints
+        # is a domain error with one line, not an AttributeError.
+        code, _, err = run_cli(capsys, "fk", "--config", self.config(tmp_path, "rho = 0\n"))
+        assert code == 3
+        assert err.count("\n") == 1 and "shape" in err
+
+    def test_numeric_out_is_a_file_name(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "matrix", "--config", self.config(tmp_path, "out = 123\n"))
+        assert code == 0
+        assert out == ""
+        assert (tmp_path / "123").read_text().startswith("forward")
+
+    def test_argparse_checks_choices(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--config", self.config(tmp_path, "method = z\n")])
+        assert exc.value.code == 2
+
+    def test_in_key_names_the_flag(self, capsys, tmp_path):
+        rows = tmp_path / "rho.csv"
+        rows.write_text("rho_1,rho_2,rho_3\n0,0,0\n")
+        code, out, _ = run_cli(capsys, "fk", "--config", self.config(tmp_path, f"in = {rows}\n"))
+        assert code == 0
+        assert out.splitlines()[0] == "r11,r12,r13,r21,r22,r23,r31,r32,r33,px,py,pz"
+
+    @pytest.mark.parametrize("key", ["bogus", "infile", "func"])
+    def test_unknown_key_is_a_usage_error(self, capsys, tmp_path, key):
+        with pytest.raises(SystemExit) as exc:
+            main(["noise-report", "--config", self.config(tmp_path, f"{key} = 1\n")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value, vectorized", [("true", True), ("yes", True), ("false", False), ("0", False)])
+    def test_switch_values(self, capsys, tmp_path, value, vectorized):
+        cfg = self.config(tmp_path, f"method = c\nk = 5\nvectorized = {value}\n")
+        code, _, err = run_cli(capsys, "sample", "--config", cfg)
+        assert code == 0
+        assert ("vectorized" in err) == vectorized
+
+    def test_bad_switch_value(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sample", "--config", self.config(tmp_path, "vectorized = maybe\n"))
+        assert code == 2
+        assert "run.cfg:1" in err
+
+    def test_dashed_and_underscored_keys(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "method = c\nk = 3\nrho_max = 0.002\nrho-min = 0.001\n")
+        code, out, _ = run_cli(capsys, "sample", "--config", cfg, "--format", "csv")
+        assert code == 0
+        amplitudes = [float(v) for v in out.splitlines()[1].split(",")]
+        assert max(abs(v) for v in amplitudes) <= 0.002
+
+
+def test_non_finite_flag_value_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "noise-report", "--d", "inf")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "finite" in err
+
+
+def test_parser_built_once_and_calls_do_not_leak(capsys):
+    assert build_parser() is build_parser()
+    code, _, err = run_cli(capsys, "sample", "--method", "c", "--k", "4", "--vectorized")
+    assert code == 0 and "vectorized" in err
+    code, _, err = run_cli(capsys, "sample", "--method", "c", "--k", "4")
+    assert code == 0 and "vectorized" not in err and "iterations=4" in err
 
 
 def test_console_entry_point():

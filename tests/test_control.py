@@ -305,6 +305,16 @@ class TestSimulation:
         assert np.array_equal(back.rho_command, trace.rho_command)
         assert np.array_equal(back.rho_plant, trace.rho_plant)
 
+    @pytest.mark.parametrize(
+        "header", ["a,b,c", "t", "t,rho_d_1,rho_m_1,rho_cmd_1,rho_plant_2", "t,rho_m_1,rho_d_1,rho_cmd_1,rho_plant_1"]
+    )
+    def test_load_trace_rejects_foreign_header(self, tmp_path, header):
+        path = tmp_path / "trace.csv"
+        width = len(header.split(","))
+        path.write_text(header + "\n" + (",".join(["0"] * width) + "\n") * 2)
+        with pytest.raises(ValueError, match="trace header"):
+            load_trace_csv(path)
+
 
 class TestNoisePropagation:
     def test_n4_single_joint(self):

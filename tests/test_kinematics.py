@@ -591,3 +591,34 @@ class TestNonFinite:
     def test_ik_rejects_nan_rotation(self):
         with pytest.raises(ValueError, match="rotation"):
             ik(make_geom(), np.full((3, 3), np.nan))
+
+
+class TestIkComposition:
+    @settings(max_examples=150, deadline=None)
+    @given(fk_batches())
+    def test_ik_is_f_dep_inverse_of_f_ind_inverse(self, case):
+        # Bend angles up to 0.99*pi: every tip has p_z > 0 and is reachable.
+        geom, cols = case
+        poses = fk_direct(geom, cols)
+        for i in range(cols.shape[1]):
+            pose = Pose(rotation=poses.rotation[i], position=poses.position[i])
+            for target in (pose.position, pose.rotation, pose):
+                composed = f_dep_inverse(geom, f_ind_inverse(geom, target))
+                assert np.max(np.abs(ik(geom, target) - composed)) <= 1e-12
+
+    def test_zero_rotation_entry_is_positive_zero(self):
+        # R[2, 1] is +0.0 even where cos(theta) < 0, on every path that
+        # builds a rotation; 0.0 * cos(theta) would give -0.0 there.
+        geom = make_geom(n=5)
+        theta = 2.5
+        cols = displacement_columns(5, geom.layout.d, [0.5, 0.3], [theta, -theta])
+        ca = CurvatureAngle(kappa=5.0, theta=theta)
+        rotations = [
+            fk_direct(geom, cols[:, 0]).rotation,
+            fk_direct(geom, cols).rotation,
+            f_ind(geom, ca).rotation,
+            recover_pose_from_position(geom, f_ind(geom, ca).position).rotation,
+        ]
+        for rotation in rotations:
+            assert rotation[..., 0, 0].min() < 0.0
+            assert not np.signbit(rotation[..., 2, 1]).any()
