@@ -205,11 +205,13 @@ def rectangular_to_polar(xi) -> tuple[float, float]:
 def polar_to_rectangular(amplitude: float, angle: float) -> np.ndarray:
     """Convert polar (amplitude, angle) to Clarke coordinates."""
     check_finite("amplitude", amplitude, "non-negative")
+    check_finite("angle", angle, None)
     return np.array([amplitude * math.cos(angle), amplitude * math.sin(angle)])
 
 
 def wrap_to_two_pi(angle: float) -> float:
     """Normalize an angle from atan2 range into [0, 2*pi)."""
+    check_finite("angle", angle, None)
     wrapped = math.fmod(angle, TWO_PI)
     if wrapped < 0.0:
         wrapped += TWO_PI

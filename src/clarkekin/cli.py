@@ -34,6 +34,7 @@ from .csvio import csv_text, displacement_header, format_float, format_rows, rea
 from .kinematics import Pose, fk_direct, ik, ik_position
 from .sampling import (
     ALL_METHODS,
+    DIRECT_METHODS,
     SamplerConfig,
     benchmark,
     histogram_csv,
@@ -182,11 +183,9 @@ def _sampler_config(args, method: str | None = None) -> SamplerConfig:
 def cmd_sample(args) -> int:
     cfg = _sampler_config(args, method=args.method)
     if args.vectorized:
-        from .sampling import _RADIAL_BY_METHOD
-
-        if args.method not in _RADIAL_BY_METHOD:
+        if args.method not in DIRECT_METHODS:
             raise ValueError(f"--vectorized applies to direct methods c/d/e, not {args.method!r}")
-        batch = sample_direct_batched(cfg, args.k, _RADIAL_BY_METHOD[args.method])
+        batch = sample_direct_batched(cfg, args.k, DIRECT_METHODS[args.method][0])
         stats_line = f"method {args.method}: k={args.k} vectorized seed={args.seed}\n"
     else:
         batch, stats = sample(cfg, args.k, args.method)

@@ -15,6 +15,7 @@ stable for any positive time constant and sample time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +197,7 @@ def generate_trajectory(layout, spec: TrajectorySpec, dt: float) -> np.ndarray:
     check_finite("dt", dt)
     t = build_transform(layout)
     xi_cols = [np.asarray(spec.waypoints[0], dtype=float)]
-    for start, goal in zip(spec.waypoints[:-1], spec.waypoints[1:]):
+    for leg, (start, goal) in enumerate(zip(spec.waypoints[:-1], spec.waypoints[1:]), start=1):
         delta = goal - start
         length = float(np.max(np.abs(delta)))
         if length == 0.0:
@@ -204,6 +205,8 @@ def generate_trajectory(layout, spec: TrajectorySpec, dt: float) -> np.ndarray:
             continue
         t_acc, t_cruise, t_dec, peak = _profile_durations(length, spec.v_max, spec.a_max, spec.d_max)
         total = t_acc + t_cruise + t_dec
+        if not math.isfinite(total / dt):
+            raise ValueError(f"leg {leg} (waypoint {leg} to {leg + 1}) is too long to tick: {total} s at dt={dt}")
         ticks = max(1, math.ceil(total / dt - 1e-12))
         dilation = total / (ticks * dt)
         for j in range(1, ticks + 1):
@@ -321,6 +324,9 @@ def noise_propagation(layout, sigma: float, joint_index: int) -> NoisePropagatio
     Raises if the measured squared-norm ratio deviates from the closed form
     2/n by more than 1e-12, which would indicate a broken transform pair.
     """
+    check_finite("sigma", sigma, None)
+    if sigma != 0.0 and not sys.float_info.min <= sigma * sigma < math.inf:
+        raise ValueError(f"sigma must be 0 or have a normal, finite square, got {sigma}")
     t = build_transform(layout)
     if not 0 <= joint_index < t.n:
         raise ValueError(f"joint index must be in [0, {t.n}), got {joint_index}")

@@ -10,6 +10,12 @@ Five methods, named after the letters used throughout the stats output:
   d: direct, amplitude shaped for a uniform disk;
   e: direct, amplitude shaped for a uniform annulus.
 
+The rejection methods draw blocks of candidates from one PCG64 stream and
+test each block at once, accepting in stream order. Consecutive draws
+consume the stream exactly as one draw per iteration would, so accepted
+columns, iterations and success rates are bit-identical to a per-draw loop
+for every seed; draws past the k-th hit are neither counted nor returned.
+
 Direct methods draw an angle theta = 2*pi*U and an amplitude L per sample
 (in that order) and map through the transform's right-inverse, so every
 sample satisfies the displacement constraint by construction and the
@@ -29,13 +35,20 @@ from .clarke import TWO_PI, JointLayout, check_finite
 from .csvio import displacement_header, format_float, read_csv, write_csv
 
 REJECTION_METHODS = ("a", "b")
-DIRECT_METHODS = ("c", "d", "e")
-ALL_METHODS = REJECTION_METHODS + DIRECT_METHODS
 
-_RADIAL_BY_METHOD = {"c": "line", "d": "disk", "e": "annulus"}
-_METHOD_BY_RADIAL = {v: k for k, v in _RADIAL_BY_METHOD.items()}
+# The direct methods: letter -> (radial law, amplitude L from a uniform u).
+# sample(), benchmark() and the CLI dispatch through this one table.
+DIRECT_METHODS = {
+    "c": ("line", lambda cfg, u: cfg.rho_min + (cfg.rho_max - cfg.rho_min) * u),
+    "d": ("disk", lambda cfg, u: cfg.rho_max * np.sqrt(u)),
+    "e": ("annulus", lambda cfg, u: np.sqrt(cfg.rho_min**2 + (cfg.rho_max**2 - cfg.rho_min**2) * u)),
+}
+ALL_METHODS = REJECTION_METHODS + tuple(DIRECT_METHODS)
 
 DEFAULT_ITERATION_CAP = 10**8
+
+# A rejection block holds at most this many uniforms (2 MiB of doubles).
+_BLOCK_DOUBLES = 2**18
 
 
 @dataclass(frozen=True)
@@ -103,36 +116,59 @@ def _finalize(method: str, columns: np.ndarray, wall: float, iterations: int, k:
     return SampleBatch(columns=columns, method=method), stats
 
 
+def _accept_in_blocks(cfg: SamplerConfig, width: int, k: int, iteration_cap: int, accept) -> tuple[np.ndarray, int]:
+    """The first k accepted candidate rows and the number of draws they took.
+
+    A candidate is rho_min + span * rng.random(width). Blocks of consecutive
+    candidates come from the one stream and are tested at once, so the k-th
+    hit falls on the same draw as with one draw per iteration; iterations is
+    that draw's index plus one. A block is sized from the acceptance rate
+    seen so far and never reaches past iteration_cap or _BLOCK_DOUBLES, so
+    fewer than k rows come back when iteration_cap draws were not enough.
+    """
+    rng = _rng(cfg.seed)
+    span = cfg.rho_max - cfg.rho_min
+    kept = [np.empty((0, width))]
+    accepted = 0
+    iterations = 0
+    while accepted < k and iterations < iteration_cap:
+        need = k - accepted
+        rows = min(
+            need * (iterations + 1) // (accepted + 1),
+            max(1, _BLOCK_DOUBLES // width),
+            iteration_cap - iterations,
+        )
+        block = cfg.rho_min + span * rng.random((rows, width))
+        hits = np.flatnonzero(accept(block))[:need]
+        kept.append(block[hits])
+        accepted += hits.size
+        iterations += int(hits[-1]) + 1 if accepted == k else rows
+    return np.concatenate(kept), iterations
+
+
 def sample_rejection_independent(
     cfg: SamplerConfig, k: int, iteration_cap: int = DEFAULT_ITERATION_CAP
 ) -> tuple[SampleBatch, SamplingStats]:
     """Method (a): per-joint uniform draws filtered on the rounded sum.
 
     A draw is accepted when its displacement sum, rounded half-to-even at
-    granularity rounding_epsilon, equals zero. Works for any n. Raises
-    RuntimeError when iteration_cap attempts did not produce k samples.
+    granularity rounding_epsilon, equals zero. Works for any n. Candidate
+    blocks are tested in stream order, bit-identical to one draw per
+    iteration. Raises RuntimeError when iteration_cap attempts did not
+    produce k samples.
     """
-    n = cfg.layout.n
-    span = cfg.rho_max - cfg.rho_min
-    eps = cfg.rounding_epsilon
-    rng = _rng(cfg.seed)
-    columns = np.empty((n, k))
-    accepted = 0
-    iterations = 0
+
+    def sum_rounds_to_zero(block):
+        return np.rint(block.sum(axis=1) / cfg.rounding_epsilon) == 0
+
     t0 = time.perf_counter()
-    while accepted < k:
-        if iterations >= iteration_cap:
-            raise RuntimeError(
-                f"method (a) exceeded {iteration_cap} attempts with only "
-                f"{accepted}/{k} samples accepted; widen rounding_epsilon or raise the cap"
-            )
-        candidate = cfg.rho_min + span * rng.random(n)
-        iterations += 1
-        if round(float(candidate.sum()) / eps) == 0:
-            columns[:, accepted] = candidate
-            accepted += 1
-    wall = time.perf_counter() - t0
-    return _finalize("a", columns, wall, iterations, k)
+    rows, iterations = _accept_in_blocks(cfg, cfg.layout.n, k, iteration_cap, sum_rounds_to_zero)
+    if len(rows) < k:
+        raise RuntimeError(
+            f"method (a) exceeded {iteration_cap} attempts with only "
+            f"{len(rows)}/{k} samples accepted; widen rounding_epsilon or raise the cap"
+        )
+    return _finalize("a", rows.T, time.perf_counter() - t0, iterations, k)
 
 
 def sample_rejection_resolved(
@@ -142,56 +178,43 @@ def sample_rejection_resolved(
 
     The constraint holds identically; a draw is rejected only when the
     resolved rho_1 leaves [rho_min, rho_max]. Defined for three joints.
+    Candidate blocks are tested in stream order, bit-identical to one draw
+    per iteration.
     """
     if cfg.layout.n != 3:
         raise ValueError(f"method (b) resolves one of exactly 3 joints, got n={cfg.layout.n}")
-    span = cfg.rho_max - cfg.rho_min
-    rng = _rng(cfg.seed)
-    columns = np.empty((3, k))
-    accepted = 0
-    iterations = 0
+
+    def in_bounds(pairs):
+        rho1 = -(pairs[:, 0] + pairs[:, 1])
+        return (cfg.rho_min <= rho1) & (rho1 <= cfg.rho_max)
+
     t0 = time.perf_counter()
-    while accepted < k:
-        if iterations >= iteration_cap:
-            raise RuntimeError(
-                f"method (b) exceeded {iteration_cap} attempts with only "
-                f"{accepted}/{k} samples accepted"
-            )
-        pair = cfg.rho_min + span * rng.random(2)
-        rho1 = -(pair[0] + pair[1])
-        iterations += 1
-        if cfg.rho_min <= rho1 <= cfg.rho_max:
-            columns[0, accepted] = rho1
-            columns[1, accepted] = pair[0]
-            columns[2, accepted] = pair[1]
-            accepted += 1
-    wall = time.perf_counter() - t0
-    return _finalize("b", columns, wall, iterations, k)
+    pairs, iterations = _accept_in_blocks(cfg, 2, k, iteration_cap, in_bounds)
+    if len(pairs) < k:
+        raise RuntimeError(
+            f"method (b) exceeded {iteration_cap} attempts with only "
+            f"{len(pairs)}/{k} samples accepted"
+        )
+    columns = np.vstack([-(pairs[:, 0] + pairs[:, 1]), pairs.T])
+    return _finalize("b", columns, time.perf_counter() - t0, iterations, k)
 
 
-def _radial_amplitude(cfg: SamplerConfig, radial: str, u: np.ndarray) -> np.ndarray:
-    if radial == "line":
-        return cfg.rho_min + (cfg.rho_max - cfg.rho_min) * u
-    if radial == "disk":
-        return cfg.rho_max * np.sqrt(u)
-    if radial == "annulus":
-        return np.sqrt(cfg.rho_min**2 + (cfg.rho_max**2 - cfg.rho_min**2) * u)
+def _radial_law(cfg: SamplerConfig, radial: str):
+    """The method letter and amplitude law of a radial law name, checked against cfg."""
+    for method, (name, amplitude) in DIRECT_METHODS.items():
+        if name == radial:
+            if radial == "annulus" and not cfg.rho_min > 0.0:
+                raise ValueError(f"annulus sampling needs rho_min > 0, got {cfg.rho_min}")
+            return method, amplitude
     raise ValueError(f"unknown radial law {radial!r}; expected line, disk or annulus")
 
 
-def _check_radial(cfg: SamplerConfig, radial: str) -> None:
-    if radial not in _METHOD_BY_RADIAL:
-        raise ValueError(f"unknown radial law {radial!r}; expected line, disk or annulus")
-    if radial == "annulus" and not cfg.rho_min > 0.0:
-        raise ValueError(f"annulus sampling needs rho_min > 0, got {cfg.rho_min}")
-
-
-def _direct_columns(cfg: SamplerConfig, radial: str, u2: np.ndarray) -> np.ndarray:
+def _direct_columns(cfg: SamplerConfig, amplitude, u2: np.ndarray) -> np.ndarray:
     # u2 has one row per sample: column 0 feeds the angle, column 1 the
     # amplitude. Elementwise products keep the batched and sequential
     # paths bit-identical.
     theta = TWO_PI * u2[:, 0]
-    amp = _radial_amplitude(cfg, radial, u2[:, 1])
+    amp = amplitude(cfg, u2[:, 1])
     xi_re = amp * np.cos(theta)
     xi_im = amp * np.sin(theta)
     psi = cfg.layout.psi
@@ -205,15 +228,15 @@ def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch,
     "annulus" (e, needs rho_min > 0). Never resamples: iterations = k and
     success_rate = 1.0 for every seed.
     """
-    _check_radial(cfg, radial)
+    method, amplitude = _radial_law(cfg, radial)
     n = cfg.layout.n
     rng = _rng(cfg.seed)
     columns = np.empty((n, k))
     t0 = time.perf_counter()
     for i in range(k):
-        columns[:, i : i + 1] = _direct_columns(cfg, radial, rng.random((1, 2)))
+        columns[:, i : i + 1] = _direct_columns(cfg, amplitude, rng.random((1, 2)))
     wall = time.perf_counter() - t0
-    return _finalize(_METHOD_BY_RADIAL[radial], columns, wall, iterations=k, k=k)
+    return _finalize(method, columns, wall, iterations=k, k=k)
 
 
 def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatch:
@@ -222,11 +245,11 @@ def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatc
     Bit-identical to k sequential sample_direct draws under the same seed,
     because the PRNG stream is consumed in the same (theta, L) order.
     """
-    _check_radial(cfg, radial)
+    method, amplitude = _radial_law(cfg, radial)
     rng = _rng(cfg.seed)
-    columns = _direct_columns(cfg, radial, rng.random((k, 2)))
+    columns = _direct_columns(cfg, amplitude, rng.random((k, 2)))
     columns.setflags(write=False)
-    return SampleBatch(columns=columns, method=_METHOD_BY_RADIAL[radial])
+    return SampleBatch(columns=columns, method=method)
 
 
 def sample(cfg: SamplerConfig, k: int, method: str) -> tuple[SampleBatch, SamplingStats]:
@@ -235,8 +258,8 @@ def sample(cfg: SamplerConfig, k: int, method: str) -> tuple[SampleBatch, Sampli
         return sample_rejection_independent(cfg, k)
     if method == "b":
         return sample_rejection_resolved(cfg, k)
-    if method in _RADIAL_BY_METHOD:
-        return sample_direct(cfg, k, _RADIAL_BY_METHOD[method])
+    if method in DIRECT_METHODS:
+        return sample_direct(cfg, k, DIRECT_METHODS[method][0])
     raise ValueError(f"unknown sampling method {method!r}; expected one of {ALL_METHODS}")
 
 
@@ -295,9 +318,9 @@ def benchmark(
         pooled: list[np.ndarray] = []
         for run in range(runs):
             run_cfg = replace(method_cfg, seed=_run_seed(cfg.seed, mi, run))
-            if vectorized and method in _RADIAL_BY_METHOD:
+            if vectorized and method in DIRECT_METHODS:
                 t0 = time.perf_counter()
-                batch = sample_direct_batched(run_cfg, k, _RADIAL_BY_METHOD[method])
+                batch = sample_direct_batched(run_cfg, k, DIRECT_METHODS[method][0])
                 wall = time.perf_counter() - t0
                 stats = SamplingStats(method, wall, iterations=k, resamples=0, success_rate=1.0)
             else:

@@ -366,6 +366,11 @@ class TestPolarForms:
         with pytest.raises(ValueError, match="non-negative"):
             polar_to_rectangular(-1.0, 0.0)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            polar_to_rectangular(1.0, angle)
+
 
 def displacement_from_rectangular(layout, rho_re, rho_im):
     """Per-joint displacements rho_i = rho_re*cos(psi_i) + rho_im*sin(psi_i).
@@ -403,3 +408,9 @@ def test_wrap_to_two_pi():
     assert wrap_to_two_pi(-np.pi / 2) == pytest.approx(3 * np.pi / 2, abs=1e-15)
     assert wrap_to_two_pi(7.0) == pytest.approx(7.0 - 2 * np.pi, abs=1e-15)
     assert 0.0 <= wrap_to_two_pi(-1e-9) < 2 * np.pi
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_wrap_to_two_pi_rejects_non_finite(angle):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        wrap_to_two_pi(angle)

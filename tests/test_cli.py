@@ -2,9 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from clarkekin.cli import build_parser, main
 
@@ -236,6 +239,13 @@ class TestSample:
         assert code == 3
         assert "rho_min > 0" in err
 
+    @pytest.mark.parametrize("method", ["a", "b"])
+    def test_vectorized_rejection_method_is_a_domain_error(self, capsys, method):
+        code, out, err = run_cli(capsys, "sample", "--method", method, "--k", "4", "--vectorized")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: --vectorized applies to direct methods c/d/e, not {method!r}\n"
+
     def test_annulus_default_inner_radius(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sample", "--method", "e", "--k", "5", "--out", str(tmp_path / "e.csv"))
         assert code == 0
@@ -308,6 +318,12 @@ class TestSimulate:
         assert summary["ticks"] > 100
         assert summary["rms_closed_loop"] < summary["rms_open_loop"]
 
+    def test_leg_too_long_to_tick(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--waypoints", "0,0,1e308,1e308", "--noise", "0")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "leg 1" in err and "too long" in err
+
 
 class TestNoiseReport:
     def test_fields(self, capsys):
@@ -322,6 +338,16 @@ class TestNoiseReport:
         code, _, err = run_cli(capsys, "noise-report", "--n", "4", "--joint", "9")
         assert code == 3
         assert "joint index" in err
+
+    @pytest.mark.parametrize(
+        "sigma, reason", [("inf", "must be finite"), ("nan", "must be finite"), ("1e308", "square"), ("1e-200", "square")]
+    )
+    def test_out_of_range_sigma(self, capsys, sigma, reason):
+        # 1e308 squared overflows and 1e-200 squared underflows to zero.
+        code, out, err = run_cli(capsys, "noise-report", "--sigma", sigma)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and reason in err
 
 
 class TestConfigFile:
@@ -407,6 +433,46 @@ def test_non_finite_flag_value_is_a_domain_error(capsys):
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "finite" in err
+
+
+# A valid command line per float-list flag: (argv before the flag, flag, values).
+VALID_FLOAT_FLAGS = {
+    "noise-report --sigma": (["noise-report", "--n", "5", "--joint", "2"], "--sigma", ["0.001"]),
+    "simulate --waypoints": (["simulate", "--noise", "0"], "--waypoints", ["0", "0", "0.001", "0.001"]),
+    "fk --rho": (["fk", "--n", "3"], "--rho", ["0.001", "-0.0005", "-0.0005"]),
+}
+BAD_FLOATS = ("inf", "-inf", "nan", "Infinity", "-NaN", "1e308", "-1e308", "1.7976931348623157e308")
+
+
+def run_cli_strict(capsys, argv):
+    """(exit code, stdout, stderr); argparse exits count, a warning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", sorted(VALID_FLOAT_FLAGS))
+def test_valid_float_flag_commands_succeed(capsys, name):
+    head, flag, values = VALID_FLOAT_FLAGS[name]
+    code, _, err = run_cli_strict(capsys, head + [f"{flag}={','.join(values)}"])
+    assert code == 0 and err == ""
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(VALID_FLOAT_FLAGS)), st.sampled_from(BAD_FLOATS), st.data())
+def test_bad_float_in_a_valid_command_fails_in_one_line(capsys, name, bad, data):
+    head, flag, values = VALID_FLOAT_FLAGS[name]
+    values = list(values)
+    values[data.draw(st.integers(0, len(values) - 1))] = bad
+    code, out, err = run_cli_strict(capsys, head + [f"{flag}={','.join(values)}"])
+    assert code in (2, 3)
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
 
 
 def test_parser_built_once_and_calls_do_not_leak(capsys):

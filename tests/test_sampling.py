@@ -1,7 +1,11 @@
 """Rejection and direct manifold samplers, determinism, benchmark output."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarkekin import (
     JointLayout,
@@ -15,7 +19,7 @@ from clarkekin import (
     sample_rejection_independent,
     sample_rejection_resolved,
 )
-from clarkekin.sampling import histogram_csv, load_batch_csv, save_batch_csv, stats_csv
+from clarkekin.sampling import DEFAULT_ITERATION_CAP, histogram_csv, load_batch_csv, save_batch_csv, stats_csv
 
 D = 0.001  # 1 mm radius, the desk-scale benchmark geometry
 RHO_MAX = D * np.pi
@@ -25,6 +29,128 @@ def config3(seed=0, rho_min=-RHO_MAX, rho_max=RHO_MAX, eps=1e-5):
     return SamplerConfig(
         layout=JointLayout(n=3, d=D), rho_min=rho_min, rho_max=rho_max, rounding_epsilon=eps, seed=seed
     )
+
+
+def per_draw_a_oracle(cfg, k, iteration_cap=DEFAULT_ITERATION_CAP):
+    """Method (a) with one draw per iteration: (columns, iterations)."""
+    n = cfg.layout.n
+    span = cfg.rho_max - cfg.rho_min
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    columns = np.empty((n, k))
+    accepted = 0
+    iterations = 0
+    while accepted < k:
+        if iterations >= iteration_cap:
+            raise RuntimeError(
+                f"method (a) exceeded {iteration_cap} attempts with only "
+                f"{accepted}/{k} samples accepted; widen rounding_epsilon or raise the cap"
+            )
+        candidate = cfg.rho_min + span * rng.random(n)
+        iterations += 1
+        if round(float(candidate.sum()) / cfg.rounding_epsilon) == 0:
+            columns[:, accepted] = candidate
+            accepted += 1
+    return columns, iterations
+
+
+def per_draw_b_oracle(cfg, k, iteration_cap=DEFAULT_ITERATION_CAP):
+    """Method (b) with one draw per iteration: (columns, iterations)."""
+    span = cfg.rho_max - cfg.rho_min
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    columns = np.empty((3, k))
+    accepted = 0
+    iterations = 0
+    while accepted < k:
+        if iterations >= iteration_cap:
+            raise RuntimeError(
+                f"method (b) exceeded {iteration_cap} attempts with only "
+                f"{accepted}/{k} samples accepted"
+            )
+        pair = cfg.rho_min + span * rng.random(2)
+        rho1 = -(pair[0] + pair[1])
+        iterations += 1
+        if cfg.rho_min <= rho1 <= cfg.rho_max:
+            columns[0, accepted] = rho1
+            columns[1, accepted] = pair[0]
+            columns[2, accepted] = pair[1]
+            accepted += 1
+    return columns, iterations
+
+
+SAMPLER_AND_ORACLE = {
+    "a": (sample_rejection_independent, per_draw_a_oracle),
+    "b": (sample_rejection_resolved, per_draw_b_oracle),
+}
+
+
+@st.composite
+def rejection_cases(draw):
+    """(method, config, k) with at most about 10^5 draws per case."""
+    method = draw(st.sampled_from("ab"))
+    n = draw(st.integers(3, 64)) if method == "a" else 3
+    # The joint sum has density about 1/(rho_max * sqrt(2*pi*n/3)) at zero,
+    # so this epsilon accepts about `rate` of the draws of method (a).
+    rate = draw(st.floats(3e-3, 0.3))
+    eps = rate * RHO_MAX * math.sqrt(2.0 * math.pi * n / 3.0)
+    cfg = SamplerConfig(
+        layout=JointLayout(n=n, d=D),
+        rho_min=-RHO_MAX,
+        rho_max=RHO_MAX,
+        rounding_epsilon=eps,
+        seed=draw(st.integers(0, 2**63)),
+    )
+    return method, cfg, draw(st.integers(0, 200))
+
+
+class TestBlockDrawsMatchPerDrawOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(rejection_cases())
+    def test_bit_identical_to_one_draw_per_iteration(self, case):
+        method, cfg, k = case
+        sampler, oracle = SAMPLER_AND_ORACLE[method]
+        batch, stats = sampler(cfg, k)
+        columns, iterations = oracle(cfg, k)
+        assert np.array_equal(batch.columns, columns)
+        assert stats.iterations == iterations
+        assert stats.resamples == iterations - k
+        assert stats.success_rate == (1.0 if iterations == 0 else k / iterations)
+
+    @pytest.mark.parametrize("method", ["a", "b"])
+    def test_k_th_hit_on_the_cap_succeeds(self, method):
+        sampler, oracle = SAMPLER_AND_ORACLE[method]
+        cfg = config3(seed=21, eps=1e-4)
+        columns, iterations = oracle(cfg, 40)
+        batch, stats = sampler(cfg, 40, iteration_cap=iterations)
+        assert np.array_equal(batch.columns, columns)
+        assert stats.iterations == iterations
+
+    @pytest.mark.parametrize("method", ["a", "b"])
+    def test_one_below_the_cap_raises(self, method):
+        sampler, oracle = SAMPLER_AND_ORACLE[method]
+        cfg = config3(seed=21, eps=1e-4)
+        _, iterations = oracle(cfg, 40)
+        with pytest.raises(RuntimeError, match="exceeded") as raised:
+            sampler(cfg, 40, iteration_cap=iterations - 1)
+        with pytest.raises(RuntimeError, match="exceeded") as expected:
+            oracle(cfg, 40, iteration_cap=iterations - 1)
+        assert str(raised.value) == str(expected.value)
+
+    def test_blocks_stay_bounded(self, monkeypatch):
+        shapes = []
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = np.random.Generator(np.random.PCG64(seed))
+
+            def random(self, shape):
+                shapes.append(shape)
+                return self.rng.random(shape)
+
+        monkeypatch.setattr("clarkekin.sampling._rng", Recording)
+        with pytest.raises(RuntimeError, match="exceeded"):
+            sample_rejection_independent(config3(eps=1e-12), 10, iteration_cap=10**6)
+        assert sum(rows for rows, _ in shapes) == 10**6
+        assert max(rows * width for rows, width in shapes) <= 2**18
 
 
 class TestConfig:
