@@ -31,6 +31,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite: an exact count that never warns, unlike a sum."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def as_displacement(rho, n: int, batch: bool = False) -> np.ndarray:
     """Validate and return a length-n displacement vector as a float array.
 
@@ -42,7 +47,7 @@ def as_displacement(rho, n: int, batch: bool = False) -> np.ndarray:
     if rho.shape != (n,) and not (batch and rho.ndim == 2 and rho.shape[0] == n):
         shapes = f"({n},) or ({n}, k)" if batch else f"({n},)"
         raise ValueError(f"displacement vector must have shape {shapes}, got {rho.shape}")
-    if not np.isfinite(rho).all():
+    if not all_finite(rho):
         raise ValueError("displacement vector entries must be finite")
     return rho
 
@@ -52,7 +57,7 @@ def as_clarke(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,):
         raise ValueError(f"Clarke coordinates must have shape (2,), got {xi.shape}")
-    if not np.isfinite(xi).all():
+    if not all_finite(xi):
         raise ValueError("Clarke coordinates must be finite")
     return xi
 

@@ -76,12 +76,10 @@ def _geometry(args) -> SegmentGeometry:
 
 def cmd_matrix(args) -> int:
     t = build_transform(args.n)
-    lines = [f"forward (2 x {t.n}):"]
-    for row in t.forward:
-        lines.append("  " + "  ".join(format(float(v), ".15g") for v in row))
-    lines.append(f"inverse ({t.n} x 2):")
-    for row in t.inverse:
-        lines.append("  " + "  ".join(format(float(v), ".15g") for v in row))
+    lines = []
+    for name, m in (("forward", t.forward), ("inverse", t.inverse)):
+        lines.append(f"{name} ({m.shape[0]} x {m.shape[1]}):")
+        lines += ["  " + "  ".join(format(float(v), ".15g") for v in row) for row in m]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

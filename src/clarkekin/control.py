@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .arcspace import SegmentGeometry
-from .clarke import as_clarke, as_displacement, build_transform, check_finite, projector
+from .clarke import all_finite, as_clarke, as_displacement, build_transform, check_finite, projector
 from .csvio import read_csv, write_csv
 
 
@@ -53,7 +53,7 @@ class PT1Plant:
     def __post_init__(self):
         check_finite("time constant tau", self.tau)
         state = np.ascontiguousarray(self.state, dtype=float)
-        if state.ndim != 1 or not np.isfinite(state).all():
+        if state.ndim != 1 or not all_finite(state):
             raise ValueError("plant state must be a finite vector")
         state.setflags(write=False)
         object.__setattr__(self, "state", state)
@@ -137,11 +137,11 @@ def controller_step(cfg: ControllerConfig, xi_desired, rho_measured) -> np.ndarr
     t = build_transform(cfg.geometry.layout.n)
     xi_d = as_clarke(xi_desired)
     rho_m = as_displacement(rho_measured, t.n)
-    centered_scaled = t.n * rho_m - rho_m.sum()
-    xi_m = (t.forward @ centered_scaled) / t.n
+    centered_scaled = t.n * rho_m - np.add.reduce(rho_m)
+    xi_m = t.forward.dot(centered_scaled) / t.n
     error = xi_d - xi_m
     xi_cmd = xi_d + cfg.kp * error if cfg.feedforward else cfg.kp * error
-    return t.inverse @ xi_cmd
+    return t.inverse.dot(xi_cmd)
 
 
 def plant_step(plant: PT1Plant, command, dt: float) -> PT1Plant:
@@ -170,18 +170,8 @@ def _profile_durations(length: float, v: float, a: float, d: float) -> tuple[flo
     return peak / a, cruise, peak / d, peak
 
 
-def _profile_position(t: float, t_acc: float, t_cruise: float, t_dec: float, peak: float, a: float, d: float, length: float) -> float:
-    total = t_acc + t_cruise + t_dec
-    if t <= 0.0:
-        return 0.0
-    if t >= total:
-        return length
-    if t < t_acc:
-        return 0.5 * a * t * t
-    if t < t_acc + t_cruise:
-        return 0.5 * a * t_acc * t_acc + peak * (t - t_acc)
-    remaining = total - t
-    return length - 0.5 * d * remaining * remaining
+# np.arange past 2**63 - 1 ticks returns an empty float array instead of raising.
+_TICK_LIMIT = float(2**63)
 
 
 def generate_trajectory(layout, spec: TrajectorySpec, dt: float) -> np.ndarray:
@@ -193,29 +183,58 @@ def generate_trajectory(layout, spec: TrajectorySpec, dt: float) -> np.ndarray:
     a whole number of ticks (never violating the limits) and ends at rest.
     The result is mapped to joints through the right-inverse, so every
     column lies on the manifold.
+
+    Each leg is one array expression over its ticks. A leg numpy cannot
+    tick, or a reference past the float range, raises ValueError.
     """
     check_finite("dt", dt)
     t = build_transform(layout)
-    xi_cols = [np.asarray(spec.waypoints[0], dtype=float)]
-    for leg, (start, goal) in enumerate(zip(spec.waypoints[:-1], spec.waypoints[1:]), start=1):
-        delta = goal - start
-        length = float(np.max(np.abs(delta)))
-        if length == 0.0:
-            xi_cols.append(goal.copy())
-            continue
-        t_acc, t_cruise, t_dec, peak = _profile_durations(length, spec.v_max, spec.a_max, spec.d_max)
-        total = t_acc + t_cruise + t_dec
-        if not math.isfinite(total / dt):
-            raise ValueError(f"leg {leg} (waypoint {leg} to {leg + 1}) is too long to tick: {total} s at dt={dt}")
-        ticks = max(1, math.ceil(total / dt - 1e-12))
-        dilation = total / (ticks * dt)
-        for j in range(1, ticks + 1):
-            s = _profile_position(
-                min(j * dt * dilation, total), t_acc, t_cruise, t_dec, peak, spec.a_max, spec.d_max, length
+    a, d = spec.a_max, spec.d_max
+    points = np.array(spec.waypoints)
+    # Branches np.select does not pick may overflow; a picked one that does
+    # reaches the joint reference, which is checked once at the end.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi_legs = [points[0][:, None]]
+        for leg, (start, goal) in enumerate(zip(points[:-1], points[1:]), start=1):
+            too_long = f"leg {leg} (waypoint {leg} to {leg + 1}) is too long to tick"
+            delta = goal - start
+            if not all_finite(delta):
+                raise ValueError(f"{too_long}: goal - start is not finite")
+            length = float(np.max(np.abs(delta)))
+            if length == 0.0:
+                xi_legs.append(goal[:, None])
+                continue
+            t_acc, t_cruise, t_dec, peak = _profile_durations(length, spec.v_max, a, d)
+            total = t_acc + t_cruise + t_dec
+            count = total / dt - 1e-12
+            too_long += f": {count:.6g} ticks ({total} s at dt={dt})"
+            if not count < _TICK_LIMIT:
+                raise ValueError(too_long)
+            ticks = max(1, math.ceil(count))
+            try:
+                j = np.arange(1, ticks + 1)
+            except (MemoryError, ValueError):
+                raise ValueError(too_long) from None
+            tk = np.minimum(j * dt * (total / (ticks * dt)), total)
+            remaining = total - tk
+            # The scalar profile's branches in its order: rest, arrived, accel, cruise, decel.
+            s = np.select(
+                [tk <= 0.0, tk >= total, tk < t_acc, tk < t_acc + t_cruise],
+                [0.0, length, 0.5 * a * tk * tk, 0.5 * a * t_acc * t_acc + peak * (tk - t_acc)],
+                length - 0.5 * d * remaining * remaining,
             )
-            xi_cols.append(start + (s / length) * delta)
-    xi = np.column_stack(xi_cols)
-    return t.inverse @ xi
+            xi_legs.append(start[:, None] + (s / length) * delta[:, None])
+        joints = t.inverse @ np.concatenate(xi_legs, axis=1)
+    if not all_finite(joints):
+        raise ValueError("the joint-space reference is not finite: the waypoints are too large")
+    return joints
+
+
+def _read(raw: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    # Plant state plus noise in, reading out: optional quantization, then bias.
+    if noise.quantum > 0.0:
+        raw = np.round(raw / noise.quantum) * noise.quantum
+    return raw + noise.bias
 
 
 def run_simulation(
@@ -230,7 +249,10 @@ def run_simulation(
     Per tick: measure (plant state, noise draw, optional quantization, then
     bias), evaluate the controller, advance the plant. closed_loop=False
     feeds the reference straight to the actuators instead, for open-loop
-    comparisons. Deterministic for a given noise seed.
+    comparisons. Deterministic for a given noise seed: the noise is drawn
+    as one T x n block from the same PCG64 stream, bitwise the values of T
+    per-tick draws, so seeded traces are unchanged. Raises ValueError if
+    the loop leaves the float range.
     """
     n = cfg.geometry.layout.n
     t = build_transform(n)
@@ -239,41 +261,31 @@ def run_simulation(
         raise ValueError(f"trajectory must be n x T with n={n}, got {trajectory.shape}")
     ticks = trajectory.shape[1]
     if ticks == 0:
-        state = plant.state
-        rest = t.inverse @ (t.forward @ state)
-        col = state.reshape(n, 1)
-        return SimTrace(
-            time=np.array([0.0]),
-            rho_desired=rest.reshape(n, 1),
-            rho_measured=col.copy(),
-            rho_command=rest.reshape(n, 1).copy(),
-            rho_plant=col.copy(),
-        )
-    rng = np.random.Generator(np.random.PCG64(noise.seed))
-    measured = np.empty((n, ticks))
-    command = np.empty((n, ticks))
-    plant_states = np.empty((n, ticks))
-    for i in range(ticks):
-        reading = plant.state + rng.uniform(-noise.epsilon, noise.epsilon, n)
-        if noise.quantum > 0.0:
-            reading = np.round(reading / noise.quantum) * noise.quantum
-        reading = reading + noise.bias
-        rho_d = trajectory[:, i]
-        if closed_loop:
-            cmd = controller_step(cfg, t.forward @ rho_d, reading)
-        else:
-            cmd = rho_d
-        plant = plant_step(plant, cmd, cfg.dt)
-        measured[:, i] = reading
-        command[:, i] = cmd
-        plant_states[:, i] = plant.state
-    return SimTrace(
-        time=cfg.dt * np.arange(ticks),
-        rho_desired=trajectory.copy(),
-        rho_measured=measured,
-        rho_command=command,
-        rho_plant=plant_states,
-    )
+        rest = (t.inverse @ (t.forward @ plant.state)).reshape(n, 1)
+        col = plant.state.reshape(n, 1)
+        return SimTrace(np.array([0.0]), rest, col.copy(), rest.copy(), col.copy())
+    # One row per tick; states[i] is the plant state read at tick i.
+    states = np.empty((ticks + 1, n))
+    states[0] = plant.state
+    rows = trajectory.T
+    try:
+        draws = np.random.Generator(np.random.PCG64(noise.seed)).uniform(-noise.epsilon, noise.epsilon, (ticks, n))
+        with np.errstate(over="raise", invalid="raise"):
+            if closed_loop:
+                measured, command = np.empty((2, ticks, n))
+                for i in range(ticks):
+                    measured[i] = reading = _read(plant.state + draws[i], noise)
+                    command[i] = cmd = controller_step(cfg, t.forward.dot(rows[i]), reading)
+                    plant = plant_step(plant, cmd, cfg.dt)
+                    states[i + 1] = plant.state
+            else:
+                for i in range(ticks):
+                    plant = plant_step(plant, rows[i], cfg.dt)
+                    states[i + 1] = plant.state
+                measured, command = _read(states[:-1] + draws, noise), rows
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError(f"simulation left the float range: {exc}") from None
+    return SimTrace(cfg.dt * np.arange(ticks), trajectory.copy(), measured.T.copy(), command.T.copy(), states[1:].T.copy())
 
 
 def clarke_tracking_rms(trace: SimTrace, transform_) -> float:
@@ -305,17 +317,7 @@ class NoisePropagationReport:
     norm_ratio_unscaled: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "joint_index": self.joint_index,
-            "sigma": self.sigma,
-            "spread": [float(v) for v in self.spread],
-            "peak": self.peak,
-            "squared_norm": self.squared_norm,
-            "norm_ratio": self.norm_ratio,
-            "norm_ratio_closed_form": self.norm_ratio_closed_form,
-            "norm_ratio_unscaled": self.norm_ratio_unscaled,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "spread": self.spread.tolist()}
 
 
 def noise_propagation(layout, sigma: float, joint_index: int) -> NoisePropagationReport:
@@ -363,13 +365,8 @@ def save_trace_csv(trace: SimTrace, path) -> None:
 
 
 def trace_to_dict(trace: SimTrace) -> dict:
-    return {
-        "t": [float(v) for v in trace.time],
-        "rho_desired": trace.rho_desired.tolist(),
-        "rho_measured": trace.rho_measured.tolist(),
-        "rho_command": trace.rho_command.tolist(),
-        "rho_plant": trace.rho_plant.tolist(),
-    }
+    arrays = {f.name: getattr(trace, f.name).tolist() for f in fields(trace)}
+    return {"t": arrays.pop("time"), **arrays}
 
 
 def load_trace_csv(path) -> SimTrace:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car, car_to_ccr
-from .clarke import as_displacement, build_transform, check_finite, manifold_residual
+from .clarke import all_finite, as_displacement, build_transform, check_finite, manifold_residual
 
 # Targets with p_z at or below this height (meters) are rejected: the tip of
 # a forward-bending constant-curvature segment never reaches the p_z <= 0
@@ -94,7 +94,7 @@ class Pose:
                 "or a (k, 3, 3) rotation and a (k, 3) position for a stack"
             )
         _check_rotations(rotation, "rotation matrix")
-        if not np.isfinite(position).all():
+        if not all_finite(position):
             raise ValueError("position entries must be finite")
         rotation.setflags(write=False)
         position.setflags(write=False)
@@ -233,7 +233,7 @@ def fk_direct(geom: SegmentGeometry, rho, reg: RegularizationConfig | None = Non
 
 def _check_position_target(p: np.ndarray) -> None:
     # p is one position (3,) or a stack (k, 3).
-    if not np.isfinite(p).all():
+    if not all_finite(p):
         raise ValueError("target position entries must be finite")
     x, y, z = p.T
     if not (x * x + y * y + z * z != 0.0).all():

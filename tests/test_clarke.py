@@ -1,9 +1,13 @@
 """Core transform: matrix construction, algebraic identities, coordinate ops."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clarkekin import (
     JointLayout,
@@ -17,6 +21,7 @@ from clarkekin import (
     transform,
     wrap_to_two_pi,
 )
+from clarkekin.clarke import all_finite
 
 N_RANGE = range(3, 65)
 
@@ -414,3 +419,17 @@ def test_wrap_to_two_pi():
 def test_wrap_to_two_pi_rejects_non_finite(angle):
     with pytest.raises(ValueError, match="angle must be finite"):
         wrap_to_two_pi(angle)
+
+
+# Entries that break a sum-based shortcut: inf + -inf is NaN, and 1e308 + 1e308 overflows.
+EXTREMES = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, -0.0, 1.0]) | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(["(0,)", "(n,)", "(k, 3)", "(k, 3, 3)"]), st.integers(1, 64))
+def test_all_finite_counts_exactly_and_never_warns(data, shape_name, size):
+    shape = {"(0,)": (0,), "(n,)": (size,), "(k, 3)": (size, 3), "(k, 3, 3)": (size, 3, 3)}[shape_name]
+    a = data.draw(arrays(np.float64, shape, elements=EXTREMES))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all_finite(a) == bool(np.isfinite(a).all())

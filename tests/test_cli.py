@@ -324,6 +324,27 @@ class TestSimulate:
         assert out == ""
         assert err.count("\n") == 1 and "leg 1" in err and "too long" in err
 
+    def test_enormous_leg_fails_fast(self, capsys):
+        # About 3e304 ticks: refused before any tick array is built.
+        code, out, err = run_cli_strict(capsys, ["simulate", "--waypoints", "0,0,1e300,0", "--noise", "0"])
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "leg 1" in err and "e+304 ticks" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--waypoints=-1e308,0,1e308,0", "--noise", "0"],
+            ["--waypoints", "1e308,1e308,1e308,1e308"],
+            ["--noise", "1e308"],
+        ],
+    )
+    def test_float_range_errors_are_one_line(self, capsys, argv):
+        code, out, err = run_cli_strict(capsys, ["simulate"] + argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
 
 class TestNoiseReport:
     def test_fields(self, capsys):

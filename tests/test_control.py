@@ -1,9 +1,12 @@
 """Controller law, PT1 plant, trajectory profile, closed-loop simulation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarkekin import (
     ControllerConfig,
@@ -22,7 +25,8 @@ from clarkekin import (
     plant_step,
     run_simulation,
 )
-from clarkekin.control import load_trace_csv, save_trace_csv
+from clarkekin.clarke import as_clarke, as_displacement
+from clarkekin.control import _profile_durations, load_trace_csv, save_trace_csv
 
 V_MAX = 0.01 * np.pi
 A_MAX = 0.1 * np.pi
@@ -45,6 +49,81 @@ def spec_between(a, b, *more):
         a_max=A_MAX,
         d_max=A_MAX,
     )
+
+
+def reference_controller_step(cfg, xi_desired, rho_measured):
+    """controller_step as first written (`@` products and `.sum()`): the oracle."""
+    t = build_transform(cfg.geometry.layout.n)
+    xi_d = as_clarke(xi_desired)
+    rho_m = as_displacement(rho_measured, t.n)
+    centered_scaled = t.n * rho_m - rho_m.sum()
+    xi_m = (t.forward @ centered_scaled) / t.n
+    error = xi_d - xi_m
+    xi_cmd = xi_d + cfg.kp * error if cfg.feedforward else cfg.kp * error
+    return t.inverse @ xi_cmd
+
+
+def _profile_position(t, t_acc, t_cruise, t_dec, peak, a, d, length):
+    # The scalar rest-to-rest profile, one tick at a time.
+    total = t_acc + t_cruise + t_dec
+    if t <= 0.0:
+        return 0.0
+    if t >= total:
+        return length
+    if t < t_acc:
+        return 0.5 * a * t * t
+    if t < t_acc + t_cruise:
+        return 0.5 * a * t_acc * t_acc + peak * (t - t_acc)
+    remaining = total - t
+    return length - 0.5 * d * remaining * remaining
+
+
+def per_tick_trajectory_oracle(layout, spec, dt):
+    """generate_trajectory as one _profile_position call and one column per tick."""
+    t = build_transform(layout)
+    xi_cols = [np.asarray(spec.waypoints[0], dtype=float)]
+    for start, goal in zip(spec.waypoints[:-1], spec.waypoints[1:]):
+        delta = goal - start
+        length = float(np.max(np.abs(delta)))
+        if length == 0.0:
+            xi_cols.append(goal.copy())
+            continue
+        t_acc, t_cruise, t_dec, peak = _profile_durations(length, spec.v_max, spec.a_max, spec.d_max)
+        total = t_acc + t_cruise + t_dec
+        ticks = max(1, math.ceil(total / dt - 1e-12))
+        dilation = total / (ticks * dt)
+        for j in range(1, ticks + 1):
+            s = _profile_position(
+                min(j * dt * dilation, total), t_acc, t_cruise, t_dec, peak, spec.a_max, spec.d_max, length
+            )
+            xi_cols.append(start + (s / length) * delta)
+    return t.inverse @ np.column_stack(xi_cols)
+
+
+def per_tick_simulation_oracle(cfg, plant, noise, trajectory, closed_loop=True):
+    """run_simulation with one noise draw per tick and one column store per tick."""
+    n = cfg.geometry.layout.n
+    t = build_transform(n)
+    ticks = trajectory.shape[1]
+    rng = np.random.Generator(np.random.PCG64(noise.seed))
+    measured = np.empty((n, ticks))
+    command = np.empty((n, ticks))
+    plant_states = np.empty((n, ticks))
+    for i in range(ticks):
+        reading = plant.state + rng.uniform(-noise.epsilon, noise.epsilon, n)
+        if noise.quantum > 0.0:
+            reading = np.round(reading / noise.quantum) * noise.quantum
+        reading = reading + noise.bias
+        rho_d = trajectory[:, i]
+        if closed_loop:
+            cmd = controller_step(cfg, t.forward @ rho_d, reading)
+        else:
+            cmd = rho_d
+        plant = plant_step(plant, cmd, cfg.dt)
+        measured[:, i] = reading
+        command[:, i] = cmd
+        plant_states[:, i] = plant.state
+    return (cfg.dt * np.arange(ticks), trajectory.copy(), measured, command, plant_states)
 
 
 class TestControllerStep:
@@ -95,6 +174,21 @@ class TestControllerStep:
         c = 0.02
         cmd = controller_step(pure, np.array([c, 0.0]), np.zeros(5))
         assert np.max(np.abs(cmd - 10.0 * c * t.inverse[:, 0])) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(3, 64),
+        feedforward=st.booleans(),
+        kp=st.floats(1e-3, 1e4),
+        scale=st.floats(-6, 2).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_reference(self, n, feedforward, kp, scale, seed):
+        geom = SegmentGeometry(layout=JointLayout(n=n, d=0.01), l=0.1)
+        cfg = ControllerConfig(kp=kp, dt=1e-3, geometry=geom, feedforward=feedforward)
+        rng = np.random.default_rng(seed)
+        xi_d, rho_m = rng.uniform(-scale, scale, 2), rng.uniform(-scale, scale, n)
+        assert np.array_equal(controller_step(cfg, xi_d, rho_m), reference_controller_step(cfg, xi_d, rho_m))
 
     def test_validation(self, geom):
         with pytest.raises(ValueError, match="kp"):
@@ -220,6 +314,55 @@ class TestTrajectory:
         for i in range(0, traj.shape[1], 17):
             assert manifold_residual(t, traj[:, i]) < 1e-12
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(3, 12),
+        scale=st.floats(-6, 1).map(lambda e: 10.0**e),
+        raw=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=2, max_size=5),
+        repeat=st.integers(0, 5),
+        limits=st.tuples(*[st.floats(-3, 1).map(lambda e: 10.0**e)] * 3),
+        longest_ticks=st.integers(1, 1500),
+    )
+    def test_bitwise_equal_to_per_tick_oracle(self, n, scale, raw, repeat, limits, longest_ticks):
+        # repeat < len(raw) doubles that waypoint, which gives a zero-length
+        # leg; limits across decades give trapezoid and triangle legs, and dt
+        # is chosen so the longest leg takes about longest_ticks ticks.
+        points = [scale * np.array(p) for p in raw]
+        if repeat < len(points):
+            points.insert(repeat, points[repeat].copy())
+        v, a, d = limits
+        spec = TrajectorySpec(waypoints=tuple(points), v_max=v, a_max=a, d_max=d)
+        lengths = [float(np.max(np.abs(q - p))) for p, q in zip(spec.waypoints[:-1], spec.waypoints[1:])]
+        longest = max([sum(_profile_durations(x, v, a, d)[:3]) for x in lengths if x > 0.0], default=1.0)
+        layout = JointLayout(n=n, d=0.01)
+        dt = longest / longest_ticks
+        expected = per_tick_trajectory_oracle(layout, spec, dt)
+        assert np.array_equal(generate_trajectory(layout, spec, dt), expected)
+
+    @pytest.mark.parametrize("dt", [1e-16, 1e-18, 1e-19])
+    def test_enormous_leg_fails_fast(self, geom, dt):
+        # A 2 s leg at these steps needs 2e16 (more than the address space
+        # holds), 2e18 (more bytes than numpy can index) and 2e19 (more ticks
+        # than an index can count) ticks; none of them is allocated.
+        spec = TrajectorySpec(waypoints=(np.zeros(2), np.array([1.0, 0.0])), v_max=1.0, a_max=1.0, d_max=1.0)
+        with pytest.raises(ValueError, match=r"leg 1 \(waypoint 1 to 2\) is too long to tick: 2e\+1\d ticks"):
+            generate_trajectory(geom.layout, spec, dt)
+
+    def test_non_finite_leg_extent_rejected(self, geom):
+        spec = spec_between([-1e308, 0.0], [-1e308, 0.0], [-1e308, 0.0], [1e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"leg 3 .* goal - start is not finite"):
+                generate_trajectory(geom.layout, spec, 1e-3)
+
+    def test_non_finite_joint_reference_rejected(self, geom):
+        # Finite in Clarke space, but the right-inverse overflows some joints.
+        spec = spec_between([1.7e308, 1.7e308], [1.7e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="joint-space reference is not finite"):
+                generate_trajectory(geom.layout, spec, 1e-3)
+
     def test_needs_two_waypoints(self):
         with pytest.raises(ValueError, match="2 waypoints"):
             TrajectorySpec(waypoints=(np.zeros(2),), v_max=1.0, a_max=1.0, d_max=1.0)
@@ -292,6 +435,77 @@ class TestSimulation:
         assert np.array_equal(clean.rho_command, biased.rho_command)
         assert np.array_equal(clean.rho_plant, biased.rho_plant)
         assert np.array_equal(clean.rho_measured + 2.0**-10, biased.rho_measured)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 64),
+        ticks=st.integers(1, 400),
+        closed_loop=st.booleans(),
+        feedforward=st.booleans(),
+        epsilon=st.sampled_from([0.0, 2.5e-3]) | st.floats(1e-6, 1e-2),
+        bias=st.sampled_from([0.0, 2.0**-10]) | st.floats(-1e-2, 1e-2),
+        quantum=st.sampled_from([0.0, 2.0**-40]) | st.floats(1e-6, 1e-3),
+        seed=st.integers(0, 2**32 - 1),
+        dt=st.floats(1e-4, 1e-2),
+        tau=st.floats(0.05, 1.0),
+        stability=st.floats(0.01, 0.95),
+    )
+    def test_bitwise_equal_to_per_tick_oracle(
+        self, n, ticks, closed_loop, feedforward, epsilon, bias, quantum, seed, dt, tau, stability
+    ):
+        # kp stays below (1 + a) / (1 - a), a = exp(-dt/tau), so the loop's
+        # pole a - (1 - a)*kp lies inside the unit circle.
+        a = math.exp(-dt / tau)
+        geom = SegmentGeometry(layout=JointLayout(n=n, d=0.01), l=0.1)
+        cfg = ControllerConfig(kp=stability * (1.0 + a) / (1.0 - a), dt=dt, geometry=geom, feedforward=feedforward)
+        rng = np.random.default_rng(seed)
+        traj = build_transform(n).inverse @ rng.uniform(-0.03, 0.03, (2, ticks))
+        plant = PT1Plant(tau=tau, state=rng.uniform(-1e-3, 1e-3, n))
+        noise = NoiseModel(epsilon=epsilon, seed=seed, bias=bias, quantum=quantum)
+        trace = run_simulation(cfg, plant, noise, traj, closed_loop=closed_loop)
+        expected = per_tick_simulation_oracle(cfg, plant, noise, traj, closed_loop=closed_loop)
+        got = (trace.time, trace.rho_desired, trace.rho_measured, trace.rho_command, trace.rho_plant)
+        for name, g, e in zip(("time", "desired", "measured", "command", "plant"), got, expected):
+            assert np.array_equal(g, e), name
+
+    def test_public_steps_run_every_tick(self, cfg, geom, monkeypatch):
+        # The traced control-sim benchmark counts these calls; a loop that
+        # bypasses them must fail here first.
+        import clarkekin.control as control
+
+        calls = {"controller_step": 0, "plant_step": 0}
+
+        def counting(name):
+            original = getattr(control, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(control, name, counting(name))
+        traj = generate_trajectory(geom.layout, spec_between([0.0, 0.0], [0.01, 0.005]), cfg.dt)
+        ticks = traj.shape[1]
+        plant = PT1Plant(tau=0.25, state=np.zeros(5))
+        run_simulation(cfg, plant, NoiseModel(1e-3, seed=1), traj, closed_loop=True)
+        assert calls == {"controller_step": ticks, "plant_step": ticks}
+        calls["plant_step"] = 0
+        run_simulation(cfg, plant, NoiseModel(1e-3, seed=1), traj, closed_loop=False)
+        assert calls["plant_step"] == ticks
+
+    @pytest.mark.parametrize("closed_loop", [True, False])
+    def test_overflow_is_a_value_error(self, geom, closed_loop):
+        # kp far above the stability bound makes the closed loop diverge; a
+        # reading past the float range breaks the open loop.
+        cfg = ControllerConfig(kp=1e6, dt=1e-3, geometry=geom)
+        state = np.full(5, 1.7e308) if not closed_loop else np.zeros(5)
+        traj = np.tile(inverse_transform(build_transform(5), [0.01, 0.0])[:, None], (1, 200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float range"):
+                run_simulation(cfg, PT1Plant(tau=0.25, state=state), NoiseModel(1e308, bias=1e308), traj, closed_loop)
 
     def test_trace_csv_round_trip(self, cfg, geom, tmp_path):
         traj = generate_trajectory(geom.layout, spec_between([0.0, 0.0], [0.01, 0.0]), cfg.dt)
