@@ -21,9 +21,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Tolerance for the constructive invariants of the matrices themselves.
-_LAYOUT_TOL = 1e-12
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
@@ -86,7 +83,8 @@ class JointLayout:
     """n displacement joints equally distributed on a circle of radius d.
 
     The i-th joint sits at angle psi_i = 2*pi*(i-1)/n in the cross-section,
-    at distance d (meters) from the center-line.
+    at distance d (meters) from the center-line. Any integer n >= 3 is
+    accepted; the cancelling trigonometric sums are a test property.
     """
 
     n: int
@@ -96,12 +94,7 @@ class JointLayout:
     def __post_init__(self):
         object.__setattr__(self, "n", _joint_count(self.n))
         check_finite("joint radius d", self.d)
-        psi = TWO_PI * np.arange(self.n) / self.n
-        # Equal distribution makes both trigonometric sums vanish; guard the
-        # construction against accidental edits.
-        if abs(np.cos(psi).sum()) > _LAYOUT_TOL or abs(np.sin(psi).sum()) > _LAYOUT_TOL:
-            raise AssertionError("joint angles do not cancel; layout is not equally distributed")
-        object.__setattr__(self, "psi", _readonly(psi))
+        object.__setattr__(self, "psi", _readonly(TWO_PI * np.arange(self.n) / self.n))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -131,7 +132,10 @@ def _target_from_args(args):
     if len(given) != 1:
         raise UsageError("give exactly one of --position, --rotation or --pose")
     if args.position is not None:
-        return _parse_floats(args.position)
+        vals = _parse_floats(args.position)
+        if len(vals) != 3:
+            raise ValueError(f"--position needs 3 values px,py,pz, got {len(vals)}")
+        return vals
     if args.rotation is not None:
         vals = _parse_floats(args.rotation)
         if len(vals) != 9:
@@ -203,14 +207,13 @@ def cmd_bench(args) -> int:
     for m in methods:
         if m not in ALL_METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {','.join(ALL_METHODS)}")
-    annulus_min = 0.1 * cfg.rho_max if args.rho_min is None else None
     results = benchmark(
         cfg,
         args.k,
         methods=methods,
         runs=args.runs,
         vectorized=args.vectorized,
-        annulus_rho_min=annulus_min,
+        annulus_rho_min=_sampler_config(args, "e").rho_min,
     )
     if args.format == "json":
         payload = []
@@ -231,14 +234,10 @@ def cmd_bench(args) -> int:
     else:
         _emit(stats_csv(results), args.out)
     if args.hist_dir:
-        import os
-
         os.makedirs(args.hist_dir, exist_ok=True)
         for r in results:
             for j in range(cfg.layout.n):
-                path = os.path.join(args.hist_dir, f"hist_{r.method}_joint{j + 1}.csv")
-                with open(path, "w") as fh:
-                    fh.write(histogram_csv(r, j))
+                _emit(histogram_csv(r, j), os.path.join(args.hist_dir, f"hist_{r.method}_joint{j + 1}.csv"))
     return 0
 
 

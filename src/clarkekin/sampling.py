@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clarke import TWO_PI, JointLayout, check_finite
-from .csvio import displacement_header, format_float, read_csv, write_csv
+from .clarke import TWO_PI, JointLayout, build_transform, check_finite
+from .csvio import csv_text, displacement_header, format_rows, read_csv, write_csv
 
 REJECTION_METHODS = ("a", "b")
 
@@ -49,6 +49,9 @@ DEFAULT_ITERATION_CAP = 10**8
 
 # A rejection block holds at most this many uniforms (2 MiB of doubles).
 _BLOCK_DOUBLES = 2**18
+
+# Histogram bins per joint over [rho_min, rho_max] in benchmark().
+_HIST_BINS = 50
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,13 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _stream(cfg: SamplerConfig, k: int) -> np.random.Generator:
+    """The PCG64 stream of cfg.seed for k samples; every sampler opens one here, so k is checked once."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return _rng(cfg.seed)
+
+
 def _finalize(method: str, columns: np.ndarray, wall: float, iterations: int, k: int) -> tuple[SampleBatch, SamplingStats]:
     columns = np.ascontiguousarray(columns)
     columns.setflags(write=False)
@@ -126,7 +136,7 @@ def _accept_in_blocks(cfg: SamplerConfig, width: int, k: int, iteration_cap: int
     seen so far and never reaches past iteration_cap or _BLOCK_DOUBLES, so
     fewer than k rows come back when iteration_cap draws were not enough.
     """
-    rng = _rng(cfg.seed)
+    rng = _stream(cfg, k)
     span = cfg.rho_max - cfg.rho_min
     kept = [np.empty((0, width))]
     accepted = 0
@@ -211,14 +221,12 @@ def _radial_law(cfg: SamplerConfig, radial: str):
 
 def _direct_columns(cfg: SamplerConfig, amplitude, u2: np.ndarray) -> np.ndarray:
     # u2 has one row per sample: column 0 feeds the angle, column 1 the
-    # amplitude. Elementwise products keep the batched and sequential
-    # paths bit-identical.
+    # amplitude. Elementwise products with the right-inverse's columns keep
+    # the batched and sequential paths bit-identical.
     theta = TWO_PI * u2[:, 0]
     amp = amplitude(cfg, u2[:, 1])
-    xi_re = amp * np.cos(theta)
-    xi_im = amp * np.sin(theta)
-    psi = cfg.layout.psi
-    return np.cos(psi)[:, None] * xi_re[None, :] + np.sin(psi)[:, None] * xi_im[None, :]
+    inverse = build_transform(cfg.layout).inverse
+    return inverse[:, :1] * (amp * np.cos(theta)) + inverse[:, 1:] * (amp * np.sin(theta))
 
 
 def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch, SamplingStats]:
@@ -230,7 +238,7 @@ def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch,
     """
     method, amplitude = _radial_law(cfg, radial)
     n = cfg.layout.n
-    rng = _rng(cfg.seed)
+    rng = _stream(cfg, k)
     columns = np.empty((n, k))
     t0 = time.perf_counter()
     for i in range(k):
@@ -246,7 +254,7 @@ def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatc
     because the PRNG stream is consumed in the same (theta, L) order.
     """
     method, amplitude = _radial_law(cfg, radial)
-    rng = _rng(cfg.seed)
+    rng = _stream(cfg, k)
     columns = _direct_columns(cfg, amplitude, rng.random((k, 2)))
     columns.setflags(write=False)
     return SampleBatch(columns=columns, method=method)
@@ -290,7 +298,6 @@ def benchmark(
     k: int,
     methods=ALL_METHODS,
     runs: int = 5,
-    bins: int = 50,
     vectorized: bool = False,
     annulus_rho_min: float | None = None,
 ) -> list[MethodBenchmark]:
@@ -298,7 +305,7 @@ def benchmark(
 
     Wall times are averaged per method and normalized into `factor` against
     method (c) when present, else against the fastest method. Histograms
-    pool the samples of all runs on fixed bin edges over
+    pool the samples of all runs on _HIST_BINS fixed bins over
     [rho_min, rho_max]. With vectorized=True the direct methods are timed
     through their batched implementation instead of the sequential loop.
 
@@ -306,10 +313,10 @@ def benchmark(
     the annulus inner radius can stay positive while the other methods use
     symmetric bounds.
     """
-    if k < 1:
-        raise ValueError(f"benchmark needs k >= 1, got {k}")
-    edges = np.linspace(cfg.rho_min, cfg.rho_max, bins + 1)
-    partial: list[dict] = []
+    if k < 1 or runs < 1:
+        raise ValueError(f"benchmark needs k >= 1 and runs >= 1, got k={k}, runs={runs}")
+    edges = np.linspace(cfg.rho_min, cfg.rho_max, _HIST_BINS + 1)
+    results: list[MethodBenchmark] = []
     for mi, method in enumerate(methods):
         method_cfg = cfg
         if method == "e" and annulus_rho_min is not None:
@@ -331,8 +338,8 @@ def benchmark(
         hist = np.vstack([np.histogram(samples[j], bins=edges)[0] for j in range(cfg.layout.n)])
         times = np.array([s.wall_time for s in stats_list])
         iters = np.array([s.iterations for s in stats_list], dtype=float)
-        partial.append(
-            dict(
+        results.append(
+            MethodBenchmark(
                 method=method,
                 runs=tuple(stats_list),
                 time_mean=float(times.mean()),
@@ -341,17 +348,14 @@ def benchmark(
                 iterations_std=float(iters.std(ddof=1)) if runs > 1 else 0.0,
                 resamples_mean=float(np.mean([s.resamples for s in stats_list])),
                 success_rate=runs * k / float(iters.sum()),
+                factor=math.nan,
                 bin_edges=edges,
                 histograms=hist,
             )
         )
-    by_method = {p["method"]: p["time_mean"] for p in partial}
+    by_method = {r.method: r.time_mean for r in results}
     reference = by_method.get("c", min(by_method.values()))
-    results = []
-    for p in partial:
-        p["factor"] = p["time_mean"] / reference if reference > 0.0 else math.inf
-        results.append(MethodBenchmark(**p))
-    return results
+    return [replace(r, factor=r.time_mean / reference if reference > 0.0 else math.inf) for r in results]
 
 
 def save_batch_csv(batch: SampleBatch, path) -> None:
@@ -369,27 +373,14 @@ def load_batch_csv(path) -> np.ndarray:
 
 def stats_csv(results: list[MethodBenchmark]) -> str:
     """Stats table with columns method,time_s,factor,iterations,resamples,success_rate."""
-    lines = ["method,time_s,factor,iterations,resamples,success_rate"]
+    lines = ["method,time_s,factor,iterations,resamples,success_rate\n"]
     for r in results:
-        lines.append(
-            ",".join(
-                [
-                    r.method,
-                    format_float(r.time_mean),
-                    format_float(r.factor),
-                    format_float(r.iterations_mean),
-                    format_float(r.resamples_mean),
-                    format_float(r.success_rate),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        values = [r.time_mean, r.factor, r.iterations_mean, r.resamples_mean, r.success_rate]
+        lines.append(r.method + "," + format_rows([values]))
+    return "".join(lines)
 
 
 def histogram_csv(result: MethodBenchmark, joint: int) -> str:
     """Per-joint histogram with columns bin_lo,bin_hi,count."""
-    lines = ["bin_lo,bin_hi,count"]
-    counts = result.histograms[joint]
-    for lo, hi, c in zip(result.bin_edges[:-1], result.bin_edges[1:], counts):
-        lines.append(f"{format_float(lo)},{format_float(hi)},{int(c)}")
-    return "\n".join(lines) + "\n"
+    edges = result.bin_edges
+    return csv_text(["bin_lo", "bin_hi", "count"], np.column_stack([edges[:-1], edges[1:], result.histograms[joint]]))

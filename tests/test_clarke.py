@@ -21,7 +21,7 @@ from clarkekin import (
     transform,
     wrap_to_two_pi,
 )
-from clarkekin.clarke import all_finite
+from clarkekin.clarke import TWO_PI, all_finite
 
 N_RANGE = range(3, 65)
 
@@ -32,8 +32,9 @@ def manifold_point(n, rng, scale=1.0):
 
 
 class TestJointLayout:
-    def test_angles(self):
-        layout = JointLayout(n=6, d=0.02)
+    @pytest.mark.parametrize("n", N_RANGE)
+    def test_angles(self, n):
+        layout = JointLayout(n=n, d=0.02)
         assert layout.psi[0] == 0.0
         assert np.all(np.diff(layout.psi) > 0)
         assert layout.psi[-1] < 2 * np.pi
@@ -43,6 +44,14 @@ class TestJointLayout:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="at least 3"):
             JointLayout(n=2, d=0.01)
+
+    def test_accepts_any_large_n(self):
+        # The trigonometric sums of 12566 angles exceed 1e-12 in floating
+        # point; the layout is still valid, as build_transform agrees.
+        layout = JointLayout(n=12566, d=0.01)
+        assert layout.psi.shape == (12566,)
+        assert np.array_equal(layout.psi, TWO_PI * np.arange(12566) / 12566)
+        assert build_transform(layout).n == 12566
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError, match="positive"):

@@ -371,6 +371,41 @@ class TestNoiseReport:
         assert err.count("\n") == 1 and reason in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "12566", "--method", "c", "--k", "2"],
+        ["noise-report", "--n", "12566"],
+    ],
+)
+def test_large_joint_counts_run(capsys, argv):
+    # On 12566 joints the trigonometric sums exceed 1e-12 in floating point.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["ik", "--position", "1,2"], "--position needs 3 values"),
+        (["ik", "--position", "0,0,0.1,0"], "--position needs 3 values"),
+        (["sample", "--method", "a", "--k", "-3"], "k must be >= 0"),
+        (["sample", "--method", "b", "--k", "-3"], "k must be >= 0"),
+        (["sample", "--method", "c", "--k", "-3"], "k must be >= 0"),
+        (["sample", "--method", "d", "--k", "-3"], "k must be >= 0"),
+        (["sample", "--method", "e", "--k", "-3"], "k must be >= 0"),
+        (["sample", "--method", "e", "--k", "-3", "--vectorized"], "k must be >= 0"),
+        (["bench", "--runs", "0"], "runs >= 1"),
+    ],
+)
+def test_bad_counts_are_one_line_domain_errors(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and reason in err
+
+
 class TestConfigFile:
     def test_defaults_from_file_with_flag_override(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"

@@ -1,6 +1,7 @@
 """Controller law, PT1 plant, trajectory profile, closed-loop simulation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from clarkekin import (
     manifold_residual,
     noise_propagation,
     plant_step,
+    projector,
     run_simulation,
 )
 from clarkekin.clarke import as_clarke, as_displacement
@@ -568,6 +570,29 @@ class TestNoisePropagation:
     def test_bad_joint_index(self):
         with pytest.raises(ValueError, match="joint index"):
             noise_propagation(JointLayout(n=4, d=0.01), sigma=1.0, joint_index=4)
+
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_ratio_and_spread_every_joint(self, n):
+        # The closed form 2/n and the n x n projector product are the oracles;
+        # the O(n) projection agrees with the product up to rounding order.
+        t = build_transform(n)
+        for sigma in (1.0, 0.7, -1.3):
+            for k in range(n):
+                report = noise_propagation(n, sigma, k)
+                fault = np.zeros(n)
+                fault[k] = sigma
+                assert abs(report.norm_ratio - 2.0 / n) <= 1e-12
+                assert np.max(np.abs(report.spread - projector(t) @ fault)) <= 1e-16 * abs(sigma)
+
+    def test_builds_no_n_by_n_matrix(self):
+        # The 4096 x 4096 projector alone would take 128 MiB.
+        tracemalloc.start()
+        try:
+            noise_propagation(4096, 0.7, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_report_serializable(self):
         import json

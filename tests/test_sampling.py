@@ -1,6 +1,7 @@
 """Rejection and direct manifold samplers, determinism, benchmark output."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,16 @@ from clarkekin import (
     sample_rejection_independent,
     sample_rejection_resolved,
 )
-from clarkekin.sampling import DEFAULT_ITERATION_CAP, histogram_csv, load_batch_csv, save_batch_csv, stats_csv
+from clarkekin.clarke import TWO_PI
+from clarkekin.sampling import (
+    DEFAULT_ITERATION_CAP,
+    DIRECT_METHODS,
+    _direct_columns,
+    histogram_csv,
+    load_batch_csv,
+    save_batch_csv,
+    stats_csv,
+)
 
 D = 0.001  # 1 mm radius, the desk-scale benchmark geometry
 RHO_MAX = D * np.pi
@@ -81,6 +91,34 @@ SAMPLER_AND_ORACLE = {
     "a": (sample_rejection_independent, per_draw_a_oracle),
     "b": (sample_rejection_resolved, per_draw_b_oracle),
 }
+
+
+def trig_direct_columns_oracle(cfg, amplitude, u2):
+    """Direct-method columns from cos(psi) and sin(psi) of the layout, recomputed per call."""
+    theta = TWO_PI * u2[:, 0]
+    amp = amplitude(cfg, u2[:, 1])
+    xi_re = amp * np.cos(theta)
+    xi_im = amp * np.sin(theta)
+    psi = cfg.layout.psi
+    return np.cos(psi)[:, None] * xi_re[None, :] + np.sin(psi)[:, None] * xi_im[None, :]
+
+
+def stats_csv_oracle(results):
+    """The stats table joined value by value as "%.17g"."""
+    lines = ["method,time_s,factor,iterations,resamples,success_rate"]
+    for r in results:
+        values = [r.time_mean, r.factor, r.iterations_mean, r.resamples_mean, r.success_rate]
+        lines.append(",".join([r.method] + ["%.17g" % v for v in values]))
+    return "\n".join(lines) + "\n"
+
+
+def histogram_csv_oracle(result, joint):
+    """One bin per line: its two edges as 17 significant digits, then the integer count."""
+    lines = ["bin_lo,bin_hi,count"]
+    counts = result.histograms[joint]
+    for lo, hi, c in zip(result.bin_edges[:-1], result.bin_edges[1:], counts):
+        lines.append("%.17g,%.17g,%d" % (lo, hi, int(c)))
+    return "\n".join(lines) + "\n"
 
 
 @st.composite
@@ -300,6 +338,16 @@ class TestDirect:
         assert frac_line - frac_disk >= 0.2
 
 
+class TestDirectColumns:
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_bitwise_equal_to_trig_oracle(self, n):
+        u2 = np.random.default_rng(n).random((17, 2))
+        cfg = SamplerConfig(layout=JointLayout(n=n, d=D), rho_min=0.1 * RHO_MAX, rho_max=RHO_MAX, seed=n)
+        for _, amplitude in DIRECT_METHODS.values():
+            got = _direct_columns(cfg, amplitude, u2)
+            assert got.tobytes() == trig_direct_columns_oracle(cfg, amplitude, u2).tobytes()
+
+
 class TestDeterminism:
     def test_same_seed_same_batch(self):
         a1, s1 = sample_direct(config3(seed=10), 100, "disk")
@@ -358,6 +406,24 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="k >= 1"):
             benchmark(config3(), 0)
 
+    def test_runs_zero_rejected(self):
+        with pytest.raises(ValueError, match="runs >= 1"):
+            benchmark(config3(), 10, runs=0)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda cfg: sample_rejection_independent(cfg, -3),
+            lambda cfg: sample_rejection_resolved(cfg, -3),
+            lambda cfg: sample_direct(cfg, -3, "disk"),
+            lambda cfg: sample_direct_batched(cfg, -3, "disk"),
+        ]
+        + [lambda cfg, m=m: sample(cfg, -1, m) for m in "abcde"],
+    )
+    def test_negative_k_rejected(self, draw):
+        with pytest.raises(ValueError, match=r"^k must be >= 0, got -\d$"):
+            draw(config3(rho_min=0.1 * RHO_MAX))
+
     def test_dispatch(self):
         batch, stats = sample(config3(seed=17), 10, "c")
         assert stats.method == "c"
@@ -379,6 +445,15 @@ class TestCsv:
         assert lines[0] == "method,time_s,factor,iterations,resamples,success_rate"
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "c"
+
+    def test_tables_match_the_per_value_oracles(self):
+        results = benchmark(config3(seed=22), 30, methods=("b", "c", "e"), runs=2, annulus_rho_min=0.1 * RHO_MAX)
+        results.append(replace(results[0], method="x", factor=math.inf))
+        results.append(replace(results[1], method="y", factor=math.nan, time_mean=-0.0))
+        assert stats_csv(results) == stats_csv_oracle(results)
+        for r in results:
+            for joint in range(3):
+                assert histogram_csv(r, joint) == histogram_csv_oracle(r, joint)
 
     def test_histogram_csv_header(self):
         results = benchmark(config3(seed=20), 20, methods=("c",), runs=1)
