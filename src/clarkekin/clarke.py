@@ -54,7 +54,8 @@ def as_clarke(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,):
         raise ValueError(f"Clarke coordinates must have shape (2,), got {xi.shape}")
-    if not all_finite(xi):
+    re, im = xi.tolist()
+    if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError("Clarke coordinates must be finite")
     return xi
 

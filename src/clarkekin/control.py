@@ -8,8 +8,11 @@ through the transform's right-inverse it satisfies the displacement
 constraint at every tick regardless of measurement noise.
 
 Actuators are modelled as independent first-order lag (PT1) elements,
-discretized exactly (zero-order hold), so the loop is unconditionally
-stable for any positive time constant and sample time.
+discretized exactly (zero-order hold), so the plant alone is stable for
+any positive time constant and sample time. The closed loop is not: on
+the manifold its pole is a - (1 - a)*kp with a = exp(-dt/tau), for the
+feedforward and the pure proportional law alike, so run_simulation
+refuses kp >= (1 + a)/(1 - a), about 500 at dt = 1 ms and tau = 0.25 s.
 """
 
 from __future__ import annotations
@@ -237,6 +240,19 @@ def _read(raw: np.ndarray, noise: NoiseModel) -> np.ndarray:
     return raw + noise.bias
 
 
+def _check_stable(cfg: ControllerConfig, plant: PT1Plant) -> None:
+    # The closed-loop pole a - (1 - a)*kp is below 1 for every kp > 0 and
+    # above -1 only for kp < (1 + a)/(1 - a); expm1 keeps 1 - a exact for
+    # dt much smaller than tau.
+    x = cfg.dt / plant.tau
+    bound = (1.0 + math.exp(-x)) / -math.expm1(-x)
+    if not cfg.kp < bound:
+        raise ValueError(
+            f"kp={cfg.kp} makes the closed loop unstable: the stability bound is "
+            f"kp < (1 + a)/(1 - a) = {bound:.6g} with a = exp(-dt/tau), dt={cfg.dt}, tau={plant.tau}"
+        )
+
+
 def run_simulation(
     cfg: ControllerConfig,
     plant: PT1Plant,
@@ -252,8 +268,11 @@ def run_simulation(
     comparisons. Deterministic for a given noise seed: the noise is drawn
     as one T x n block from the same PCG64 stream, bitwise the values of T
     per-tick draws, so seeded traces are unchanged. Raises ValueError if
-    the loop leaves the float range.
+    the loop leaves the float range, and for the closed loop if kp is at
+    or past the stability bound (1 + a)/(1 - a), a = exp(-dt/tau).
     """
+    if closed_loop:
+        _check_stable(cfg, plant)
     n = cfg.geometry.layout.n
     t = build_transform(n)
     trajectory = np.asarray(trajectory, dtype=float)

@@ -40,6 +40,10 @@ _I3.setflags(write=False)
 # as fast, numpy evaluates a batch of columns in one pass.
 _ELEMENTWISE = {1: math, 2: np}
 
+# The Clarke pair of rho in fk_direct, split by the same lookup: two
+# Python floats for one column, two (k,) rows for a batch.
+_CLARKE_PAIR = {1: np.ndarray.tolist, 2: tuple}
+
 
 @dataclass(frozen=True)
 class RegularizationConfig:
@@ -52,23 +56,57 @@ class RegularizationConfig:
 
 
 def _check_rotations(r: np.ndarray, what: str) -> None:
-    # One vectorized check over a (3, 3) matrix or a (k, 3, 3) stack. Each
-    # test is written as `not err <= tol`, so a NaN entry fails it. The
-    # cofactor expansion costs less than np.linalg.det on one matrix and a
-    # tenth of it on a stack.
-    gram_err = np.abs(r.swapaxes(-1, -2) @ r - _I3).max(initial=0.0)
-    if not gram_err <= 1e-9:
-        raise ValueError(f"{what} is not orthonormal")
-    # det(R) = det(R^T); .T moves a batch axis last, so m[i, j] is entry
-    # (i, j) of every transposed matrix.
-    m = r.T
-    det = (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+    # One vectorized check over a (k, 3, 3) stack. Each test is written as
+    # `not err <= tol`, so a NaN entry fails it; a huge or non-finite entry
+    # fails it without a warning. The cofactor expansion costs a tenth of
+    # np.linalg.det on a stack.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_err = np.abs(r.swapaxes(-1, -2) @ r - _I3).max(initial=0.0)
+        if not gram_err <= 1e-9:
+            raise ValueError(f"{what} is not orthonormal")
+        # det(R) = det(R^T); .T moves the batch axis last, so m[i, j] is
+        # entry (i, j) of every transposed matrix.
+        m = r.T
+        det = (
+            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        )
     if not np.abs(det - 1.0).max(initial=0.0) <= 1e-9:
         raise ValueError(f"{what} must have determinant +1")
+
+
+def _check_rotation(r: np.ndarray, what: str) -> None:
+    # The tests of _check_rotations on one (3, 3) rotation, in Python
+    # floats: the six distinct entries of R^T R - I (column dot products),
+    # then the same cofactor determinant. Each error is tested on its own
+    # as `not err <= tol`, since max() would drop a NaN that is not first.
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    gram = (
+        a * a + d * d + g * g - 1.0,
+        b * b + e * e + h * h - 1.0,
+        c * c + f * f + i * i - 1.0,
+        a * b + d * e + g * h,
+        a * c + d * f + g * i,
+        b * c + e * f + h * i,
+    )
+    for err in gram:
+        if not abs(err) <= 1e-9:
+            raise ValueError(f"{what} is not orthonormal")
+    det = a * (e * i - h * f) - d * (b * i - h * c) + g * (b * f - e * c)
+    if not abs(det - 1.0) <= 1e-9:
+        raise ValueError(f"{what} must have determinant +1")
+
+
+def _positions_finite(p: np.ndarray) -> bool:
+    x, y, z = p.tolist()
+    return math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+
+
+# Checks by the number of dimensions: one rotation (3, 3) or position (3,)
+# is checked on Python floats, a stack with numpy, by the same tests.
+_ROTATION_CHECKS = {2: _check_rotation, 3: _check_rotations}
+_POSITION_CHECKS = {1: _positions_finite, 2: all_finite}
 
 
 @dataclass(frozen=True)
@@ -77,9 +115,10 @@ class Pose:
 
     One pose has a (3, 3) rotation and a (3,) position. A stack of k poses
     has a (k, 3, 3) rotation and a (k, 3) position, pose i at index i.
-    One vectorized check rejects the whole pose or stack if any rotation
-    is not orthonormal with determinant +1 (within 1e-9) or any entry is
-    not finite.
+    The pose or the whole stack is rejected if any rotation is not
+    orthonormal with determinant +1 (within 1e-9) or any entry is not
+    finite. One pose is checked on Python floats, a stack in one numpy
+    pass; both run the same tests and raise the same messages.
     """
 
     rotation: np.ndarray
@@ -93,8 +132,8 @@ class Pose:
                 "pose needs a (3, 3) rotation and a (3,) position, "
                 "or a (k, 3, 3) rotation and a (k, 3) position for a stack"
             )
-        _check_rotations(rotation, "rotation matrix")
-        if not all_finite(position):
+        _ROTATION_CHECKS[rotation.ndim](rotation, "rotation matrix")
+        if not _POSITION_CHECKS[position.ndim](position):
             raise ValueError("position entries must be finite")
         rotation.setflags(write=False)
         position.setflags(write=False)
@@ -214,10 +253,9 @@ def fk_direct(geom: SegmentGeometry, rho, reg: RegularizationConfig | None = Non
     d = geom.layout.d
     l = geom.l
 
-    xi = t.forward @ rho
+    xi_re, w_im = _CLARKE_PAIR[rho.ndim](t.forward @ rho)
     delta = math.sqrt(2.0 / t.n) * eps
-    w_re = xi[0] + delta
-    w_im = xi[1]
+    w_re = xi_re + delta
     amp = elementwise.hypot(w_re, w_im) + delta * delta
     ct = w_re / amp
     st = w_im / amp
@@ -265,7 +303,7 @@ def _bend(geom: SegmentGeometry, target, positions: bool = False) -> np.ndarray:
         # phi comes from the rotation alone, so l never enters: the result
         # does not depend on the segment length, bit for bit.
         r = np.asarray(target, dtype=float)
-        _check_rotations(r, "target rotation matrix")
+        _ROTATION_CHECKS[r.ndim](r, "target rotation matrix")
         phi = math.atan2(-r[2, 0], r[2, 2])
         return phi * np.array([r[1, 1], -r[0, 1]])
     p = np.asarray(target, dtype=float)

@@ -126,7 +126,9 @@ def _finalize(method: str, columns: np.ndarray, wall: float, iterations: int, k:
     return SampleBatch(columns=columns, method=method), stats
 
 
-def _accept_in_blocks(cfg: SamplerConfig, width: int, k: int, iteration_cap: int, accept) -> tuple[np.ndarray, int]:
+def _accept_in_blocks(
+    rng: np.random.Generator, cfg: SamplerConfig, width: int, k: int, iteration_cap: int, accept
+) -> tuple[np.ndarray, int]:
     """The first k accepted candidate rows and the number of draws they took.
 
     A candidate is rho_min + span * rng.random(width). Blocks of consecutive
@@ -136,7 +138,6 @@ def _accept_in_blocks(cfg: SamplerConfig, width: int, k: int, iteration_cap: int
     seen so far and never reaches past iteration_cap or _BLOCK_DOUBLES, so
     fewer than k rows come back when iteration_cap draws were not enough.
     """
-    rng = _stream(cfg, k)
     span = cfg.rho_max - cfg.rho_min
     kept = [np.empty((0, width))]
     accepted = 0
@@ -164,15 +165,24 @@ def sample_rejection_independent(
     A draw is accepted when its displacement sum, rounded half-to-even at
     granularity rounding_epsilon, equals zero. Works for any n. Candidate
     blocks are tested in stream order, bit-identical to one draw per
-    iteration. Raises RuntimeError when iteration_cap attempts did not
-    produce k samples.
+    iteration. A draw sums to [n*rho_min, n*rho_max), so bounds with
+    n*rho_min > rounding_epsilon or n*rho_max < -rounding_epsilon can never
+    accept and raise ValueError at once. Raises RuntimeError when
+    iteration_cap attempts did not produce k samples.
     """
 
     def sum_rounds_to_zero(block):
         return np.rint(block.sum(axis=1) / cfg.rounding_epsilon) == 0
 
     t0 = time.perf_counter()
-    rows, iterations = _accept_in_blocks(cfg, cfg.layout.n, k, iteration_cap, sum_rounds_to_zero)
+    rng = _stream(cfg, k)
+    lo, hi, eps = cfg.layout.n * cfg.rho_min, cfg.layout.n * cfg.rho_max, cfg.rounding_epsilon
+    if lo > eps or hi < -eps:
+        raise ValueError(
+            f"method (a) can never accept: every draw sums to [{lo:.6g}, {hi:.6g}), "
+            f"farther than rounding_epsilon={eps:.6g} from zero"
+        )
+    rows, iterations = _accept_in_blocks(rng, cfg, cfg.layout.n, k, iteration_cap, sum_rounds_to_zero)
     if len(rows) < k:
         raise RuntimeError(
             f"method (a) exceeded {iteration_cap} attempts with only "
@@ -187,9 +197,10 @@ def sample_rejection_resolved(
     """Method (b): draw rho_2, rho_3 and resolve rho_1 = -(rho_2 + rho_3).
 
     The constraint holds identically; a draw is rejected only when the
-    resolved rho_1 leaves [rho_min, rho_max]. Defined for three joints.
-    Candidate blocks are tested in stream order, bit-identical to one draw
-    per iteration.
+    resolved rho_1 leaves [rho_min, rho_max]. Defined for three joints
+    and for rho_min < 0 < rho_max, the bounds under which a resolved rho_1
+    can fall inside them. Candidate blocks are tested in stream order,
+    bit-identical to one draw per iteration.
     """
     if cfg.layout.n != 3:
         raise ValueError(f"method (b) resolves one of exactly 3 joints, got n={cfg.layout.n}")
@@ -199,7 +210,13 @@ def sample_rejection_resolved(
         return (cfg.rho_min <= rho1) & (rho1 <= cfg.rho_max)
 
     t0 = time.perf_counter()
-    pairs, iterations = _accept_in_blocks(cfg, 2, k, iteration_cap, in_bounds)
+    rng = _stream(cfg, k)
+    if not cfg.rho_min < 0.0 < cfg.rho_max:
+        raise ValueError(
+            f"method (b) can never accept: rho_1 = -(rho_2 + rho_3) lies outside "
+            f"[{cfg.rho_min:.6g}, {cfg.rho_max:.6g}] unless rho_min < 0 < rho_max"
+        )
+    pairs, iterations = _accept_in_blocks(rng, cfg, 2, k, iteration_cap, in_bounds)
     if len(pairs) < k:
         raise RuntimeError(
             f"method (b) exceeded {iteration_cap} attempts with only "

@@ -21,7 +21,7 @@ from clarkekin import (
     transform,
     wrap_to_two_pi,
 )
-from clarkekin.clarke import TWO_PI, all_finite
+from clarkekin.clarke import TWO_PI, all_finite, as_clarke
 
 N_RANGE = range(3, 65)
 
@@ -283,6 +283,36 @@ class TestInverseTransform:
             for _ in range(20):
                 rho = inverse_transform(t, rng.standard_normal(2))
                 assert abs(rho.sum()) < 1e-12
+
+
+def as_clarke_oracle(xi):
+    """The numpy finiteness check of a Clarke pair: the ValueError message, or None."""
+    return None if all_finite(np.asarray(xi, dtype=float)) else "Clarke coordinates must be finite"
+
+
+class TestAsClarke:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 1),
+        st.sampled_from([math.nan, math.inf, -math.inf, None, 0.0, -0.0, 1e308, -5e-324]),
+        st.floats(-1.0, 1.0),
+    )
+    def test_float_check_matches_the_numpy_oracle(self, slot, value, other):
+        xi = [other, other]
+        if value is not None:
+            xi[slot] = value
+        try:
+            got = as_clarke(xi)
+        except ValueError as exc:
+            assert str(exc) == as_clarke_oracle(xi)
+        else:
+            assert as_clarke_oracle(xi) is None
+            assert got.dtype == float and got.tobytes() == np.array(xi, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("bad", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], np.zeros((2, 1))])
+    def test_shape(self, bad):
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            as_clarke(bad)
 
 
 class TestMagnitudeRelations:

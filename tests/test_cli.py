@@ -311,6 +311,20 @@ class TestSimulate:
         assert summary["config"]["n"] == 5
         assert summary["config"]["kp"] == 125.0
 
+    @pytest.mark.parametrize("law", [[], ["--pure-p"]])
+    def test_unstable_gain_is_one_line(self, capsys, law):
+        # At dt = 1 ms and tau = 0.25 s the closed-loop pole leaves the unit
+        # circle at kp = 500.001, for either law.
+        code, out, err = run_cli_strict(capsys, ["simulate", "--kp", "510", "--noise", "0"] + law)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "stability bound" in err and "500.001" in err
+
+    def test_gain_under_the_bound_runs(self, capsys):
+        code, out, err = run_cli_strict(capsys, ["simulate", "--kp", "499", "--noise", "0"])
+        assert code == 0 and err == ""
+        assert math.isfinite(json.loads(out)["rms_closed_loop"])
+
     def test_default_waypoints_run(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--noise", "0", "--seed", "3")
         assert code == 0
@@ -397,6 +411,9 @@ def test_large_joint_counts_run(capsys, argv):
         (["sample", "--method", "e", "--k", "-3"], "k must be >= 0"),
         (["sample", "--method", "e", "--k", "-3", "--vectorized"], "k must be >= 0"),
         (["bench", "--runs", "0"], "runs >= 1"),
+        (["sample", "--method", "a", "--rho-min", "0.0001", "--k", "1"], "method (a) can never accept"),
+        (["sample", "--method", "b", "--rho-min", "0.0001", "--k", "1"], "method (b) can never accept"),
+        (["bench", "--methods", "b", "--rho-min", "0.0001"], "method (b) can never accept"),
     ],
 )
 def test_bad_counts_are_one_line_domain_errors(capsys, argv, reason):

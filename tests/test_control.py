@@ -499,15 +499,49 @@ class TestSimulation:
 
     @pytest.mark.parametrize("closed_loop", [True, False])
     def test_overflow_is_a_value_error(self, geom, closed_loop):
-        # kp far above the stability bound makes the closed loop diverge; a
-        # reading past the float range breaks the open loop.
+        # kp far above the stability bound is refused before the closed loop
+        # runs; a reading past the float range breaks the open loop.
         cfg = ControllerConfig(kp=1e6, dt=1e-3, geometry=geom)
         state = np.full(5, 1.7e308) if not closed_loop else np.zeros(5)
         traj = np.tile(inverse_transform(build_transform(5), [0.01, 0.0])[:, None], (1, 200))
+        match = r"stability bound is kp < \(1 \+ a\)/\(1 - a\) = 500\.001" if closed_loop else "float range"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                run_simulation(cfg, PT1Plant(tau=0.25, state=state), NoiseModel(1e308, bias=1e308), traj, closed_loop)
+
+    def test_closed_loop_overflow_is_a_value_error(self, cfg):
+        # A stable gain, but a reading past the float range.
+        traj = np.tile(inverse_transform(build_transform(5), [0.01, 0.0])[:, None], (1, 200))
+        plant = PT1Plant(tau=0.25, state=np.full(5, 1.7e308))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="float range"):
-                run_simulation(cfg, PT1Plant(tau=0.25, state=state), NoiseModel(1e308, bias=1e308), traj, closed_loop)
+                run_simulation(cfg, plant, NoiseModel(1e308, bias=1e308), traj, closed_loop=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dt=st.floats(1e-6, 1.0),
+        tau=st.floats(1e-3, 1e3),
+        feedforward=st.booleans(),
+        margin=st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]),
+    )
+    def test_stability_bound(self, dt, tau, feedforward, margin):
+        # The closed-loop pole a - (1 - a)*kp leaves the unit circle at
+        # kp = (1 + a)/(1 - a): just under it the loop runs, from it on the
+        # closed loop is refused and the open loop still runs.
+        a = math.exp(-dt / tau)
+        bound = (1.0 + a) / -math.expm1(-dt / tau)
+        geom = SegmentGeometry(layout=JointLayout(n=5, d=0.01), l=0.1)
+        cfg = ControllerConfig(kp=margin * bound, dt=dt, geometry=geom, feedforward=feedforward)
+        plant = PT1Plant(tau=tau, state=np.zeros(5))
+        traj = np.tile(inverse_transform(build_transform(5), [0.01, 0.0])[:, None], (1, 3))
+        run_simulation(cfg, plant, NoiseModel(0.0), traj, closed_loop=False)
+        if cfg.kp < bound:
+            run_simulation(cfg, plant, NoiseModel(0.0), traj)
+        else:
+            with pytest.raises(ValueError, match="stability bound"):
+                run_simulation(cfg, plant, NoiseModel(0.0), traj)
 
     def test_trace_csv_round_trip(self, cfg, geom, tmp_path):
         traj = generate_trajectory(geom.layout, spec_between([0.0, 0.0], [0.01, 0.0]), cfg.dt)

@@ -1,6 +1,7 @@
 """Robot-dependent mappings, branchless FK, closed-form IK, pose recovery."""
 
 import io
+import itertools
 import math
 import tokenize
 
@@ -32,6 +33,7 @@ from clarkekin import (
     sample_direct_batched,
     transform,
 )
+from clarkekin.kinematics import _check_rotations
 
 
 def make_geom(n=5, d=0.01, l=0.1):
@@ -591,6 +593,103 @@ class TestNonFinite:
     def test_ik_rejects_nan_rotation(self):
         with pytest.raises(ValueError, match="rotation"):
             ik(make_geom(), np.full((3, 3), np.nan))
+
+
+def rejection(make):
+    """The ValueError message make() raises, or None when it returns."""
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def rotation_oracle(r, what="rotation matrix"):
+    """The numpy check of a stack, _check_rotations, on r as a stack of one."""
+    return rejection(lambda: _check_rotations(np.asarray(r, dtype=float)[None], what))
+
+
+def rotation_from_angles(alpha, beta, gamma):
+    """Rz(alpha) @ Ry(beta) @ Rz(gamma)."""
+
+    def rz(a):
+        return np.array([[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0], [0.0, 0.0, 1.0]])
+
+    ry = np.array([[math.cos(beta), 0.0, math.sin(beta)], [0.0, 1.0, 0.0], [-math.sin(beta), 0.0, math.cos(beta)]])
+    return rz(alpha) @ ry @ rz(gamma)
+
+
+# The 24 rotations with entries in {-1, 0, 1}. Their columns are exact,
+# so a perturbation built on them has a known error to the last bit.
+SIGNED_PERMUTATIONS = [
+    m
+    for m in (
+        np.eye(3)[list(perm)] * signs
+        for perm in itertools.permutations(range(3))
+        for signs in itertools.product((1.0, -1.0), repeat=3)
+    )
+    if np.linalg.det(m) > 0.0
+]
+NON_FINITE = (math.nan, math.inf, -math.inf)
+# Errors just under and just over the 1e-9 tolerance, of either sign.
+EDGE_ERRORS = [sign * 1e-9 * (1.0 + side * 1e-6) for sign in (1.0, -1.0) for side in (1.0, -1.0)]
+angle = st.floats(-math.pi, math.pi)
+
+
+class TestOnePoseChecksMatchTheStackOracle:
+    """One pose is checked on Python floats; a stack of one with numpy must decide alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(angle, angle, angle, st.integers(0, 8), st.sampled_from(NON_FINITE + (None,)))
+    def test_general_rotations_and_non_finite_slots(self, alpha, beta, gamma, slot, bad):
+        r = rotation_from_angles(alpha, beta, gamma)
+        if bad is not None:
+            r.flat[slot] = bad
+        for rotation in (r, r * [1.0, 1.0, -1.0]):  # the second one negates column 2
+            expected = rotation_oracle(rotation)
+            assert rejection(lambda: Pose(rotation=rotation, position=[0.0, 0.0, 0.1])) == expected
+            assert rejection(lambda: ik(make_geom(), rotation)) == rotation_oracle(rotation, "target rotation matrix")
+        assert rotation_oracle(r) == (None if bad is None else "rotation matrix is not orthonormal")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(SIGNED_PERMUTATIONS),
+        st.sampled_from(["gram diagonal", "gram off-diagonal", "determinant"]),
+        st.integers(0, 2),
+        st.integers(1, 2),
+        st.sampled_from(EDGE_ERRORS),
+    )
+    def test_errors_at_the_tolerance(self, base, kind, j, shift, err):
+        r = base.copy()
+        if kind == "gram diagonal":
+            r[:, j] *= math.sqrt(1.0 + err)  # (R^T R)[j, j] - 1 = err
+        elif kind == "gram off-diagonal":
+            r[:, j] += err * r[:, (j + shift) % 3]  # (R^T R)[j, k] = err, det unchanged
+        else:
+            r *= (1.0 + err) ** (1.0 / 3.0)  # det - 1 = err, Gram error 2*err/3
+        expected = rotation_oracle(r)
+        assert rejection(lambda: Pose(rotation=r, position=[0.0, 0.0, 0.1])) == expected
+        assert rejection(lambda: ik(make_geom(), r)) == rotation_oracle(r, "target rotation matrix")
+        # The cases straddle the tolerance: both paths see the same side.
+        failing = "must have determinant +1" if kind == "determinant" else "is not orthonormal"
+        assert expected == (None if abs(err) < 1e-9 else "rotation matrix " + failing)
+
+    @pytest.mark.parametrize("base", SIGNED_PERMUTATIONS[:4])
+    def test_reflections(self, base):
+        for flip in np.eye(3):
+            r = base * (1.0 - 2.0 * flip)  # one column negated
+            assert rotation_oracle(r) == "rotation matrix must have determinant +1"
+            assert rejection(lambda: Pose(rotation=r, position=[0.0, 0.0, 0.1])) == rotation_oracle(r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2), st.sampled_from(NON_FINITE + (None, 0.0, -1e308, 5e-324)))
+    def test_positions(self, slot, value):
+        p = np.array([0.01, -0.02, 0.09])
+        if value is not None:
+            p[slot] = value
+        one = rejection(lambda: Pose(rotation=np.eye(3), position=p))
+        stack = rejection(lambda: Pose(rotation=np.eye(3)[None], position=p[None]))
+        assert one == stack == (None if math.isfinite(p[slot]) else "position entries must be finite")
 
 
 class TestIkComposition:

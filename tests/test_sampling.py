@@ -244,6 +244,23 @@ class TestRejectionIndependent:
         with pytest.raises(RuntimeError, match="exceeded"):
             sample_rejection_independent(cfg, 10, iteration_cap=2000)
 
+    @pytest.mark.parametrize("rho_min, rho_max", [(1e-4, RHO_MAX), (-RHO_MAX, -1e-4), (4e-6, 5e-6)])
+    def test_bounds_that_never_accept_fail_fast(self, rho_min, rho_max):
+        # A draw sums to at least 3*rho_min or at most 3*rho_max, past
+        # rounding_epsilon = 1e-5: refused before any draw, not at the cap.
+        with pytest.raises(ValueError, match=r"method \(a\) can never accept"):
+            sample_rejection_independent(config3(rho_min=rho_min, rho_max=rho_max), 1)
+
+    def test_just_feasible_bounds_still_sample(self):
+        # Sums in [3e-6, 6e-6) round to zero up to rounding_epsilon/2 = 5e-6.
+        cfg = config3(seed=5, rho_min=1e-6, rho_max=2e-6)
+        batch, _ = sample_rejection_independent(cfg, 50)
+        assert batch.columns.shape == (3, 50)
+        assert np.max(batch.columns.sum(axis=0)) <= cfg.rounding_epsilon / 2
+        # Past the half-grid but inside the margin: left to the cap.
+        with pytest.raises(RuntimeError, match="exceeded"):
+            sample_rejection_independent(config3(rho_min=3e-6, rho_max=4e-6), 1, iteration_cap=1000)
+
     def test_accepted_rho1_symmetric(self):
         # The marginal of each joint under the sum constraint is symmetric
         # about zero; check the histogram skewness of rho_1. A coarse
@@ -260,6 +277,18 @@ class TestRejectionResolved:
         cfg = SamplerConfig(layout=JointLayout(n=4, d=D), rho_min=-RHO_MAX, rho_max=RHO_MAX, seed=0)
         with pytest.raises(ValueError, match="3 joints"):
             sample_rejection_resolved(cfg, 1)
+
+    @pytest.mark.parametrize("rho_min, rho_max", [(1e-4, RHO_MAX), (0.0, RHO_MAX), (-RHO_MAX, 0.0), (-RHO_MAX, -1e-4)])
+    def test_bounds_that_never_accept_fail_fast(self, rho_min, rho_max):
+        # rho_1 = -(rho_2 + rho_3) falls inside the bounds only if they straddle 0.
+        with pytest.raises(ValueError, match=r"method \(b\) can never accept"):
+            sample_rejection_resolved(config3(rho_min=rho_min, rho_max=rho_max), 1)
+
+    def test_just_feasible_bounds_still_sample(self):
+        cfg = config3(seed=5, rho_min=-1e-4, rho_max=RHO_MAX)
+        batch, _ = sample_rejection_resolved(cfg, 50)
+        assert batch.columns.shape == (3, 50)
+        assert batch.columns[0].min() >= cfg.rho_min
 
     def test_resolved_joint_exact(self):
         batch, _ = sample_rejection_resolved(config3(seed=2), 500)
