@@ -19,14 +19,18 @@ for every seed; draws past the k-th hit are neither counted nor returned.
 Direct methods draw an angle theta = 2*pi*U and an amplitude L per sample
 (in that order) and map through the transform's right-inverse, so every
 sample satisfies the displacement constraint by construction and the
-success rate is exactly 1. The batched variant consumes the PRNG stream in
-the same order and is bit-identical to sequential draws under one seed.
+success rate is exactly 1. One formula (_clarke_pair) serves both direct
+paths: the sequential one feeds it two Python floats per sample, the
+batched one two (k,) arrays from one block of the same stream. Both take
+cos and sin from numpy and do the rest in IEEE-exact operations, so the
+two are bit-identical under one seed.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,11 +41,13 @@ from .csvio import csv_text, displacement_header, format_rows, read_csv, write_c
 REJECTION_METHODS = ("a", "b")
 
 # The direct methods: letter -> (radial law, amplitude L from a uniform u).
-# sample(), benchmark() and the CLI dispatch through this one table.
+# sample(), benchmark() and the CLI dispatch through this one table. sqrt
+# is math.sqrt for one float and np.sqrt for an array; both round
+# correctly, so a law gives the same bits either way.
 DIRECT_METHODS = {
-    "c": ("line", lambda cfg, u: cfg.rho_min + (cfg.rho_max - cfg.rho_min) * u),
-    "d": ("disk", lambda cfg, u: cfg.rho_max * np.sqrt(u)),
-    "e": ("annulus", lambda cfg, u: np.sqrt(cfg.rho_min**2 + (cfg.rho_max**2 - cfg.rho_min**2) * u)),
+    "c": ("line", lambda cfg, u, sqrt: cfg.rho_min + (cfg.rho_max - cfg.rho_min) * u),
+    "d": ("disk", lambda cfg, u, sqrt: cfg.rho_max * sqrt(u)),
+    "e": ("annulus", lambda cfg, u, sqrt: sqrt(cfg.rho_min**2 + (cfg.rho_max**2 - cfg.rho_min**2) * u)),
 }
 ALL_METHODS = REJECTION_METHODS + tuple(DIRECT_METHODS)
 
@@ -59,9 +65,10 @@ class SamplerConfig:
     """Sampling bounds, acceptance granularity and PRNG seed.
 
     rho_min/rho_max bound the per-joint displacements (rejection methods)
-    and the amplitude L (direct methods). rounding_epsilon is the grid at
-    which method (a) rounds the displacement sum before comparing with
-    zero; it directly controls that method's acceptance rate.
+    and the amplitude L (direct methods); their span must be finite.
+    rounding_epsilon is the grid at which method (a) rounds the
+    displacement sum before comparing with zero; it directly controls that
+    method's acceptance rate.
     """
 
     layout: JointLayout
@@ -75,6 +82,8 @@ class SamplerConfig:
         check_finite("rho_max", self.rho_max, None)
         if not self.rho_max > self.rho_min:
             raise ValueError(f"need rho_max > rho_min, got [{self.rho_min}, {self.rho_max}]")
+        if not math.isfinite(self.rho_max - self.rho_min):
+            raise ValueError(f"rho_max - rho_min must be finite, got [{self.rho_min}, {self.rho_max}]")
         check_finite("rounding_epsilon", self.rounding_epsilon)
 
 
@@ -163,12 +172,12 @@ def sample_rejection_independent(
     """Method (a): per-joint uniform draws filtered on the rounded sum.
 
     A draw is accepted when its displacement sum, rounded half-to-even at
-    granularity rounding_epsilon, equals zero. Works for any n. Candidate
-    blocks are tested in stream order, bit-identical to one draw per
-    iteration. A draw sums to [n*rho_min, n*rho_max), so bounds with
-    n*rho_min > rounding_epsilon or n*rho_max < -rounding_epsilon can never
-    accept and raise ValueError at once. Raises RuntimeError when
-    iteration_cap attempts did not produce k samples.
+    granularity rounding_epsilon, equals zero, i.e. when |sum/eps| <= 1/2.
+    Works for any n. Candidate blocks are tested in stream order,
+    bit-identical to one draw per iteration. A draw sums to about
+    [n*rho_min, n*rho_max), so bounds whose every sum lies past the half
+    grid can never accept and raise ValueError at once. Raises RuntimeError
+    when iteration_cap attempts did not produce k samples.
     """
 
     def sum_rounds_to_zero(block):
@@ -176,13 +185,19 @@ def sample_rejection_independent(
 
     t0 = time.perf_counter()
     rng = _stream(cfg, k)
-    lo, hi, eps = cfg.layout.n * cfg.rho_min, cfg.layout.n * cfg.rho_max, cfg.rounding_epsilon
-    if lo > eps or hi < -eps:
+    # A candidate rho_min + span*u lies in [rho_min, rho_max] (u < 1 keeps
+    # it at or below rho_max), but the sum of n of them may round toward
+    # zero by up to (n - 1) ulps. The margin covers that with room to spare,
+    # so bounds that can accept are never refused.
+    n, eps = cfg.layout.n, cfg.rounding_epsilon
+    lo, hi = n * cfg.rho_min, n * cfg.rho_max
+    half = 0.5 * (1.0 + n * 2.0**-50)
+    if lo / eps > half or hi / eps < -half:
         raise ValueError(
             f"method (a) can never accept: every draw sums to [{lo:.6g}, {hi:.6g}), "
-            f"farther than rounding_epsilon={eps:.6g} from zero"
+            f"farther than rounding_epsilon/2={eps / 2:.6g} from zero"
         )
-    rows, iterations = _accept_in_blocks(rng, cfg, cfg.layout.n, k, iteration_cap, sum_rounds_to_zero)
+    rows, iterations = _accept_in_blocks(rng, cfg, n, k, iteration_cap, sum_rounds_to_zero)
     if len(rows) < k:
         raise RuntimeError(
             f"method (a) exceeded {iteration_cap} attempts with only "
@@ -232,18 +247,33 @@ def _radial_law(cfg: SamplerConfig, radial: str):
         if name == radial:
             if radial == "annulus" and not cfg.rho_min > 0.0:
                 raise ValueError(f"annulus sampling needs rho_min > 0, got {cfg.rho_min}")
+            if radial == "annulus" and not math.isfinite(cfg.rho_max * cfg.rho_max):
+                raise ValueError(f"annulus sampling needs a finite rho_max**2, got rho_max={cfg.rho_max}")
             return method, amplitude
     raise ValueError(f"unknown radial law {radial!r}; expected line, disk or annulus")
 
 
-def _direct_columns(cfg: SamplerConfig, amplitude, u2: np.ndarray) -> np.ndarray:
-    # u2 has one row per sample: column 0 feeds the angle, column 1 the
-    # amplitude. Elementwise products with the right-inverse's columns keep
-    # the batched and sequential paths bit-identical.
-    theta = TWO_PI * u2[:, 0]
-    amp = amplitude(cfg, u2[:, 1])
+def _clarke_pair(cfg: SamplerConfig, amplitude, sqrt, u_angle, u_amp):
+    """Clarke coordinates L*(cos theta, sin theta) of direct samples, from their uniforms.
+
+    The one direct-sampling formula: two floats (sqrt = math.sqrt) give one
+    sample, two (k,) arrays (sqrt = np.sqrt) give k. cos and sin are numpy's
+    either way, so both paths get the same bits.
+    """
+    theta = TWO_PI * u_angle
+    amp = amplitude(cfg, u_amp, sqrt)
+    return amp * np.cos(theta), amp * np.sin(theta)
+
+
+def _direct_columns(cfg: SamplerConfig, amplitude, u_angle: np.ndarray, u_amp: np.ndarray) -> np.ndarray:
+    """The n x k columns of k direct samples: the right-inverse's columns times the Clarke pairs.
+
+    Elementwise products and one sum per joint, the same operations
+    sample_direct does on floats, keep the two paths bit-identical.
+    """
+    x, y = _clarke_pair(cfg, amplitude, np.sqrt, u_angle, u_amp)
     inverse = build_transform(cfg.layout).inverse
-    return inverse[:, :1] * (amp * np.cos(theta)) + inverse[:, 1:] * (amp * np.sin(theta))
+    return inverse[:, :1] * x + inverse[:, 1:] * y
 
 
 def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch, SamplingStats]:
@@ -251,28 +281,37 @@ def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch,
 
     radial selects the amplitude law: "line" (method c), "disk" (d) or
     "annulus" (e, needs rho_min > 0). Never resamples: iterations = k and
-    success_rate = 1.0 for every seed.
+    success_rate = 1.0 for every seed. Each iteration takes its own two
+    uniforms from the stream and computes one n-joint sample on Python
+    floats, with numpy's cos and sin; the rows go into one (k, n) buffer,
+    transposed once. Bit-identical to sample_direct_batched.
     """
     method, amplitude = _radial_law(cfg, radial)
-    n = cfg.layout.n
     rng = _stream(cfg, k)
-    columns = np.empty((n, k))
+    inverse = build_transform(cfg.layout).inverse.tolist()
+    rows = array("d")
     t0 = time.perf_counter()
-    for i in range(k):
-        columns[:, i : i + 1] = _direct_columns(cfg, amplitude, rng.random((1, 2)))
+    for _ in range(k):
+        x, y = _clarke_pair(cfg, amplitude, math.sqrt, *rng.random(2).tolist())
+        # numpy's cos and sin return numpy scalars; the joints are cheaper on floats.
+        x, y = float(x), float(y)
+        rows.extend([c * x + s * y for c, s in inverse])
+    columns = np.frombuffer(rows).reshape(k, cfg.layout.n).T
     wall = time.perf_counter() - t0
     return _finalize(method, columns, wall, iterations=k, k=k)
 
 
 def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatch:
-    """Vectorized direct sampling: one matrix product for all k samples.
+    """Vectorized direct sampling: one block of uniforms for all k samples.
 
     Bit-identical to k sequential sample_direct draws under the same seed,
-    because the PRNG stream is consumed in the same (theta, L) order.
+    because the PRNG stream is consumed in the same (theta, L) order and
+    both paths evaluate the same formula.
     """
     method, amplitude = _radial_law(cfg, radial)
     rng = _stream(cfg, k)
-    columns = _direct_columns(cfg, amplitude, rng.random((k, 2)))
+    u2 = rng.random((k, 2))
+    columns = _direct_columns(cfg, amplitude, u2[:, 0], u2[:, 1])
     columns.setflags(write=False)
     return SampleBatch(columns=columns, method=method)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -546,6 +547,80 @@ def test_bad_float_in_a_valid_command_fails_in_one_line(capsys, name, bad, data)
     assert code in (2, 3)
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        *(
+            (["sample", "--method", m, "--rho-min=-1e308", "--rho-max=1e308", "--k", "2"], "rho_max - rho_min must be finite")
+            for m in "abcde"
+        ),
+        (["sample", "--method", "c", "--rho-min=-1e308", "--rho-max=1e308", "--k", "2", "--vectorized"], "rho_max - rho_min must be finite"),
+        (["bench", "--rho-min=-1e308", "--rho-max=1e308"], "rho_max - rho_min must be finite"),
+        (["sample", "--method", "e", "--rho-max", "1e200", "--k", "3"], "finite rho_max**2"),
+        (["sample", "--method", "e", "--rho-max", "1e200", "--k", "3", "--vectorized"], "finite rho_max**2"),
+        (["bench", "--methods", "e", "--rho-max", "1e200"], "finite rho_max**2"),
+        (["sample", "--method", "a", "--rho-min", "3e-6", "--rho-max", "4e-6", "--k", "1"], "method (a) can never accept"),
+    ],
+)
+def test_sampling_bounds_that_cannot_work_are_one_line(capsys, argv, reason):
+    # Each is refused before the first draw, with no warning.
+    t0 = time.perf_counter()
+    code, out, err = run_cli_strict(capsys, argv)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and reason in err
+
+
+def _finite_rows(text, skip=0):
+    """The data rows of CSV text; each value past the first `skip` must be a finite float."""
+    rows = [line.split(",")[skip:] for line in text.splitlines()[1:]]
+    assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--method", "c", "--rho-min=-8e307", "--rho-max=8e307", "--k", "50"],
+        ["sample", "--method", "e", "--rho-max", "1.34e154", "--k", "50"],
+        ["sample", "--method", "e", "--rho-max", "1.34e154", "--k", "50", "--vectorized"],
+        ["sample", "--method", "a", "--rho-min", "1.6e-6", "--rho-max", "1.8e-6", "--k", "2"],
+        ["bench", "--methods", "e", "--rho-max", "1.34e154", "--k", "20", "--runs", "2", "--format", "csv"],
+    ],
+)
+def test_just_feasible_sampling_bounds_run(capsys, argv):
+    # sample writes one stats line to stderr, bench none.
+    bench = argv[0] == "bench"
+    code, out, err = run_cli_strict(capsys, argv)
+    assert code == 0 and err.count("\n") == (not bench), err
+    _finite_rows(out, skip=bench)
+
+
+# Sampling commands that take --rho-min/--rho-max, for the bad-bound property.
+SAMPLING_COMMANDS = {
+    **{f"sample {m}": ["sample", "--method", m, "--k", "20"] for m in "cde"},
+    **{f"sample {m} --vectorized": ["sample", "--method", m, "--k", "20", "--vectorized"] for m in "cde"},
+    "bench": ["bench", "--methods", "c,d,e", "--k", "10", "--runs", "2", "--format", "csv"],
+}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from(sorted(SAMPLING_COMMANDS)),
+    st.sampled_from(["--rho-min", "--rho-max"]),
+    st.sampled_from(BAD_FLOATS),
+    st.integers(3, 64),
+)
+def test_bad_sampling_bound_gives_finite_samples_or_one_line(capsys, name, flag, bad, n):
+    code, out, err = run_cli_strict(capsys, SAMPLING_COMMANDS[name] + ["--n", str(n), f"{flag}={bad}"])
+    if code == 0:
+        assert err.count("\n") == (name != "bench") and "Warning" not in err
+        _finite_rows(out, skip=name == "bench")
+    else:
+        assert code in (2, 3) and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
 
 
 def test_parser_built_once_and_calls_do_not_leak(capsys):

@@ -96,11 +96,22 @@ SAMPLER_AND_ORACLE = {
 def trig_direct_columns_oracle(cfg, amplitude, u2):
     """Direct-method columns from cos(psi) and sin(psi) of the layout, recomputed per call."""
     theta = TWO_PI * u2[:, 0]
-    amp = amplitude(cfg, u2[:, 1])
+    amp = amplitude(cfg, u2[:, 1], np.sqrt)
     xi_re = amp * np.cos(theta)
     xi_im = amp * np.sin(theta)
     psi = cfg.layout.psi
     return np.cos(psi)[:, None] * xi_re[None, :] + np.sin(psi)[:, None] * xi_im[None, :]
+
+
+def per_sample_direct_oracle(cfg, k, radial):
+    """Direct sampling with one (1, 2) block of uniforms per sample through the batched kernel."""
+    amplitude = next(law for name, law in DIRECT_METHODS.values() if name == radial)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    columns = np.empty((cfg.layout.n, k))
+    for i in range(k):
+        u2 = rng.random((1, 2))
+        columns[:, i : i + 1] = _direct_columns(cfg, amplitude, u2[:, 0], u2[:, 1])
+    return columns
 
 
 def stats_csv_oracle(results):
@@ -200,6 +211,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive"):
             config3(eps=0.0)
 
+    def test_span_must_be_finite(self):
+        # 1e308 - (-1e308) overflows; the direct laws would print inf and NaN.
+        with pytest.raises(ValueError, match=r"^rho_max - rho_min must be finite, got \[-1e\+308, 1e\+308\]$"):
+            config3(rho_min=-1e308, rho_max=1e308)
+
+    def test_widest_finite_span_samples(self):
+        # 8e307 - (-8e307) = 1.6e308 is still finite.
+        cfg = config3(seed=3, rho_min=-8e307, rho_max=8e307)
+        for method in "cd":
+            batch, _ = sample(cfg, 500, method)
+            assert np.all(np.isfinite(batch.columns))
+            assert np.max(np.abs(batch.columns)) <= 8e307
+
 
 class TestRejectionIndependent:
     def test_empty_request(self):
@@ -244,10 +268,10 @@ class TestRejectionIndependent:
         with pytest.raises(RuntimeError, match="exceeded"):
             sample_rejection_independent(cfg, 10, iteration_cap=2000)
 
-    @pytest.mark.parametrize("rho_min, rho_max", [(1e-4, RHO_MAX), (-RHO_MAX, -1e-4), (4e-6, 5e-6)])
+    @pytest.mark.parametrize("rho_min, rho_max", [(1e-4, RHO_MAX), (-RHO_MAX, -1e-4), (4e-6, 5e-6), (-4e-6, -3e-6)])
     def test_bounds_that_never_accept_fail_fast(self, rho_min, rho_max):
         # A draw sums to at least 3*rho_min or at most 3*rho_max, past
-        # rounding_epsilon = 1e-5: refused before any draw, not at the cap.
+        # rounding_epsilon/2 = 5e-6: refused before any draw, not at the cap.
         with pytest.raises(ValueError, match=r"method \(a\) can never accept"):
             sample_rejection_independent(config3(rho_min=rho_min, rho_max=rho_max), 1)
 
@@ -257,9 +281,63 @@ class TestRejectionIndependent:
         batch, _ = sample_rejection_independent(cfg, 50)
         assert batch.columns.shape == (3, 50)
         assert np.max(batch.columns.sum(axis=0)) <= cfg.rounding_epsilon / 2
-        # Past the half-grid but inside the margin: left to the cap.
-        with pytest.raises(RuntimeError, match="exceeded"):
+        # Sums in [9e-6, 1.2e-5) all lie past the half grid: refused at once.
+        with pytest.raises(ValueError, match=r"method \(a\) can never accept"):
             sample_rejection_independent(config3(rho_min=3e-6, rho_max=4e-6), 1, iteration_cap=1000)
+
+    @pytest.mark.parametrize("rho_min, rho_max", [(1.6e-6, 1.8e-6), (-1.8e-6, -1.6e-6)])
+    def test_bounds_reaching_into_the_half_grid_sample(self, rho_min, rho_max):
+        # Sums in [4.8e-6, 5.4e-6): about a sixth of them round to zero.
+        cfg = config3(seed=6, rho_min=rho_min, rho_max=rho_max)
+        batch, stats = sample_rejection_independent(cfg, 40)
+        assert batch.columns.shape == (3, 40)
+        assert np.max(np.abs(batch.columns.sum(axis=0))) <= cfg.rounding_epsilon / 2
+        assert 0.08 < stats.success_rate < 0.3
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(3, 64),
+        st.floats(-200, 200),
+        st.one_of(st.integers(-64, 64).map(lambda j: 1.0 + j * 2.0**-52), st.floats(1 - 1e-6, 1 + 1e-6)),
+        st.floats(0.0, 100.0),
+        st.booleans(),
+    )
+    def test_refused_exactly_when_no_draw_can_accept(self, n, log_eps, jitter, width, negative):
+        # Bounds whose sums sit at the half grid, give or take a few ulps.
+        # The extreme draw is rho_min at u = 0 (positive bounds) or the
+        # largest candidate, at u = 1 - 2**-53 (negative bounds); sums are
+        # monotone, so a draw can be accepted iff the extreme one is.
+        eps = 10.0**log_eps
+        edge = jitter * 0.5 * eps / n
+        rho_min, rho_max = (-edge * (1.0 + width), -edge) if negative else (edge, edge * (1.0 + width))
+        if not rho_max > rho_min:
+            return
+        cfg = SamplerConfig(JointLayout(n=n, d=D), rho_min, rho_max, rounding_epsilon=eps)
+        extreme = rho_min + (rho_max - rho_min) * (1.0 - 2.0**-53) if negative else rho_min
+        assert rho_min <= extreme <= rho_max
+        ratio = np.full((1, n), extreme).sum(axis=1)[0] / eps
+        try:
+            sample_rejection_independent(cfg, 1, iteration_cap=1)
+            refused = False
+        except RuntimeError:
+            refused = False
+        except ValueError:
+            refused = True
+        if np.rint(ratio) == 0:
+            assert not refused
+        elif abs(ratio) > 0.5 * (1 + 1e-9):
+            assert refused
+
+    def test_margin_covers_the_rounding_of_the_sum(self):
+        # n*rho_min/eps rounds to just past 1/2, but the 47-term sum of
+        # rho_min (the draw at u = 0) rounds to just under it: the draw
+        # can be accepted, so the bounds must not be refused.
+        n, eps, rho_min = 47, 99750680.87883866, 1061177.4561578583
+        assert n * rho_min / eps > 0.5
+        assert np.rint(np.full((1, n), rho_min).sum(axis=1)[0] / eps) == 0
+        cfg = SamplerConfig(JointLayout(n=n, d=D), rho_min, 75694469.49075718, rounding_epsilon=eps)
+        with pytest.raises(RuntimeError, match="exceeded"):
+            sample_rejection_independent(cfg, 1, iteration_cap=1)
 
     def test_accepted_rho1_symmetric(self):
         # The marginal of each joint under the sum constraint is symmetric
@@ -336,6 +414,19 @@ class TestDirect:
         with pytest.raises(ValueError, match="rho_min > 0"):
             sample_direct(config3(), 1, "annulus")
 
+    @pytest.mark.parametrize("draw", [sample_direct, sample_direct_batched])
+    def test_annulus_needs_a_finite_rho_max_square(self, draw):
+        # (1e200)**2 is past the float range.
+        with pytest.raises(ValueError, match=r"^annulus sampling needs a finite rho_max\*\*2, got rho_max=1e\+200$"):
+            draw(config3(rho_min=1e199, rho_max=1e200), 3, "annulus")
+
+    def test_annulus_with_the_largest_square_samples(self):
+        # 1.34e154**2 = 1.7956e308, just under the float range.
+        cfg = config3(seed=4, rho_min=1.34e153, rho_max=1.34e154)
+        batch, _ = sample_direct(cfg, 200, "annulus")
+        assert np.all(np.isfinite(batch.columns))
+        assert np.array_equal(batch.columns, sample_direct_batched(cfg, 200, "annulus").columns)
+
     def test_unknown_radial(self):
         with pytest.raises(ValueError, match="radial"):
             sample_direct(config3(), 1, "square")
@@ -373,8 +464,37 @@ class TestDirectColumns:
         u2 = np.random.default_rng(n).random((17, 2))
         cfg = SamplerConfig(layout=JointLayout(n=n, d=D), rho_min=0.1 * RHO_MAX, rho_max=RHO_MAX, seed=n)
         for _, amplitude in DIRECT_METHODS.values():
-            got = _direct_columns(cfg, amplitude, u2)
+            got = _direct_columns(cfg, amplitude, u2[:, 0], u2[:, 1])
             assert got.tobytes() == trig_direct_columns_oracle(cfg, amplitude, u2).tobytes()
+
+
+@st.composite
+def direct_cases(draw):
+    """(config, k, radial law) with n in [3, 64] and bounds across decades."""
+    radial = draw(st.sampled_from(["line", "disk", "annulus"]))
+    rho_max = 10.0 ** draw(st.floats(-150, 150))
+    inner = draw(st.floats(1e-3, 0.999)) * rho_max
+    rho_min = inner if radial == "annulus" else draw(st.sampled_from([-rho_max, -inner, inner]))
+    cfg = SamplerConfig(
+        layout=JointLayout(n=draw(st.integers(3, 64)), d=D),
+        rho_min=rho_min,
+        rho_max=rho_max,
+        seed=draw(st.integers(0, 2**63)),
+    )
+    return cfg, draw(st.integers(0, 300)), radial
+
+
+class TestSequentialDirectMatchesOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(direct_cases())
+    def test_sequential_oracle_and_batched_agree(self, case):
+        cfg, k, radial = case
+        batch, stats = sample_direct(cfg, k, radial)
+        assert batch.columns.shape == (cfg.layout.n, k)
+        assert batch.columns.flags.c_contiguous and not batch.columns.flags.writeable
+        assert np.array_equal(batch.columns, per_sample_direct_oracle(cfg, k, radial))
+        assert np.array_equal(batch.columns, sample_direct_batched(cfg, k, radial).columns)
+        assert stats.iterations == k and stats.resamples == 0 and stats.success_rate == 1.0
 
 
 class TestDeterminism:
