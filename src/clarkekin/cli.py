@@ -35,7 +35,6 @@ from .csvio import csv_text, displacement_header, format_float, format_rows, rea
 from .kinematics import Pose, fk_direct, ik, ik_position
 from .sampling import (
     ALL_METHODS,
-    DIRECT_METHODS,
     SamplerConfig,
     benchmark,
     histogram_csv,
@@ -184,29 +183,19 @@ def _sampler_config(args, method: str | None = None) -> SamplerConfig:
 
 def cmd_sample(args) -> int:
     cfg = _sampler_config(args, method=args.method)
-    if args.vectorized:
-        if args.method not in DIRECT_METHODS:
-            raise ValueError(f"--vectorized applies to direct methods c/d/e, not {args.method!r}")
-        batch = sample_direct_batched(cfg, args.k, DIRECT_METHODS[args.method][0])
-        stats_line = f"method {args.method}: k={args.k} vectorized seed={args.seed}\n"
-    else:
-        batch, stats = sample(cfg, args.k, args.method)
-        stats_line = (
-            f"method {stats.method}: k={args.k} iterations={stats.iterations} "
-            f"resamples={stats.resamples} success_rate={format_float(stats.success_rate)} "
-            f"time_s={format_float(stats.wall_time)} seed={args.seed}\n"
-        )
+    batch, stats = sample(cfg, args.k, args.method, args.vectorized)
     _emit(csv_text(displacement_header(cfg.layout.n), batch.columns.T), args.out)
-    sys.stderr.write(stats_line)
+    sys.stderr.write(
+        f"method {stats.method}: k={args.k}{' vectorized' if args.vectorized else ''} "
+        f"iterations={stats.iterations} resamples={stats.resamples} "
+        f"success_rate={format_float(stats.success_rate)} time_s={format_float(stats.wall_time)} seed={args.seed}\n"
+    )
     return 0
 
 
 def cmd_bench(args) -> int:
     cfg = _sampler_config(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for m in methods:
-        if m not in ALL_METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {','.join(ALL_METHODS)}")
     results = benchmark(
         cfg,
         args.k,
@@ -216,20 +205,19 @@ def cmd_bench(args) -> int:
         annulus_rho_min=_sampler_config(args, "e").rho_min,
     )
     if args.format == "json":
-        payload = []
-        for r in results:
-            payload.append(
-                {
-                    "method": r.method,
-                    "time_s_mean": r.time_mean,
-                    "time_s_std": r.time_std,
-                    "factor": r.factor,
-                    "iterations_mean": r.iterations_mean,
-                    "iterations_std": r.iterations_std,
-                    "resamples_mean": r.resamples_mean,
-                    "success_rate": r.success_rate,
-                }
-            )
+        payload = [
+            {
+                "method": r.method,
+                "time_s_mean": r.time_mean,
+                "time_s_std": r.time_std,
+                "factor": r.factor,
+                "iterations_mean": r.iterations_mean,
+                "iterations_std": r.iterations_std,
+                "resamples_mean": r.resamples_mean,
+                "success_rate": r.success_rate,
+            }
+            for r in results
+        ]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _emit(stats_csv(results), args.out)
@@ -356,6 +344,16 @@ def _add_common(p: argparse.ArgumentParser, *, n: int = 3, d: float = 0.01, l: f
     p.add_argument("--config", default=None, help="KEY = VALUE defaults file; flags override it")
 
 
+def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
+    # The flags sample and bench share, on the sampling defaults.
+    _add_common(p, d=0.001)
+    p.add_argument("--k", type=int, default=1000, help="number of samples (per run for bench)")
+    p.add_argument("--rho-min", type=float, default=None, help="lower bound, m (default -d*pi)")
+    p.add_argument("--rho-max", type=float, default=None, help="upper bound, m (default d*pi)")
+    p.add_argument("--rounding-eps", type=float, default=1e-5, help="method (a) sum granularity, m")
+    p.add_argument("--vectorized", action="store_true", help="batched kernel for c/d/e; a and b are unchanged")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args keeps no state."""
@@ -391,24 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ik)
 
     p = sub.add_parser("sample", help="draw displacement samples with one method")
-    _add_common(p, d=0.001)
+    _add_sampler_flags(p)
     p.add_argument("--method", choices=ALL_METHODS, default="e")
-    p.add_argument("--k", type=int, default=1000, help="number of samples")
-    p.add_argument("--rho-min", type=float, default=None, help="lower bound, m (default -d*pi)")
-    p.add_argument("--rho-max", type=float, default=None, help="upper bound, m (default d*pi)")
-    p.add_argument("--rounding-eps", type=float, default=1e-5, help="method (a) sum granularity, m")
-    p.add_argument("--vectorized", action="store_true", help="use the batched path (c/d/e)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("bench", help="time the sampling methods and emit stats/histograms")
-    _add_common(p, d=0.001)
+    _add_sampler_flags(p)
     p.add_argument("--methods", default=",".join(ALL_METHODS), help="comma list from a,b,c,d,e")
-    p.add_argument("--k", type=int, default=1000)
     p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--rho-min", type=float, default=None)
-    p.add_argument("--rho-max", type=float, default=None)
-    p.add_argument("--rounding-eps", type=float, default=1e-5)
-    p.add_argument("--vectorized", action="store_true", help="time direct methods batched")
     p.add_argument("--hist-dir", default=None, help="write per-joint histogram CSVs here")
     p.set_defaults(func=cmd_bench)
 

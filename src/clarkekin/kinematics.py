@@ -28,6 +28,10 @@ from .clarke import all_finite, as_displacement, build_transform, check_finite, 
 # half-space, and the pose formulas divide by p_z.
 POSITION_Z_FLOOR = 1e-9
 
+# Distance, relative to |p|, between a position target p and the end of
+# the arc IK bends toward it, past which IK refuses p as unreachable.
+REACH_TOL = 1e-9
+
 # Manifold residual accepted by f_dep_curvature_angle before it refuses
 # to interpret a displacement vector as a constant-curvature bend.
 MANIFOLD_TOL = 1e-9
@@ -273,13 +277,36 @@ def _check_position_target(p: np.ndarray) -> None:
     # p is one position (3,) or a stack (k, 3).
     if not all_finite(p):
         raise ValueError("target position entries must be finite")
-    x, y, z = p.T
-    if not (x * x + y * y + z * z != 0.0).all():
+    z = p.T[2]
+    if not (p != 0.0).any(axis=-1).all():
         raise ValueError("target position at the origin is prohibited")
     if not (z > POSITION_Z_FLOOR).all():
         raise ValueError(
             f"target p_z={np.min(z):.3e} is in the prohibited region: the reachable "
             f"workspace requires p_z > {POSITION_Z_FLOOR:.1e} m"
+        )
+
+
+def _check_reach(geom: SegmentGeometry, p: np.ndarray) -> None:
+    # p: one position (3,) or a stack (k, 3), past _check_position_target.
+    # IK bends the segment toward p by phi = 2l*r/|p|^2 (r = hypot(x, y));
+    # that arc ends at the chord l*sinc(phi/(2*pi)), at phi/2 from the
+    # z-axis, and must end at p (|p| = chord alone also holds on a mirror
+    # sheet with phi > pi). No square overflows; an overflowed phi gives a
+    # NaN gap, which is refused.
+    x, y, z = p.T
+    r = np.hypot(x, y)
+    norm = np.hypot(r, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = geom.l * (r / norm) / norm
+        chord = geom.l * np.sinc(half / np.pi)
+        gap = np.hypot(r - chord * np.sin(half), z - chord * np.cos(half))
+    reached = gap <= REACH_TOL * norm
+    if not reached.all():
+        i = np.argmin(reached)
+        raise ValueError(
+            f"target position is off the reachable surface: the arc of length l={geom.l:.6g} m "
+            f"bent toward it ends {np.ravel(gap)[i]:.3e} m away (|p|={np.ravel(norm)[i]:.6g} m)"
         )
 
 
@@ -315,6 +342,7 @@ def _bend(geom: SegmentGeometry, target, positions: bool = False) -> np.ndarray:
     if p.shape[-1:] != (3,) or p.ndim > 2:
         raise ValueError(f"positions must have shape (3,) or (k, 3), got {p.shape}")
     _check_position_target(p)
+    _check_reach(geom, p)
     x, y, z = p.T
     return (2.0 * geom.l / (x * x + y * y + z * z)) * np.array([x, y])
 
@@ -324,7 +352,8 @@ def f_ind_inverse(geom: SegmentGeometry, target) -> CurvatureCurvature:
 
     The target may be a tip position (3-vector), a tip rotation (3x3), or a
     full Pose (one pose, not a stack). Positions with p_z at or below
-    POSITION_Z_FLOOR, and the origin, are rejected as unreachable. ik is
+    POSITION_Z_FLOOR, the origin, and positions off the reachable surface
+    (see ik_position) are rejected as unreachable. ik is
     f_dep_inverse of this map's result, computed without the division by l.
     """
     bend = _bend(geom, target)
@@ -342,7 +371,11 @@ def ik_position(geom: SegmentGeometry, positions) -> np.ndarray:
     the single-position call within 1e-14 absolute. Positions have their
     own entry point because ik reads a (3, 3) array as one rotation, never
     as three positions. Positions with p_z at or below POSITION_Z_FLOOR,
-    the origin and non-finite entries are rejected.
+    the origin and non-finite entries are rejected, and so is a position
+    off the reachable surface. The arc of length l bent toward p, by
+    phi = 2l*hypot(p_x, p_y)/|p|^2, ends at the chord (2l/phi)*sin(phi/2)
+    from its base, at phi/2 from the z-axis; that end must be p within
+    REACH_TOL*|p|. A stack is rejected if any row fails.
     """
     return _joints(geom, _bend(geom, positions, positions=True))
 
@@ -355,7 +388,8 @@ def ik(geom: SegmentGeometry, target) -> np.ndarray:
     Returns the displacement vector on the manifold that reproduces the
     target under fk_direct: (n,) for one target, and (n, k) columns for a
     stacked Pose of k poses, column i within 1e-14 absolute of the call on
-    pose i alone. Stacks of positions go to ik_position. A rotation-only
+    pose i alone. Stacks of positions go to ik_position, whose reach rule
+    a position target must meet here too. A rotation-only
     target fixes the bending plane and the product kappa*l but not the
     segment length; the returned displacements are independent of l.
     """

@@ -41,15 +41,17 @@ from .csvio import csv_text, displacement_header, format_rows, read_csv, write_c
 REJECTION_METHODS = ("a", "b")
 
 # The direct methods: letter -> (radial law, amplitude L from a uniform u).
-# sample(), benchmark() and the CLI dispatch through this one table. sqrt
-# is math.sqrt for one float and np.sqrt for an array; both round
-# correctly, so a law gives the same bits either way.
+# sample() dispatches through this one table. sqrt is math.sqrt for one
+# float and np.sqrt for an array; both round correctly, so a law gives the
+# same bits either way.
 DIRECT_METHODS = {
     "c": ("line", lambda cfg, u, sqrt: cfg.rho_min + (cfg.rho_max - cfg.rho_min) * u),
     "d": ("disk", lambda cfg, u, sqrt: cfg.rho_max * sqrt(u)),
     "e": ("annulus", lambda cfg, u, sqrt: sqrt(cfg.rho_min**2 + (cfg.rho_max**2 - cfg.rho_min**2) * u)),
 }
 ALL_METHODS = REJECTION_METHODS + tuple(DIRECT_METHODS)
+
+_LAW_METHODS = {law: method for method, (law, _) in DIRECT_METHODS.items()}
 
 DEFAULT_ITERATION_CAP = 10**8
 
@@ -136,7 +138,7 @@ def _finalize(method: str, columns: np.ndarray, wall: float, iterations: int, k:
 
 
 def _accept_in_blocks(
-    rng: np.random.Generator, cfg: SamplerConfig, width: int, k: int, iteration_cap: int, accept
+    rng: np.random.Generator, cfg: SamplerConfig, width: int, k: int, iteration_cap: int, accept, method: str, hint=""
 ) -> tuple[np.ndarray, int]:
     """The first k accepted candidate rows and the number of draws they took.
 
@@ -144,8 +146,9 @@ def _accept_in_blocks(
     candidates come from the one stream and are tested at once, so the k-th
     hit falls on the same draw as with one draw per iteration; iterations is
     that draw's index plus one. A block is sized from the acceptance rate
-    seen so far and never reaches past iteration_cap or _BLOCK_DOUBLES, so
-    fewer than k rows come back when iteration_cap draws were not enough.
+    seen so far and never reaches past iteration_cap or _BLOCK_DOUBLES; the
+    RuntimeError when iteration_cap draws were not enough names the method
+    and ends in hint. Overflow in accept is ignored: an inf sum is rejected.
     """
     span = cfg.rho_max - cfg.rho_min
     kept = [np.empty((0, width))]
@@ -159,10 +162,16 @@ def _accept_in_blocks(
             iteration_cap - iterations,
         )
         block = cfg.rho_min + span * rng.random((rows, width))
-        hits = np.flatnonzero(accept(block))[:need]
+        with np.errstate(over="ignore"):
+            hits = np.flatnonzero(accept(block))[:need]
         kept.append(block[hits])
         accepted += hits.size
         iterations += int(hits[-1]) + 1 if accepted == k else rows
+    if accepted < k:
+        raise RuntimeError(
+            f"method ({method}) exceeded {iteration_cap} attempts with only "
+            f"{accepted}/{k} samples accepted{hint}"
+        )
     return np.concatenate(kept), iterations
 
 
@@ -197,12 +206,9 @@ def sample_rejection_independent(
             f"method (a) can never accept: every draw sums to [{lo:.6g}, {hi:.6g}), "
             f"farther than rounding_epsilon/2={eps / 2:.6g} from zero"
         )
-    rows, iterations = _accept_in_blocks(rng, cfg, n, k, iteration_cap, sum_rounds_to_zero)
-    if len(rows) < k:
-        raise RuntimeError(
-            f"method (a) exceeded {iteration_cap} attempts with only "
-            f"{len(rows)}/{k} samples accepted; widen rounding_epsilon or raise the cap"
-        )
+    rows, iterations = _accept_in_blocks(
+        rng, cfg, n, k, iteration_cap, sum_rounds_to_zero, "a", "; widen rounding_epsilon or raise the cap"
+    )
     return _finalize("a", rows.T, time.perf_counter() - t0, iterations, k)
 
 
@@ -231,26 +237,21 @@ def sample_rejection_resolved(
             f"method (b) can never accept: rho_1 = -(rho_2 + rho_3) lies outside "
             f"[{cfg.rho_min:.6g}, {cfg.rho_max:.6g}] unless rho_min < 0 < rho_max"
         )
-    pairs, iterations = _accept_in_blocks(rng, cfg, 2, k, iteration_cap, in_bounds)
-    if len(pairs) < k:
-        raise RuntimeError(
-            f"method (b) exceeded {iteration_cap} attempts with only "
-            f"{len(pairs)}/{k} samples accepted"
-        )
+    pairs, iterations = _accept_in_blocks(rng, cfg, 2, k, iteration_cap, in_bounds, "b")
     columns = np.vstack([-(pairs[:, 0] + pairs[:, 1]), pairs.T])
     return _finalize("b", columns, time.perf_counter() - t0, iterations, k)
 
 
 def _radial_law(cfg: SamplerConfig, radial: str):
     """The method letter and amplitude law of a radial law name, checked against cfg."""
-    for method, (name, amplitude) in DIRECT_METHODS.items():
-        if name == radial:
-            if radial == "annulus" and not cfg.rho_min > 0.0:
-                raise ValueError(f"annulus sampling needs rho_min > 0, got {cfg.rho_min}")
-            if radial == "annulus" and not math.isfinite(cfg.rho_max * cfg.rho_max):
-                raise ValueError(f"annulus sampling needs a finite rho_max**2, got rho_max={cfg.rho_max}")
-            return method, amplitude
-    raise ValueError(f"unknown radial law {radial!r}; expected line, disk or annulus")
+    method = _LAW_METHODS.get(radial)
+    if method is None:
+        raise ValueError(f"unknown radial law {radial!r}; expected line, disk or annulus")
+    if radial == "annulus" and not cfg.rho_min > 0.0:
+        raise ValueError(f"annulus sampling needs rho_min > 0, got {cfg.rho_min}")
+    if radial == "annulus" and not math.isfinite(cfg.rho_max * cfg.rho_max):
+        raise ValueError(f"annulus sampling needs a finite rho_max**2, got rho_max={cfg.rho_max}")
+    return method, DIRECT_METHODS[method][1]
 
 
 def _clarke_pair(cfg: SamplerConfig, amplitude, sqrt, u_angle, u_amp):
@@ -316,15 +317,23 @@ def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatc
     return SampleBatch(columns=columns, method=method)
 
 
-def sample(cfg: SamplerConfig, k: int, method: str) -> tuple[SampleBatch, SamplingStats]:
-    """Dispatch on a method letter a-e."""
+def sample(cfg: SamplerConfig, k: int, method: str, vectorized: bool = False) -> tuple[SampleBatch, SamplingStats]:
+    """k samples by method letter a-e; the one place that picks a method's kernel.
+
+    vectorized=True times c, d and e through sample_direct_batched (same bits,
+    iterations = k); a and b ignore it: their block loop is already vectorized.
+    """
     if method == "a":
         return sample_rejection_independent(cfg, k)
     if method == "b":
         return sample_rejection_resolved(cfg, k)
-    if method in DIRECT_METHODS:
+    if method not in DIRECT_METHODS:
+        raise ValueError(f"unknown sampling method {method!r}; expected one of {ALL_METHODS}")
+    if not vectorized:
         return sample_direct(cfg, k, DIRECT_METHODS[method][0])
-    raise ValueError(f"unknown sampling method {method!r}; expected one of {ALL_METHODS}")
+    t0 = time.perf_counter()
+    batch = sample_direct_batched(cfg, k, DIRECT_METHODS[method][0])
+    return _finalize(method, batch.columns, time.perf_counter() - t0, iterations=k, k=k)
 
 
 @dataclass(frozen=True)
@@ -359,16 +368,19 @@ def benchmark(
 ) -> list[MethodBenchmark]:
     """Run each method `runs` times for k samples and aggregate the cost.
 
-    Wall times are averaged per method and normalized into `factor` against
-    method (c) when present, else against the fastest method. Histograms
-    pool the samples of all runs on _HIST_BINS fixed bins over
-    [rho_min, rho_max]. With vectorized=True the direct methods are timed
-    through their batched implementation instead of the sequential loop.
+    Every method letter is checked before any runs. Wall times are averaged
+    per method and normalized into `factor` against method (c) when
+    present, else against the fastest method. Histograms pool the samples
+    of all runs on _HIST_BINS fixed bins over [rho_min, rho_max]. Each run
+    is one sample() call, with vectorized passed on.
 
     annulus_rho_min, when given, overrides rho_min for method (e) only, so
     the annulus inner radius can stay positive while the other methods use
     symmetric bounds.
     """
+    for method in methods:
+        if method not in ALL_METHODS:
+            raise ValueError(f"unknown method {method!r}; choose from {','.join(ALL_METHODS)}")
     if k < 1 or runs < 1:
         raise ValueError(f"benchmark needs k >= 1 and runs >= 1, got k={k}, runs={runs}")
     edges = np.linspace(cfg.rho_min, cfg.rho_max, _HIST_BINS + 1)
@@ -377,20 +389,9 @@ def benchmark(
         method_cfg = cfg
         if method == "e" and annulus_rho_min is not None:
             method_cfg = replace(cfg, rho_min=annulus_rho_min)
-        stats_list: list[SamplingStats] = []
-        pooled: list[np.ndarray] = []
-        for run in range(runs):
-            run_cfg = replace(method_cfg, seed=_run_seed(cfg.seed, mi, run))
-            if vectorized and method in DIRECT_METHODS:
-                t0 = time.perf_counter()
-                batch = sample_direct_batched(run_cfg, k, DIRECT_METHODS[method][0])
-                wall = time.perf_counter() - t0
-                stats = SamplingStats(method, wall, iterations=k, resamples=0, success_rate=1.0)
-            else:
-                batch, stats = sample(run_cfg, k, method)
-            stats_list.append(stats)
-            pooled.append(batch.columns)
-        samples = np.concatenate(pooled, axis=1)
+        seeds = [_run_seed(cfg.seed, mi, run) for run in range(runs)]
+        batches, stats_list = zip(*(sample(replace(method_cfg, seed=seed), k, method, vectorized) for seed in seeds))
+        samples = np.concatenate([batch.columns for batch in batches], axis=1)
         hist = np.vstack([np.histogram(samples[j], bins=edges)[0] for j in range(cfg.layout.n)])
         times = np.array([s.wall_time for s in stats_list])
         iters = np.array([s.iterations for s in stats_list], dtype=float)

@@ -80,6 +80,20 @@ class TestKinematics:
         payload = json.loads(out)
         assert np.max(np.abs(payload["rho"])) < 1e-12
 
+    @pytest.mark.parametrize("position", ["0.5,0,0.5", "1e200,0,1e200"])
+    def test_ik_off_the_reachable_surface(self, capsys, position):
+        code, out, err = run_cli_strict(capsys, ["ik", "--position", position])
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: target position is off the reachable surface")
+
+    def test_ik_in_refuses_a_stack_with_one_unreachable_row(self, capsys, tmp_path):
+        # The first row is the straight tip, the second lies past it.
+        src = tmp_path / "pos.csv"
+        src.write_text("px,py,pz\n0,0,0.1\n0,0,0.2\n")
+        code, out, err = run_cli_strict(capsys, ["ik", "--in", str(src)])
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "off the reachable surface" in err
+
     def test_ik_prohibited_region(self, capsys):
         code, _, err = run_cli(capsys, "ik", "--n", "5", "--position", "0.01,0,-0.02")
         assert code == 3
@@ -241,11 +255,14 @@ class TestSample:
         assert "rho_min > 0" in err
 
     @pytest.mark.parametrize("method", ["a", "b"])
-    def test_vectorized_rejection_method_is_a_domain_error(self, capsys, method):
+    def test_vectorized_rejection_method_matches_sequential(self, capsys, method):
+        # A rejection method's block loop is its vectorized kernel, so the
+        # flag changes only the stats line.
         code, out, err = run_cli(capsys, "sample", "--method", method, "--k", "4", "--vectorized")
-        assert code == 3
-        assert out == ""
-        assert err == f"error: --vectorized applies to direct methods c/d/e, not {method!r}\n"
+        plain_code, plain_out, _ = run_cli(capsys, "sample", "--method", method, "--k", "4")
+        assert code == plain_code == 0
+        assert out == plain_out
+        assert err.count("\n") == 1 and err.startswith(f"method {method}: k=4 vectorized ")
 
     def test_annulus_default_inner_radius(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sample", "--method", "e", "--k", "5", "--out", str(tmp_path / "e.csv"))

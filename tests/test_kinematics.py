@@ -33,7 +33,7 @@ from clarkekin import (
     sample_direct_batched,
     transform,
 )
-from clarkekin.kinematics import _check_rotations
+from clarkekin.kinematics import POSITION_Z_FLOOR, _check_rotations
 
 
 def make_geom(n=5, d=0.01, l=0.1):
@@ -370,6 +370,87 @@ class TestIk:
         geom = make_geom()
         with pytest.raises(ValueError, match="p_z"):
             ik(geom, np.array([0.01, 0.0, -0.05]))
+
+
+@st.composite
+def reach_cases(draw):
+    """A geometry, a bend angle phi and a bending-plane angle theta: phi
+    from exactly straight through near the half circle to past it."""
+    n = draw(st.integers(3, 64))
+    d = 10.0 ** draw(st.floats(-4.0, 0.0))
+    l = 10.0 ** draw(st.floats(-3.0, 1.0))
+    phi = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 1e-6),
+            st.floats(1e-6, np.pi),
+            st.floats(1.0, 7.0).map(lambda e: np.pi * (1.0 - 10.0**-e)),
+            st.floats(np.pi, 1.5 * np.pi),
+        )
+    )
+    return make_geom(n=n, d=d, l=l), phi, draw(st.floats(-np.pi, np.pi))
+
+
+def arc_end_oracle(l, phi, theta):
+    """Tip of an arc of length l bent by phi in the plane theta, in chord form:
+    the chord l*sinc(phi/(2*pi)) at phi/2 from the z-axis. Unlike 1 - cos(phi),
+    no term cancels near the straight pose."""
+    chord = l * np.sinc(phi / (2.0 * np.pi))
+    return chord * np.array([np.sin(phi / 2) * np.cos(theta), np.sin(phi / 2) * np.sin(theta), np.cos(phi / 2)])
+
+
+def fk_oracle(geom, rho):
+    ca = f_dep_curvature_angle(geom, rho)
+    return arc_end_oracle(geom.l, ca.kappa * geom.l, ca.theta)
+
+
+class TestReach:
+    """IK accepts exactly the positions a bend below pi reaches, and their
+    displacements reach them again."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reach_cases())
+    def test_reached_targets_round_trip_and_scaled_ones_are_refused(self, case):
+        geom, phi, theta = case
+        exact = arc_end_oracle(geom.l, phi, theta)
+        # fk_direct's tip of the same bend, as `fk --in` writes it.
+        computed = fk_direct(geom, f_dep_inverse(geom, CurvatureAngle(phi / geom.l, theta))).position
+        for p in (exact, computed):
+            if p[2] <= POSITION_Z_FLOOR:
+                # The half circle and past it.
+                with pytest.raises(ValueError, match="p_z"):
+                    ik(geom, p)
+                continue
+            for rho in (
+                ik(geom, p),
+                ik_position(geom, np.stack([p, p]))[:, 1],
+                f_dep_inverse(geom, f_ind_inverse(geom, p)),
+            ):
+                assert np.max(np.abs(fk_oracle(geom, rho) - p)) <= 1e-9
+        if exact[2] <= POSITION_Z_FLOOR:
+            return
+        for q in (exact * (1.0 + 1e-6), exact * (1.0 - 1e-6)):
+            for refused in (
+                lambda: ik(geom, q),
+                lambda: ik_position(geom, np.stack([exact, q])),
+                lambda: f_ind_inverse(geom, q),
+            ):
+                with pytest.raises(ValueError, match="reachable surface|p_z"):
+                    refused()
+
+    def test_mirror_sheet_past_the_half_circle_is_refused(self):
+        # |p| equals the chord (2l/phi)*sin(phi/2) here too, but for the
+        # bend phi = 3*pi/2, whose tip lies below the base at -p_z.
+        geom = make_geom(l=0.1)
+        alpha = np.pi / 4
+        p = geom.l * np.sin(alpha) / (np.pi - alpha) * np.array([np.sin(alpha), 0.0, np.cos(alpha)])
+        with pytest.raises(ValueError, match="reachable surface"):
+            ik(geom, p)
+
+    def test_far_target_refused_without_a_warning(self):
+        geom = make_geom()
+        with pytest.raises(ValueError, match="reachable surface"):
+            ik_position(geom, np.array([[0.0, 0.0, geom.l], [1e200, 0.0, 1e200]]))
 
 
 class TestRecoverPose:

@@ -1,6 +1,7 @@
 """Rejection and direct manifold samplers, determinism, benchmark output."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from clarkekin import (
 )
 from clarkekin.clarke import TWO_PI
 from clarkekin.sampling import (
+    ALL_METHODS,
     DEFAULT_ITERATION_CAP,
     DIRECT_METHODS,
     _direct_columns,
@@ -200,6 +202,22 @@ class TestBlockDrawsMatchPerDrawOracle:
             sample_rejection_independent(config3(eps=1e-12), 10, iteration_cap=10**6)
         assert sum(rows for rows, _ in shapes) == 10**6
         assert max(rows * width for rows, width in shapes) <= 2**18
+
+
+    @pytest.mark.parametrize("method", ["a", "b"])
+    def test_overflowing_candidates_run_to_the_cap_without_a_warning(self, method):
+        # Candidates near -1e308 overflow in method (a)'s sum and (b)'s
+        # resolved joint; an infinite value is rejected, silently.
+        sampler, _ = SAMPLER_AND_ORACLE[method]
+        cfg = config3(rho_min=-1e308, rho_max=RHO_MAX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=rf"^method \({method}\) exceeded 10000 attempts with only 0/1"):
+                sampler(cfg, 1, iteration_cap=10_000)
+
+    def test_unknown_radial_law(self):
+        with pytest.raises(ValueError, match="unknown radial law 'ring'"):
+            sample_direct(config3(), 1, "ring")
 
 
 class TestConfig:
@@ -578,6 +596,47 @@ class TestBenchmark:
         assert stats.method == "c"
         with pytest.raises(ValueError, match="unknown sampling method"):
             sample(config3(), 1, "z")
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_vectorized_gives_the_same_samples_and_counts(self, method):
+        cfg = config3(seed=19, rho_min=0.1 * RHO_MAX if method == "e" else -RHO_MAX, eps=1e-4)
+        batch, stats = sample(cfg, 30, method)
+        vbatch, vstats = sample(cfg, 30, method, vectorized=True)
+        assert vbatch.columns.tobytes() == batch.columns.tobytes()
+        assert vbatch.method == vstats.method == method
+        assert not vbatch.columns.flags.writeable
+        assert (vstats.iterations, vstats.resamples, vstats.success_rate) == (
+            stats.iterations,
+            stats.resamples,
+            stats.success_rate,
+        )
+
+    @pytest.mark.parametrize("method", ["c", "d", "e"])
+    def test_vectorized_direct_runs_the_batched_kernel(self, monkeypatch, method):
+        def refuse(*args):
+            raise AssertionError("sample_direct was called")
+
+        monkeypatch.setattr("clarkekin.sampling.sample_direct", refuse)
+        batch, stats = sample(config3(seed=20, rho_min=0.1 * RHO_MAX), 5, method, vectorized=True)
+        assert batch.columns.shape == (3, 5)
+        assert (stats.iterations, stats.resamples, stats.success_rate) == (5, 0, 1.0)
+
+    def test_benchmark_vectorized_pools_the_same_samples(self):
+        cfg = config3(seed=21, eps=1e-4)
+        plain = benchmark(cfg, 20, runs=2, annulus_rho_min=0.1 * RHO_MAX)
+        batched = benchmark(cfg, 20, runs=2, vectorized=True, annulus_rho_min=0.1 * RHO_MAX)
+        for r, v in zip(plain, batched, strict=True):
+            assert r.method == v.method
+            assert np.array_equal(r.histograms, v.histograms)
+            assert [s.iterations for s in r.runs] == [s.iterations for s in v.runs]
+
+    def test_benchmark_checks_every_letter_before_sampling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a sampler ran before the method letters were checked")
+
+        monkeypatch.setattr("clarkekin.sampling.sample_direct", refuse)
+        with pytest.raises(ValueError, match=r"^unknown method 'q'; choose from a,b,c,d,e$"):
+            benchmark(config3(), 10, methods=("c", "q"))
 
 
 class TestCsv:
