@@ -16,11 +16,12 @@ an epsilon-regularization keeps every expression defined at rho = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car, car_to_ccr
+from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car, arc_from_clarke, clarke_from_arc
 from .clarke import all_finite, as_displacement, build_transform, check_finite, manifold_residual
 
 # Targets with p_z at or below this height (meters) are rejected: the tip of
@@ -169,13 +170,12 @@ def _joints(geom: SegmentGeometry, bend: np.ndarray) -> np.ndarray:
 
 
 def f_dep_inverse(geom: SegmentGeometry, arc) -> np.ndarray:
-    """Displacements realizing an arc: rho = d*l*inverse @ [kappa_x, kappa_y].
+    """Displacements realizing an arc: rho = inverse @ clarke_from_arc(arc).
 
     Accepts either arc representation; the result lies on the displacement
     manifold and is linear in the curvature components.
     """
-    cc = arc if isinstance(arc, CurvatureCurvature) else car_to_ccr(_as_car(arc))
-    return _joints(geom, geom.l * np.array([cc.kappa_x, cc.kappa_y]))
+    return build_transform(geom.layout).inverse @ clarke_from_arc(geom, arc)
 
 
 def f_dep(geom: SegmentGeometry, rho) -> CurvatureCurvature:
@@ -193,10 +193,10 @@ def f_dep(geom: SegmentGeometry, rho) -> CurvatureCurvature:
 def f_dep_curvature_angle(geom: SegmentGeometry, rho) -> CurvatureAngle:
     """Curvature and bending-plane angle of an on-manifold displacement vector.
 
-    kappa = sqrt(2*n)/(d*l*n) * |rho| and theta = atan2 of the Clarke
-    coordinates; theta = 0 when rho = 0. Rejects vectors whose projector
-    residual exceeds MANIFOLD_TOL, because the norm-based curvature formula
-    is only valid on the manifold.
+    The arc of its Clarke coordinates (arc_from_clarke); rho = 0 gives the
+    straight segment (0, 0). Rejects vectors whose projector residual
+    exceeds MANIFOLD_TOL instead of reading a bend into a vector that is
+    not one; f_dep projects such a vector silently.
     """
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n)
@@ -206,12 +206,22 @@ def f_dep_curvature_angle(geom: SegmentGeometry, rho) -> CurvatureAngle:
             f"displacement vector is off the manifold: projector residual "
             f"{residual:.3e} exceeds {MANIFOLD_TOL:.1e}"
         )
-    n = t.n
-    d = geom.layout.d
-    kappa = math.sqrt(2.0 * n) / (d * geom.l * n) * float(np.linalg.norm(rho))
-    xi = t.forward @ rho
-    theta = math.atan2(xi[1], xi[0])
-    return CurvatureAngle(kappa=kappa, theta=theta)
+    return arc_from_clarke(geom, t.forward @ rho)
+
+
+def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> Pose:
+    """Tip pose of an arc of radius inv_kappa bent by phi in the plane at (cos, sin) = (ct, st).
+
+    Python floats with elementwise = math give one Pose, (k,) arrays with
+    numpy a stack. The bow 2*sin(phi/2)^2 is 1 - cos(phi) without its
+    cancellation near the straight pose, so the tip keeps full precision.
+    """
+    cp = elementwise.cos(phi)
+    sp = elementwise.sin(phi)
+    bow = 2.0 * elementwise.sin(phi / 2.0) ** 2 * inv_kappa
+    # Transposed, so a batch index moves to the front: (k, 3) positions.
+    position = np.array([ct * bow, st * bow, sp * inv_kappa]).T
+    return Pose(rotation=_rotation(ct, st, cp, sp), position=position)
 
 
 def f_ind(geom: SegmentGeometry, arc) -> Pose:
@@ -219,18 +229,14 @@ def f_ind(geom: SegmentGeometry, arc) -> Pose:
 
     For kappa > 0 the tip sits on a circular arc of radius 1/kappa in the
     bending plane; kappa = 0 yields the straight pose (identity rotation,
-    position (0, 0, l)).
+    position (0, 0, l)). A kappa below the smallest normal float, whose
+    radius would overflow, is raised to it: the rotation moves by < 3e-308*l.
     """
     ca = _as_car(arc)
-    l = geom.l
     if ca.kappa == 0.0:
-        return Pose(rotation=np.eye(3), position=np.array([0.0, 0.0, l]))
-    phi = ca.kappa * l
-    ct, st = math.cos(ca.theta), math.sin(ca.theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    bow = (1.0 - cp) / ca.kappa
-    position = np.array([ct * bow, st * bow, sp / ca.kappa])
-    return Pose(rotation=_rotation(ct, st, cp, sp), position=position)
+        return Pose(rotation=np.eye(3), position=np.array([0.0, 0.0, geom.l]))
+    phi = max(ca.kappa, sys.float_info.min) * geom.l
+    return _arc_pose(math.cos(ca.theta), math.sin(ca.theta), phi, geom.l / phi, math)
 
 
 def fk_direct(geom: SegmentGeometry, rho, reg: RegularizationConfig | None = None) -> Pose:
@@ -255,22 +261,12 @@ def fk_direct(geom: SegmentGeometry, rho, reg: RegularizationConfig | None = Non
     rho = as_displacement(rho, t.n, batch=True)
     elementwise = _ELEMENTWISE[rho.ndim]
     d = geom.layout.d
-    l = geom.l
 
     xi_re, w_im = _CLARKE_PAIR[rho.ndim](t.forward @ rho)
     delta = math.sqrt(2.0 / t.n) * eps
     w_re = xi_re + delta
     amp = elementwise.hypot(w_re, w_im) + delta * delta
-    ct = w_re / amp
-    st = w_im / amp
-    phi = amp / d
-    cp = elementwise.cos(phi)
-    sp = elementwise.sin(phi)
-    inv_kappa = d * l / amp
-    bow = (1.0 - cp) * inv_kappa
-    # Transposed, so a batch index moves to the front: (k, 3) positions.
-    position = np.array([ct * bow, st * bow, sp * inv_kappa]).T
-    return Pose(rotation=_rotation(ct, st, cp, sp), position=position)
+    return _arc_pose(w_re / amp, w_im / amp, amp / d, d * geom.l / amp, elementwise)
 
 
 def _check_position_target(p: np.ndarray) -> None:
@@ -287,13 +283,16 @@ def _check_position_target(p: np.ndarray) -> None:
         )
 
 
-def _check_reach(geom: SegmentGeometry, p: np.ndarray) -> None:
-    # p: one position (3,) or a stack (k, 3), past _check_position_target.
-    # IK bends the segment toward p by phi = 2l*r/|p|^2 (r = hypot(x, y));
-    # that arc ends at the chord l*sinc(phi/(2*pi)), at phi/2 from the
-    # z-axis, and must end at p (|p| = chord alone also holds on a mirror
-    # sheet with phi > pi). No square overflows; an overflowed phi gives a
-    # NaN gap, which is refused.
+def _position_bend(geom: SegmentGeometry, positions) -> np.ndarray:
+    """The bending vector (2l/|p|^2)*(p_x, p_y) of a position (3,) or stack (k, 3): (2,) or (2, k).
+
+    Checks the region, then ik_position's reach rule (|p| = chord alone
+    also holds on a mirror sheet with phi > pi) without squaring p first,
+    so nothing overflows; an overflowed phi gives a NaN gap, refused."""
+    p = np.asarray(positions, dtype=float)
+    if p.shape[-1:] != (3,) or p.ndim > 2:
+        raise ValueError(f"positions must have shape (3,) or (k, 3), got {p.shape}")
+    _check_position_target(p)
     x, y, z = p.T
     r = np.hypot(x, y)
     norm = np.hypot(r, z)
@@ -308,17 +307,17 @@ def _check_reach(geom: SegmentGeometry, p: np.ndarray) -> None:
             f"target position is off the reachable surface: the arc of length l={geom.l:.6g} m "
             f"bent toward it ends {np.ravel(gap)[i]:.3e} m away (|p|={np.ravel(norm)[i]:.6g} m)"
         )
+    return (2.0 * geom.l / (x * x + y * y + z * z)) * np.array([x, y])
 
 
-def _bend(geom: SegmentGeometry, target, positions: bool = False) -> np.ndarray:
-    """The bending vector phi*(cos theta, sin theta) = l*(kappa_x, kappa_y) of IK targets.
+def _bend(geom: SegmentGeometry, target) -> np.ndarray:
+    """The bending vector phi*(cos theta, sin theta) = l*(kappa_x, kappa_y) of an IK target.
 
     The target is a Pose (one or a stack), a rotation (3, 3) or a position
-    (3,); with positions=True, a position (3,) or a stack (k, 3), never a
-    rotation. Gives (2,) for one target and (2, k) for a stack. In the tip
+    (3,). Gives (2,) for one target and (2, k) for a stack. In the tip
     frame R = Rz(theta) @ Ry(phi), R[1, 1] = cos(theta), R[0, 1] = -sin(theta).
     """
-    if isinstance(target, Pose) and not positions:
+    if isinstance(target, Pose):
         # A Pose checked its rotations when it was built; the region of its
         # positions is what remains. sin(phi) = -R[2, 0] and
         # p_z = l*sin(phi)/phi. Transposed, a stack's entries index as
@@ -326,7 +325,7 @@ def _bend(geom: SegmentGeometry, target, positions: bool = False) -> np.ndarray:
         _check_position_target(target.position)
         r = target.rotation.T
         return (-geom.l * r[0, 2] / target.position.T[2]) * np.array([r[1, 1], -r[1, 0]])
-    if np.shape(target) == (3, 3) and not positions:
+    if np.shape(target) == (3, 3):
         # phi comes from the rotation alone, so l never enters: the result
         # does not depend on the segment length, bit for bit.
         r = np.asarray(target, dtype=float)
@@ -334,17 +333,12 @@ def _bend(geom: SegmentGeometry, target, positions: bool = False) -> np.ndarray:
         phi = math.atan2(-r[2, 0], r[2, 2])
         return phi * np.array([r[1, 1], -r[0, 1]])
     p = np.asarray(target, dtype=float)
-    if not positions and p.shape != (3,):
+    if p.shape != (3,):
         raise TypeError(
             "target must be a position (3,), a rotation (3, 3), or a Pose "
             f"(a stack of positions goes to ik_position), got shape {p.shape}"
         )
-    if p.shape[-1:] != (3,) or p.ndim > 2:
-        raise ValueError(f"positions must have shape (3,) or (k, 3), got {p.shape}")
-    _check_position_target(p)
-    _check_reach(geom, p)
-    x, y, z = p.T
-    return (2.0 * geom.l / (x * x + y * y + z * z)) * np.array([x, y])
+    return _position_bend(geom, p)
 
 
 def f_ind_inverse(geom: SegmentGeometry, target) -> CurvatureCurvature:
@@ -377,7 +371,7 @@ def ik_position(geom: SegmentGeometry, positions) -> np.ndarray:
     from its base, at phi/2 from the z-axis; that end must be p within
     REACH_TOL*|p|. A stack is rejected if any row fails.
     """
-    return _joints(geom, _bend(geom, positions, positions=True))
+    return _joints(geom, _position_bend(geom, positions))
 
 
 def ik(geom: SegmentGeometry, target) -> np.ndarray:
@@ -397,26 +391,15 @@ def ik(geom: SegmentGeometry, target) -> np.ndarray:
 
 
 def recover_pose_from_position(geom: SegmentGeometry, p) -> Pose:
-    """Reconstruct the full tip pose from the tip position alone.
+    """Reconstruct the full tip pose from the tip position alone: f_ind of IK's bend.
 
-    The four trigonometric building blocks of the rotation follow in closed
-    form from p: with r = hypot(p_x, p_y) and s = |p|^2,
-
-        cos(theta) = p_x / r          sin(theta) = p_y / r
-        sin(kappa*l) = 2*p_z*r / s    cos(kappa*l) = (p_z^2 - r^2) / s.
-
-    Positions on the z-axis take the straight-segment convention R = I.
+    p must be one position (3,), never a (3, 3) array, which IK reads as a
+    rotation. It is refused exactly where ik refuses it (at or below
+    POSITION_Z_FLOOR, the origin, non-finite entries, off the reachable
+    surface). The returned position is the tip of the arc IK bends toward
+    p, within REACH_TOL*|p| of p; on the z-axis it is the straight pose.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"position must have shape (3,), got {p.shape}")
-    _check_position_target(p)
-    r = math.hypot(p[0], p[1])
-    if r == 0.0:
-        return Pose(rotation=np.eye(3), position=p)
-    s = float(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
-    ct = p[0] / r
-    st = p[1] / r
-    sp = 2.0 * p[2] * r / s
-    cp = (p[2] * p[2] - r * r) / s
-    return Pose(rotation=_rotation(ct, st, cp, sp), position=p)
+    return f_ind(geom, f_ind_inverse(geom, p))

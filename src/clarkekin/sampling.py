@@ -368,11 +368,12 @@ def benchmark(
 ) -> list[MethodBenchmark]:
     """Run each method `runs` times for k samples and aggregate the cost.
 
-    Every method letter is checked before any runs. Wall times are averaged
-    per method and normalized into `factor` against method (c) when
-    present, else against the fastest method. Histograms pool the samples
-    of all runs on _HIST_BINS fixed bins over [rho_min, rho_max]. Each run
-    is one sample() call, with vectorized passed on.
+    Every method letter is checked before any runs; the list must name at
+    least one method and none twice. Wall times are averaged per method
+    and normalized into `factor` against method (c) when present, else
+    against the fastest method. Histograms pool the samples of all runs
+    on _HIST_BINS fixed bins over [rho_min, rho_max]. Each run is one
+    sample() call, with vectorized passed on.
 
     annulus_rho_min, when given, overrides rho_min for method (e) only, so
     the annulus inner radius can stay positive while the other methods use
@@ -381,6 +382,8 @@ def benchmark(
     for method in methods:
         if method not in ALL_METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {','.join(ALL_METHODS)}")
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"benchmark needs each method once, got {','.join(methods) or 'none'}")
     if k < 1 or runs < 1:
         raise ValueError(f"benchmark needs k >= 1 and runs >= 1, got k={k}, runs={runs}")
     edges = np.linspace(cfg.rho_min, cfg.rho_max, _HIST_BINS + 1)

@@ -432,6 +432,9 @@ def test_large_joint_counts_run(capsys, argv):
         (["sample", "--method", "a", "--rho-min", "0.0001", "--k", "1"], "method (a) can never accept"),
         (["sample", "--method", "b", "--rho-min", "0.0001", "--k", "1"], "method (b) can never accept"),
         (["bench", "--methods", "b", "--rho-min", "0.0001"], "method (b) can never accept"),
+        (["bench", "--methods", ""], "each method once, got none"),
+        (["bench", "--methods", ","], "each method once, got none"),
+        (["bench", "--methods", "c,c"], "each method once, got c,c"),
     ],
 )
 def test_bad_counts_are_one_line_domain_errors(capsys, argv, reason):

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import tokenize
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from clarkekin import (
     sample_direct_batched,
     transform,
 )
-from clarkekin.kinematics import POSITION_Z_FLOOR, _check_rotations
+from clarkekin.kinematics import POSITION_Z_FLOOR, _arc_pose, _check_rotations, _rotation
 
 
 def make_geom(n=5, d=0.01, l=0.1):
@@ -169,6 +170,15 @@ class TestFInd:
         expect = 2 * geom.l / np.pi
         assert np.max(np.abs(pose.position - [expect, 0.0, expect])) < 1e-12
 
+    def test_curvature_below_the_smallest_normal_float(self):
+        # Its radius overflows and kappa*l loses bits, yet the tip is the
+        # arc's: (0, 0, l) to rounding, in the plane theta.
+        geom = make_geom(l=0.1)
+        for kappa in (5e-324, 1e-310, 2e-308):
+            pose = f_ind(geom, CurvatureAngle(kappa, 1.0))
+            assert np.max(np.abs(pose.position - [0.0, 0.0, geom.l])) <= 1e-15 * geom.l
+            assert np.max(np.abs(pose.rotation - rotation_from_angles(1.0, 0.0, 0.0))) <= 1e-300
+
     def test_rotation_structure(self):
         geom = make_geom()
         rng = np.random.default_rng(4)
@@ -203,6 +213,11 @@ class TestFkDirect:
 
     def test_no_branch_in_implementation(self):
         assert not _function_has_branch_tokens(fk_direct)
+
+    def test_no_branch_in_the_shared_tail(self):
+        # fk_direct hands its bend to these two; they must not branch either.
+        for func in (_arc_pose, _rotation):
+            assert not _function_has_branch_tokens(func)
 
     def test_agrees_with_composed_path(self):
         for n in (3, 4, 5, 8):
@@ -404,6 +419,25 @@ def fk_oracle(geom, rho):
     return arc_end_oracle(geom.l, ca.kappa * geom.l, ca.theta)
 
 
+class TestNearStraightTip:
+    """Near the straight pose the tip keeps full precision; a bow of
+    1 - cos(phi) would lose up to 4.9e-10 m at l = 0.1 and 4.9e-8 m at l = 10."""
+
+    @pytest.mark.parametrize("l", [0.1, 10.0])
+    def test_tip_within_1e_15_l_of_the_arc_end(self, l):
+        geom = make_geom(n=3, d=0.01, l=l)
+        # An epsilon this small moves no bit of these bends.
+        reg = RegularizationConfig(epsilon=1e-300)
+        arcs = [CurvatureAngle(phi / l, theta) for phi in np.geomspace(1e-10, 1e-2, 81) for theta in (0.3, -2.0)]
+        cols = np.stack([f_dep_inverse(geom, ca) for ca in arcs], axis=1)
+        batch = fk_direct(geom, cols, reg).position
+        for i, ca in enumerate(arcs):
+            exact = arc_end_oracle(l, ca.kappa * l, ca.theta)
+            assert np.max(np.abs(f_ind(geom, ca).position - exact)) <= 1e-15 * l
+            for tip in (fk_direct(geom, cols[:, i], reg).position, batch[i]):
+                assert np.max(np.abs(tip - fk_oracle(geom, cols[:, i]))) <= 1e-15 * l
+
+
 class TestReach:
     """IK accepts exactly the positions a bend below pi reaches, and their
     displacements reach them again."""
@@ -453,7 +487,41 @@ class TestReach:
             ik_position(geom, np.array([[0.0, 0.0, geom.l], [1e200, 0.0, 1e200]]))
 
 
+def recovered_rotation_oracle(p):
+    """The tip rotation of an off-axis position in closed form: with
+    r = hypot(p_x, p_y) and s = |p|^2, cos(theta) = p_x/r, sin(theta) = p_y/r,
+    sin(phi) = 2*p_z*r/s and cos(phi) = (p_z^2 - r^2)/s."""
+    r = math.hypot(p[0], p[1])
+    s = float(p @ p)
+    ct, st = p[0] / r, p[1] / r
+    sp, cp = 2.0 * p[2] * r / s, (p[2] * p[2] - r * r) / s
+    return np.array([[ct * cp, -st, ct * sp], [st * cp, ct, st * sp], [-sp, 0.0, cp]])
+
+
 class TestRecoverPose:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(3, 64),
+        st.floats(-4.0, 0.0),
+        st.floats(-3.0, 1.0),
+        # From 1e-300 rad up, p_x and p_y are normal floats and fix theta.
+        st.floats(1e-300, 0.99 * np.pi),
+        st.floats(-np.pi, np.pi),
+    )
+    def test_matches_the_closed_form_oracle(self, n, log_d, log_l, phi, theta):
+        geom = make_geom(n=n, d=10.0**log_d, l=10.0**log_l)
+        p = arc_end_oracle(geom.l, phi, theta)
+        pose = recover_pose_from_position(geom, p)
+        assert np.max(np.abs(pose.rotation - recovered_rotation_oracle(p))) <= 1e-12
+        assert np.max(np.abs(pose.position - p)) <= 1e-12 * np.linalg.norm(p)
+
+    @pytest.mark.parametrize("p", [[0.5, 0.0, 0.5], [1e200, 0.0, 1e200], [0.0, 0.0, 0.05]])
+    def test_unreachable_refused_without_a_warning(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="reachable surface"):
+                recover_pose_from_position(make_geom(l=0.1), p)
+
     def test_on_axis_straight_convention(self):
         geom = make_geom()
         pose = recover_pose_from_position(geom, np.array([0.0, 0.0, geom.l]))
@@ -517,7 +585,7 @@ def scalar_fk_oracle(geom, rho, eps=1e-12):
     cp = math.cos(phi)
     sp = math.sin(phi)
     inv_kappa = d * l / amp
-    bow = (1.0 - cp) * inv_kappa
+    bow = 2.0 * math.sin(phi / 2.0) ** 2 * inv_kappa
     position = np.array([ct * bow, st * bow, sp * inv_kappa])
     rotation = np.array(
         [

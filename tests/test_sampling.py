@@ -577,6 +577,11 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="runs >= 1"):
             benchmark(config3(), 10, runs=0)
 
+    @pytest.mark.parametrize("methods", [(), ("c", "c"), ("b", "c", "b")])
+    def test_empty_or_repeated_methods_rejected(self, methods):
+        with pytest.raises(ValueError, match="^benchmark needs each method once, got "):
+            benchmark(config3(), 10, methods=methods)
+
     @pytest.mark.parametrize(
         "draw",
         [
