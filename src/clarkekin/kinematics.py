@@ -9,8 +9,9 @@ The tip frame convention is R = Rz(theta) @ Ry(kappa*l): the frame is
 rotated into the bending plane, so R is the identity only under the
 straight-segment convention theta(kappa=0) = 0.
 
-fk_direct composes both mappings without ever branching on the curvature;
-an epsilon-regularization keeps every expression defined at rho = 0.
+fk_direct composes both mappings without ever branching on the curvature:
+it evaluates the exact arc of the Clarke pair for any bend below a full
+circle. IK's domain is smaller: p_z > 0, a bend below pi.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car, arc_from_clarke, clarke_from_arc
-from .clarke import all_finite, as_displacement, build_transform, check_finite, manifold_residual
+from .clarke import all_finite, as_displacement, build_transform, manifold_residual
 
 # Targets with p_z at or below this height (meters) are rejected: the tip of
 # a forward-bending constant-curvature segment never reaches the p_z <= 0
@@ -37,27 +39,33 @@ REACH_TOL = 1e-9
 # to interpret a displacement vector as a constant-curvature bend.
 MANIFOLD_TOL = 1e-9
 
+# Rounding error (rad) that the forward transform may put on the bend
+# before FK refuses a displacement vector: past it, a common mode, which
+# bends nothing, would read as a bend.
+BEND_ROUNDING_TOL = 1e-9
+
 _I3 = np.eye(3)
 _I3.setflags(write=False)
 
 # Elementwise functions by the number of dimensions of rho in fk_direct:
-# `math` for one column keeps it bit-identical to the scalar formula and
-# as fast, numpy evaluates a batch of columns in one pass.
-_ELEMENTWISE = {1: math, 2: np}
+# `math` for one column keeps it as fast as the scalar formula, numpy
+# evaluates a batch of columns in one pass (numpy < 2 has no atan2).
+_ELEMENTWISE = {
+    1: SimpleNamespace(hypot=math.hypot, atan2=math.atan2, maximum=max, cos=math.cos, sin=math.sin),
+    2: SimpleNamespace(hypot=np.hypot, atan2=np.arctan2, maximum=np.maximum, cos=np.cos, sin=np.sin),
+}
 
 # The Clarke pair of rho in fk_direct, split by the same lookup: two
 # Python floats for one column, two (k,) rows for a batch.
 _CLARKE_PAIR = {1: np.ndarray.tolist, 2: tuple}
 
-
-@dataclass(frozen=True)
-class RegularizationConfig:
-    """Additive epsilon (meters) applied to the displacement norm in fk_direct."""
-
-    epsilon: float = 1e-12
-
-    def __post_init__(self):
-        check_finite("epsilon", self.epsilon)
+# The largest |rho| entry and the largest Clarke amplitude, by the same
+# lookup: on Python floats for one column, where a numpy reduction would
+# cost more than all of _check_fk_domain, and in one numpy pass for a batch.
+_LARGEST = {
+    1: lambda rho, amplitude: (max(map(abs, rho.tolist())), amplitude),
+    2: lambda rho, amplitude: (float(np.abs(rho).max(initial=0.0)), float(amplitude.max(initial=0.0))),
+}
 
 
 def _check_rotations(r: np.ndarray, what: str) -> None:
@@ -146,9 +154,6 @@ class Pose:
         object.__setattr__(self, "position", position)
 
 
-_DEFAULT_REG = RegularizationConfig()
-
-
 def _rotation(ct, st, cp, sp) -> np.ndarray:
     """Rz(theta) @ Ry(phi) from cos/sin of theta and phi: (3, 3), or (k, 3, 3) from (k,) arrays."""
     zero = 0.0 * abs(ct)  # +0.0 shaped like ct; 0.0 * ct is -0.0 for ct < 0
@@ -190,13 +195,37 @@ def f_dep(geom: SegmentGeometry, rho) -> CurvatureCurvature:
     return CurvatureCurvature(kappa_x=float(kxy[0]), kappa_y=float(kxy[1]))
 
 
+def _check_fk_domain(geom: SegmentGeometry, rho: np.ndarray, amplitude) -> None:
+    """Refuse rho (n,) with Clarke amplitude |xi| a float, or (n, k) with (k,) amplitudes, outside FK's domain.
+
+    The transform sums n products of entries at most 2/n, so its rounding
+    moves the bend |xi|/d by up to about 2n*2^-53*max|rho|/d; that must
+    stay below BEND_ROUNDING_TOL. And the bend must stay below a full
+    circle, past which the arc closes on itself.
+    """
+    largest, amplitude = _LARGEST[rho.ndim](rho, amplitude)
+    d = geom.layout.d
+    rounding = 2.0 * rho.shape[0] * 2.0**-53 * largest / d
+    if not rounding < BEND_ROUNDING_TOL:
+        raise ValueError(
+            f"displacements up to {largest:.3e} m are too large for d={d:.6g} m: the transform's "
+            f"rounding moves the bend by up to {rounding:.3e} rad, past {BEND_ROUNDING_TOL:.0e}"
+        )
+    if not amplitude < 2.0 * math.pi * d:
+        raise ValueError(
+            f"displacements bend the segment by {amplitude / d / math.pi:.6g}*pi rad, a full circle "
+            f"or more: FK's domain is |xi| < 2*pi*d"
+        )
+
+
 def f_dep_curvature_angle(geom: SegmentGeometry, rho) -> CurvatureAngle:
     """Curvature and bending-plane angle of an on-manifold displacement vector.
 
     The arc of its Clarke coordinates (arc_from_clarke); rho = 0 gives the
     straight segment (0, 0). Rejects vectors whose projector residual
     exceeds MANIFOLD_TOL instead of reading a bend into a vector that is
-    not one; f_dep projects such a vector silently.
+    not one; f_dep projects such a vector silently. Rejects vectors outside
+    FK's domain as fk_direct does.
     """
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n)
@@ -206,7 +235,9 @@ def f_dep_curvature_angle(geom: SegmentGeometry, rho) -> CurvatureAngle:
             f"displacement vector is off the manifold: projector residual "
             f"{residual:.3e} exceeds {MANIFOLD_TOL:.1e}"
         )
-    return arc_from_clarke(geom, t.forward @ rho)
+    xi = t.forward @ rho
+    _check_fk_domain(geom, rho, math.hypot(*xi.tolist()))
+    return arc_from_clarke(geom, xi)
 
 
 def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> Pose:
@@ -239,7 +270,7 @@ def f_ind(geom: SegmentGeometry, arc) -> Pose:
     return _arc_pose(math.cos(ca.theta), math.sin(ca.theta), phi, geom.l / phi, math)
 
 
-def fk_direct(geom: SegmentGeometry, rho, reg: RegularizationConfig | None = None) -> Pose:
+def fk_direct(geom: SegmentGeometry, rho) -> Pose:
     """Forward kinematics straight from displacements, with no branch on kappa.
 
     rho is one displacement column (n,), giving one Pose, or a batch of k
@@ -247,26 +278,28 @@ def fk_direct(geom: SegmentGeometry, rho, reg: RegularizationConfig | None = Non
     (k, 3) positions. One formula serves both. A single column evaluates
     its elementwise functions with `math` and a batch with numpy, so a row
     of a batch agrees with the single-column call within 1e-14 absolute
-    (numpy's cos, sin and hypot and a matrix-matrix product differ from
-    their scalar counterparts in the last bits), not bit for bit.
+    (numpy's cos, sin, hypot and arctan2 and a matrix-matrix product differ
+    from their scalar counterparts in the last bits), not bit for bit. A
+    common mode c in rho widens that by the transform's rounding of c.
 
-    Every quantity is derived from the regularized Clarke amplitude
-    A = |xi + (delta, 0)| + delta^2 with delta the Clarke-space image of the
-    configured epsilon. The nudge along +x pins the straight configuration
-    to theta = 0, so rho = 0 evaluates to the straight pose without any
-    conditional; the introduced error is linear in epsilon.
+    It computes what f_ind(arc_from_clarke(xi)) computes for the Clarke
+    pair xi = forward @ rho: the arc bent by phi = |xi|/d in the plane
+    theta = atan2(xi_im + 0.0, xi_re + 0.0), where + 0.0 turns -0.0 into
+    +0.0 so that rho = 0 is the straight pose. phi is raised to l times the
+    smallest normal float, as f_ind raises kappa, so l/phi stays finite
+    (where |xi|/(d*l) underflows to 0, f_ind's straight branch takes
+    theta = 0, and this keeps the plane of xi).
+    rho outside FK's domain (see _check_fk_domain) is refused.
     """
-    eps = (reg or _DEFAULT_REG).epsilon
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n, batch=True)
     elementwise = _ELEMENTWISE[rho.ndim]
-    d = geom.layout.d
-
-    xi_re, w_im = _CLARKE_PAIR[rho.ndim](t.forward @ rho)
-    delta = math.sqrt(2.0 / t.n) * eps
-    w_re = xi_re + delta
-    amp = elementwise.hypot(w_re, w_im) + delta * delta
-    return _arc_pose(w_re / amp, w_im / amp, amp / d, d * geom.l / amp, elementwise)
+    xi_re, xi_im = _CLARKE_PAIR[rho.ndim](t.forward @ rho)
+    amplitude = elementwise.hypot(xi_re, xi_im)
+    _check_fk_domain(geom, rho, amplitude)
+    theta = elementwise.atan2(xi_im + 0.0, xi_re + 0.0)
+    phi = elementwise.maximum(amplitude / geom.layout.d, sys.float_info.min * geom.l)
+    return _arc_pose(elementwise.cos(theta), elementwise.sin(theta), phi, geom.l / phi, elementwise)
 
 
 def _check_position_target(p: np.ndarray) -> None:
@@ -283,30 +316,38 @@ def _check_position_target(p: np.ndarray) -> None:
         )
 
 
+def _check_arc_end(geom: SegmentGeometry, half, radial, off, z, norm, what: str) -> None:
+    """Refuse unless each target lies within REACH_TOL*|p| of the end of the
+    arc of length l bent by 2*half: the chord l*sinc(half/pi) at half from
+    the z-axis, in the bending plane. The target sits at radial along that
+    plane's direction and off across it, at height z and distance norm.
+
+    Floats or (k,) arrays. Called under np.errstate(over="ignore",
+    invalid="ignore"), since an overflowed entry gives a NaN gap, refused."""
+    chord = geom.l * np.sinc(half / np.pi)
+    gap = np.hypot(np.hypot(radial - chord * np.sin(half), off), z - chord * np.cos(half))
+    reached = gap / norm <= REACH_TOL
+    if not reached.all():
+        i = np.argmin(reached)
+        raise ValueError(f"target position is {what} ends {np.ravel(gap)[i]:.3e} m away (|p|={np.ravel(norm)[i]:.6g} m)")
+
+
 def _position_bend(geom: SegmentGeometry, positions) -> np.ndarray:
     """The bending vector (2l/|p|^2)*(p_x, p_y) of a position (3,) or stack (k, 3): (2,) or (2, k).
 
     Checks the region, then ik_position's reach rule (|p| = chord alone
     also holds on a mirror sheet with phi > pi) without squaring p first,
-    so nothing overflows; an overflowed phi gives a NaN gap, refused."""
+    so nothing overflows."""
     p = np.asarray(positions, dtype=float)
     if p.shape[-1:] != (3,) or p.ndim > 2:
         raise ValueError(f"positions must have shape (3,) or (k, 3), got {p.shape}")
     _check_position_target(p)
     x, y, z = p.T
-    r = np.hypot(x, y)
-    norm = np.hypot(r, z)
     with np.errstate(over="ignore", invalid="ignore"):
-        half = geom.l * (r / norm) / norm
-        chord = geom.l * np.sinc(half / np.pi)
-        gap = np.hypot(r - chord * np.sin(half), z - chord * np.cos(half))
-    reached = gap <= REACH_TOL * norm
-    if not reached.all():
-        i = np.argmin(reached)
-        raise ValueError(
-            f"target position is off the reachable surface: the arc of length l={geom.l:.6g} m "
-            f"bent toward it ends {np.ravel(gap)[i]:.3e} m away (|p|={np.ravel(norm)[i]:.6g} m)"
-        )
+        r = np.hypot(x, y)
+        norm = np.hypot(r, z)
+        what = f"off the reachable surface: the arc of length l={geom.l:.6g} m bent toward it"
+        _check_arc_end(geom, geom.l * (r / norm) / norm, r, 0.0, z, norm, what)
     return (2.0 * geom.l / (x * x + y * y + z * z)) * np.array([x, y])
 
 
@@ -318,13 +359,22 @@ def _bend(geom: SegmentGeometry, target) -> np.ndarray:
     frame R = Rz(theta) @ Ry(phi), R[1, 1] = cos(theta), R[0, 1] = -sin(theta).
     """
     if isinstance(target, Pose):
-        # A Pose checked its rotations when it was built; the region of its
-        # positions is what remains. sin(phi) = -R[2, 0] and
-        # p_z = l*sin(phi)/phi. Transposed, a stack's entries index as
+        # A Pose checked its rotations when it was built. What remains is
+        # the region of its positions, and that each is the tip of the arc
+        # its rotation describes: bent by phi = atan2(|R[:2, 2]|, R[2, 2])
+        # in [0, pi], whose tip has p_z = l*sin(phi)/phi with
+        # sin(phi) = -R[2, 0]. Transposed, a stack's entries index as
         # r[j, i] = R[..., i, j] with the batch axis last.
         _check_position_target(target.position)
         r = target.rotation.T
-        return (-geom.l * r[0, 2] / target.position.T[2]) * np.array([r[1, 1], -r[1, 0]])
+        x, y, z = target.position.T
+        ct, st = r[1, 1], -r[1, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = np.arctan2(np.hypot(r[2, 0], r[2, 1]), r[2, 2]) / 2.0
+            norm = np.hypot(np.hypot(x, y), z)
+            what = f"not the tip of the arc its rotation describes: that arc of length l={geom.l:.6g} m"
+            _check_arc_end(geom, half, x * ct + y * st, y * ct - x * st, z, norm, what)
+        return (-geom.l * r[0, 2] / z) * np.array([ct, st])
     if np.shape(target) == (3, 3):
         # phi comes from the rotation alone, so l never enters: the result
         # does not depend on the segment length, bit for bit.

@@ -80,11 +80,28 @@ class TestKinematics:
         payload = json.loads(out)
         assert np.max(np.abs(payload["rho"])) < 1e-12
 
-    @pytest.mark.parametrize("position", ["0.5,0,0.5", "1e200,0,1e200"])
+    @pytest.mark.parametrize("position", ["0.5,0,0.5", "1e200,0,1e200", "1.5e308,0,1.5e308"])
     def test_ik_off_the_reachable_surface(self, capsys, position):
         code, out, err = run_cli_strict(capsys, ["ik", "--position", position])
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: target position is off the reachable surface")
+
+    def test_ik_pose_off_the_arc_of_its_rotation(self, capsys):
+        # The identity's arc ends at (0, 0, l), not at (0, 0, l/2).
+        code, out, err = run_cli_strict(capsys, ["ik", "--l", "0.1", "--pose", "1,0,0,0,1,0,0,0,1,0,0,0.05"])
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "not the tip of the arc its rotation describes" in err
+
+    @pytest.mark.parametrize(
+        "rho, reason",
+        [("1e308,1e308,1e308", "rounding moves the bend"), ("0.1,-0.05,-0.05", "FK's domain")],
+    )
+    def test_fk_in_refuses_a_file_with_one_row_outside_the_domain(self, capsys, tmp_path, rho, reason):
+        src = tmp_path / "rho.csv"
+        src.write_text(f"rho_1,rho_2,rho_3\n0,0,0\n{rho}\n")
+        code, out, err = run_cli_strict(capsys, ["fk", "--n", "3", "--d", "0.01", "--in", str(src)])
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and reason in err
 
     def test_ik_in_refuses_a_stack_with_one_unreachable_row(self, capsys, tmp_path):
         # The first row is the straight tip, the second lies past it.

@@ -13,7 +13,6 @@ from clarkekin import (
     JointLayout,
     NoiseModel,
     PT1Plant,
-    RegularizationConfig,
     SamplerConfig,
     SegmentGeometry,
     TrajectorySpec,
@@ -42,7 +41,6 @@ FIELDS = {
     "TrajectorySpec.v_max": lambda v: TrajectorySpec(WAYPOINTS, v_max=v, a_max=1.0, d_max=1.0),
     "TrajectorySpec.a_max": lambda v: TrajectorySpec(WAYPOINTS, v_max=1.0, a_max=v, d_max=1.0),
     "TrajectorySpec.d_max": lambda v: TrajectorySpec(WAYPOINTS, v_max=1.0, a_max=1.0, d_max=v),
-    "RegularizationConfig.epsilon": lambda v: RegularizationConfig(epsilon=v),
     "CurvatureAngle.kappa": lambda v: CurvatureAngle(kappa=v, theta=0.0),
     "CurvatureAngle.theta": lambda v: CurvatureAngle(kappa=1.0, theta=v),
     "CurvatureCurvature.kappa_x": lambda v: CurvatureCurvature(kappa_x=v, kappa_y=0.0),

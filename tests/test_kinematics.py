@@ -1,8 +1,10 @@
 """Robot-dependent mappings, branchless FK, closed-form IK, pose recovery."""
 
+import contextlib
 import io
 import itertools
 import math
+import sys
 import tokenize
 import warnings
 
@@ -16,9 +18,9 @@ from clarkekin import (
     CurvatureCurvature,
     JointLayout,
     Pose,
-    RegularizationConfig,
     SamplerConfig,
     SegmentGeometry,
+    arc_from_clarke,
     build_transform,
     f_dep,
     f_dep_curvature_angle,
@@ -34,7 +36,8 @@ from clarkekin import (
     sample_direct_batched,
     transform,
 )
-from clarkekin.kinematics import POSITION_Z_FLOOR, _arc_pose, _check_rotations, _rotation
+from clarkekin.cli import main
+from clarkekin.kinematics import BEND_ROUNDING_TOL, POSITION_Z_FLOOR, _arc_pose, _check_rotations, _rotation
 
 
 def make_geom(n=5, d=0.01, l=0.1):
@@ -206,10 +209,12 @@ def _function_has_branch_tokens(func) -> bool:
 
 class TestFkDirect:
     def test_straight_regularized(self):
+        # rho = 0 is the straight arc, its curvature raised to the smallest
+        # normal float: the identity and (0, 0, l) to rounding.
         geom = make_geom()
-        pose = fk_direct(geom, np.zeros(5), RegularizationConfig(epsilon=1e-12))
-        assert np.max(np.abs(pose.position - [0.0, 0.0, geom.l])) < 1e-9
-        assert np.max(np.abs(pose.rotation - np.eye(3))) < 1e-9
+        pose = fk_direct(geom, np.zeros(5))
+        assert np.max(np.abs(pose.position - [0.0, 0.0, geom.l])) <= 1e-15 * geom.l
+        assert np.max(np.abs(pose.rotation - np.eye(3))) <= 1e-300
 
     def test_no_branch_in_implementation(self):
         assert not _function_has_branch_tokens(fk_direct)
@@ -220,16 +225,19 @@ class TestFkDirect:
             assert not _function_has_branch_tokens(func)
 
     def test_agrees_with_composed_path(self):
+        # Bends from 0.1*pi to 0.95*pi, then small ones (|rho| well below
+        # 1e-3), where an amplitude nudged away from zero tilts the plane.
         for n in (3, 4, 5, 8):
             geom = make_geom(n=n)
-            cols = manifold_samples(geom, 100, seed=n)
-            for i in range(cols.shape[1]):
-                rho = cols[:, i]
-                assert np.linalg.norm(rho) > 1e-3
-                direct = fk_direct(geom, rho)
-                composed = f_ind(geom, f_dep_curvature_angle(geom, rho))
-                assert np.max(np.abs(direct.position - composed.position)) < 1e-9
-                assert np.linalg.norm(direct.rotation - composed.rotation) < 1e-9
+            for lo, hi, large in ((0.1, 0.95, True), (1e-9, 1e-3, False)):
+                cols = manifold_samples(geom, 100, seed=n, lo=lo, hi=hi)
+                for i in range(cols.shape[1]):
+                    rho = cols[:, i]
+                    assert (np.linalg.norm(rho) > 1e-3) == large
+                    direct = fk_direct(geom, rho)
+                    composed = f_ind(geom, f_dep_curvature_angle(geom, rho))
+                    assert np.max(np.abs(direct.position - composed.position)) < 1e-9
+                    assert np.linalg.norm(direct.rotation - composed.rotation) < 1e-9
 
     def test_half_circle_displacement(self):
         geom = make_geom()
@@ -248,15 +256,6 @@ class TestFkDirect:
             for sign in (+1.0, -1.0):
                 p = fk_direct(geom, sign * scale * direction).position
                 assert np.max(np.abs(p - p0)) < 10 * eps * geom.l
-
-    def test_larger_epsilon_still_linear_error(self):
-        geom = make_geom()
-        rho = manifold_samples(geom, 1, seed=9)[:, 0]
-        exact = f_ind(geom, f_dep_curvature_angle(geom, rho))
-        for eps in (1e-12, 1e-10, 1e-8):
-            pose = fk_direct(geom, rho, RegularizationConfig(epsilon=eps))
-            err = np.max(np.abs(pose.position - exact.position))
-            assert err < 100 * eps * max(1.0, geom.l / np.linalg.norm(rho))
 
 
 def test_taylor_series_oracle():
@@ -386,6 +385,27 @@ class TestIk:
         with pytest.raises(ValueError, match="p_z"):
             ik(geom, np.array([0.01, 0.0, -0.05]))
 
+    def test_pose_off_the_arc_of_its_rotation_is_refused(self):
+        # The identity describes the straight arc, whose tip is (0, 0, l):
+        # no displacements reach the identity at (0, 0, l/2).
+        geom = make_geom(l=0.1)
+        pose = Pose(rotation=np.eye(3), position=[0.0, 0.0, 0.05])
+        for refused in (lambda: ik(geom, pose), lambda: f_ind_inverse(geom, pose)):
+            with pytest.raises(ValueError, match="not the tip of the arc its rotation describes"):
+                refused()
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.0 - 1e-6, 1e300])
+    def test_stack_with_one_pose_off_its_arc_is_refused_without_a_warning(self, scale):
+        geom = make_geom()
+        poses = fk_direct(geom, manifold_samples(geom, 3, seed=8))
+        position = poses.position.copy()
+        position[1] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ik(geom, poses)  # as FK built them
+            with pytest.raises(ValueError, match="not the tip of the arc"):
+                ik(geom, Pose(rotation=poses.rotation, position=position))
+
 
 @st.composite
 def reach_cases(draw):
@@ -426,16 +446,205 @@ class TestNearStraightTip:
     @pytest.mark.parametrize("l", [0.1, 10.0])
     def test_tip_within_1e_15_l_of_the_arc_end(self, l):
         geom = make_geom(n=3, d=0.01, l=l)
-        # An epsilon this small moves no bit of these bends.
-        reg = RegularizationConfig(epsilon=1e-300)
         arcs = [CurvatureAngle(phi / l, theta) for phi in np.geomspace(1e-10, 1e-2, 81) for theta in (0.3, -2.0)]
         cols = np.stack([f_dep_inverse(geom, ca) for ca in arcs], axis=1)
-        batch = fk_direct(geom, cols, reg).position
+        batch = fk_direct(geom, cols).position
         for i, ca in enumerate(arcs):
             exact = arc_end_oracle(l, ca.kappa * l, ca.theta)
             assert np.max(np.abs(f_ind(geom, ca).position - exact)) <= 1e-15 * l
-            for tip in (fk_direct(geom, cols[:, i], reg).position, batch[i]):
+            for tip in (fk_direct(geom, cols[:, i]).position, batch[i]):
                 assert np.max(np.abs(tip - fk_oracle(geom, cols[:, i]))) <= 1e-15 * l
+
+
+def exact_arc_oracle(geom, xi):
+    """What fk_direct computes for a Clarke pair xi (2,): f_ind of its arc."""
+    return f_ind(geom, arc_from_clarke(geom, xi))
+
+
+def in_fk_domain(geom, rho, xi):
+    """FK's domain from its definition: the bend |xi|/d below a full circle,
+    and the transform's rounding bound 2n*2^-53*max|rho|/d on that bend
+    below BEND_ROUNDING_TOL."""
+    n, d = geom.layout.n, geom.layout.d
+    return math.hypot(*xi) < 2.0 * math.pi * d and 2.0 * n * 2.0**-53 * np.max(np.abs(rho)) / d < BEND_ROUNDING_TOL
+
+
+def assert_exact_arc(geom, pose, xi):
+    exact = exact_arc_oracle(geom, xi)
+    assert np.max(np.abs(pose.rotation - exact.rotation)) <= 1e-14
+    assert np.max(np.abs(pose.position - exact.position)) <= 1e-14 * geom.l
+
+
+def cli_fk(geom, rho):
+    """(exit code, stdout, stderr) of `fk --rho`; a warning raises."""
+    argv = ["fk", "--n", str(geom.layout.n), "--d", repr(geom.layout.d), "--l", repr(geom.l)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv + ["--rho=" + ",".join(map(repr, np.asarray(rho).tolist()))])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_refused(geom, rho, match):
+    with pytest.raises(ValueError, match=match):
+        fk_direct(geom, rho)
+    code, out, err = cli_fk(geom, rho)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and match in err
+
+
+@st.composite
+def fk_domain_cases(draw):
+    """A geometry and one displacement column: a bend phi in the plane theta
+    plus a common mode. phi is exactly 0, down to 1e-300, near pi, past pi
+    up to and beyond 2*pi; the common mode goes up to 1e308."""
+    n = draw(st.integers(3, 64))
+    geom = make_geom(n=n, d=10.0 ** draw(st.floats(-4.0, 0.0)), l=10.0 ** draw(st.floats(-3.0, 1.0)))
+    phi = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(-300.0, -1.0).map(lambda e: 10.0**e),
+            st.floats(0.0, 2.0 * np.pi),
+            st.floats(1.0, 15.0).map(lambda e: np.pi * (1.0 - 10.0**-e)),
+            st.floats(1.0, 15.0).map(lambda e: 2.0 * np.pi * (1.0 - 10.0**-e)),
+            st.floats(2.0 * np.pi, 4.0 * np.pi),
+        )
+    )
+    common = draw(st.just(0.0) | st.floats(-20.0, 308.0).map(lambda e: 10.0**e)) * draw(st.sampled_from([1.0, -1.0]))
+    psi = 2.0 * np.pi * np.arange(n) / n
+    return geom, geom.layout.d * phi * np.cos(psi - draw(st.floats(-np.pi, np.pi))) + common
+
+
+class TestExactArc:
+    """fk_direct is f_ind of the arc of the Clarke pair on FK's domain, and
+    refuses every displacement outside it in one line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(fk_domain_cases())
+    def test_matches_the_arc_oracle_or_refuses(self, case):
+        geom, rho = case
+        t = build_transform(geom.layout.n)
+        cols = np.stack([rho, np.zeros_like(rho), rho], axis=1)
+        # A batch has its own Clarke pairs: gemm rounds unlike gemv.
+        for x, xis in ((rho, (t.forward @ rho)[:, None]), (cols, t.forward @ cols)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if all(in_fk_domain(geom, rho, xi) for xi in xis.T):
+                    poses = fk_direct(geom, x)
+                    for rotation, position, xi in zip(poses.rotation.reshape(-1, 3, 3), poses.position.reshape(-1, 3), xis.T):
+                        assert_exact_arc(geom, Pose(rotation=rotation, position=position), xi)
+                    continue
+                with pytest.raises(ValueError, match="FK's domain|rounding moves the bend"):
+                    fk_direct(geom, x)
+        if not in_fk_domain(geom, rho, t.forward @ rho):
+            code, out, err = cli_fk(geom, rho)
+            assert code == 3 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_no_singular_point_where_the_nudged_amplitude_was_short(self):
+        # A nudge of xi by delta = sqrt(2/n)*1e-12 along +x, with delta^2
+        # added to the amplitude, refused this pair near (-delta, 0) as
+        # "not orthonormal".
+        geom = make_geom(n=5)
+        rho = np.array(
+            [
+                -6.324555320336758e-13,
+                -1.954395075848548e-13,
+                5.116672736016927e-13,
+                5.116672736016928e-13,
+                -1.9543950758485465e-13,
+            ]
+        )
+        t = build_transform(5)
+        assert_exact_arc(geom, fk_direct(geom, rho), t.forward @ rho)
+        code, _, err = cli_fk(geom, rho)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("d, l", [(1e-4, 1e-3), (1.0, 10.0)])
+    def test_zero_and_subnormal_pairs_keep_a_finite_radius(self, d, l):
+        # At n = 4 the forward matrix is 0.5*[[1, 0, -1, 0], [0, 1, 0, -1]],
+        # so these columns have the Clarke pairs 0, (5e-324, -5e-324),
+        # (-5e-324, 0) and (5e-311, -5e-311). A radius d*l/|xi| overflows
+        # there, and at d*l = 10 so does l/(|xi|/d) unless phi is floored.
+        # The tip is straight, in the plane of xi: Rz(theta). (f_ind of
+        # arc_from_clarke takes theta = 0 where |xi|/(d*l) underflows to 0.)
+        geom = make_geom(n=4, d=d, l=l)
+        t = build_transform(4)
+        cols = np.array([[-0.0, 1e-323, 0.0, 1e-310], [0.0, -1e-323, 0.0, 0.0], [0.0, 0.0, 1e-323, 0.0], [-0.0, 0.0, 0.0, 1e-310]])
+        poses = fk_direct(geom, cols)
+        for i in range(cols.shape[1]):
+            xi = t.forward @ cols[:, i]
+            assert i == 0 or 0.0 < math.hypot(*xi) < sys.float_info.min
+            straight = rotation_from_angles(math.atan2(xi[1] + 0.0, xi[0] + 0.0), 0.0, 0.0)
+            for pose in (fk_direct(geom, cols[:, i]), Pose(rotation=poses.rotation[i], position=poses.position[i])):
+                assert np.max(np.abs(pose.rotation - straight)) <= 1e-15
+                assert np.max(np.abs(pose.position - [0.0, 0.0, geom.l])) <= 1e-15 * geom.l
+
+    def test_bending_plane_is_not_tilted(self):
+        # The nudge tilted the rotation by about delta/|xi|: 1.05e-9 at a
+        # bend of 0.06 rad, 6.3e-9 at 0.01 and 6.3e-7 at 1e-4 (n = 5, d = 0.01).
+        geom = make_geom(n=5, d=0.01)
+        t = build_transform(5)
+        thetas = np.linspace(-np.pi, np.pi, 9)
+        for phi in (0.06, 0.01, 1e-4):
+            cols = displacement_columns(5, geom.layout.d, np.full(9, phi / np.pi), thetas)
+            for i in range(cols.shape[1]):
+                assert_exact_arc(geom, fk_direct(geom, cols[:, i]), t.forward @ cols[:, i])
+        # 1,000 columns as the kin-batch benchmark draws them: amplitudes up
+        # to 0.99*d*pi, 1% exactly straight, as one batch.
+        rng = np.random.default_rng(11)
+        amp = 0.99 * rng.random(1000)
+        amp[rng.choice(1000, 10, replace=False)] = 0.0
+        cols = displacement_columns(5, geom.layout.d, amp, 2.0 * np.pi * rng.random(1000))
+        poses = fk_direct(geom, cols)
+        for i, xi in enumerate((t.forward @ cols).T):
+            assert_exact_arc(geom, Pose(rotation=poses.rotation[i], position=poses.position[i]), xi)
+
+    def test_small_bend_on_a_thin_segment_round_trips(self):
+        # The nudge shifted the bend by about epsilon/d: at n = 3, d = 1e-4,
+        # l = 1 and a bend of 5.9e-7 rad the round trip missed by 4.08e-9 m.
+        geom = make_geom(n=3, d=1e-4, l=1.0)
+        for theta in (0.0, 0.3, -2.0, np.pi):
+            pose = fk_direct(geom, f_dep_inverse(geom, CurvatureAngle(5.9e-7 / geom.l, theta)))
+            assert np.max(np.abs(pose.position - arc_end_oracle(geom.l, 5.9e-7, theta))) <= 1e-15 * geom.l
+            for target in (pose, pose.position):
+                again = fk_direct(geom, ik(geom, target))
+                assert np.max(np.abs(again.position - pose.position)) <= 1e-9
+
+    @pytest.mark.parametrize("common", [1e308, 1e14, 1e10, -1e10])
+    def test_common_mode_the_transform_cannot_resolve_is_refused(self, common):
+        # At n = 3, d = 0.01 the transform's rounding residue of these read
+        # as bends: far past a full circle at 1e308, 0.72*pi at 1e14 and
+        # 8e-5*pi at 1e10.
+        assert_refused(make_geom(n=3, d=0.01), np.full(3, common), "rounding moves the bend")
+
+    def test_common_mode_within_the_rounding_bound_bends_by_less_than_it(self):
+        # Its residue bends by less than BEND_ROUNDING_TOL, in whatever plane
+        # the residue points: the tip tangent and position stay straight.
+        geom = make_geom(n=5, d=0.01)
+        pose = fk_direct(geom, np.full(5, 1e3))
+        assert np.max(np.abs(pose.rotation[:, 2] - [0.0, 0.0, 1.0])) <= BEND_ROUNDING_TOL
+        assert np.max(np.abs(pose.position - [0.0, 0.0, geom.l])) <= BEND_ROUNDING_TOL * geom.l
+
+    def test_full_circle_or_more_is_refused(self):
+        # 3.18*pi: the arc closes on itself.
+        geom = make_geom(n=3, d=0.01)
+        assert_refused(geom, [0.1, -0.05, -0.05], "FK's domain")
+        with pytest.raises(ValueError, match="FK's domain"):
+            f_dep_curvature_angle(geom, [0.1, -0.05, -0.05])
+        # One column out of the domain refuses the batch.
+        cols = displacement_columns(3, geom.layout.d, [0.5, 2.0, 0.1], [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="FK's domain"):
+            fk_direct(geom, cols)
+
+    @pytest.mark.parametrize("n, fraction", [(3, 1.2), (5, 1.032)])
+    def test_bends_past_pi_below_a_full_circle_are_arcs(self, n, fraction):
+        # 1.2*pi at n = 3; 1.032*pi, which the realtime loop's plant reaches,
+        # at n = 5. Their tips lie below the base.
+        geom = make_geom(n=n, d=0.01)
+        rho = displacement_columns(n, geom.layout.d, [fraction], [0.7])[:, 0]
+        pose = fk_direct(geom, rho)
+        assert_exact_arc(geom, pose, build_transform(n).forward @ rho)
+        assert pose.position[2] < 0.0
 
 
 class TestReach:
@@ -565,7 +774,7 @@ class TestPoseType:
             pose.position[0] = 1.0
 
 
-def scalar_fk_oracle(geom, rho, eps=1e-12):
+def scalar_fk_oracle(geom, rho):
     """The single-column FK formula written with scalar math only.
 
     The reference that the one-column path of fk_direct must reproduce
@@ -575,16 +784,13 @@ def scalar_fk_oracle(geom, rho, eps=1e-12):
     d = geom.layout.d
     l = geom.l
     xi = t.forward @ np.asarray(rho, dtype=float)
-    delta = math.sqrt(2.0 / t.n) * eps
-    w_re = xi[0] + delta
-    w_im = xi[1]
-    amp = math.hypot(w_re, w_im) + delta * delta
-    ct = w_re / amp
-    st = w_im / amp
-    phi = amp / d
+    theta = math.atan2(xi[1] + 0.0, xi[0] + 0.0)
+    ct = math.cos(theta)
+    st = math.sin(theta)
+    phi = max(math.hypot(xi[0], xi[1]) / d, sys.float_info.min * l)
     cp = math.cos(phi)
     sp = math.sin(phi)
-    inv_kappa = d * l / amp
+    inv_kappa = l / phi
     bow = 2.0 * math.sin(phi / 2.0) ** 2 * inv_kappa
     position = np.array([ct * bow, st * bow, sp * inv_kappa])
     rotation = np.array(
