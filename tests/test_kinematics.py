@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clarkekin import (
@@ -461,12 +461,14 @@ def exact_arc_oracle(geom, xi):
     return f_ind(geom, arc_from_clarke(geom, xi))
 
 
-def in_fk_domain(geom, rho, xi):
-    """FK's domain from its definition: the bend |xi|/d below a full circle,
-    and the transform's rounding bound 2n*2^-53*max|rho|/d on that bend
-    below BEND_ROUNDING_TOL."""
+def in_fk_domain(geom, rho, amplitude):
+    """FK's domain from its definition: the bend amplitude/d below a full
+    circle, and the transform's rounding bound 2n*2^-53*max|rho|/d on that
+    bend below BEND_ROUNDING_TOL. amplitude is |xi| rounded as the path
+    under test rounds it: math.hypot for one column, np.hypot for a batch.
+    The two can differ by an ulp, which decides a bend at 2*pi*d."""
     n, d = geom.layout.n, geom.layout.d
-    return math.hypot(*xi) < 2.0 * math.pi * d and 2.0 * n * 2.0**-53 * np.max(np.abs(rho)) / d < BEND_ROUNDING_TOL
+    return amplitude < 2.0 * math.pi * d and 2.0 * n * 2.0**-53 * np.max(np.abs(rho)) / d < BEND_ROUNDING_TOL
 
 
 def assert_exact_arc(geom, pose, xi):
@@ -491,6 +493,22 @@ def assert_refused(geom, rho, match):
     code, out, err = cli_fk(geom, rho)
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and match in err
+
+
+# A column at n = 27, d = l = 1 whose batch Clarke pair has |xi| =
+# 6.2831853071795858, 4.4e-16 below the float 2*pi: math.hypot rounds it
+# up to 2*pi, refused, and np.hypot down, accepted.
+BATCH_HYPOT_SPLIT_RHO = [
+    6.087856292036114, 6.2822462315726995, 6.1379586506663735,
+    5.662772130151243, 4.882304098345726, 3.838629788861078,
+    2.5880139538666422, 1.1978776167368115, -0.25683661277036457,
+    -1.6977047140034096, -3.0470491146700462, -4.2321263088655545,
+    -5.189048478305056, -5.866227701143995, -6.227157070197816,
+    -6.252378789757742, -5.9405331503939, -5.30843183124263,
+    -4.390151578032706, -3.2351971169026545, -1.9058323418008212,
+    -0.4737236518461844, 0.9839236027982662, 2.388527281336736,
+    3.664364835891099, 4.7426555336570875, 5.565268444012996,
+]
 
 
 @st.composite
@@ -521,22 +539,26 @@ class TestExactArc:
 
     @settings(max_examples=400, deadline=None)
     @given(fk_domain_cases())
+    @example((make_geom(n=27, d=1.0, l=1.0), np.array(BATCH_HYPOT_SPLIT_RHO)))
     def test_matches_the_arc_oracle_or_refuses(self, case):
         geom, rho = case
         t = build_transform(geom.layout.n)
         cols = np.stack([rho, np.zeros_like(rho), rho], axis=1)
-        # A batch has its own Clarke pairs: gemm rounds unlike gemv.
-        for x, xis in ((rho, (t.forward @ rho)[:, None]), (cols, t.forward @ cols)):
+        xi = t.forward @ rho
+        batch_xis = t.forward @ cols
+        # A batch has its own Clarke pairs and amplitudes: gemm rounds
+        # unlike gemv, np.hypot unlike math.hypot.
+        for x, xis, amplitudes in ((rho, xi[:, None], [math.hypot(*xi)]), (cols, batch_xis, np.hypot(*batch_xis))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                if all(in_fk_domain(geom, rho, xi) for xi in xis.T):
+                if all(in_fk_domain(geom, rho, amplitude) for amplitude in amplitudes):
                     poses = fk_direct(geom, x)
-                    for rotation, position, xi in zip(poses.rotation.reshape(-1, 3, 3), poses.position.reshape(-1, 3), xis.T):
-                        assert_exact_arc(geom, Pose(rotation=rotation, position=position), xi)
+                    for rotation, position, pair in zip(poses.rotation.reshape(-1, 3, 3), poses.position.reshape(-1, 3), xis.T):
+                        assert_exact_arc(geom, Pose(rotation=rotation, position=position), pair)
                     continue
                 with pytest.raises(ValueError, match="FK's domain|rounding moves the bend"):
                     fk_direct(geom, x)
-        if not in_fk_domain(geom, rho, t.forward @ rho):
+        if not in_fk_domain(geom, rho, math.hypot(*xi)):
             code, out, err = cli_fk(geom, rho)
             assert code == 3 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
 
