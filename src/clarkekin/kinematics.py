@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car, arc_from_clarke, clarke_from_arc
-from .clarke import all_finite, as_displacement, build_transform, manifold_residual
+from .clarke import ClarkeTransform, all_finite, as_displacement, build_transform, manifold_residual
 
 # Targets with p_z at or below this height (meters) are rejected: the tip of
 # a forward-bending constant-curvature segment never reaches the p_z <= 0
@@ -47,9 +47,9 @@ BEND_ROUNDING_TOL = 1e-9
 _I3 = np.eye(3)
 _I3.setflags(write=False)
 
-# Elementwise functions by the number of dimensions of rho in fk_direct:
-# `math` for one column keeps it as fast as the scalar formula, numpy
-# evaluates a batch of columns in one pass (numpy < 2 has no atan2).
+# Elementwise functions by the number of dimensions of rho in fk_direct or
+# of a bend in IK: `math` for one column keeps it as fast as the scalar
+# formula, numpy evaluates a batch in one pass (numpy < 2 has no atan2).
 _ELEMENTWISE = {
     1: SimpleNamespace(hypot=math.hypot, atan2=math.atan2, maximum=max, cos=math.cos, sin=math.sin),
     2: SimpleNamespace(hypot=np.hypot, atan2=np.arctan2, maximum=np.maximum, cos=np.cos, sin=np.sin),
@@ -59,25 +59,25 @@ _ELEMENTWISE = {
 # Python floats for one column, two (k,) rows for a batch.
 _CLARKE_PAIR = {1: np.ndarray.tolist, 2: tuple}
 
-# The largest |rho| entry and the largest Clarke amplitude, by the same
-# lookup: on Python floats for one column, where a numpy reduction would
-# cost more than all of _check_fk_domain, and in one numpy pass for a batch.
+# The largest |rho| entry and Clarke amplitude, by the same lookup: on Python
+# floats for one column, where a numpy reduction would cost more than all of
+# _fk_clarke's checks, and in one numpy pass for a batch.
 _LARGEST = {
-    1: lambda rho, amplitude: (max(map(abs, rho.tolist())), amplitude),
-    2: lambda rho, amplitude: (float(np.abs(rho).max(initial=0.0)), float(amplitude.max(initial=0.0))),
+    1: SimpleNamespace(rho=lambda rho: max(map(abs, rho.tolist())), amplitude=float),
+    2: SimpleNamespace(rho=lambda r: float(np.abs(r).max(initial=0.0)), amplitude=lambda a: float(a.max(initial=0.0))),
 }
 
 
 def _check_rotations(r: np.ndarray, what: str) -> None:
-    # One vectorized check over a (k, 3, 3) stack. Each test is written as
-    # `not err <= tol`, so a NaN entry fails it; a huge or non-finite entry
-    # fails it without a warning. The cofactor expansion costs a tenth of
-    # np.linalg.det on a stack.
+    # One vectorized check over a rotation (3, 3) or a stack (k, 3, 3).
+    # Each test is written as `not err <= tol`, so a NaN entry fails it; a
+    # huge or non-finite entry fails it without a warning. The cofactor
+    # expansion costs a tenth of np.linalg.det on a stack.
     with np.errstate(over="ignore", invalid="ignore"):
         gram_err = np.abs(r.swapaxes(-1, -2) @ r - _I3).max(initial=0.0)
         if not gram_err <= 1e-9:
             raise ValueError(f"{what} is not orthonormal")
-        # det(R) = det(R^T); .T moves the batch axis last, so m[i, j] is
+        # det(R) = det(R^T); .T moves a batch axis last, so m[i, j] is
         # entry (i, j) of every transposed matrix.
         m = r.T
         det = (
@@ -89,49 +89,17 @@ def _check_rotations(r: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must have determinant +1")
 
 
-def _check_rotation(r: np.ndarray, what: str) -> None:
-    # The tests of _check_rotations on one (3, 3) rotation, in Python
-    # floats: the six distinct entries of R^T R - I (column dot products),
-    # then the same cofactor determinant. Each error is tested on its own
-    # as `not err <= tol`, since max() would drop a NaN that is not first.
-    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
-    gram = (
-        a * a + d * d + g * g - 1.0,
-        b * b + e * e + h * h - 1.0,
-        c * c + f * f + i * i - 1.0,
-        a * b + d * e + g * h,
-        a * c + d * f + g * i,
-        b * c + e * f + h * i,
-    )
-    for err in gram:
-        if not abs(err) <= 1e-9:
-            raise ValueError(f"{what} is not orthonormal")
-    det = a * (e * i - h * f) - d * (b * i - h * c) + g * (b * f - e * c)
-    if not abs(det - 1.0) <= 1e-9:
-        raise ValueError(f"{what} must have determinant +1")
-
-
-def _positions_finite(p: np.ndarray) -> bool:
-    x, y, z = p.tolist()
-    return math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
-
-
-# Checks by the number of dimensions: one rotation (3, 3) or position (3,)
-# is checked on Python floats, a stack with numpy, by the same tests.
-_ROTATION_CHECKS = {2: _check_rotation, 3: _check_rotations}
-_POSITION_CHECKS = {1: _positions_finite, 2: all_finite}
-
-
 @dataclass(frozen=True)
 class Pose:
     """Tip pose: rotation matrix and position vector in meters.
 
     One pose has a (3, 3) rotation and a (3,) position. A stack of k poses
     has a (k, 3, 3) rotation and a (k, 3) position, pose i at index i.
-    The pose or the whole stack is rejected if any rotation is not
-    orthonormal with determinant +1 (within 1e-9) or any entry is not
-    finite. One pose is checked on Python floats, a stack in one numpy
-    pass; both run the same tests and raise the same messages.
+    A pose or stack built by the caller is rejected, in one numpy pass, if
+    any rotation is not orthonormal with determinant +1 (within 1e-9) or
+    any entry is not finite. The poses fk_direct, f_ind and
+    recover_pose_from_position return are not checked again: their type is
+    a private subclass of Pose.
     """
 
     rotation: np.ndarray
@@ -145,13 +113,22 @@ class Pose:
                 "pose needs a (3, 3) rotation and a (3,) position, "
                 "or a (k, 3, 3) rotation and a (k, 3) position for a stack"
             )
-        _ROTATION_CHECKS[rotation.ndim](rotation, "rotation matrix")
-        if not _POSITION_CHECKS[position.ndim](position):
+        _check_rotations(rotation, "rotation matrix")
+        if not all_finite(position):
             raise ValueError("position entries must be finite")
         rotation.setflags(write=False)
         position.setflags(write=False)
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "position", position)
+
+
+class _BuiltPose(Pose):
+    # A pose the library computed: a rotation Rz(theta) @ Ry(phi) from the
+    # cos and sin of two angles and a finite position, as float arrays of
+    # the right shapes. It inherits Pose.__init__ and only freezes them.
+    def __post_init__(self):
+        self.rotation.setflags(write=False)
+        self.position.setflags(write=False)
 
 
 def _rotation(ct, st, cp, sp) -> np.ndarray:
@@ -195,49 +172,55 @@ def f_dep(geom: SegmentGeometry, rho) -> CurvatureCurvature:
     return CurvatureCurvature(kappa_x=float(kxy[0]), kappa_y=float(kxy[1]))
 
 
-def _check_fk_domain(geom: SegmentGeometry, rho: np.ndarray, amplitude) -> None:
-    """Refuse rho (n,) with Clarke amplitude |xi| a float, or (n, k) with (k,) amplitudes, outside FK's domain.
+def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
+    """The Clarke pair xi_re, xi_im of rho (n,) or (n, k) and its amplitude
+    |xi|: floats for one column, (k,) arrays for a batch. Refuses rho
+    outside FK's domain.
 
     The transform sums n products of entries at most 2/n, so its rounding
     moves the bend |xi|/d by up to about 2n*2^-53*max|rho|/d; that must
-    stay below BEND_ROUNDING_TOL. And the bend must stay below a full
-    circle, past which the arc closes on itself.
+    stay below BEND_ROUNDING_TOL, tested before the product, which
+    overflows on some of the vectors it refuses. And the bend must stay
+    below a full circle, past which the arc closes on itself.
     """
-    largest, amplitude = _LARGEST[rho.ndim](rho, amplitude)
-    d = geom.layout.d
-    rounding = 2.0 * rho.shape[0] * 2.0**-53 * largest / d
+    largest, d = _LARGEST[rho.ndim], geom.layout.d
+    top = largest.rho(rho)
+    rounding = 2.0 * rho.shape[0] * 2.0**-53 * top / d
     if not rounding < BEND_ROUNDING_TOL:
         raise ValueError(
-            f"displacements up to {largest:.3e} m are too large for d={d:.6g} m: the transform's "
+            f"displacements up to {top:.3e} m are too large for d={d:.6g} m: the transform's "
             f"rounding moves the bend by up to {rounding:.3e} rad, past {BEND_ROUNDING_TOL:.0e}"
         )
-    if not amplitude < 2.0 * math.pi * d:
+    xi_re, xi_im = _CLARKE_PAIR[rho.ndim](t.forward @ rho)
+    amplitude = _ELEMENTWISE[rho.ndim].hypot(xi_re, xi_im)
+    widest = largest.amplitude(amplitude)
+    if not widest < 2.0 * math.pi * d:
         raise ValueError(
-            f"displacements bend the segment by {amplitude / d / math.pi:.6g}*pi rad, a full circle "
+            f"displacements bend the segment by {widest / d / math.pi:.6g}*pi rad, a full circle "
             f"or more: FK's domain is |xi| < 2*pi*d"
         )
+    return xi_re, xi_im, amplitude
 
 
 def f_dep_curvature_angle(geom: SegmentGeometry, rho) -> CurvatureAngle:
     """Curvature and bending-plane angle of an on-manifold displacement vector.
 
     The arc of its Clarke coordinates (arc_from_clarke); rho = 0 gives the
-    straight segment (0, 0). Rejects vectors whose projector residual
-    exceeds MANIFOLD_TOL instead of reading a bend into a vector that is
-    not one; f_dep projects such a vector silently. Rejects vectors outside
-    FK's domain as fk_direct does.
+    straight segment (0, 0). Rejects vectors outside FK's domain as
+    fk_direct does, then vectors whose projector residual exceeds
+    MANIFOLD_TOL instead of reading a bend into a vector that is not one;
+    f_dep projects such a vector silently.
     """
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n)
+    xi_re, xi_im, _ = _fk_clarke(geom, t, rho)
     residual = manifold_residual(t, rho)
     if residual > MANIFOLD_TOL:
         raise ValueError(
             f"displacement vector is off the manifold: projector residual "
             f"{residual:.3e} exceeds {MANIFOLD_TOL:.1e}"
         )
-    xi = t.forward @ rho
-    _check_fk_domain(geom, rho, math.hypot(*xi.tolist()))
-    return arc_from_clarke(geom, xi)
+    return arc_from_clarke(geom, (xi_re, xi_im))
 
 
 def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> Pose:
@@ -252,7 +235,7 @@ def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> Pose:
     bow = 2.0 * elementwise.sin(phi / 2.0) ** 2 * inv_kappa
     # Transposed, so a batch index moves to the front: (k, 3) positions.
     position = np.array([ct * bow, st * bow, sp * inv_kappa]).T
-    return Pose(rotation=_rotation(ct, st, cp, sp), position=position)
+    return _BuiltPose(rotation=_rotation(ct, st, cp, sp), position=position)
 
 
 def f_ind(geom: SegmentGeometry, arc) -> Pose:
@@ -265,7 +248,7 @@ def f_ind(geom: SegmentGeometry, arc) -> Pose:
     """
     ca = _as_car(arc)
     if ca.kappa == 0.0:
-        return Pose(rotation=np.eye(3), position=np.array([0.0, 0.0, geom.l]))
+        return _BuiltPose(rotation=np.eye(3), position=np.array([0.0, 0.0, geom.l]))
     phi = max(ca.kappa, sys.float_info.min) * geom.l
     return _arc_pose(math.cos(ca.theta), math.sin(ca.theta), phi, geom.l / phi, math)
 
@@ -289,14 +272,12 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
     smallest normal float, as f_ind raises kappa, so l/phi stays finite
     (where |xi|/(d*l) underflows to 0, f_ind's straight branch takes
     theta = 0, and this keeps the plane of xi).
-    rho outside FK's domain (see _check_fk_domain) is refused.
+    rho outside FK's domain (see _fk_clarke) is refused.
     """
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n, batch=True)
     elementwise = _ELEMENTWISE[rho.ndim]
-    xi_re, xi_im = _CLARKE_PAIR[rho.ndim](t.forward @ rho)
-    amplitude = elementwise.hypot(xi_re, xi_im)
-    _check_fk_domain(geom, rho, amplitude)
+    xi_re, xi_im, amplitude = _fk_clarke(geom, t, rho)
     theta = elementwise.atan2(xi_im + 0.0, xi_re + 0.0)
     phi = elementwise.maximum(amplitude / geom.layout.d, sys.float_info.min * geom.l)
     return _arc_pose(elementwise.cos(theta), elementwise.sin(theta), phi, geom.l / phi, elementwise)
@@ -351,6 +332,23 @@ def _position_bend(geom: SegmentGeometry, positions) -> np.ndarray:
     return (2.0 * geom.l / (x * x + y * y + z * z)) * np.array([x, y])
 
 
+def _check_tip_frame(rotation: np.ndarray, bend: np.ndarray) -> np.ndarray:
+    """The bend (2,) or (2, k) IK found for a rotation (3, 3) or stack (k, 3, 3),
+    refused unless each rotation is within 1e-9 of the tip frame of its bend:
+    Rz(theta) @ Ry(phi) with phi = |bend| and theta = atan2(bend_y + 0.0,
+    bend_x + 0.0), where + 0.0 makes a straight bend's theta 0. A rotation
+    twisted about the tip tangent, or bent backward, is the frame of no arc."""
+    elementwise = _ELEMENTWISE[bend.ndim]
+    bx, by = bend
+    theta = elementwise.atan2(by + 0.0, bx + 0.0)
+    phi = elementwise.hypot(bx, by)
+    frame = _rotation(elementwise.cos(theta), elementwise.sin(theta), elementwise.cos(phi), elementwise.sin(phi))
+    gap = np.abs(frame - rotation).max(initial=0.0)
+    if not gap <= 1e-9:
+        raise ValueError(f"target rotation is the tip frame of no arc: the frame of IK's bend is {gap:.3e} off")
+    return bend
+
+
 def _bend(geom: SegmentGeometry, target) -> np.ndarray:
     """The bending vector phi*(cos theta, sin theta) = l*(kappa_x, kappa_y) of an IK target.
 
@@ -359,12 +357,12 @@ def _bend(geom: SegmentGeometry, target) -> np.ndarray:
     frame R = Rz(theta) @ Ry(phi), R[1, 1] = cos(theta), R[0, 1] = -sin(theta).
     """
     if isinstance(target, Pose):
-        # A Pose checked its rotations when it was built. What remains is
-        # the region of its positions, and that each is the tip of the arc
-        # its rotation describes: bent by phi = atan2(|R[:2, 2]|, R[2, 2])
-        # in [0, pi], whose tip has p_z = l*sin(phi)/phi with
-        # sin(phi) = -R[2, 0]. Transposed, a stack's entries index as
-        # r[j, i] = R[..., i, j] with the batch axis last.
+        # A Pose holds rotations (checked, or built from two angles). What
+        # remains is the region of its positions, that each is the tip of
+        # the arc its rotation describes: bent by phi = atan2(|R[:2, 2]|,
+        # R[2, 2]) in [0, pi], whose tip has p_z = l*sin(phi)/phi with
+        # sin(phi) = -R[2, 0], and that the rotation is its bend's tip frame.
+        # Transposed, r[j, i] = R[..., i, j] with the batch axis last.
         _check_position_target(target.position)
         r = target.rotation.T
         x, y, z = target.position.T
@@ -374,14 +372,14 @@ def _bend(geom: SegmentGeometry, target) -> np.ndarray:
             norm = np.hypot(np.hypot(x, y), z)
             what = f"not the tip of the arc its rotation describes: that arc of length l={geom.l:.6g} m"
             _check_arc_end(geom, half, x * ct + y * st, y * ct - x * st, z, norm, what)
-        return (-geom.l * r[0, 2] / z) * np.array([ct, st])
+        return _check_tip_frame(target.rotation, (-geom.l * r[0, 2] / z) * np.array([ct, st]))
     if np.shape(target) == (3, 3):
         # phi comes from the rotation alone, so l never enters: the result
         # does not depend on the segment length, bit for bit.
         r = np.asarray(target, dtype=float)
-        _ROTATION_CHECKS[r.ndim](r, "target rotation matrix")
+        _check_rotations(r, "target rotation matrix")
         phi = math.atan2(-r[2, 0], r[2, 2])
-        return phi * np.array([r[1, 1], -r[0, 1]])
+        return _check_tip_frame(r, phi * np.array([r[1, 1], -r[0, 1]]))
     p = np.asarray(target, dtype=float)
     if p.shape != (3,):
         raise TypeError(

@@ -93,6 +93,20 @@ class TestKinematics:
         assert err.count("\n") == 1 and "not the tip of the arc its rotation describes" in err
 
     @pytest.mark.parametrize(
+        "flag, values",
+        [
+            # Ry(-0.5): bent backward.
+            ("--rotation", "0.8775825618903728,0,-0.479425538604203,0,1,0,0.479425538604203,0,0.8775825618903728"),
+            # Rz(0.5) at (0, 0, l): turned about the tangent of a straight segment.
+            ("--pose", "0.8775825618903728,-0.479425538604203,0,0.479425538604203,0.8775825618903728,0,0,0,1,0,0,0.1"),
+        ],
+    )
+    def test_ik_rotation_no_arc_reaches(self, capsys, flag, values):
+        code, out, err = run_cli_strict(capsys, ["ik", "--l", "0.1", flag, values])
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: target rotation is the tip frame of no arc")
+
+    @pytest.mark.parametrize(
         "rho, reason",
         [("1e308,1e308,1e308", "rounding moves the bend"), ("0.1,-0.05,-0.05", "FK's domain")],
     )

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clarkekin import (
@@ -37,6 +37,7 @@ from clarkekin import (
     transform,
 )
 from clarkekin.cli import main
+from clarkekin.clarke import all_finite
 from clarkekin.kinematics import BEND_ROUNDING_TOL, POSITION_Z_FLOOR, _arc_pose, _check_rotations, _rotation
 
 
@@ -406,6 +407,57 @@ class TestIk:
             with pytest.raises(ValueError, match="not the tip of the arc"):
                 ik(geom, Pose(rotation=poses.rotation, position=position))
 
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma, gap",
+        # Twisted about the tip tangent; bent backward, which IK read as a
+        # bend toward -x; turned about z with no bend, which IK read as straight.
+        [(0.4, 0.8, 0.5, 0.34), (0.0, -0.5, 0.0, 2.0), (0.5, 0.0, 0.0, 0.48)],
+    )
+    def test_rotation_no_arc_reaches_is_refused(self, alpha, beta, gamma, gap):
+        geom = make_geom(n=5, l=0.1)
+        r = rotation_from_angles(alpha, beta, gamma)
+        # The frame of the bend IK finds misses r by gap in some entry.
+        bx, by = math.atan2(-r[2, 0], r[2, 2]) * np.array([r[1, 1], -r[0, 1]])
+        rebuilt = rotation_from_angles(math.atan2(by + 0.0, bx + 0.0), math.hypot(bx, by), 0.0)
+        assert np.max(np.abs(rebuilt - r)) == pytest.approx(gap, abs=0.01)
+        for refused in (lambda: ik(geom, r), lambda: f_ind_inverse(geom, r)):
+            with pytest.raises(ValueError, match="target rotation is the tip frame of no arc"):
+                refused()
+
+    @pytest.mark.parametrize("alpha, beta, phi", [(0.0, -0.5, 0.5), (0.5, 0.0, 0.0)])
+    def test_pose_whose_rotation_no_arc_reaches_is_refused(self, alpha, beta, phi):
+        # Rz(alpha) @ Ry(beta) at the tip of the bend phi toward +x, which
+        # passes the arc-end test: Ry(-0.5) at the tip of a 0.5 rad bend,
+        # and Rz(0.5) at (0, 0, l). Alone and in a stack after a good pose.
+        geom = make_geom(n=5, l=0.1)
+        rotation = rotation_from_angles(alpha, beta, 0.0)
+        position = arc_end_oracle(geom.l, phi, 0.0)
+        fine = fk_direct(geom, manifold_samples(geom, 1, seed=3)[:, 0])
+        for target in (
+            Pose(rotation=rotation, position=position),
+            Pose(rotation=np.stack([fine.rotation, rotation]), position=np.stack([fine.position, position])),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="target rotation is the tip frame of no arc"):
+                    ik(geom, target)
+
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    def test_fk_frames_of_straight_and_tiny_bends_are_accepted(self, n):
+        # Rows as the kin-batch benchmark draws them, plus bends of 1e-12 m
+        # of displacement and exactly straight columns, as one stack and as
+        # single rotations.
+        geom = make_geom(n=n)
+        rng = np.random.default_rng(n)
+        amp = 0.99 * rng.random(200)
+        amp[:20] = 0.0
+        amp[20:40] = 1e-12 / (geom.layout.d * np.pi)
+        cols = displacement_columns(n, geom.layout.d, amp, 2.0 * np.pi * rng.random(200))
+        poses = fk_direct(geom, cols)
+        assert np.max(np.abs(ik(geom, poses) - cols)) <= 1e-9
+        for i in range(cols.shape[1]):
+            assert np.max(np.abs(ik(geom, poses.rotation[i]) - cols[:, i])) <= 1e-9
+
 
 @st.composite
 def reach_cases(draw):
@@ -646,6 +698,24 @@ class TestExactArc:
         pose = fk_direct(geom, np.full(5, 1e3))
         assert np.max(np.abs(pose.rotation[:, 2] - [0.0, 0.0, 1.0])) <= BEND_ROUNDING_TOL
         assert np.max(np.abs(pose.position - [0.0, 0.0, geom.l])) <= BEND_ROUNDING_TOL * geom.l
+
+    def test_fk_refuses_before_the_product_overflows(self):
+        # forward @ rho overflows on these; the rounding bound refuses them
+        # first, with no warning, alone, in a batch and at the CLI.
+        geom = make_geom(n=3, d=0.01)
+        rho = np.array([1.7e308, -1.7e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rounding moves the bend"):
+                fk_direct(geom, np.stack([np.zeros(3), rho], axis=1))
+        assert_refused(geom, rho, "rounding moves the bend")
+
+    def test_f_dep_curvature_angle_refuses_before_the_residual_overflows(self):
+        # The manifold residual and the forward product both overflow here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rounding moves the bend"):
+                f_dep_curvature_angle(make_geom(n=3, d=0.01), [1.7e308, -1.7e308, 1.7e308])
 
     def test_full_circle_or_more_is_refused(self):
         # 3.18*pi: the arc closes on itself.
@@ -986,6 +1056,25 @@ def rotation_oracle(r, what="rotation matrix"):
     return rejection(lambda: _check_rotations(np.asarray(r, dtype=float)[None], what))
 
 
+def assert_ik_decides_on_the_rotation(r):
+    """ik on a rotation target refuses as the rotation check does where that
+    refuses r. Otherwise it never answers wrongly: it refuses r as no arc's
+    tip frame, as it must where r[2, 1] twists about the tip tangent by more
+    than 1e-9 or r[2, 0] bends backward by more than 1e-8 (a tip frame
+    Rz(theta) @ Ry(phi) has R[2, 1] = 0 and R[2, 0] = -sin(phi) <= 0 for phi
+    in [0, pi]), or FK of its displacements is r within 1e-9."""
+    geom = make_geom()
+    checked = rotation_oracle(r, "target rotation matrix")
+    outcome = rejection(lambda: ik(geom, r))
+    if checked is not None:
+        assert outcome == checked
+    elif outcome is None:
+        assert abs(r[2, 1]) <= 1e-9 and r[2, 0] <= 1e-8
+        assert np.max(np.abs(fk_direct(geom, ik(geom, r)).rotation - r)) <= 1e-9 + 1e-12
+    else:
+        assert outcome.startswith("target rotation is the tip frame of no arc")
+
+
 def rotation_from_angles(alpha, beta, gamma):
     """Rz(alpha) @ Ry(beta) @ Rz(gamma)."""
 
@@ -1014,7 +1103,7 @@ angle = st.floats(-math.pi, math.pi)
 
 
 class TestOnePoseChecksMatchTheStackOracle:
-    """One pose is checked on Python floats; a stack of one with numpy must decide alike."""
+    """One pose and a stack of one are checked by the same numpy pass and must decide alike."""
 
     @settings(max_examples=150, deadline=None)
     @given(angle, angle, angle, st.integers(0, 8), st.sampled_from(NON_FINITE + (None,)))
@@ -1025,7 +1114,7 @@ class TestOnePoseChecksMatchTheStackOracle:
         for rotation in (r, r * [1.0, 1.0, -1.0]):  # the second one negates column 2
             expected = rotation_oracle(rotation)
             assert rejection(lambda: Pose(rotation=rotation, position=[0.0, 0.0, 0.1])) == expected
-            assert rejection(lambda: ik(make_geom(), rotation)) == rotation_oracle(rotation, "target rotation matrix")
+            assert_ik_decides_on_the_rotation(rotation)
         assert rotation_oracle(r) == (None if bad is None else "rotation matrix is not orthonormal")
 
     @settings(max_examples=150, deadline=None)
@@ -1046,7 +1135,7 @@ class TestOnePoseChecksMatchTheStackOracle:
             r *= (1.0 + err) ** (1.0 / 3.0)  # det - 1 = err, Gram error 2*err/3
         expected = rotation_oracle(r)
         assert rejection(lambda: Pose(rotation=r, position=[0.0, 0.0, 0.1])) == expected
-        assert rejection(lambda: ik(make_geom(), r)) == rotation_oracle(r, "target rotation matrix")
+        assert_ik_decides_on_the_rotation(r)
         # The cases straddle the tolerance: both paths see the same side.
         failing = "must have determinant +1" if kind == "determinant" else "is not orthonormal"
         assert expected == (None if abs(err) < 1e-9 else "rotation matrix " + failing)
@@ -1067,6 +1156,58 @@ class TestOnePoseChecksMatchTheStackOracle:
         one = rejection(lambda: Pose(rotation=np.eye(3), position=p))
         stack = rejection(lambda: Pose(rotation=np.eye(3)[None], position=p[None]))
         assert one == stack == (None if math.isfinite(p[slot]) else "position entries must be finite")
+
+
+@st.composite
+def built_pose_cases(draw):
+    """A geometry, a bend phi and a plane theta: phi exactly 0, down to
+    1e-300, near pi and up to just below 2*pi."""
+    geom = make_geom(
+        n=draw(st.integers(3, 64)), d=10.0 ** draw(st.floats(-4.0, 0.0)), l=10.0 ** draw(st.floats(-3.0, 1.0))
+    )
+    phi = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(-300.0, -1.0).map(lambda e: 10.0**e),
+            st.floats(0.0, 6.0),
+            st.floats(1.0, 15.0).map(lambda e: np.pi * (1.0 - 10.0**-e)),
+            st.floats(1.0, 11.0).map(lambda e: 2.0 * np.pi * (1.0 - 10.0**-e)),
+        )
+    )
+    return geom, phi, draw(st.floats(-np.pi, np.pi))
+
+
+def assert_passes_the_pose_checks(pose):
+    # What Pose.__post_init__ checks on a pose the caller builds.
+    _check_rotations(pose.rotation, "rotation matrix")
+    assert all_finite(pose.position)
+
+
+class TestBuiltPosesPassTheChecks:
+    """fk_direct, f_ind and recover_pose_from_position build their poses
+    without the checks a caller's Pose gets; every pose they return passes
+    them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(built_pose_cases())
+    def test_fk_direct_f_ind_and_recovery(self, case):
+        geom, phi, theta = case
+        col = displacement_columns(geom.layout.n, geom.layout.d, [phi / np.pi], [theta])
+        ca = CurvatureAngle(phi / geom.l, theta)
+        poses = [fk_direct(geom, col[:, 0]), fk_direct(geom, np.repeat(col, 3, axis=1)), f_ind(geom, ca)]
+        tip = arc_end_oracle(geom.l, phi, theta)
+        if tip[2] > POSITION_Z_FLOOR:
+            poses.append(recover_pose_from_position(geom, tip))
+        for pose in poses:
+            assert isinstance(pose, Pose)
+            assert_passes_the_pose_checks(pose)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-3.0, 1.0), st.floats(0.0, sys.float_info.max), st.floats(-np.pi, np.pi))
+    def test_f_ind_curvatures_up_to_the_float_range(self, log_l, kappa, theta):
+        geom = make_geom(l=10.0**log_l)
+        assume(math.isfinite(kappa * geom.l))  # past it the bend itself overflows
+        assert_passes_the_pose_checks(f_ind(geom, CurvatureAngle(kappa, theta)))
 
 
 class TestIkComposition:
