@@ -11,7 +11,8 @@ straight-segment convention theta(kappa=0) = 0.
 
 fk_direct composes both mappings without ever branching on the curvature:
 it evaluates the exact arc of the Clarke pair for any bend below a full
-circle. IK's domain is smaller: p_z > 0, a bend below pi.
+circle. IK's domain is smaller: p_z > 0, a bend below pi. IK accepts a
+target only when FK of the bend it finds gives the target back.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from .clarke import ClarkeTransform, all_finite, as_displacement, build_transfor
 
 # Targets with p_z at or below this height (meters) are rejected: the tip of
 # a forward-bending constant-curvature segment never reaches the p_z <= 0
-# half-space, and the pose formulas divide by p_z.
+# half-space.
 POSITION_Z_FLOOR = 1e-9
 
-# Distance, relative to |p|, between a position target p and the end of
-# the arc IK bends toward it, past which IK refuses p as unreachable.
+# Distance, relative to |p|, between a target position p and the tip FK
+# gives for IK's bend, past which IK refuses the target.
 REACH_TOL = 1e-9
 
 # Manifold residual accepted by f_dep_curvature_angle before it refuses
@@ -48,23 +49,19 @@ _I3 = np.eye(3)
 _I3.setflags(write=False)
 
 # Elementwise functions by the number of dimensions of rho in fk_direct or
-# of a bend in IK: `math` for one column keeps it as fast as the scalar
-# formula, numpy evaluates a batch in one pass (numpy < 2 has no atan2).
+# of a bend in IK: one column or target runs on Python floats, as fast as
+# the scalar formula, and a batch in one numpy pass (numpy < 2 has no
+# atan2). split gives an array's rows; largest_abs and largest give the
+# largest |entry| and entry as one float.
 _ELEMENTWISE = {
-    1: SimpleNamespace(hypot=math.hypot, atan2=math.atan2, maximum=max, cos=math.cos, sin=math.sin),
-    2: SimpleNamespace(hypot=np.hypot, atan2=np.arctan2, maximum=np.maximum, cos=np.cos, sin=np.sin),
-}
-
-# The Clarke pair of rho in fk_direct, split by the same lookup: two
-# Python floats for one column, two (k,) rows for a batch.
-_CLARKE_PAIR = {1: np.ndarray.tolist, 2: tuple}
-
-# The largest |rho| entry and Clarke amplitude, by the same lookup: on Python
-# floats for one column, where a numpy reduction would cost more than all of
-# _fk_clarke's checks, and in one numpy pass for a batch.
-_LARGEST = {
-    1: SimpleNamespace(rho=lambda rho: max(map(abs, rho.tolist())), amplitude=float),
-    2: SimpleNamespace(rho=lambda r: float(np.abs(r).max(initial=0.0)), amplitude=lambda a: float(a.max(initial=0.0))),
+    1: SimpleNamespace(
+        hypot=math.hypot, atan2=math.atan2, maximum=max, minimum=min, cos=math.cos, sin=math.sin,
+        split=np.ndarray.tolist, largest_abs=lambda r: max(map(abs, r.tolist())), largest=float,
+    ),
+    2: SimpleNamespace(
+        hypot=np.hypot, atan2=np.arctan2, maximum=np.maximum, minimum=np.minimum, cos=np.cos, sin=np.sin,
+        split=tuple, largest_abs=lambda r: float(abs(r).max(initial=0.0)), largest=lambda a: float(a.max(initial=0.0)),
+    ),
 }
 
 
@@ -183,17 +180,17 @@ def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
     overflows on some of the vectors it refuses. And the bend must stay
     below a full circle, past which the arc closes on itself.
     """
-    largest, d = _LARGEST[rho.ndim], geom.layout.d
-    top = largest.rho(rho)
+    elementwise, d = _ELEMENTWISE[rho.ndim], geom.layout.d
+    top = elementwise.largest_abs(rho)
     rounding = 2.0 * rho.shape[0] * 2.0**-53 * top / d
     if not rounding < BEND_ROUNDING_TOL:
         raise ValueError(
             f"displacements up to {top:.3e} m are too large for d={d:.6g} m: the transform's "
             f"rounding moves the bend by up to {rounding:.3e} rad, past {BEND_ROUNDING_TOL:.0e}"
         )
-    xi_re, xi_im = _CLARKE_PAIR[rho.ndim](t.forward @ rho)
-    amplitude = _ELEMENTWISE[rho.ndim].hypot(xi_re, xi_im)
-    widest = largest.amplitude(amplitude)
+    xi_re, xi_im = elementwise.split(t.forward @ rho)
+    amplitude = elementwise.hypot(xi_re, xi_im)
+    widest = elementwise.largest(amplitude)
     if not widest < 2.0 * math.pi * d:
         raise ValueError(
             f"displacements bend the segment by {widest / d / math.pi:.6g}*pi rad, a full circle "
@@ -223,10 +220,10 @@ def f_dep_curvature_angle(geom: SegmentGeometry, rho) -> CurvatureAngle:
     return arc_from_clarke(geom, (xi_re, xi_im))
 
 
-def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> Pose:
-    """Tip pose of an arc of radius inv_kappa bent by phi in the plane at (cos, sin) = (ct, st).
+def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> tuple[np.ndarray, np.ndarray]:
+    """Tip rotation and position of an arc of radius inv_kappa bent by phi in the plane at (cos, sin) = (ct, st).
 
-    Python floats with elementwise = math give one Pose, (k,) arrays with
+    Python floats with elementwise = math give one pose, (k,) arrays with
     numpy a stack. The bow 2*sin(phi/2)^2 is 1 - cos(phi) without its
     cancellation near the straight pose, so the tip keeps full precision.
     """
@@ -235,7 +232,19 @@ def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> Pose:
     bow = 2.0 * elementwise.sin(phi / 2.0) ** 2 * inv_kappa
     # Transposed, so a batch index moves to the front: (k, 3) positions.
     position = np.array([ct * bow, st * bow, sp * inv_kappa]).T
-    return _BuiltPose(rotation=_rotation(ct, st, cp, sp), position=position)
+    return _rotation(ct, st, cp, sp), position
+
+
+def _bend_pose(geom: SegmentGeometry, bx, by, phi, elementwise) -> tuple[np.ndarray, np.ndarray]:
+    """Tip rotation and position of the bend phi in the plane of (bx, by), for fk_direct and IK.
+
+    The plane is theta = atan2(by + 0.0, bx + 0.0): + 0.0 turns -0.0 into
+    +0.0, so a zero vector is the straight pose. phi is raised to l times
+    the smallest normal float, as f_ind raises kappa, so l/phi stays finite.
+    """
+    theta = elementwise.atan2(by + 0.0, bx + 0.0)
+    phi = elementwise.maximum(phi, sys.float_info.min * geom.l)
+    return _arc_pose(elementwise.cos(theta), elementwise.sin(theta), phi, geom.l / phi, elementwise)
 
 
 def f_ind(geom: SegmentGeometry, arc) -> Pose:
@@ -245,12 +254,15 @@ def f_ind(geom: SegmentGeometry, arc) -> Pose:
     bending plane; kappa = 0 yields the straight pose (identity rotation,
     position (0, 0, l)). A kappa below the smallest normal float, whose
     radius would overflow, is raised to it: the rotation moves by < 3e-308*l.
+    A bend kappa*l past the largest float is refused.
     """
     ca = _as_car(arc)
     if ca.kappa == 0.0:
         return _BuiltPose(rotation=np.eye(3), position=np.array([0.0, 0.0, geom.l]))
     phi = max(ca.kappa, sys.float_info.min) * geom.l
-    return _arc_pose(math.cos(ca.theta), math.sin(ca.theta), phi, geom.l / phi, math)
+    if not math.isfinite(phi):
+        raise ValueError(f"curvature kappa={ca.kappa:.6g} 1/m bends a segment of l={geom.l:.6g} m past the float range")
+    return _BuiltPose(*_arc_pose(math.cos(ca.theta), math.sin(ca.theta), phi, geom.l / phi, math))
 
 
 def fk_direct(geom: SegmentGeometry, rho) -> Pose:
@@ -266,21 +278,17 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
     common mode c in rho widens that by the transform's rounding of c.
 
     It computes what f_ind(arc_from_clarke(xi)) computes for the Clarke
-    pair xi = forward @ rho: the arc bent by phi = |xi|/d in the plane
-    theta = atan2(xi_im + 0.0, xi_re + 0.0), where + 0.0 turns -0.0 into
-    +0.0 so that rho = 0 is the straight pose. phi is raised to l times the
-    smallest normal float, as f_ind raises kappa, so l/phi stays finite
-    (where |xi|/(d*l) underflows to 0, f_ind's straight branch takes
-    theta = 0, and this keeps the plane of xi).
-    rho outside FK's domain (see _fk_clarke) is refused.
+    pair xi = forward @ rho: the arc bent by |xi|/d in the plane of xi
+    (_bend_pose), so rho = 0 is the straight pose. Where |xi|/(d*l)
+    underflows to 0, f_ind's straight branch takes theta = 0, and this
+    keeps the plane of xi. rho outside FK's domain (see _fk_clarke) is
+    refused.
     """
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n, batch=True)
     elementwise = _ELEMENTWISE[rho.ndim]
     xi_re, xi_im, amplitude = _fk_clarke(geom, t, rho)
-    theta = elementwise.atan2(xi_im + 0.0, xi_re + 0.0)
-    phi = elementwise.maximum(amplitude / geom.layout.d, sys.float_info.min * geom.l)
-    return _arc_pose(elementwise.cos(theta), elementwise.sin(theta), phi, geom.l / phi, elementwise)
+    return _BuiltPose(*_bend_pose(geom, xi_re, xi_im, amplitude / geom.layout.d, elementwise))
 
 
 def _check_position_target(p: np.ndarray) -> None:
@@ -297,106 +305,95 @@ def _check_position_target(p: np.ndarray) -> None:
         )
 
 
-def _check_arc_end(geom: SegmentGeometry, half, radial, off, z, norm, what: str) -> None:
-    """Refuse unless each target lies within REACH_TOL*|p| of the end of the
-    arc of length l bent by 2*half: the chord l*sinc(half/pi) at half from
-    the z-axis, in the bending plane. The target sits at radial along that
-    plane's direction and off across it, at height z and distance norm.
-
-    Floats or (k,) arrays. Called under np.errstate(over="ignore",
-    invalid="ignore"), since an overflowed entry gives a NaN gap, refused."""
-    chord = geom.l * np.sinc(half / np.pi)
-    gap = np.hypot(np.hypot(radial - chord * np.sin(half), off), z - chord * np.cos(half))
-    reached = gap / norm <= REACH_TOL
-    if not reached.all():
-        i = np.argmin(reached)
-        raise ValueError(f"target position is {what} ends {np.ravel(gap)[i]:.3e} m away (|p|={np.ravel(norm)[i]:.6g} m)")
+def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, rotation, position, what: str) -> np.ndarray:
+    """The bend (bx, by) IK found for a target, as (2,) or (2, k), refused
+    unless FK of it gives the target back: IK's one acceptance rule. Each
+    position within REACH_TOL*|p|, each rotation within 1e-9 entrywise (None
+    where the target has none). Floats for one target, (k,) rows for a
+    stack; what, with an {l} field, names a position target in the refusal.
+    A bend of a full circle or more, outside FK's domain, is held at 2*pi,
+    whose tip is the base, |p| from the target.
+    """
+    phi = elementwise.minimum(elementwise.hypot(bx, by), 2.0 * math.pi)
+    tip_rotation, tip_position = _bend_pose(geom, bx, by, phi, elementwise)
+    if position is not None:
+        tx, ty, tz = elementwise.split(tip_position.T)
+        x, y, z = elementwise.split(position.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # a stack's overflow gives a NaN gap, refused
+            gap = elementwise.hypot(elementwise.hypot(tx - x, ty - y), tz - z)
+            norm = elementwise.hypot(elementwise.hypot(x, y), z)
+            ratio = gap / norm
+        if not elementwise.largest(ratio) <= REACH_TOL:
+            i = np.argmin(np.ravel(ratio) <= REACH_TOL)
+            where, gap, norm = what.format(l=geom.l), np.ravel(gap)[i], np.ravel(norm)[i]
+            raise ValueError(f"target position is {where} ends {gap:.3e} m away (|p|={norm:.6g} m)")
+    if rotation is not None:
+        gap = np.abs(tip_rotation - rotation).max(initial=0.0)
+        if not gap <= 1e-9:
+            raise ValueError(f"target rotation is the tip frame of no arc: the frame of IK's bend is {gap:.3e} off")
+    return np.array([bx, by])
 
 
 def _position_bend(geom: SegmentGeometry, positions) -> np.ndarray:
     """The bending vector (2l/|p|^2)*(p_x, p_y) of a position (3,) or stack (k, 3): (2,) or (2, k).
 
-    Checks the region, then ik_position's reach rule (|p| = chord alone
-    also holds on a mirror sheet with phi > pi) without squaring p first,
-    so nothing overflows."""
+    Refused outside the region, or unless FK of it gives p back. |p|^2
+    overflows only far out of reach, where the bend is zero, refused.
+    """
     p = np.asarray(positions, dtype=float)
     if p.shape[-1:] != (3,) or p.ndim > 2:
         raise ValueError(f"positions must have shape (3,) or (k, 3), got {p.shape}")
     _check_position_target(p)
-    x, y, z = p.T
+    elementwise = _ELEMENTWISE[p.ndim]
+    x, y, z = elementwise.split(p.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.hypot(x, y)
-        norm = np.hypot(r, z)
-        what = f"off the reachable surface: the arc of length l={geom.l:.6g} m bent toward it"
-        _check_arc_end(geom, geom.l * (r / norm) / norm, r, 0.0, z, norm, what)
-    return (2.0 * geom.l / (x * x + y * y + z * z)) * np.array([x, y])
-
-
-def _check_tip_frame(rotation: np.ndarray, bend: np.ndarray) -> np.ndarray:
-    """The bend (2,) or (2, k) IK found for a rotation (3, 3) or stack (k, 3, 3),
-    refused unless each rotation is within 1e-9 of the tip frame of its bend:
-    Rz(theta) @ Ry(phi) with phi = |bend| and theta = atan2(bend_y + 0.0,
-    bend_x + 0.0), where + 0.0 makes a straight bend's theta 0. A rotation
-    twisted about the tip tangent, or bent backward, is the frame of no arc."""
-    elementwise = _ELEMENTWISE[bend.ndim]
-    bx, by = bend
-    theta = elementwise.atan2(by + 0.0, bx + 0.0)
-    phi = elementwise.hypot(bx, by)
-    frame = _rotation(elementwise.cos(theta), elementwise.sin(theta), elementwise.cos(phi), elementwise.sin(phi))
-    gap = np.abs(frame - rotation).max(initial=0.0)
-    if not gap <= 1e-9:
-        raise ValueError(f"target rotation is the tip frame of no arc: the frame of IK's bend is {gap:.3e} off")
-    return bend
+        scale = 2.0 * geom.l / (x * x + y * y + z * z)
+        bx, by = scale * x, scale * y
+    what = "off the reachable surface: the arc of length l={l:.6g} m bent toward it"
+    return _fk_gives_back(geom, bx, by, elementwise, None, p, what)
 
 
 def _bend(geom: SegmentGeometry, target) -> np.ndarray:
     """The bending vector phi*(cos theta, sin theta) = l*(kappa_x, kappa_y) of an IK target.
 
     The target is a Pose (one or a stack), a rotation (3, 3) or a position
-    (3,). Gives (2,) for one target and (2, k) for a stack. In the tip
-    frame R = Rz(theta) @ Ry(phi), R[1, 1] = cos(theta), R[0, 1] = -sin(theta).
+    (3,). Gives (2,) for one target and (2, k) for a stack, refused unless
+    FK of it gives the target back (_fk_gives_back).
     """
     if isinstance(target, Pose):
-        # A Pose holds rotations (checked, or built from two angles). What
-        # remains is the region of its positions, that each is the tip of
-        # the arc its rotation describes: bent by phi = atan2(|R[:2, 2]|,
-        # R[2, 2]) in [0, pi], whose tip has p_z = l*sin(phi)/phi with
-        # sin(phi) = -R[2, 0], and that the rotation is its bend's tip frame.
-        # Transposed, r[j, i] = R[..., i, j] with the batch axis last.
+        # A Pose holds rotations (checked, or built from two angles); of
+        # its positions, the region remains to be checked.
         _check_position_target(target.position)
-        r = target.rotation.T
-        x, y, z = target.position.T
-        ct, st = r[1, 1], -r[1, 0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            half = np.arctan2(np.hypot(r[2, 0], r[2, 1]), r[2, 2]) / 2.0
-            norm = np.hypot(np.hypot(x, y), z)
-            what = f"not the tip of the arc its rotation describes: that arc of length l={geom.l:.6g} m"
-            _check_arc_end(geom, half, x * ct + y * st, y * ct - x * st, z, norm, what)
-        return _check_tip_frame(target.rotation, (-geom.l * r[0, 2] / z) * np.array([ct, st]))
-    if np.shape(target) == (3, 3):
-        # phi comes from the rotation alone, so l never enters: the result
-        # does not depend on the segment length, bit for bit.
-        r = np.asarray(target, dtype=float)
-        _check_rotations(r, "target rotation matrix")
-        phi = math.atan2(-r[2, 0], r[2, 2])
-        return _check_tip_frame(r, phi * np.array([r[1, 1], -r[0, 1]]))
-    p = np.asarray(target, dtype=float)
-    if p.shape != (3,):
-        raise TypeError(
-            "target must be a position (3,), a rotation (3, 3), or a Pose "
-            f"(a stack of positions goes to ik_position), got shape {p.shape}"
-        )
-    return _position_bend(geom, p)
+        rotation, position = target.rotation, target.position
+    elif np.shape(target) == (3, 3):
+        rotation, position = np.asarray(target, dtype=float), None
+        _check_rotations(rotation, "target rotation matrix")
+    else:
+        p = np.asarray(target, dtype=float)
+        if p.shape != (3,):
+            raise TypeError(
+                "target must be a position (3,), a rotation (3, 3), or a Pose "
+                f"(a stack of positions goes to ik_position), got shape {p.shape}"
+            )
+        return _position_bend(geom, p)
+    # The bend of the tip frame Rz(theta) @ Ry(phi), from the rotation alone,
+    # so l never enters: phi = atan2(|R[2, :2]|, R[2, 2]) in [0, pi] toward
+    # (cos theta, sin theta) = (R[1, 1], -R[0, 1]).
+    elementwise = _ELEMENTWISE[rotation.ndim - 1]
+    r = elementwise.split(rotation.T)  # r[j][i] is entry (i, j) of each rotation
+    phi = elementwise.atan2(elementwise.hypot(r[0][2], r[1][2]), r[2][2])
+    bx, by = phi * r[1][1], -phi * r[1][0]
+    what = "not the tip of the arc its rotation describes: that arc of length l={l:.6g} m"
+    return _fk_gives_back(geom, bx, by, elementwise, rotation, position, what)
 
 
 def f_ind_inverse(geom: SegmentGeometry, target) -> CurvatureCurvature:
     """Arc curvatures reaching a task-space target: its bending vector over l.
 
     The target may be a tip position (3-vector), a tip rotation (3x3), or a
-    full Pose (one pose, not a stack). Positions with p_z at or below
-    POSITION_Z_FLOOR, the origin, and positions off the reachable surface
-    (see ik_position) are rejected as unreachable. ik is
-    f_dep_inverse of this map's result, computed without the division by l.
+    full Pose (one pose, not a stack). It is refused where ik refuses it:
+    unless FK of the bend gives the target back. ik is f_dep_inverse of
+    this map's result, computed without the division by l.
     """
     bend = _bend(geom, target)
     if bend.ndim != 1:
@@ -414,10 +411,9 @@ def ik_position(geom: SegmentGeometry, positions) -> np.ndarray:
     own entry point because ik reads a (3, 3) array as one rotation, never
     as three positions. Positions with p_z at or below POSITION_Z_FLOOR,
     the origin and non-finite entries are rejected, and so is a position
-    off the reachable surface. The arc of length l bent toward p, by
-    phi = 2l*hypot(p_x, p_y)/|p|^2, ends at the chord (2l/phi)*sin(phi/2)
-    from its base, at phi/2 from the z-axis; that end must be p within
-    REACH_TOL*|p|. A stack is rejected if any row fails.
+    off the reachable surface: IK bends toward p by 2l*(p_x, p_y)/|p|^2,
+    and FK of that bend must give p back within REACH_TOL*|p|. A stack is
+    rejected if any row fails.
     """
     return _joints(geom, _position_bend(geom, positions))
 
@@ -430,10 +426,12 @@ def ik(geom: SegmentGeometry, target) -> np.ndarray:
     Returns the displacement vector on the manifold that reproduces the
     target under fk_direct: (n,) for one target, and (n, k) columns for a
     stacked Pose of k poses, column i within 1e-14 absolute of the call on
-    pose i alone. Stacks of positions go to ik_position, whose reach rule
-    a position target must meet here too. A rotation-only
-    target fixes the bending plane and the product kappa*l but not the
-    segment length; the returned displacements are independent of l.
+    pose i alone. Stacks of positions go to ik_position. A target is
+    accepted only when FK of its bend gives it back: rotations within 1e-9
+    entrywise, positions within REACH_TOL*|p|. A rotation, alone or in a
+    Pose, gives its bend by itself: phi = atan2(|R[2, :2]|, R[2, 2]) toward
+    (R[1, 1], -R[0, 1]). So a rotation-only target fixes the bending plane
+    and kappa*l but not l; the returned displacements are independent of l.
     """
     return _joints(geom, _bend(geom, target))
 

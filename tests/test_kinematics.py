@@ -38,7 +38,15 @@ from clarkekin import (
 )
 from clarkekin.cli import main
 from clarkekin.clarke import all_finite
-from clarkekin.kinematics import BEND_ROUNDING_TOL, POSITION_Z_FLOOR, _arc_pose, _check_rotations, _rotation
+from clarkekin.kinematics import (
+    BEND_ROUNDING_TOL,
+    POSITION_Z_FLOOR,
+    REACH_TOL,
+    _arc_pose,
+    _bend_pose,
+    _check_rotations,
+    _rotation,
+)
 
 
 def make_geom(n=5, d=0.01, l=0.1):
@@ -183,6 +191,11 @@ class TestFInd:
             assert np.max(np.abs(pose.position - [0.0, 0.0, geom.l])) <= 1e-15 * geom.l
             assert np.max(np.abs(pose.rotation - rotation_from_angles(1.0, 0.0, 0.0))) <= 1e-300
 
+    def test_bend_past_the_float_range_is_refused(self):
+        geom = make_geom(l=10.0)
+        message = rejection(lambda: f_ind(geom, CurvatureAngle(1e308, 0.0)))
+        assert "kappa=1e+308" in message and "l=10 " in message and "\n" not in message
+
     def test_rotation_structure(self):
         geom = make_geom()
         rng = np.random.default_rng(4)
@@ -221,8 +234,8 @@ class TestFkDirect:
         assert not _function_has_branch_tokens(fk_direct)
 
     def test_no_branch_in_the_shared_tail(self):
-        # fk_direct hands its bend to these two; they must not branch either.
-        for func in (_arc_pose, _rotation):
+        # fk_direct hands its bend to these; they must not branch either.
+        for func in (_bend_pose, _arc_pose, _rotation):
             assert not _function_has_branch_tokens(func)
 
     def test_agrees_with_composed_path(self):
@@ -409,15 +422,16 @@ class TestIk:
 
     @pytest.mark.parametrize(
         "alpha, beta, gamma, gap",
-        # Twisted about the tip tangent; bent backward, which IK read as a
-        # bend toward -x; turned about z with no bend, which IK read as straight.
-        [(0.4, 0.8, 0.5, 0.34), (0.0, -0.5, 0.0, 2.0), (0.5, 0.0, 0.0, 0.48)],
+        # Twisted about the tip tangent; bent backward, which IK reads as a
+        # bend of 0.5 toward +x; turned about z with no bend, which IK reads
+        # as straight.
+        [(0.4, 0.8, 0.5, 0.34), (0.0, -0.5, 0.0, 0.96), (0.5, 0.0, 0.0, 0.48)],
     )
     def test_rotation_no_arc_reaches_is_refused(self, alpha, beta, gamma, gap):
         geom = make_geom(n=5, l=0.1)
         r = rotation_from_angles(alpha, beta, gamma)
         # The frame of the bend IK finds misses r by gap in some entry.
-        bx, by = math.atan2(-r[2, 0], r[2, 2]) * np.array([r[1, 1], -r[0, 1]])
+        bx, by = math.atan2(math.hypot(r[2, 0], r[2, 1]), r[2, 2]) * np.array([r[1, 1], -r[0, 1]])
         rebuilt = rotation_from_angles(math.atan2(by + 0.0, bx + 0.0), math.hypot(bx, by), 0.0)
         assert np.max(np.abs(rebuilt - r)) == pytest.approx(gap, abs=0.01)
         for refused in (lambda: ik(geom, r), lambda: f_ind_inverse(geom, r)):
@@ -441,6 +455,20 @@ class TestIk:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="target rotation is the tip frame of no arc"):
                     ik(geom, target)
+
+    @pytest.mark.parametrize("beta", [-1e-300, -1e-12])
+    def test_backward_bend_within_the_tolerance_of_straight_is_accepted(self, beta):
+        # IK reads Ry(beta) as the bend |beta| toward +x, whose frame is
+        # within 2|beta| of Ry(beta).
+        geom = make_geom(n=5, l=0.1)
+        r = rotation_from_angles(0.0, beta, 0.0)
+        for rho in (ik(geom, r), f_dep_inverse(geom, f_ind_inverse(geom, r))):
+            assert np.max(np.abs(fk_direct(geom, rho).rotation - r)) <= 1e-9
+
+    def test_backward_bend_past_the_tolerance_is_refused(self):
+        geom = make_geom(n=5, l=0.1)
+        message = rejection(lambda: ik(geom, rotation_from_angles(0.0, -2e-9, 0.0)))
+        assert message.startswith("target rotation is the tip frame of no arc") and "\n" not in message
 
     @pytest.mark.parametrize("n", [3, 5, 12])
     def test_fk_frames_of_straight_and_tiny_bends_are_accepted(self, n):
@@ -782,10 +810,72 @@ class TestReach:
         with pytest.raises(ValueError, match="reachable surface"):
             ik(geom, p)
 
+    def test_sheet_of_bends_past_a_full_circle_is_refused(self):
+        # The tip of a bend of 2.5*pi lies above the base again, and IK's
+        # bend toward it is that bend, outside FK's domain.
+        geom = make_geom(l=0.1)
+        p = arc_end_oracle(geom.l, 2.5 * np.pi, 0.3)
+        assert p[2] > POSITION_Z_FLOOR
+        for refused in (lambda: ik(geom, p), lambda: ik_position(geom, np.stack([p, p]))):
+            with pytest.raises(ValueError, match="reachable surface"):
+                refused()
+
     def test_far_target_refused_without_a_warning(self):
         geom = make_geom()
         with pytest.raises(ValueError, match="reachable surface"):
             ik_position(geom, np.array([[0.0, 0.0, geom.l], [1e200, 0.0, 1e200]]))
+
+
+@st.composite
+def scaled_target_cases(draw):
+    """A geometry, a bend phi below the half circle, a plane theta, and a
+    relative scale s for the target position: 0, or +-1e-12 to +-1e-6."""
+    geom = make_geom(
+        n=draw(st.integers(3, 64)), d=10.0 ** draw(st.floats(-4.0, 0.0)), l=10.0 ** draw(st.floats(-3.0, 1.0))
+    )
+    phi = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(1e-6, 0.999 * np.pi)))
+    scale = draw(st.one_of(st.just(0.0), st.floats(-12.0, -6.0).map(lambda e: 10.0**e)))
+    return geom, phi, draw(st.floats(-np.pi, np.pi)), scale * draw(st.sampled_from([1.0, -1.0]))
+
+
+class TestAcceptanceMatchesTheChordOracle:
+    """IK accepts a target when FK of its bend gives the target back. The
+    chord form of the arc's end, which IK does not compute, is the oracle:
+    a target within 0.5*REACH_TOL*|p| of the end of its arc is accepted, one
+    at 2*REACH_TOL*|p| or more is refused, and one target and a stack
+    holding it decide alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_target_cases())
+    def test_positions_and_poses_one_at_a_time_and_stacked(self, case):
+        geom, phi, theta, s = case
+        tip = arc_end_oracle(geom.l, phi, theta)
+        q = tip * (1.0 + s)
+        # A position target's arc is bent toward q by 2l*|q_xy|/|q|^2; a
+        # Pose target's arc is the bend of its rotation, here (phi, theta).
+        toward_q = arc_end_oracle(geom.l, 2.0 * geom.l * math.hypot(q[0], q[1]) / (q @ q), math.atan2(q[1], q[0]))
+        frame = f_ind(geom, CurvatureAngle(phi / geom.l, theta)).rotation
+        fine = fk_direct(geom, manifold_samples(geom, 1, seed=5)[:, 0])
+        targets = [
+            (
+                np.linalg.norm(q - toward_q),
+                lambda: ik(geom, q),
+                lambda: ik_position(geom, np.stack([fine.position, q])),
+            ),
+            (
+                np.linalg.norm(q - tip),
+                lambda: ik(geom, Pose(rotation=frame, position=q)),
+                lambda: ik(geom, Pose(rotation=np.stack([fine.rotation, frame]), position=np.stack([fine.position, q]))),
+            ),
+        ]
+        norm = np.linalg.norm(q)
+        for gap, one, stack in targets:
+            accepted = rejection(one) is None
+            assert accepted == (rejection(stack) is None)
+            if gap <= 0.5 * REACH_TOL * norm:
+                assert accepted
+            if gap >= 2.0 * REACH_TOL * norm:
+                assert not accepted
 
 
 def recovered_rotation_oracle(p):
