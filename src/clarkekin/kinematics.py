@@ -12,7 +12,8 @@ straight-segment convention theta(kappa=0) = 0.
 fk_direct composes both mappings without ever branching on the curvature:
 it evaluates the exact arc of the Clarke pair for any bend below a full
 circle. IK's domain is smaller: p_z > 0, a bend below pi. IK accepts a
-target only when FK of the bend it finds gives the target back.
+target only when fk_direct of the displacements it returns gives the
+target back.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .clarke import ClarkeTransform, all_finite, as_displacement, build_transfor
 POSITION_Z_FLOOR = 1e-9
 
 # Distance, relative to |p|, between a target position p and the tip FK
-# gives for IK's bend, past which IK refuses the target.
+# gives for IK's displacements, past which IK refuses the target.
 REACH_TOL = 1e-9
 
 # Manifold residual accepted by f_dep_curvature_angle before it refuses
@@ -95,8 +96,8 @@ class Pose:
     A pose or stack built by the caller is rejected, in one numpy pass, if
     any rotation is not orthonormal with determinant +1 (within 1e-9) or
     any entry is not finite. The poses fk_direct, f_ind and
-    recover_pose_from_position return are not checked again: their type is
-    a private subclass of Pose.
+    recover_pose_from_position return are not checked again; a copy of one
+    made with dataclasses.replace is.
     """
 
     rotation: np.ndarray
@@ -122,10 +123,13 @@ class Pose:
 class _BuiltPose(Pose):
     # A pose the library computed: a rotation Rz(theta) @ Ry(phi) from the
     # cos and sin of two angles and a finite position, as float arrays of
-    # the right shapes. It inherits Pose.__init__ and only freezes them.
+    # the right shapes. It inherits Pose.__init__, only freezes them, and
+    # then becomes a Pose, so dataclasses.replace checks what a caller puts
+    # in a copy.
     def __post_init__(self):
         self.rotation.setflags(write=False)
         self.position.setflags(write=False)
+        object.__setattr__(self, "__class__", Pose)
 
 
 def _rotation(ct, st, cp, sp) -> np.ndarray:
@@ -141,11 +145,6 @@ def _rotation(ct, st, cp, sp) -> np.ndarray:
             [ct * sp, st * sp, cp],
         ]
     ).T
-
-
-def _joints(geom: SegmentGeometry, bend: np.ndarray) -> np.ndarray:
-    """rho = d * inverse @ bend of bending vectors l*(kappa_x, kappa_y), (2,) or (2, k)."""
-    return geom.layout.d * (build_transform(geom.layout).inverse @ bend)
 
 
 def f_dep_inverse(geom: SegmentGeometry, arc) -> np.ndarray:
@@ -306,39 +305,54 @@ def _check_position_target(p: np.ndarray) -> None:
 
 
 def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, rotation, position, what: str) -> np.ndarray:
-    """The bend (bx, by) IK found for a target, as (2,) or (2, k), refused
-    unless FK of it gives the target back: IK's one acceptance rule. Each
-    position within REACH_TOL*|p|, each rotation within 1e-9 entrywise (None
-    where the target has none). Floats for one target, (k,) rows for a
-    stack; what, with an {l} field, names a position target in the refusal.
-    A bend of a full circle or more, outside FK's domain, is held at 2*pi,
-    whose tip is the base, |p| from the target.
+    """The displacements rho = d * inverse @ (bx, by) of the bend IK found
+    for a target, (n,) or (n, k), refused unless fk_direct of them gives
+    the target back: IK's one acceptance rule. Each position within
+    REACH_TOL*|p|, each rotation within 1e-9 entrywise (None where the
+    target has none). Floats for one target, (k,) rows for a stack; what,
+    with an {l} field, names a position target in the refusal.
+
+    The tip is fk_direct's arc of rho: the plane and the bend |xi|/d of its
+    Clarke pair xi = forward @ rho. A bend of a full circle or more, outside
+    FK's domain, is held at 2*pi, whose tip is the base, |p| from the
+    target. Overflow gives a NaN or infinite rho, refused without a warning.
     """
-    phi = elementwise.minimum(elementwise.hypot(bx, by), 2.0 * math.pi)
-    tip_rotation, tip_position = _bend_pose(geom, bx, by, phi, elementwise)
-    if position is not None:
-        tx, ty, tz = elementwise.split(tip_position.T)
-        x, y, z = elementwise.split(position.T)
-        with np.errstate(over="ignore", invalid="ignore"):  # a stack's overflow gives a NaN gap, refused
+    t, d = build_transform(geom.layout), geom.layout.d
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = d * (t.inverse @ np.array([bx, by]))
+        xi_re, xi_im = elementwise.split(t.forward @ rho)
+        phi = elementwise.minimum(elementwise.hypot(xi_re, xi_im) / d, 2.0 * math.pi)
+        tip_rotation, tip_position = _bend_pose(geom, xi_re, xi_im, phi, elementwise)
+        if position is not None:
+            tx, ty, tz = elementwise.split(tip_position.T)
+            x, y, z = elementwise.split(position.T)
             gap = elementwise.hypot(elementwise.hypot(tx - x, ty - y), tz - z)
             norm = elementwise.hypot(elementwise.hypot(x, y), z)
             ratio = gap / norm
-        if not elementwise.largest(ratio) <= REACH_TOL:
-            i = np.argmin(np.ravel(ratio) <= REACH_TOL)
-            where, gap, norm = what.format(l=geom.l), np.ravel(gap)[i], np.ravel(norm)[i]
-            raise ValueError(f"target position is {where} ends {gap:.3e} m away (|p|={norm:.6g} m)")
+            if not elementwise.largest(ratio) <= REACH_TOL:
+                i = np.argmin(np.ravel(ratio) <= REACH_TOL)
+                where, gap, norm = what.format(l=geom.l), np.ravel(gap)[i], np.ravel(norm)[i]
+                raise ValueError(f"target position is {where} ends {gap:.3e} m away (|p|={norm:.6g} m)")
     if rotation is not None:
         gap = np.abs(tip_rotation - rotation).max(initial=0.0)
         if not gap <= 1e-9:
             raise ValueError(f"target rotation is the tip frame of no arc: the frame of IK's bend is {gap:.3e} off")
-    return np.array([bx, by])
+    return rho
 
 
-def _position_bend(geom: SegmentGeometry, positions) -> np.ndarray:
-    """The bending vector (2l/|p|^2)*(p_x, p_y) of a position (3,) or stack (k, 3): (2,) or (2, k).
+def ik_position(geom: SegmentGeometry, positions) -> np.ndarray:
+    """Closed-form inverse kinematics to tip positions.
 
-    Refused outside the region, or unless FK of it gives p back. |p|^2
-    overflows only far out of reach, where the bend is zero, refused.
+    positions is one position (3,), giving an (n,) displacement vector, or
+    a stack (k, 3), giving (n, k) displacement columns; row i agrees with
+    the single-position call within 1e-14 absolute. Positions have their
+    own entry point because ik reads a (3, 3) array as one rotation, never
+    as three positions. Positions with p_z at or below POSITION_Z_FLOOR,
+    the origin and non-finite entries are rejected. Otherwise IK bends
+    toward p by l*(kappa_x, kappa_y) = 2l*(p_x, p_y)/|p|^2 and returns the
+    displacements of that bend, refused unless fk_direct of them gives p
+    back within REACH_TOL*|p|. |p|^2 overflows only far out of reach,
+    where the bend is zero, refused. A stack is rejected if any row fails.
     """
     p = np.asarray(positions, dtype=float)
     if p.shape[-1:] != (3,) or p.ndim > 2:
@@ -353,12 +367,21 @@ def _position_bend(geom: SegmentGeometry, positions) -> np.ndarray:
     return _fk_gives_back(geom, bx, by, elementwise, None, p, what)
 
 
-def _bend(geom: SegmentGeometry, target) -> np.ndarray:
-    """The bending vector phi*(cos theta, sin theta) = l*(kappa_x, kappa_y) of an IK target.
+def ik(geom: SegmentGeometry, target) -> np.ndarray:
+    """Closed-form inverse kinematics to a position, rotation, or pose target.
 
-    The target is a Pose (one or a stack), a rotation (3, 3) or a position
-    (3,). Gives (2,) for one target and (2, k) for a stack, refused unless
-    FK of it gives the target back (_fk_gives_back).
+    The target's bending vector l*(kappa_x, kappa_y) mapped to joints,
+    rho = d * inverse @ bend, with no branch on the curvature. Returns the
+    displacement vector on the manifold that reproduces the target under
+    fk_direct: (n,) for one target, and (n, k) columns for a stacked Pose
+    of k poses, column i within 1e-14 absolute of the call on pose i alone.
+    A position (3,) goes to ik_position, and so do stacks of positions. A
+    target is accepted only when fk_direct of the returned displacements
+    gives it back: rotations within 1e-9 entrywise, positions within
+    REACH_TOL*|p|. A rotation, alone or in a Pose, gives its bend by itself:
+    phi = atan2(|R[2, :2]|, R[2, 2]) toward (R[1, 1], -R[0, 1]). So a
+    rotation-only target fixes the bending plane and kappa*l but not l; the
+    returned displacements are independent of l.
     """
     if isinstance(target, Pose):
         # A Pose holds rotations (checked, or built from two angles); of
@@ -375,7 +398,7 @@ def _bend(geom: SegmentGeometry, target) -> np.ndarray:
                 "target must be a position (3,), a rotation (3, 3), or a Pose "
                 f"(a stack of positions goes to ik_position), got shape {p.shape}"
             )
-        return _position_bend(geom, p)
+        return ik_position(geom, p)
     # The bend of the tip frame Rz(theta) @ Ry(phi), from the rotation alone,
     # so l never enters: phi = atan2(|R[2, :2]|, R[2, 2]) in [0, pi] toward
     # (cos theta, sin theta) = (R[1, 1], -R[0, 1]).
@@ -388,62 +411,28 @@ def _bend(geom: SegmentGeometry, target) -> np.ndarray:
 
 
 def f_ind_inverse(geom: SegmentGeometry, target) -> CurvatureCurvature:
-    """Arc curvatures reaching a task-space target: its bending vector over l.
+    """Arc curvatures reaching a task-space target: f_dep of ik's displacements.
 
     The target may be a tip position (3-vector), a tip rotation (3x3), or a
     full Pose (one pose, not a stack). It is refused where ik refuses it:
-    unless FK of the bend gives the target back. ik is f_dep_inverse of
-    this map's result, computed without the division by l.
+    unless fk_direct of the displacements gives the target back. So the
+    curvatures are those FK reads from the displacements ik returns.
     """
-    bend = _bend(geom, target)
-    if bend.ndim != 1:
+    rho = ik(geom, target)
+    if rho.ndim != 1:
         raise ValueError("f_ind_inverse takes one pose, not a stack")
-    kx, ky = bend / geom.l
-    return CurvatureCurvature(kappa_x=float(kx), kappa_y=float(ky))
-
-
-def ik_position(geom: SegmentGeometry, positions) -> np.ndarray:
-    """Closed-form inverse kinematics to tip positions: f_dep_inverse ∘ f_ind_inverse.
-
-    positions is one position (3,), giving an (n,) displacement vector, or
-    a stack (k, 3), giving (n, k) displacement columns; row i agrees with
-    the single-position call within 1e-14 absolute. Positions have their
-    own entry point because ik reads a (3, 3) array as one rotation, never
-    as three positions. Positions with p_z at or below POSITION_Z_FLOOR,
-    the origin and non-finite entries are rejected, and so is a position
-    off the reachable surface: IK bends toward p by 2l*(p_x, p_y)/|p|^2,
-    and FK of that bend must give p back within REACH_TOL*|p|. A stack is
-    rejected if any row fails.
-    """
-    return _joints(geom, _position_bend(geom, positions))
-
-
-def ik(geom: SegmentGeometry, target) -> np.ndarray:
-    """Closed-form inverse kinematics to a position, rotation, or pose target.
-
-    ik = f_dep_inverse ∘ f_ind_inverse: the target's bending vector
-    l*(kappa_x, kappa_y) mapped to joints, with no branch on the curvature.
-    Returns the displacement vector on the manifold that reproduces the
-    target under fk_direct: (n,) for one target, and (n, k) columns for a
-    stacked Pose of k poses, column i within 1e-14 absolute of the call on
-    pose i alone. Stacks of positions go to ik_position. A target is
-    accepted only when FK of its bend gives it back: rotations within 1e-9
-    entrywise, positions within REACH_TOL*|p|. A rotation, alone or in a
-    Pose, gives its bend by itself: phi = atan2(|R[2, :2]|, R[2, 2]) toward
-    (R[1, 1], -R[0, 1]). So a rotation-only target fixes the bending plane
-    and kappa*l but not l; the returned displacements are independent of l.
-    """
-    return _joints(geom, _bend(geom, target))
+    return f_dep(geom, rho)
 
 
 def recover_pose_from_position(geom: SegmentGeometry, p) -> Pose:
-    """Reconstruct the full tip pose from the tip position alone: f_ind of IK's bend.
+    """Reconstruct the full tip pose from the tip position alone: f_ind of f_ind_inverse.
 
     p must be one position (3,), never a (3, 3) array, which IK reads as a
     rotation. It is refused exactly where ik refuses it (at or below
     POSITION_Z_FLOOR, the origin, non-finite entries, off the reachable
-    surface). The returned position is the tip of the arc IK bends toward
-    p, within REACH_TOL*|p| of p; on the z-axis it is the straight pose.
+    surface). The returned pose is the arc of the curvatures FK reads from
+    IK's displacements, whose tip fk_direct puts within REACH_TOL*|p| of p;
+    on the z-axis it is the straight pose.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):

@@ -1,6 +1,7 @@
 """Robot-dependent mappings, branchless FK, closed-form IK, pose recovery."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import math
@@ -486,6 +487,33 @@ class TestIk:
         for i in range(cols.shape[1]):
             assert np.max(np.abs(ik(geom, poses.rotation[i]) - cols[:, i])) <= 1e-9
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(3, 64),
+        st.floats(-4.0, 0.0),
+        st.floats(-3.0, 1.0),
+        st.floats(-np.pi, np.pi),
+        st.floats(-323.3, -290.0),  # beta from 5e-324 to 1e-290
+    )
+    @example(n=5, log_d=-2.0, log_l=-1.0, theta=1.0, log_beta=math.log10(2.2250738585e-313))
+    def test_subnormal_bends_are_refused_or_given_back(self, n, log_d, log_l, theta, log_beta):
+        # Rz(theta) @ Ry(beta) with a subnormal beta: the displacements of
+        # that bend are subnormal too and may lose the bending plane. IK
+        # refuses the target then; whatever it returns, FK gives back.
+        geom = make_geom(n=n, d=10.0**log_d, l=10.0**log_l)
+        beta = 10.0**log_beta
+        rotation = rotation_from_angles(theta, beta, 0.0)
+        for target in (rotation, Pose(rotation=rotation, position=arc_end_oracle(geom.l, beta, theta))):
+            try:
+                rho = ik(geom, target)
+            except ValueError as exc:
+                assert str(exc).startswith("target rotation is the tip frame of no arc")
+                continue
+            pose = fk_direct(geom, rho)
+            assert np.max(np.abs(pose.rotation - rotation)) <= 1e-9
+            if isinstance(target, Pose):
+                assert np.max(np.abs(pose.position - target.position)) <= REACH_TOL * np.linalg.norm(target.position)
+
 
 @st.composite
 def reach_cases(draw):
@@ -839,9 +867,9 @@ def scaled_target_cases(draw):
 
 
 class TestAcceptanceMatchesTheChordOracle:
-    """IK accepts a target when FK of its bend gives the target back. The
-    chord form of the arc's end, which IK does not compute, is the oracle:
-    a target within 0.5*REACH_TOL*|p| of the end of its arc is accepted, one
+    """IK accepts a target when FK of the displacements it returns gives the
+    target back. The chord form of the arc's end, which IK does not compute,
+    is the oracle: a target within 0.5*REACH_TOL*|p| of the end of its arc is accepted, one
     at 2*REACH_TOL*|p| or more is refused, and one target and a stack
     holding it decide alike."""
 
@@ -954,6 +982,15 @@ class TestPoseType:
         pose = Pose(rotation=np.eye(3), position=np.zeros(3))
         with pytest.raises((ValueError, AttributeError)):
             pose.position[0] = 1.0
+
+    def test_copy_of_a_built_pose_is_checked(self):
+        # dataclasses.replace builds the copy through the pose's class.
+        built = fk_direct(make_geom(), np.zeros(5))
+        assert type(built) is Pose
+        with pytest.raises(ValueError, match="orthonormal"):
+            dataclasses.replace(built, rotation=np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(built, position=[0.0, math.inf, 0.1])
 
 
 def scalar_fk_oracle(geom, rho):
@@ -1197,6 +1234,7 @@ class TestOnePoseChecksMatchTheStackOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(angle, angle, angle, st.integers(0, 8), st.sampled_from(NON_FINITE + (None,)))
+    @example(alpha=0.0, beta=2.2250738585e-313, gamma=1.0, slot=0, bad=None)
     def test_general_rotations_and_non_finite_slots(self, alpha, beta, gamma, slot, bad):
         r = rotation_from_angles(alpha, beta, gamma)
         if bad is not None:
