@@ -62,6 +62,17 @@ class PT1Plant:
         object.__setattr__(self, "state", state)
 
 
+def _built_plant(tau: float, state: np.ndarray) -> PT1Plant:
+    # A plant plant_step computed: tau from the checked plant it stepped and
+    # a new finite state it owns, which is only frozen. It is a PT1Plant made
+    # without running __init__, so dataclasses.replace of it is checked.
+    state.setflags(write=False)
+    plant = object.__new__(PT1Plant)
+    object.__setattr__(plant, "tau", tau)
+    object.__setattr__(plant, "state", state)
+    return plant
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Additive measurement noise, uniform on [-epsilon, epsilon] per joint.
@@ -132,31 +143,48 @@ def controller_step(cfg: ControllerConfig, xi_desired, rho_measured) -> np.ndarr
     """One controller evaluation: measured joints in, commanded joints out.
 
     The measurement is centered before the transform (n*rho - sum(rho),
-    rescaled inside the matrix product). Centering changes nothing
+    rescaled after the matrix product). Centering changes nothing
     mathematically since the transform annihilates constant vectors, but it
     cancels a shared offset in exact arithmetic instead of leaving it to
     the vanishing row sums of the matrix.
+
+    The n-vector work and both products run in numpy; the Clarke pair in
+    between (the rescaling, the error and the command) runs on Python
+    floats, whose IEEE operations give numpy's bits. A command whose
+    |re| + |im| passes the float range, where a joint of inverse @ command
+    may overflow, raises OverflowError.
     """
     t = build_transform(cfg.geometry.layout.n)
-    xi_d = as_clarke(xi_desired)
+    d_re, d_im = as_clarke(xi_desired).tolist()
     rho_m = as_displacement(rho_measured, t.n)
-    centered_scaled = t.n * rho_m - np.add.reduce(rho_m)
-    xi_m = t.forward.dot(centered_scaled) / t.n
-    error = xi_d - xi_m
-    xi_cmd = xi_d + cfg.kp * error if cfg.feedforward else cfg.kp * error
-    return t.inverse.dot(xi_cmd)
+    m_re, m_im = t.forward.dot(t.n * rho_m - np.add.reduce(rho_m)).tolist()
+    e_re, e_im = d_re - m_re / t.n, d_im - m_im / t.n
+    kp = cfg.kp
+    if cfg.feedforward:
+        c_re, c_im = d_re + kp * e_re, d_im + kp * e_im
+    else:
+        c_re, c_im = kp * e_re, kp * e_im
+    if not math.isfinite(abs(c_re) + abs(c_im)):
+        raise OverflowError(f"the Clarke command ({c_re:.6g}, {c_im:.6g}) overflows")
+    return t.inverse.dot(np.array((c_re, c_im)))
 
 
 def plant_step(plant: PT1Plant, command, dt: float) -> PT1Plant:
     """Advance the PT1 actuators by dt under a held command.
 
     Exact zero-order-hold discretization x+ = a*x + (1-a)*u with
-    a = exp(-dt/tau); stable for every dt, tau > 0.
+    a = exp(-dt/tau); stable for every dt, tau > 0. dt and the command are
+    checked here; the plant's tau was checked when it was built, so the
+    next plant is built without checking it again. A new state that is
+    not finite is refused.
     """
     check_finite("dt", dt)
     u = as_displacement(command, len(plant.state))
     a = math.exp(-dt / plant.tau)
-    return PT1Plant(tau=plant.tau, state=a * plant.state + (1.0 - a) * u)
+    state = a * plant.state + (1.0 - a) * u
+    if not all_finite(state):
+        raise ValueError("plant state must be a finite vector")
+    return _built_plant(plant.tau, state)
 
 
 def _profile_durations(length: float, v: float, a: float, d: float) -> tuple[float, float, float, float]:

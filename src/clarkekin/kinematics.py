@@ -315,7 +315,8 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, rotation, positio
     The tip is fk_direct's arc of rho: the plane and the bend |xi|/d of its
     Clarke pair xi = forward @ rho. A bend of a full circle or more, outside
     FK's domain, is held at 2*pi, whose tip is the base, |p| from the
-    target. Overflow gives a NaN or infinite rho, refused without a warning.
+    target. Overflow gives a NaN or infinite rho, refused without a warning
+    as a target that needs displacements past the float range.
     """
     t, d = build_transform(geom.layout), geom.layout.d
     with np.errstate(over="ignore", invalid="ignore"):
@@ -332,7 +333,10 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, rotation, positio
             if not elementwise.largest(ratio) <= REACH_TOL:
                 i = np.argmin(np.ravel(ratio) <= REACH_TOL)
                 where, gap, norm = what.format(l=geom.l), np.ravel(gap)[i], np.ravel(norm)[i]
-                raise ValueError(f"target position is {where} ends {gap:.3e} m away (|p|={norm:.6g} m)")
+                ends = f"ends {gap:.3e} m away"
+                if not all_finite(np.reshape(rho, (t.n, -1))[:, i]):
+                    ends = "needs displacements past the float range"
+                raise ValueError(f"target position is {where} {ends} (|p|={norm:.6g} m)")
     if rotation is not None:
         gap = np.abs(tip_rotation - rotation).max(initial=0.0)
         if not gap <= 1e-9:

@@ -1,5 +1,6 @@
 """Controller law, PT1 plant, trajectory profile, closed-loop simulation."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -65,6 +66,12 @@ def reference_controller_step(cfg, xi_desired, rho_measured):
     return t.inverse @ xi_cmd
 
 
+def reference_plant_step(plant, command, dt):
+    """The PT1 step x+ = a*x + (1 - a)*u, a = exp(-dt/tau), into a checked PT1Plant: the oracle."""
+    a = math.exp(-dt / plant.tau)
+    return PT1Plant(plant.tau, a * plant.state + (1.0 - a) * np.asarray(command, dtype=float))
+
+
 def _profile_position(t, t_acc, t_cruise, t_dec, peak, a, d, length):
     # The scalar rest-to-rest profile, one tick at a time.
     total = t_acc + t_cruise + t_dec
@@ -103,7 +110,8 @@ def per_tick_trajectory_oracle(layout, spec, dt):
 
 
 def per_tick_simulation_oracle(cfg, plant, noise, trajectory, closed_loop=True):
-    """run_simulation with one noise draw per tick and one column store per tick."""
+    """run_simulation with one noise draw per tick and one column store per
+    tick, stepping through the test's own controller and plant steps."""
     n = cfg.geometry.layout.n
     t = build_transform(n)
     ticks = trajectory.shape[1]
@@ -118,10 +126,10 @@ def per_tick_simulation_oracle(cfg, plant, noise, trajectory, closed_loop=True):
         reading = reading + noise.bias
         rho_d = trajectory[:, i]
         if closed_loop:
-            cmd = controller_step(cfg, t.forward @ rho_d, reading)
+            cmd = reference_controller_step(cfg, t.forward @ rho_d, reading)
         else:
             cmd = rho_d
-        plant = plant_step(plant, cmd, cfg.dt)
+        plant = reference_plant_step(plant, cmd, cfg.dt)
         measured[:, i] = reading
         command[:, i] = cmd
         plant_states[:, i] = plant.state
@@ -192,6 +200,17 @@ class TestControllerStep:
         xi_d, rho_m = rng.uniform(-scale, scale, 2), rng.uniform(-scale, scale, n)
         assert np.array_equal(controller_step(cfg, xi_d, rho_m), reference_controller_step(cfg, xi_d, rho_m))
 
+    @pytest.mark.parametrize("feedforward", [True, False])
+    def test_overflowing_command_is_refused_in_one_line(self, geom, feedforward):
+        # kp*error passes the float range on the first; on the second both
+        # Clarke floats are finite, but a joint of inverse @ command is not.
+        cfg = ControllerConfig(kp=125.0, dt=1e-3, geometry=geom, feedforward=feedforward)
+        with pytest.raises(OverflowError, match=r"^the Clarke command \(-?inf, -?(0|inf)\) overflows$"):
+            controller_step(cfg, [1e307, 0.0], np.zeros(5))
+        cfg = dataclasses.replace(cfg, kp=16.0 if feedforward else 17.0)
+        with pytest.raises(OverflowError, match=r"^the Clarke command \(1\.7e\+308, 1\.7e\+308\) overflows$"):
+            controller_step(cfg, [1e307, 1e307], np.zeros(5))
+
     def test_validation(self, geom):
         with pytest.raises(ValueError, match="kp"):
             ControllerConfig(kp=0.0, dt=1e-3, geometry=geom)
@@ -260,6 +279,53 @@ class TestPlantStep:
             PT1Plant(tau=0.0, state=np.zeros(3))
         with pytest.raises(ValueError, match="dt"):
             plant_step(PT1Plant(tau=1.0, state=np.zeros(3)), np.zeros(3), 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(3, 64),
+        dt=st.floats(-6, 1).map(lambda e: 10.0**e),
+        tau=st.floats(-3, 3).map(lambda e: 10.0**e),
+        state_scale=st.floats(-300, 300).map(lambda e: 10.0**e),
+        command_scale=st.floats(-300, 300).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_reference(self, n, dt, tau, state_scale, command_scale, seed):
+        rng = np.random.default_rng(seed)
+        plant = PT1Plant(tau=tau, state=rng.uniform(-state_scale, state_scale, n))
+        command = rng.uniform(-command_scale, command_scale, n)
+        stepped = plant_step(plant, command, dt)
+        assert type(stepped) is PT1Plant and stepped.tau == tau
+        assert np.array_equal(stepped.state, reference_plant_step(plant, command, dt).state)
+
+    @pytest.mark.parametrize("slot", range(5))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_command_refused(self, slot, bad):
+        command = np.zeros(5)
+        command[slot] = bad
+        with pytest.raises(ValueError, match="^displacement vector entries must be finite$"):
+            plant_step(PT1Plant(tau=0.25, state=np.zeros(5)), command, 1e-3)
+
+    @pytest.mark.parametrize("dt", [1e-6, 1e-3, 0.3, 1.0, 10.0])
+    def test_state_at_the_float_edge_stays_finite(self, dt):
+        # a*x + (1 - a)*u with a = exp(-dt/tau) is a convex combination: at
+        # 1.7e308 and the largest float it stays finite, without a warning.
+        top = np.finfo(float).max
+        plant = PT1Plant(tau=0.25, state=np.array([1.7e308, -1.7e308, top, -top, top]))
+        command = np.array([top, -top, 1.7e308, -top, top])
+        stepped = plant_step(plant, command, dt)
+        assert np.array_equal(stepped.state, reference_plant_step(plant, command, dt).state)
+
+    def test_built_state_is_read_only(self):
+        stepped = plant_step(PT1Plant(tau=0.25, state=np.zeros(5)), np.ones(5), 1e-3)
+        with pytest.raises(ValueError, match="read-only"):
+            stepped.state[0] = 1.0
+
+    def test_copy_of_a_built_plant_is_checked(self):
+        stepped = plant_step(PT1Plant(tau=0.25, state=np.zeros(5)), np.ones(5), 1e-3)
+        with pytest.raises(ValueError, match="time constant tau must be finite and positive, got 0.0"):
+            dataclasses.replace(stepped, tau=0.0)
+        with pytest.raises(ValueError, match="^plant state must be a finite vector$"):
+            dataclasses.replace(stepped, state=np.full(5, np.inf))
 
 
 class TestTrajectory:
@@ -518,6 +584,16 @@ class TestSimulation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="float range"):
                 run_simulation(cfg, plant, NoiseModel(1e308, bias=1e308), traj, closed_loop=True)
+
+    def test_overflowing_command_is_a_value_error(self, cfg):
+        # A stable gain and finite readings, but a reference so large that
+        # the controller's command passes the float range.
+        traj = np.tile(inverse_transform(build_transform(5), [1e307, 0.0])[:, None], (1, 3))
+        plant = PT1Plant(tau=0.25, state=np.zeros(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^simulation left the float range: the Clarke command .* overflows$"):
+                run_simulation(cfg, plant, NoiseModel(0.0), traj, closed_loop=True)
 
     @settings(max_examples=100, deadline=None)
     @given(

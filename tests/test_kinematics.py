@@ -853,6 +853,18 @@ class TestReach:
         with pytest.raises(ValueError, match="reachable surface"):
             ik_position(geom, np.array([[0.0, 0.0, geom.l], [1e200, 0.0, 1e200]]))
 
+    def test_overflowing_displacements_are_named_not_a_nan_gap(self):
+        # d*inverse @ bend overflows here, and FK of it is NaN: the refusal
+        # says so instead of a NaN gap. A row refused first keeps its gap.
+        geom = make_geom(d=1e300, l=1e300)
+        near, far = [1e-3, 0.0, 1e-8], [0.5e300, 0.0, 0.5e300]
+        overflow = r"bent toward it needs displacements past the float range \(\|p\|=0\.001 m\)$"
+        for refused in (lambda: ik_position(geom, near), lambda: ik_position(geom, np.array([near, far]))):
+            with pytest.raises(ValueError, match=overflow):
+                refused()
+        with pytest.raises(ValueError, match=r"ends 7\.071e\+299 m away"):
+            ik_position(geom, np.array([far, near]))
+
 
 @st.composite
 def scaled_target_cases(draw):
