@@ -64,8 +64,9 @@ class PT1Plant:
 
 def _built_plant(tau: float, state: np.ndarray) -> PT1Plant:
     # A plant plant_step computed: tau from the checked plant it stepped and
-    # a new finite state it owns, which is only frozen. It is a PT1Plant made
-    # without running __init__, so dataclasses.replace of it is checked.
+    # a new state it owns, finite because it is a convex combination of two
+    # finite vectors, which is only frozen. It is a PT1Plant made without
+    # running __init__, so dataclasses.replace of it is checked.
     state.setflags(write=False)
     plant = object.__new__(PT1Plant)
     object.__setattr__(plant, "tau", tau)
@@ -175,16 +176,14 @@ def plant_step(plant: PT1Plant, command, dt: float) -> PT1Plant:
     Exact zero-order-hold discretization x+ = a*x + (1-a)*u with
     a = exp(-dt/tau); stable for every dt, tau > 0. dt and the command are
     checked here; the plant's tau was checked when it was built, so the
-    next plant is built without checking it again. A new state that is
-    not finite is refused.
+    next plant is built without checking it again, and its state is not
+    checked either: with a in [0, 1], a*x + (1-a)*u of finite x and u
+    rounds below the overflow threshold even at the largest float.
     """
     check_finite("dt", dt)
     u = as_displacement(command, len(plant.state))
     a = math.exp(-dt / plant.tau)
-    state = a * plant.state + (1.0 - a) * u
-    if not all_finite(state):
-        raise ValueError("plant state must be a finite vector")
-    return _built_plant(plant.tau, state)
+    return _built_plant(plant.tau, a * plant.state + (1.0 - a) * u)
 
 
 def _profile_durations(length: float, v: float, a: float, d: float) -> tuple[float, float, float, float]:

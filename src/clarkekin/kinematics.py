@@ -53,15 +53,18 @@ _I3.setflags(write=False)
 # of a bend in IK: one column or target runs on Python floats, as fast as
 # the scalar formula, and a batch in one numpy pass (numpy < 2 has no
 # atan2). split gives an array's rows; largest_abs and largest give the
-# largest |entry| and entry as one float.
+# largest |entry| and entry as one float; frames makes the nine entries of
+# a 3 x 3 frame, row-major, into one (3, 3) frame or a (k, 3, 3) stack.
 _ELEMENTWISE = {
     1: SimpleNamespace(
         hypot=math.hypot, atan2=math.atan2, maximum=max, minimum=min, cos=math.cos, sin=math.sin,
         split=np.ndarray.tolist, largest_abs=lambda r: max(map(abs, r.tolist())), largest=float,
+        frames=lambda e: np.array(e).reshape(3, 3),
     ),
     2: SimpleNamespace(
         hypot=np.hypot, atan2=np.arctan2, maximum=np.maximum, minimum=np.minimum, cos=np.cos, sin=np.sin,
         split=tuple, largest_abs=lambda r: float(abs(r).max(initial=0.0)), largest=lambda a: float(a.max(initial=0.0)),
+        frames=lambda e: np.array(e).T.reshape(-1, 3, 3),
     ),
 }
 
@@ -132,19 +135,10 @@ class _BuiltPose(Pose):
         object.__setattr__(self, "__class__", Pose)
 
 
-def _rotation(ct, st, cp, sp) -> np.ndarray:
-    """Rz(theta) @ Ry(phi) from cos/sin of theta and phi: (3, 3), or (k, 3, 3) from (k,) arrays."""
+def _rotation(ct, st, cp, sp, elementwise) -> np.ndarray:
+    """Rz(theta) @ Ry(phi) from cos/sin of theta and phi: (3, 3) from floats, or (k, 3, 3) from (k,) arrays."""
     zero = 0.0 * abs(ct)  # +0.0 shaped like ct; 0.0 * ct is -0.0 for ct < 0
-    # Built entry-major and transposed, so a batch index moves to the
-    # front and a single rotation comes out as written: the literal holds
-    # the columns of the rotation.
-    return np.array(
-        [
-            [ct * cp, st * cp, -sp],
-            [-st, ct, zero],
-            [ct * sp, st * sp, cp],
-        ]
-    ).T
+    return elementwise.frames((ct * cp, -st, ct * sp, st * cp, ct, st * sp, -sp, zero, cp))
 
 
 def f_dep_inverse(geom: SegmentGeometry, arc) -> np.ndarray:
@@ -187,7 +181,7 @@ def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
             f"displacements up to {top:.3e} m are too large for d={d:.6g} m: the transform's "
             f"rounding moves the bend by up to {rounding:.3e} rad, past {BEND_ROUNDING_TOL:.0e}"
         )
-    xi_re, xi_im = elementwise.split(t.forward @ rho)
+    xi_re, xi_im = elementwise.split(t.forward.dot(rho))
     amplitude = elementwise.hypot(xi_re, xi_im)
     widest = elementwise.largest(amplitude)
     if not widest < 2.0 * math.pi * d:
@@ -219,23 +213,26 @@ def f_dep_curvature_angle(geom: SegmentGeometry, rho) -> CurvatureAngle:
     return arc_from_clarke(geom, (xi_re, xi_im))
 
 
-def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> tuple[np.ndarray, np.ndarray]:
-    """Tip rotation and position of an arc of radius inv_kappa bent by phi in the plane at (cos, sin) = (ct, st).
+def _arc_tip(ct, st, sp, phi, inv_kappa, elementwise):
+    """Tip x, y, z of an arc of radius inv_kappa bent by phi (sp = sin(phi)) in the plane at (cos, sin) = (ct, st).
 
-    Python floats with elementwise = math give one pose, (k,) arrays with
-    numpy a stack. The bow 2*sin(phi/2)^2 is 1 - cos(phi) without its
-    cancellation near the straight pose, so the tip keeps full precision.
+    The bow 2*sin(phi/2)^2 is 1 - cos(phi) without its cancellation near
+    the straight pose, so the tip keeps full precision.
     """
-    cp = elementwise.cos(phi)
-    sp = elementwise.sin(phi)
     bow = 2.0 * elementwise.sin(phi / 2.0) ** 2 * inv_kappa
+    return ct * bow, st * bow, sp * inv_kappa
+
+
+def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> tuple[np.ndarray, np.ndarray]:
+    """Tip rotation and position of _arc_tip's arc: one pose from floats, a stack from (k,) arrays."""
+    sp = elementwise.sin(phi)
     # Transposed, so a batch index moves to the front: (k, 3) positions.
-    position = np.array([ct * bow, st * bow, sp * inv_kappa]).T
-    return _rotation(ct, st, cp, sp), position
+    position = np.array(_arc_tip(ct, st, sp, phi, inv_kappa, elementwise)).T
+    return _rotation(ct, st, elementwise.cos(phi), sp, elementwise), position
 
 
-def _bend_pose(geom: SegmentGeometry, bx, by, phi, elementwise) -> tuple[np.ndarray, np.ndarray]:
-    """Tip rotation and position of the bend phi in the plane of (bx, by), for fk_direct and IK.
+def _bend_arc(geom: SegmentGeometry, bx, by, phi, elementwise):
+    """The plane's cos and sin, phi and the radius l/phi of the bend phi in the plane of (bx, by), for fk_direct and IK.
 
     The plane is theta = atan2(by + 0.0, bx + 0.0): + 0.0 turns -0.0 into
     +0.0, so a zero vector is the straight pose. phi is raised to l times
@@ -243,7 +240,7 @@ def _bend_pose(geom: SegmentGeometry, bx, by, phi, elementwise) -> tuple[np.ndar
     """
     theta = elementwise.atan2(by + 0.0, bx + 0.0)
     phi = elementwise.maximum(phi, sys.float_info.min * geom.l)
-    return _arc_pose(elementwise.cos(theta), elementwise.sin(theta), phi, geom.l / phi, elementwise)
+    return elementwise.cos(theta), elementwise.sin(theta), phi, geom.l / phi
 
 
 def f_ind(geom: SegmentGeometry, arc) -> Pose:
@@ -261,7 +258,7 @@ def f_ind(geom: SegmentGeometry, arc) -> Pose:
     phi = max(ca.kappa, sys.float_info.min) * geom.l
     if not math.isfinite(phi):
         raise ValueError(f"curvature kappa={ca.kappa:.6g} 1/m bends a segment of l={geom.l:.6g} m past the float range")
-    return _BuiltPose(*_arc_pose(math.cos(ca.theta), math.sin(ca.theta), phi, geom.l / phi, math))
+    return _BuiltPose(*_arc_pose(math.cos(ca.theta), math.sin(ca.theta), phi, geom.l / phi, _ELEMENTWISE[1]))
 
 
 def fk_direct(geom: SegmentGeometry, rho) -> Pose:
@@ -270,15 +267,17 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
     rho is one displacement column (n,), giving one Pose, or a batch of k
     columns (n, k), giving a stacked Pose with (k, 3, 3) rotations and
     (k, 3) positions. One formula serves both. A single column evaluates
-    its elementwise functions with `math` and a batch with numpy, so a row
-    of a batch agrees with the single-column call within 1e-14 absolute
-    (numpy's cos, sin, hypot and arctan2 and a matrix-matrix product differ
-    from their scalar counterparts in the last bits), not bit for bit. A
-    common mode c in rho widens that by the transform's rounding of c.
+    its elementwise functions with `math` and a batch with numpy. The
+    Clarke pair is forward.dot(rho): a matrix-vector product for one column,
+    a matrix-matrix product for a batch. So a row of a batch agrees with
+    the single-column call within 1e-14 absolute (numpy's cos, sin, hypot
+    and arctan2 and the matrix-matrix product differ from their one-column
+    counterparts in the last bits), not bit for bit. A common mode c in rho
+    widens that by the transform's rounding of c.
 
     It computes what f_ind(arc_from_clarke(xi)) computes for the Clarke
     pair xi = forward @ rho: the arc bent by |xi|/d in the plane of xi
-    (_bend_pose), so rho = 0 is the straight pose. Where |xi|/(d*l)
+    (_bend_arc), so rho = 0 is the straight pose. Where |xi|/(d*l)
     underflows to 0, f_ind's straight branch takes theta = 0, and this
     keeps the plane of xi. rho outside FK's domain (see _fk_clarke) is
     refused.
@@ -287,7 +286,7 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
     rho = as_displacement(rho, t.n, batch=True)
     elementwise = _ELEMENTWISE[rho.ndim]
     xi_re, xi_im, amplitude = _fk_clarke(geom, t, rho)
-    return _BuiltPose(*_bend_pose(geom, xi_re, xi_im, amplitude / geom.layout.d, elementwise))
+    return _BuiltPose(*_arc_pose(*_bend_arc(geom, xi_re, xi_im, amplitude / geom.layout.d, elementwise), elementwise))
 
 
 def _check_position_target(p: np.ndarray) -> None:
@@ -305,7 +304,7 @@ def _check_position_target(p: np.ndarray) -> None:
 
 
 def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, rotation, position, what: str) -> np.ndarray:
-    """The displacements rho = d * inverse @ (bx, by) of the bend IK found
+    """The displacements rho = d * inverse.dot((bx, by)) of the bend IK found
     for a target, (n,) or (n, k), refused unless fk_direct of them gives
     the target back: IK's one acceptance rule. Each position within
     REACH_TOL*|p|, each rotation within 1e-9 entrywise (None where the
@@ -313,19 +312,21 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, rotation, positio
     with an {l} field, names a position target in the refusal.
 
     The tip is fk_direct's arc of rho: the plane and the bend |xi|/d of its
-    Clarke pair xi = forward @ rho. A bend of a full circle or more, outside
-    FK's domain, is held at 2*pi, whose tip is the base, |p| from the
-    target. Overflow gives a NaN or infinite rho, refused without a warning
-    as a target that needs displacements past the float range.
+    Clarke pair xi = forward.dot(rho); only the parts of the tip that the
+    target has are built. A bend of a full circle or more, outside FK's
+    domain, is held at 2*pi, whose tip is the base, |p| from the target.
+    Overflow gives a NaN or infinite rho, refused without a warning as a
+    target that needs displacements past the float range.
     """
     t, d = build_transform(geom.layout), geom.layout.d
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = d * (t.inverse @ np.array([bx, by]))
-        xi_re, xi_im = elementwise.split(t.forward @ rho)
+        rho = d * t.inverse.dot(np.array([bx, by]))
+        xi_re, xi_im = elementwise.split(t.forward.dot(rho))
         phi = elementwise.minimum(elementwise.hypot(xi_re, xi_im) / d, 2.0 * math.pi)
-        tip_rotation, tip_position = _bend_pose(geom, xi_re, xi_im, phi, elementwise)
+        ct, st, phi, inv_kappa = _bend_arc(geom, xi_re, xi_im, phi, elementwise)
+        sp = elementwise.sin(phi)
         if position is not None:
-            tx, ty, tz = elementwise.split(tip_position.T)
+            tx, ty, tz = _arc_tip(ct, st, sp, phi, inv_kappa, elementwise)
             x, y, z = elementwise.split(position.T)
             gap = elementwise.hypot(elementwise.hypot(tx - x, ty - y), tz - z)
             norm = elementwise.hypot(elementwise.hypot(x, y), z)
@@ -338,7 +339,7 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, rotation, positio
                     ends = "needs displacements past the float range"
                 raise ValueError(f"target position is {where} {ends} (|p|={norm:.6g} m)")
     if rotation is not None:
-        gap = np.abs(tip_rotation - rotation).max(initial=0.0)
+        gap = np.abs(_rotation(ct, st, elementwise.cos(phi), sp, elementwise) - rotation).max(initial=0.0)
         if not gap <= 1e-9:
             raise ValueError(f"target rotation is the tip frame of no arc: the frame of IK's bend is {gap:.3e} off")
     return rho

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clarkekin import (
@@ -28,7 +28,7 @@ from clarkekin import (
     projector,
     run_simulation,
 )
-from clarkekin.clarke import as_clarke, as_displacement
+from clarkekin.clarke import all_finite, as_clarke, as_displacement
 from clarkekin.control import _profile_durations, load_trace_csv, save_trace_csv
 
 V_MAX = 0.01 * np.pi
@@ -64,6 +64,13 @@ def reference_controller_step(cfg, xi_desired, rho_measured):
     error = xi_d - xi_m
     xi_cmd = xi_d + cfg.kp * error if cfg.feedforward else cfg.kp * error
     return t.inverse @ xi_cmd
+
+
+# Finite floats, the largest ones and 1.7e308 among them.
+edge_floats = st.one_of(
+    st.sampled_from([np.finfo(float).max, -np.finfo(float).max, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def reference_plant_step(plant, command, dt):
@@ -314,6 +321,30 @@ class TestPlantStep:
         command = np.array([top, -top, 1.7e308, -top, top])
         stepped = plant_step(plant, command, dt)
         assert np.array_equal(stepped.state, reference_plant_step(plant, command, dt).state)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(edge_floats, edge_floats), min_size=1, max_size=8),
+        ratio=st.one_of(
+            st.floats(-17.0, 3.0).map(lambda e: 10.0**e),
+            st.sampled_from([1e-300, 1e-17, math.log(2.0), 0.7, 745.0, 746.0, 1e300]),
+        ),
+        tau=st.floats(-3, 3).map(lambda e: 10.0**e),
+    )
+    def test_no_finite_state_and_command_overflow(self, pairs, ratio, tau):
+        # plant_step does not check the state it builds. a = exp(-dt/tau)
+        # runs from 1 (dt/tau below 1.1e-16) through 0.5 down to 0 (dt/tau
+        # past 745), and a*x + (1 - a)*u of finite x and u stays finite up to
+        # the largest float, without a warning.
+        dt = ratio * tau
+        assume(0.0 < dt < math.inf)
+        x, u = (np.array(column) for column in zip(*pairs))
+        plant = PT1Plant(tau=tau, state=x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stepped = plant_step(plant, u, dt)
+        assert all_finite(stepped.state)
+        assert np.array_equal(stepped.state, reference_plant_step(plant, u, dt).state)
 
     def test_built_state_is_read_only(self):
         stepped = plant_step(PT1Plant(tau=0.25, state=np.zeros(5)), np.ones(5), 1e-3)

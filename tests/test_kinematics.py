@@ -40,11 +40,13 @@ from clarkekin import (
 from clarkekin.cli import main
 from clarkekin.clarke import all_finite
 from clarkekin.kinematics import (
+    _ELEMENTWISE,
     BEND_ROUNDING_TOL,
     POSITION_Z_FLOOR,
     REACH_TOL,
     _arc_pose,
-    _bend_pose,
+    _arc_tip,
+    _bend_arc,
     _check_rotations,
     _rotation,
 )
@@ -236,8 +238,13 @@ class TestFkDirect:
 
     def test_no_branch_in_the_shared_tail(self):
         # fk_direct hands its bend to these; they must not branch either.
-        for func in (_bend_pose, _arc_pose, _rotation):
+        for func in (_bend_arc, _arc_pose, _arc_tip, _rotation):
             assert not _function_has_branch_tokens(func)
+
+    def test_both_shapes_define_the_same_elementwise_names(self):
+        # A helper the shared tail calls must exist for one column and for a
+        # batch alike, or one of the two shapes fails only when it runs.
+        assert vars(_ELEMENTWISE[1]).keys() == vars(_ELEMENTWISE[2]).keys()
 
     def test_agrees_with_composed_path(self):
         # Bends from 0.1*pi to 0.95*pi, then small ones (|rho| well below
@@ -1142,6 +1149,85 @@ class TestBatch:
         poses = fk_direct(geom, manifold_samples(geom, 2, seed=6))
         with pytest.raises(ValueError, match="stack"):
             f_ind_inverse(geom, poses)
+
+
+def nested_literal_rotation(ct, st, cp, sp):
+    """Rz(theta) @ Ry(phi) as a nested literal of its columns, transposed so
+    that a batch index moves to the front: built apart from _rotation's
+    flat, row-major tuple."""
+    zero = 0.0 * abs(ct)
+    return np.array([[ct * cp, st * cp, -sp], [-st, ct, zero], [ct * sp, st * sp, cp]]).T
+
+
+def matmul_fk_oracle(geom, rho):
+    """fk_direct with `@` products and the nested-literal frame, on Python
+    floats for one column (n,) and on numpy arrays for a batch (n, k): the
+    reference whose bits fk_direct keeps on both shapes."""
+    t = build_transform(geom.layout.n)
+    d, l = geom.layout.d, geom.l
+    if rho.ndim == 1:
+        xi_re, xi_im = (t.forward @ rho).tolist()
+        hypot, atan2, maximum, cos, sin = math.hypot, math.atan2, max, math.cos, math.sin
+    else:
+        xi_re, xi_im = t.forward @ rho
+        hypot, atan2, maximum, cos, sin = np.hypot, np.arctan2, np.maximum, np.cos, np.sin
+    theta = atan2(xi_im + 0.0, xi_re + 0.0)
+    ct, st = cos(theta), sin(theta)
+    phi = maximum(hypot(xi_re, xi_im) / d, sys.float_info.min * l)
+    inv_kappa = l / phi
+    cp, sp = cos(phi), sin(phi)
+    bow = 2.0 * sin(phi / 2.0) ** 2 * inv_kappa
+    return nested_literal_rotation(ct, st, cp, sp), np.array([ct * bow, st * bow, sp * inv_kappa]).T
+
+
+def matmul_ik_position_oracle(geom, p):
+    """ik_position's displacements with the `@` product: d * inverse @ (2l/|p|^2)*(p_x, p_y)."""
+    t = build_transform(geom.layout.n)
+    x, y, z = p.T
+    scale = 2.0 * geom.l / (x * x + y * y + z * z)
+    return geom.layout.d * (t.inverse @ np.array([scale * x, scale * y]))
+
+
+@st.composite
+def fk_shapes(draw):
+    """One column (n,) or a batch (n, k), k in {0, 1, 2, 17}, at scales down to subnormal."""
+    n = draw(st.integers(3, 64))
+    d = draw(st.sampled_from([1e-3, 1e-2, 1e-1]))
+    l = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    k = draw(st.sampled_from([None, 0, 1, 2, 17]))
+    scale = draw(st.sampled_from([1.0, 1e-9, 1e-300, 1e-310]))
+    width = 1 if k is None else k
+    pairs = draw(st.lists(st.tuples(fractions, angles), min_size=width, max_size=width))
+    cols = scale * displacement_columns(n, d, [f for f, _ in pairs], [a for _, a in pairs])
+    return make_geom(n=n, d=d, l=l), cols[:, 0] if k is None else cols
+
+
+class TestMatmulOracle:
+    """fk_direct and ik_position give the bits of the `@` products and the
+    nested-literal frame, -0.0 included, for one column and for batches."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fk_shapes())
+    def test_fk_direct(self, case):
+        geom, rho = case
+        pose = fk_direct(geom, rho)
+        rotation, position = matmul_fk_oracle(geom, rho)
+        assert type(pose) is Pose
+        assert pose.rotation.shape == ((3, 3) if rho.ndim == 1 else (rho.shape[1], 3, 3))
+        assert pose.rotation.shape == rotation.shape and pose.position.shape == position.shape
+        assert pose.rotation.tobytes() == rotation.tobytes()
+        assert pose.position.tobytes() == position.tobytes()
+        assert not pose.rotation.flags.writeable and not pose.position.flags.writeable
+
+    @settings(max_examples=150, deadline=None)
+    @given(fk_shapes())
+    def test_ik_position(self, case):
+        # Bend angles stay below pi, so every tip is reachable.
+        geom, rho = case
+        p = fk_direct(geom, rho).position
+        expected = matmul_ik_position_oracle(geom, p)
+        got = ik_position(geom, p)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestNonFinite:
