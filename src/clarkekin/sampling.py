@@ -15,6 +15,12 @@ test each block at once, accepting in stream order. Consecutive draws
 consume the stream exactly as one draw per iteration would, so accepted
 columns, iterations and success rates are bit-identical to a per-draw loop
 for every seed; draws past the k-th hit are neither counted nor returned.
+Method (a) decides a block approximately first: one BLAS product sums
+every row in some order, and a row whose approximate sum lies past the
+half grid by more than any two summation orders can differ is rejected.
+The few rows left, near the grid or with a sum that overflowed, take the
+exact test on numpy's row sums, which give a row the same bits inside any
+block. So every decision is the exact test's, for every n and every BLAS.
 
 Direct methods draw an angle theta = 2*pi*U and an amplitude L per sample
 (in that order) and map through the transform's right-inverse, so every
@@ -148,7 +154,8 @@ def _accept_in_blocks(
     that draw's index plus one. A block is sized from the acceptance rate
     seen so far and never reaches past iteration_cap or _BLOCK_DOUBLES; the
     RuntimeError when iteration_cap draws were not enough names the method
-    and ends in hint. Overflow in accept is ignored: an inf sum is rejected.
+    and ends in hint. accept(block) returns the indices of the accepted rows
+    in ascending order. Overflow in accept is ignored: an inf sum is rejected.
     """
     span = cfg.rho_max - cfg.rho_min
     kept = [np.empty((0, width))]
@@ -163,7 +170,7 @@ def _accept_in_blocks(
         )
         block = cfg.rho_min + span * rng.random((rows, width))
         with np.errstate(over="ignore"):
-            hits = np.flatnonzero(accept(block))[:need]
+            hits = accept(block)[:need]
         kept.append(block[hits])
         accepted += hits.size
         iterations += int(hits[-1]) + 1 if accepted == k else rows
@@ -175,6 +182,25 @@ def _accept_in_blocks(
     return np.concatenate(kept), iterations
 
 
+def _zero_sum_rows(block: np.ndarray, eps: float, largest: float) -> np.ndarray:
+    """Indices of the rows whose sum rounds to zero: np.rint(block.sum(axis=1) / eps) == 0.
+
+    largest bounds |block|. Rows whose BLAS sum is far from the half grid are
+    rejected outright; the rest, and those whose BLAS sum is not finite, take
+    the exact test (see the module docstring).
+    """
+    n = block.shape[1]
+    # rint gives 0 only when |sum| <= eps/2 + 2**-54 * eps. Any order of
+    # summation rounds the sum by at most (n - 1)*2**-53 * sum|rho|, so two
+    # orders differ by less than n*n*2**-52 * largest. The slack doubles
+    # that, which also covers the ulp past eps/2 (a row that reaches it has
+    # a value past eps/(2n)); 2**-1073 covers rounding near the subnormals.
+    slack = 0.5 * eps + n * n * 2.0**-51 * largest + 2.0**-1073
+    approx = block.dot(np.ones(n))
+    near = np.flatnonzero((np.abs(approx) <= slack) | ~np.isfinite(approx))
+    return near[np.rint(block[near].sum(axis=1) / eps) == 0]
+
+
 def sample_rejection_independent(
     cfg: SamplerConfig, k: int, iteration_cap: int = DEFAULT_ITERATION_CAP
 ) -> tuple[SampleBatch, SamplingStats]:
@@ -183,15 +209,18 @@ def sample_rejection_independent(
     A draw is accepted when its displacement sum, rounded half-to-even at
     granularity rounding_epsilon, equals zero, i.e. when |sum/eps| <= 1/2.
     Works for any n. Candidate blocks are tested in stream order,
-    bit-identical to one draw per iteration. A draw sums to about
-    [n*rho_min, n*rho_max), so bounds whose every sum lies past the half
-    grid can never accept and raise ValueError at once. Raises RuntimeError
-    when iteration_cap attempts did not produce k samples.
+    bit-identical to one draw per iteration; _zero_sum_rows filters a block
+    with one BLAS sum and tests the few rows near the grid exactly.
+
+    Two kinds of bounds raise ValueError before any draw. A draw sums to
+    about [n*rho_min, n*rho_max), so bounds whose every sum lies past the
+    half grid can never accept. And the sum of n joints has a density no
+    higher than one joint's, 1/span, so a draw is accepted with chance at
+    most about eps/span; when iteration_cap draws reach k samples with
+    chance below 1e-6 by Markov's inequality, the run is hopeless and
+    refused. Raises RuntimeError when iteration_cap attempts did not
+    produce k samples.
     """
-
-    def sum_rounds_to_zero(block):
-        return np.rint(block.sum(axis=1) / cfg.rounding_epsilon) == 0
-
     t0 = time.perf_counter()
     rng = _stream(cfg, k)
     # A candidate rho_min + span*u lies in [rho_min, rho_max] (u < 1 keeps
@@ -206,8 +235,22 @@ def sample_rejection_independent(
             f"method (a) can never accept: every draw sums to [{lo:.6g}, {hi:.6g}), "
             f"farther than rounding_epsilon/2={eps / 2:.6g} from zero"
         )
+    # p bounds the chance of a draw. A candidate lies within 2**-53 * (2*span
+    # + largest) of a continuous uniform, whose n-fold sum has density at
+    # most 1/span; numpy's sum moves it by (n - 1)*2**-53 * n*largest at most
+    # and 2**-1074 a joint covers subnormals: error = n*2**-53 * ((n + 1)*
+    # largest + 2*span) + n*2**-1074, p = (eps*(1 + 2**-51) + 2*error)/span.
+    span, largest = cfg.rho_max - cfg.rho_min, max(-cfg.rho_min, cfg.rho_max)
+    p_max = (eps * (1.0 + 2.0**-51) + n * 2.0**-1073) / span + n * 2.0**-52 * ((n + 1) * (largest / span) + 2.0)
+    if iteration_cap * p_max < 1e-6 * k:
+        raise ValueError(
+            f"method (a) is hopeless: a draw is accepted with chance at most {p_max:.3g}, so "
+            f"{iteration_cap} attempts reach k={k} samples with chance below 1e-6; "
+            f"widen rounding_epsilon, narrow the bounds or raise the cap"
+        )
     rows, iterations = _accept_in_blocks(
-        rng, cfg, n, k, iteration_cap, sum_rounds_to_zero, "a", "; widen rounding_epsilon or raise the cap"
+        rng, cfg, n, k, iteration_cap, lambda block: _zero_sum_rows(block, eps, largest), "a",
+        "; widen rounding_epsilon or raise the cap",
     )
     return _finalize("a", rows.T, time.perf_counter() - t0, iterations, k)
 
@@ -228,7 +271,7 @@ def sample_rejection_resolved(
 
     def in_bounds(pairs):
         rho1 = -(pairs[:, 0] + pairs[:, 1])
-        return (cfg.rho_min <= rho1) & (rho1 <= cfg.rho_max)
+        return np.flatnonzero((cfg.rho_min <= rho1) & (rho1 <= cfg.rho_max))
 
     t0 = time.perf_counter()
     rng = _stream(cfg, k)
@@ -290,10 +333,15 @@ def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch,
     method, amplitude = _radial_law(cfg, radial)
     rng = _stream(cfg, k)
     inverse = build_transform(cfg.layout).inverse.tolist()
+    # One uniform at a time from the bit generator's next_double (numpy's
+    # ctypes interface), which rng.random fills its arrays with: the same
+    # doubles, at about half the cost of rng.random() (no dtype check, no lock).
+    bits = rng.bit_generator.ctypes
+    next_double, state = bits.next_double, bits.state
     rows = array("d")
     t0 = time.perf_counter()
     for _ in range(k):
-        x, y = _clarke_pair(cfg, amplitude, math.sqrt, *rng.random(2).tolist())
+        x, y = _clarke_pair(cfg, amplitude, math.sqrt, next_double(state), next_double(state))
         # numpy's cos and sin return numpy scalars; the joints are cheaper on floats.
         x, y = float(x), float(y)
         rows.extend([c * x + s * y for c, s in inverse])

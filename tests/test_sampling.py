@@ -1,5 +1,6 @@
 """Rejection and direct manifold samplers, determinism, benchmark output."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -27,6 +28,7 @@ from clarkekin.sampling import (
     DEFAULT_ITERATION_CAP,
     DIRECT_METHODS,
     _direct_columns,
+    _zero_sum_rows,
     histogram_csv,
     load_batch_csv,
     save_batch_csv,
@@ -136,17 +138,29 @@ def histogram_csv_oracle(result, joint):
 
 @st.composite
 def rejection_cases(draw):
-    """(method, config, k) with at most about 10^5 draws per case."""
+    """(method, config, k) with at most about 10^5 draws per case.
+
+    Method (a) draws asymmetric bounds [-scale*(1 - t), scale*(1 + t)] at
+    scales from 1e-150 to 1e150, so the block filter's margin is checked at
+    every scale; method (b) keeps the symmetric desk-scale bounds.
+    """
     method = draw(st.sampled_from("ab"))
     n = draw(st.integers(3, 64)) if method == "a" else 3
-    # The joint sum has density about 1/(rho_max * sqrt(2*pi*n/3)) at zero,
-    # so this epsilon accepts about `rate` of the draws of method (a).
+    scale, tilt = RHO_MAX, 0.0
+    if method == "a":
+        scale = 10.0 ** draw(st.floats(-150, 150))
+        # The joint sum has mean n*scale*t and deviation scale*sqrt(n/3), so
+        # zero lies within one deviation of the mean.
+        tilt = draw(st.floats(-1.0, 1.0)) / math.sqrt(3.0 * n)
+    # The joint sum has density about exp(-z**2/2)/(scale*sqrt(2*pi*n/3)) at
+    # zero, z = sqrt(3n)*t, so this epsilon accepts about `rate` of the
+    # draws of method (a).
     rate = draw(st.floats(3e-3, 0.3))
-    eps = rate * RHO_MAX * math.sqrt(2.0 * math.pi * n / 3.0)
+    eps = rate * scale * math.sqrt(2.0 * math.pi * n / 3.0) * math.exp(1.5 * n * tilt**2)
     cfg = SamplerConfig(
         layout=JointLayout(n=n, d=D),
-        rho_min=-RHO_MAX,
-        rho_max=RHO_MAX,
+        rho_min=-scale * (1.0 - tilt),
+        rho_max=scale * (1.0 + tilt),
         rounding_epsilon=eps,
         seed=draw(st.integers(0, 2**63)),
     )
@@ -207,17 +221,104 @@ class TestBlockDrawsMatchPerDrawOracle:
     @pytest.mark.parametrize("method", ["a", "b"])
     def test_overflowing_candidates_run_to_the_cap_without_a_warning(self, method):
         # Candidates near -1e308 overflow in method (a)'s sum and (b)'s
-        # resolved joint; an infinite value is rejected, silently.
+        # resolved joint; an infinite value is rejected, silently. Method (a)
+        # accepts a draw of these bounds with chance below 1e-14, so it
+        # refuses the run at once; a grid of 1e300 lets it run to the cap.
         sampler, _ = SAMPLER_AND_ORACLE[method]
         cfg = config3(rho_min=-1e308, rho_max=RHO_MAX)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if method == "a":
+                with pytest.raises(ValueError, match=r"^method \(a\) is hopeless"):
+                    sampler(cfg, 1, iteration_cap=10_000)
+                cfg = replace(cfg, rounding_epsilon=1e300)
             with pytest.raises(RuntimeError, match=rf"^method \({method}\) exceeded 10000 attempts with only 0/1"):
                 sampler(cfg, 1, iteration_cap=10_000)
 
     def test_unknown_radial_law(self):
         with pytest.raises(ValueError, match="unknown radial law 'ring'"):
             sample_direct(config3(), 1, "ring")
+
+
+def rows_summing_to(target, n, rng, count, scale):
+    """Up to count rows of n values whose numpy row sum is exactly target."""
+    rows = []
+    for _ in range(20 * count):
+        row = rng.uniform(-scale, scale, (1, n))
+        for _ in range(8):
+            gap = target - row.sum(axis=1)[0]
+            if gap == 0.0:
+                rows.append(row[0])
+                break
+            row[0, rng.integers(n)] += gap
+        if len(rows) == count:
+            break
+    return rows
+
+
+def boundary_rows(n, eps, rng):
+    """Rows whose numpy row sum is +-eps/2 or one ulp to either side."""
+    rows = []
+    for half in (0.5 * eps, -0.5 * eps):
+        for target in (np.nextafter(half, -np.inf), half, np.nextafter(half, np.inf)):
+            # One value and zeros sums exactly in every order.
+            lone = np.zeros(n)
+            lone[rng.integers(n)] = target
+            rows.append(lone)
+            for scale in (eps, 30.0 * eps):
+                rows += rows_summing_to(target, n, rng, 8, scale)
+    return np.array(rows)
+
+
+def overflowing_rows(n, eps):
+    """Rows near +-1.7e308 whose partial sums overflow in some orders only.
+
+    The +-M values take every order over a few slots, with a small value
+    that decides the rounded sum when they cancel. Some slots are ones that
+    numpy's eight interleaved accumulators (from 8 joints on) add first.
+    """
+    M = 1.7e308
+    rows = []
+    for values in ((M, M, -M), (M, -M, 0.25 * eps), (M, M, -M, -M, 0.25 * eps), (M, M, -M, -M, 0.75 * eps)):
+        for slots in ((0, 1, 2, 3, 4), (0, 1, 8, 9, 16), (0, 4, n // 2, n - 2, n - 1)):
+            slots = list(slots[: len(values)])
+            if len(set(slots)) < len(values) or max(slots) >= n:
+                continue
+            for order in sorted(set(itertools.permutations(values))):
+                row = np.zeros(n)
+                row[slots] = order
+                rows.append(row)
+    return np.array(rows)
+
+
+class TestZeroSumRows:
+    @pytest.mark.parametrize("n", [3, 7, 8, 9, 64])
+    @pytest.mark.parametrize("eps", [1e-5, 2.0**-17, 3e-300, 1e300, 5 * 2.0**-1074])
+    def test_decides_every_row_as_the_exact_test(self, n, eps):
+        rng = np.random.default_rng(n)
+        near = boundary_rows(n, eps, rng)
+        sums = near.sum(axis=1)
+        for half in (0.5 * eps, -0.5 * eps):
+            for target in (np.nextafter(half, -np.inf), half, np.nextafter(half, np.inf)):
+                assert np.count_nonzero(sums == target) >= 2
+        # The boundary rows alone, bounded by their own largest value, then
+        # mixed with the overflowing rows.
+        mixed = np.concatenate([near, overflowing_rows(n, eps)])
+        for block in (near, mixed[rng.permutation(len(mixed))]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = np.flatnonzero(np.rint(block.sum(axis=1) / eps) == 0)
+                got = _zero_sum_rows(block, eps, float(np.abs(block).max()))
+            assert np.array_equal(got, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 64), st.integers(1, 300), st.floats(-300, 300), st.integers(0, 2**32))
+    def test_subset_sums_repeat_the_block_sums(self, n, rows, log_scale, seed):
+        # The exact test sums only the rows near the grid; numpy must give
+        # them the bits it gives them inside the whole block.
+        rng = np.random.default_rng(seed)
+        block = rng.uniform(-1.0, 1.0, (rows, n)) * 10.0**log_scale
+        idx = np.flatnonzero(rng.random(rows) < rng.random())
+        assert np.array_equal(block[idx].sum(axis=1), block.sum(axis=1)[idx])
 
 
 class TestConfig:
@@ -282,9 +383,40 @@ class TestRejectionIndependent:
         assert np.max(np.abs(batch.columns.sum(axis=0))) <= cfg.rounding_epsilon
 
     def test_iteration_cap(self):
+        # A draw is accepted with chance about 1.6e-10: 10^5 attempts give
+        # 10 samples with chance about 1.6e-6, too much to refuse at once.
         cfg = config3(eps=1e-12, seed=0)
         with pytest.raises(RuntimeError, match="exceeded"):
-            sample_rejection_independent(cfg, 10, iteration_cap=2000)
+            sample_rejection_independent(cfg, 10, iteration_cap=100_000)
+
+    @pytest.mark.parametrize("eps, cap, k", [(1e-12, 2000, 10), (1e-12, 10**8, 10**5), (1e-5, 1000, 10**7)])
+    def test_hopeless_runs_are_refused_before_any_draw(self, monkeypatch, eps, cap, k):
+        # cap * (about eps/span) < 1e-6 * k: by Markov's inequality the cap
+        # gives k samples with chance below 1e-6.
+        class NoDraws:
+            def __init__(self, seed):
+                pass
+
+            def random(self, shape):
+                raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr("clarkekin.sampling._rng", NoDraws)
+        refusal = r"^method \(a\) is hopeless: a draw is accepted with chance at most"
+        with pytest.raises(ValueError, match=refusal) as raised:
+            sample_rejection_independent(config3(eps=eps), k, iteration_cap=cap)
+        assert "\n" not in str(raised.value)
+
+    @pytest.mark.parametrize("n", [3, 5, 12, 64])
+    def test_a_cap_that_can_succeed_is_not_refused(self, n):
+        # A cap whose Markov bound on the chance of 10^6 samples is about
+        # 2e-6 at the measured rate (about 2.2e-3 for every n) runs to the
+        # cap: the refusal's bound on the rate lies above the true one.
+        eps = 1e-5 * math.sqrt(n)
+        cfg = SamplerConfig(JointLayout(n=n, d=D), -RHO_MAX, RHO_MAX, rounding_epsilon=eps, seed=3)
+        _, stats = sample_rejection_independent(cfg, 100)
+        cap = math.ceil(2e-6 * 10**6 / stats.success_rate)
+        with pytest.raises(RuntimeError, match=rf"exceeded {cap} attempts"):
+            sample_rejection_independent(cfg, 10**6, iteration_cap=cap)
 
     @pytest.mark.parametrize("rho_min, rho_max", [(1e-4, RHO_MAX), (-RHO_MAX, -1e-4), (4e-6, 5e-6), (-4e-6, -3e-6)])
     def test_bounds_that_never_accept_fail_fast(self, rho_min, rho_max):
