@@ -16,20 +16,24 @@ consume the stream exactly as one draw per iteration would, so accepted
 columns, iterations and success rates are bit-identical to a per-draw loop
 for every seed; draws past the k-th hit are neither counted nor returned.
 Method (a) decides a block approximately first: one BLAS product sums
-every row in some order, and a row whose approximate sum lies past the
-half grid by more than any two summation orders can differ is rejected.
-The few rows left, near the grid or with a sum that overflowed, take the
-exact test on numpy's row sums, which give a row the same bits inside any
-block. So every decision is the exact test's, for every n and every BLAS.
+every row, scaled by a power of two above 2n so that no order overflows,
+and a row whose approximate sum lies past the half grid by more than any
+two summation orders can differ is rejected. The few rows left, near the
+grid, take the exact test on numpy's row sums, which give a row the same
+bits inside any block. So every decision is the exact test's, for every n
+and every BLAS. Both methods bound their acceptance rate in closed form
+and refuse a run that the iteration cap cannot complete.
 
 Direct methods draw an angle theta = 2*pi*U and an amplitude L per sample
 (in that order) and map through the transform's right-inverse, so every
 sample satisfies the displacement constraint by construction and the
 success rate is exactly 1. One formula (_clarke_pair) serves both direct
 paths: the sequential one feeds it two Python floats per sample, the
-batched one two (k,) arrays from one block of the same stream. Both take
-cos and sin from numpy and do the rest in IEEE-exact operations, so the
-two are bit-identical under one seed.
+batched one two arrays per block of at most _DIRECT_BLOCK samples, drawn
+in order from the same stream. Both take cos and sin from numpy and do
+the rest in IEEE-exact operations, so the two are bit-identical under one
+seed. The batched path writes each block into its (n, k) output, so it
+needs that output plus one block's fixed working set, whatever k and n.
 """
 
 from __future__ import annotations
@@ -63,6 +67,11 @@ DEFAULT_ITERATION_CAP = 10**8
 
 # A rejection block holds at most this many uniforms (2 MiB of doubles).
 _BLOCK_DOUBLES = 2**18
+
+# A batched direct block holds at most this many samples. Its (b, 2)
+# uniforms and per-joint rows are small enough for the allocator to reuse
+# from block to block; blocks four to eight times larger page-fault anew.
+_DIRECT_BLOCK = 2**14
 
 # Histogram bins per joint over [rho_min, rho_max] in benchmark().
 _HIST_BINS = 50
@@ -168,7 +177,10 @@ def _accept_in_blocks(
             max(1, _BLOCK_DOUBLES // width),
             iteration_cap - iterations,
         )
-        block = cfg.rho_min + span * rng.random((rows, width))
+        # rho_min + span*u, in place: the same two IEEE operations.
+        block = rng.random((rows, width))
+        block *= span
+        block += cfg.rho_min
         with np.errstate(over="ignore"):
             hits = accept(block)[:need]
         kept.append(block[hits])
@@ -185,20 +197,34 @@ def _accept_in_blocks(
 def _zero_sum_rows(block: np.ndarray, eps: float, largest: float) -> np.ndarray:
     """Indices of the rows whose sum rounds to zero: np.rint(block.sum(axis=1) / eps) == 0.
 
-    largest bounds |block|. Rows whose BLAS sum is far from the half grid are
-    rejected outright; the rest, and those whose BLAS sum is not finite, take
-    the exact test (see the module docstring).
+    largest bounds |block|, which must be finite. Rows whose BLAS sum is far
+    from the half grid are rejected outright; the rest take the exact test
+    (see the module docstring).
     """
     n = block.shape[1]
-    # rint gives 0 only when |sum| <= eps/2 + 2**-54 * eps. Any order of
-    # summation rounds the sum by at most (n - 1)*2**-53 * sum|rho|, so two
-    # orders differ by less than n*n*2**-52 * largest. The slack doubles
-    # that, which also covers the ulp past eps/2 (a row that reaches it has
-    # a value past eps/(2n)); 2**-1073 covers rounding near the subnormals.
-    slack = 0.5 * eps + n * n * 2.0**-51 * largest + 2.0**-1073
-    approx = block.dot(np.ones(n))
-    near = np.flatnonzero((np.abs(approx) <= slack) | ~np.isfinite(approx))
+    # The BLAS sums rho/m, m a power of two above 2n: it adds at most
+    # n/m < 1/2 times largest, so no order overflows, and the scaling is
+    # exact but for the subnormals. rint gives 0 only when |sum| <= eps/2 +
+    # 2**-54 * eps. Any order of summation rounds the sum by at most
+    # (n - 1)*2**-53 * sum|rho|, so two orders differ by less than
+    # n*n*2**-52 * largest. The slack doubles that, which also covers the
+    # ulp past eps/2 (a row that reaches it has a value past eps/(2n)), and
+    # divides by m; n*2**-1074, which does not underflow, covers the
+    # subnormal products and the division's rounding.
+    m = 2.0 ** (n.bit_length() + 1)
+    slack = (0.5 * eps + n * n * 2.0**-51 * largest) / m + n * 2.0**-1074
+    approx = block.dot(np.full(n, 1.0 / m))
+    near = np.flatnonzero(np.abs(approx) <= slack)
     return near[np.rint(block[near].sum(axis=1) / eps) == 0]
+
+
+def _refuse_hopeless(method: str, p_max: float, iteration_cap: int, k: int, advice: str) -> None:
+    """Refuse a run whose cap, at chance p_max per draw, gives k samples with chance below 1e-6 (Markov)."""
+    if iteration_cap * p_max < 1e-6 * k:
+        raise ValueError(
+            f"method ({method}) is hopeless: a draw is accepted with chance at most {p_max:.3g}, so "
+            f"{iteration_cap} attempts reach k={k} samples with chance below 1e-6; {advice}"
+        )
 
 
 def sample_rejection_independent(
@@ -242,12 +268,7 @@ def sample_rejection_independent(
     # largest + 2*span) + n*2**-1074, p = (eps*(1 + 2**-51) + 2*error)/span.
     span, largest = cfg.rho_max - cfg.rho_min, max(-cfg.rho_min, cfg.rho_max)
     p_max = (eps * (1.0 + 2.0**-51) + n * 2.0**-1073) / span + n * 2.0**-52 * ((n + 1) * (largest / span) + 2.0)
-    if iteration_cap * p_max < 1e-6 * k:
-        raise ValueError(
-            f"method (a) is hopeless: a draw is accepted with chance at most {p_max:.3g}, so "
-            f"{iteration_cap} attempts reach k={k} samples with chance below 1e-6; "
-            f"widen rounding_epsilon, narrow the bounds or raise the cap"
-        )
+    _refuse_hopeless("a", p_max, iteration_cap, k, "widen rounding_epsilon, narrow the bounds or raise the cap")
     rows, iterations = _accept_in_blocks(
         rng, cfg, n, k, iteration_cap, lambda block: _zero_sum_rows(block, eps, largest), "a",
         "; widen rounding_epsilon or raise the cap",
@@ -265,6 +286,13 @@ def sample_rejection_resolved(
     and for rho_min < 0 < rho_max, the bounds under which a resolved rho_1
     can fall inside them. Candidate blocks are tested in stream order,
     bit-identical to one draw per iteration.
+
+    The sum of two candidates has a triangular density on [2*rho_min,
+    2*rho_max], so a draw is accepted with a closed-form chance (3/4 at
+    symmetric bounds). Bounded above by that chance widened by the rounding
+    of the candidates and of their sum, it refuses a hopeless run before
+    any draw, as method (a) does. Raises RuntimeError when iteration_cap
+    attempts did not produce k samples.
     """
     if cfg.layout.n != 3:
         raise ValueError(f"method (b) resolves one of exactly 3 joints, got n={cfg.layout.n}")
@@ -280,6 +308,22 @@ def sample_rejection_resolved(
             f"method (b) can never accept: rho_1 = -(rho_2 + rho_3) lies outside "
             f"[{cfg.rho_min:.6g}, {cfg.rho_max:.6g}] unless rho_min < 0 < rho_max"
         )
+    # In units of span from 2*rho_min, the sum of two continuous uniforms on
+    # [rho_min, rho_min + span] has density t on [0, 1] and 2 - t on [1, 2];
+    # -rho_1 lies in [-rho_max, -rho_min] when t lies in [3q - 1, 3q], q =
+    # -rho_min/span. A candidate lies within 2**-53 * (2*span + largest) +
+    # 2**-1075 of such a uniform and their sum rounds by 2**-52 * largest,
+    # which widens the chance by at most 2**-50 * (1 + largest/span) +
+    # 2**-1073/span; this formula rounds by 21 ulps at most. With largest <=
+    # span, 5 * 2**-50 + 2**-1072/span covers both.
+    span = cfg.rho_max - cfg.rho_min
+    q3 = 3.0 * (-cfg.rho_min / span)
+
+    def cdf(t):
+        return 0.5 * t * t if t <= 1.0 else 1.0 - 0.5 * (2.0 - t) ** 2
+
+    p_max = cdf(min(q3, 2.0)) - cdf(max(q3 - 1.0, 0.0)) + 5 * 2.0**-50 + 2.0**-1072 / span
+    _refuse_hopeless("b", p_max, iteration_cap, k, "move the bounds toward symmetric or raise the cap")
     pairs, iterations = _accept_in_blocks(rng, cfg, 2, k, iteration_cap, in_bounds, "b")
     columns = np.vstack([-(pairs[:, 0] + pairs[:, 1]), pairs.T])
     return _finalize("b", columns, time.perf_counter() - t0, iterations, k)
@@ -309,15 +353,17 @@ def _clarke_pair(cfg: SamplerConfig, amplitude, sqrt, u_angle, u_amp):
     return amp * np.cos(theta), amp * np.sin(theta)
 
 
-def _direct_columns(cfg: SamplerConfig, amplitude, u_angle: np.ndarray, u_amp: np.ndarray) -> np.ndarray:
-    """The n x k columns of k direct samples: the right-inverse's columns times the Clarke pairs.
+def _direct_columns(cfg: SamplerConfig, amplitude, u_angle: np.ndarray, u_amp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The n x b columns of b direct samples, written into out and returned.
 
-    Elementwise products and one sum per joint, the same operations
-    sample_direct does on floats, keep the two paths bit-identical.
+    Row j is the right-inverse's row (c_j, s_j) times the Clarke pairs:
+    c_j*x + s_j*y, the same operations sample_direct does on floats, which
+    keeps the two paths bit-identical.
     """
     x, y = _clarke_pair(cfg, amplitude, np.sqrt, u_angle, u_amp)
-    inverse = build_transform(cfg.layout).inverse
-    return inverse[:, :1] * x + inverse[:, 1:] * y
+    for (c, s), row in zip(build_transform(cfg.layout).inverse.tolist(), out):
+        np.add(c * x, s * y, out=row)
+    return out
 
 
 def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch, SamplingStats]:
@@ -351,16 +397,21 @@ def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch,
 
 
 def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatch:
-    """Vectorized direct sampling: one block of uniforms for all k samples.
+    """Vectorized direct sampling into one n x k output, _DIRECT_BLOCK samples at a time.
 
-    Bit-identical to k sequential sample_direct draws under the same seed,
-    because the PRNG stream is consumed in the same (theta, L) order and
-    both paths evaluate the same formula.
+    Each block draws its (b, 2) uniforms in turn from the one stream, the
+    doubles a single (k, 2) draw would give, and writes its columns into
+    the output; no temporary grows with k. Bit-identical to k sequential
+    sample_direct draws under the same seed, because the PRNG stream is
+    consumed in the same (theta, L) order and both paths evaluate the same
+    formula.
     """
     method, amplitude = _radial_law(cfg, radial)
     rng = _stream(cfg, k)
-    u2 = rng.random((k, 2))
-    columns = _direct_columns(cfg, amplitude, u2[:, 0], u2[:, 1])
+    columns = np.empty((cfg.layout.n, k))
+    for start in range(0, k, _DIRECT_BLOCK):
+        u2 = rng.random((min(_DIRECT_BLOCK, k - start), 2))
+        _direct_columns(cfg, amplitude, u2[:, 0], u2[:, 1], columns[:, start : start + len(u2)])
     columns.setflags(write=False)
     return SampleBatch(columns=columns, method=method)
 
@@ -419,9 +470,11 @@ def benchmark(
     Every method letter is checked before any runs; the list must name at
     least one method and none twice. Wall times are averaged per method
     and normalized into `factor` against method (c) when present, else
-    against the fastest method. Histograms pool the samples of all runs
-    on _HIST_BINS fixed bins over [rho_min, rho_max]. Each run is one
-    sample() call, with vectorized passed on.
+    against the fastest method. Histograms count the samples of all runs
+    on _HIST_BINS fixed bins over [rho_min, rho_max]; each run's counts are
+    added as the run ends and its columns dropped, so memory holds one
+    run's samples at a time. Each run is one sample() call, with
+    vectorized passed on.
 
     annulus_rho_min, when given, overrides rho_min for method (e) only, so
     the annulus inner radius can stay positive while the other methods use
@@ -440,10 +493,14 @@ def benchmark(
         method_cfg = cfg
         if method == "e" and annulus_rho_min is not None:
             method_cfg = replace(cfg, rho_min=annulus_rho_min)
-        seeds = [_run_seed(cfg.seed, mi, run) for run in range(runs)]
-        batches, stats_list = zip(*(sample(replace(method_cfg, seed=seed), k, method, vectorized) for seed in seeds))
-        samples = np.concatenate([batch.columns for batch in batches], axis=1)
-        hist = np.vstack([np.histogram(samples[j], bins=edges)[0] for j in range(cfg.layout.n)])
+
+        # A run's batch dies as counted returns, before the next run draws.
+        def counted(seed):
+            batch, stats = sample(replace(method_cfg, seed=seed), k, method, vectorized)
+            return stats, np.vstack([np.histogram(row, bins=edges)[0] for row in batch.columns])
+
+        stats_list, counts = zip(*(counted(_run_seed(cfg.seed, mi, run)) for run in range(runs)))
+        hist = sum(counts)
         times = np.array([s.wall_time for s in stats_list])
         iters = np.array([s.iterations for s in stats_list], dtype=float)
         results.append(

@@ -614,6 +614,7 @@ def test_bad_float_in_a_valid_command_fails_in_one_line(capsys, name, bad, data)
         (["bench", "--methods", "e", "--rho-max", "1e200"], "finite rho_max**2"),
         (["sample", "--method", "a", "--rho-min", "3e-6", "--rho-max", "4e-6", "--k", "1"], "method (a) can never accept"),
         (["sample", "--method", "a", "--rho-min=-1e308", "--k", "1"], "method (a) is hopeless"),
+        (["sample", "--method", "b", "--rho-min=-1e308", "--k", "1"], "method (b) is hopeless"),
     ],
 )
 def test_sampling_bounds_that_cannot_work_are_one_line(capsys, argv, reason):

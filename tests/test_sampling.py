@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from clarkekin import (
 )
 from clarkekin.clarke import TWO_PI
 from clarkekin.sampling import (
+    _DIRECT_BLOCK,
     ALL_METHODS,
     DEFAULT_ITERATION_CAP,
     DIRECT_METHODS,
@@ -114,8 +117,66 @@ def per_sample_direct_oracle(cfg, k, radial):
     columns = np.empty((cfg.layout.n, k))
     for i in range(k):
         u2 = rng.random((1, 2))
-        columns[:, i : i + 1] = _direct_columns(cfg, amplitude, u2[:, 0], u2[:, 1])
+        _direct_columns(cfg, amplitude, u2[:, 0], u2[:, 1], columns[:, i : i + 1])
     return columns
+
+
+def resolved_rate_oracle(cfg):
+    """Method (b)'s chance of acceptance for continuous candidates, in exact arithmetic.
+
+    The candidates are uniform on [rho_min, rho_min + span], span rounded as
+    the sampler rounds it; their sum u + v has a triangular density on
+    [2*rho_min, 2*rho_min + 2*span], and rho_1 = -(u + v) is accepted when
+    the sum lies in [-rho_max, -rho_min].
+    """
+    lo, span = Fraction(cfg.rho_min), Fraction(cfg.rho_max - cfg.rho_min)
+
+    def cdf(sum_):
+        t = min(max((sum_ - 2 * lo) / span, Fraction(0)), Fraction(2))
+        return t * t / 2 if t <= 1 else 1 - (2 - t) ** 2 / 2
+
+    return float(cdf(-Fraction(cfg.rho_min)) - cdf(-Fraction(cfg.rho_max)))
+
+
+def pooled_histograms_oracle(cfg, k, methods, runs, vectorized, annulus_rho_min):
+    """Per method, the columns of every run pooled, then one np.histogram per joint."""
+    edges = np.linspace(cfg.rho_min, cfg.rho_max, 51)
+    histograms = []
+    for mi, method in enumerate(methods):
+        method_cfg = replace(cfg, rho_min=annulus_rho_min) if method == "e" else cfg
+        seeds = [
+            int(np.random.SeedSequence(cfg.seed, spawn_key=(mi, run)).generate_state(1, np.uint64)[0])
+            for run in range(runs)
+        ]
+        pooled = np.concatenate(
+            [sample(replace(method_cfg, seed=seed), k, method, vectorized)[0].columns for seed in seeds], axis=1
+        )
+        histograms.append(np.vstack([np.histogram(pooled[j], bins=edges)[0] for j in range(cfg.layout.n)]))
+    return edges, histograms
+
+
+def recording_rng(shapes):
+    """A stand-in for sampling._rng whose generators append the shape of every random() draw to shapes."""
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = np.random.Generator(np.random.PCG64(seed))
+
+        def random(self, shape):
+            shapes.append(shape)
+            return self.rng.random(shape)
+
+    return Recording
+
+
+class NoDraws:
+    """A stand-in for sampling._rng for a run that must be refused before its first draw."""
+
+    def __init__(self, seed):
+        pass
+
+    def random(self, shape):
+        raise AssertionError("drew before refusing")
 
 
 def stats_csv_oracle(results):
@@ -202,16 +263,7 @@ class TestBlockDrawsMatchPerDrawOracle:
 
     def test_blocks_stay_bounded(self, monkeypatch):
         shapes = []
-
-        class Recording:
-            def __init__(self, seed):
-                self.rng = np.random.Generator(np.random.PCG64(seed))
-
-            def random(self, shape):
-                shapes.append(shape)
-                return self.rng.random(shape)
-
-        monkeypatch.setattr("clarkekin.sampling._rng", Recording)
+        monkeypatch.setattr("clarkekin.sampling._rng", recording_rng(shapes))
         with pytest.raises(RuntimeError, match="exceeded"):
             sample_rejection_independent(config3(eps=1e-12), 10, iteration_cap=10**6)
         assert sum(rows for rows, _ in shapes) == 10**6
@@ -221,19 +273,19 @@ class TestBlockDrawsMatchPerDrawOracle:
     @pytest.mark.parametrize("method", ["a", "b"])
     def test_overflowing_candidates_run_to_the_cap_without_a_warning(self, method):
         # Candidates near -1e308 overflow in method (a)'s sum and (b)'s
-        # resolved joint; an infinite value is rejected, silently. Method (a)
-        # accepts a draw of these bounds with chance below 1e-14, so it
-        # refuses the run at once; a grid of 1e300 lets it run to the cap.
+        # resolved joint; an infinite value is rejected, silently. Either
+        # method accepts a draw of these bounds with chance below 1e-14, so
+        # it refuses the run at once. A grid of 1e300 (a), or rho_max = 1e303
+        # (b, chance about 4.5e-10), lets it run to the cap.
         sampler, _ = SAMPLER_AND_ORACLE[method]
         cfg = config3(rho_min=-1e308, rho_max=RHO_MAX)
+        runnable = replace(cfg, rounding_epsilon=1e300) if method == "a" else replace(cfg, rho_max=1e303)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if method == "a":
-                with pytest.raises(ValueError, match=r"^method \(a\) is hopeless"):
-                    sampler(cfg, 1, iteration_cap=10_000)
-                cfg = replace(cfg, rounding_epsilon=1e300)
-            with pytest.raises(RuntimeError, match=rf"^method \({method}\) exceeded 10000 attempts with only 0/1"):
+            with pytest.raises(ValueError, match=rf"^method \({method}\) is hopeless"):
                 sampler(cfg, 1, iteration_cap=10_000)
+            with pytest.raises(RuntimeError, match=rf"^method \({method}\) exceeded 10000 attempts with only 0/1"):
+                sampler(runnable, 1, iteration_cap=10_000)
 
     def test_unknown_radial_law(self):
         with pytest.raises(ValueError, match="unknown radial law 'ring'"):
@@ -309,6 +361,23 @@ class TestZeroSumRows:
                 expected = np.flatnonzero(np.rint(block.sum(axis=1) / eps) == 0)
                 got = _zero_sum_rows(block, eps, float(np.abs(block).max()))
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [3, 6, 64])
+    def test_sums_past_the_float_range_skip_the_exact_test(self, n):
+        # Candidates of bounds [-1e308, pi mm] overflow numpy's row sums; the
+        # scaled BLAS sum cannot overflow, so it rejects them all outright
+        # and no row is summed again.
+        class Recording(np.ndarray):
+            def __getitem__(self, index):
+                taken.append(np.size(index))
+                return super().__getitem__(index)
+
+        taken = []
+        block = -1e308 + (RHO_MAX + 1e308) * np.random.default_rng(n).random((1000, n))
+        with np.errstate(over="ignore"):
+            assert np.isinf(block.sum(axis=1)).any()
+        assert _zero_sum_rows(block.view(Recording), 1e-5, 1e308).size == 0
+        assert taken == [0]
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(3, 64), st.integers(1, 300), st.floats(-300, 300), st.integers(0, 2**32))
@@ -393,13 +462,6 @@ class TestRejectionIndependent:
     def test_hopeless_runs_are_refused_before_any_draw(self, monkeypatch, eps, cap, k):
         # cap * (about eps/span) < 1e-6 * k: by Markov's inequality the cap
         # gives k samples with chance below 1e-6.
-        class NoDraws:
-            def __init__(self, seed):
-                pass
-
-            def random(self, shape):
-                raise AssertionError("drew before refusing")
-
         monkeypatch.setattr("clarkekin.sampling._rng", NoDraws)
         refusal = r"^method \(a\) is hopeless: a draw is accepted with chance at most"
         with pytest.raises(ValueError, match=refusal) as raised:
@@ -535,6 +597,26 @@ class TestRejectionResolved:
         assert batch.columns.shape == (3, 0)
         assert stats.iterations == 0
 
+    @pytest.mark.parametrize(
+        "rho_min, rho_max",
+        [(-RHO_MAX, RHO_MAX), (-RHO_MAX, 3 * RHO_MAX), (-1e-4, 1.0), (-1.0, 1e-4), (-1e308, 1e303), (-1e-300, 1e-295)],
+    )
+    def test_refused_when_the_closed_form_makes_the_cap_hopeless(self, monkeypatch, rho_min, rho_max):
+        # The chance in exact arithmetic is the oracle. A cap that reaches k
+        # samples with Markov bound 2e-6 runs; one with 0.5e-6 is refused
+        # before any draw.
+        cfg = config3(seed=7, rho_min=rho_min, rho_max=rho_max)
+        p = resolved_rate_oracle(cfg)
+        assert p > 0.0
+        try:
+            sample_rejection_resolved(cfg, 1, iteration_cap=math.ceil(2e-6 / p))
+        except RuntimeError:
+            pass
+        monkeypatch.setattr("clarkekin.sampling._rng", NoDraws)
+        with pytest.raises(ValueError, match=r"^method \(b\) is hopeless: a draw is accepted with chance at most") as raised:
+            sample_rejection_resolved(cfg, 10**9, iteration_cap=math.floor(500 / p))
+        assert "\n" not in str(raised.value)
+
 
 class TestDirect:
     @pytest.mark.parametrize("radial", ["line", "disk", "annulus"])
@@ -614,8 +696,37 @@ class TestDirectColumns:
         u2 = np.random.default_rng(n).random((17, 2))
         cfg = SamplerConfig(layout=JointLayout(n=n, d=D), rho_min=0.1 * RHO_MAX, rho_max=RHO_MAX, seed=n)
         for _, amplitude in DIRECT_METHODS.values():
-            got = _direct_columns(cfg, amplitude, u2[:, 0], u2[:, 1])
+            got = _direct_columns(cfg, amplitude, u2[:, 0], u2[:, 1], np.empty((n, 17)))
             assert got.tobytes() == trig_direct_columns_oracle(cfg, amplitude, u2).tobytes()
+
+
+class TestBatchedBlocks:
+    B = _DIRECT_BLOCK
+
+    @pytest.mark.parametrize("n", [3, 5, 12, 64])
+    @pytest.mark.parametrize("k", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_bit_identical_to_sequential(self, n, k):
+        cfg = SamplerConfig(JointLayout(n=n, d=D), 0.1 * RHO_MAX, RHO_MAX, seed=n * k)
+        radial = ("line", "disk", "annulus")[k % 3]
+        sequential, _ = sample_direct(cfg, k, radial)
+        assert sample_direct_batched(cfg, k, radial).columns.tobytes() == sequential.columns.tobytes()
+
+    def test_no_draw_exceeds_one_block(self, monkeypatch):
+        shapes = []
+        monkeypatch.setattr("clarkekin.sampling._rng", recording_rng(shapes))
+        sample_direct_batched(config3(seed=5), 2 * self.B + 3, "disk")
+        assert shapes == [(self.B, 2), (self.B, 2), (3, 2)]
+
+    def test_needs_its_output_plus_one_block(self):
+        # The 3 x 10^6 output takes 24 MB; one block of working set fits in 2 MiB.
+        tracemalloc.start()
+        try:
+            batch = sample_direct_batched(config3(seed=6), 10**6, "disk")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.columns.nbytes == 24 * 10**6
+        assert peak < batch.columns.nbytes + 2 * 2**20
 
 
 @st.composite
@@ -766,6 +877,26 @@ class TestBenchmark:
             assert r.method == v.method
             assert np.array_equal(r.histograms, v.histograms)
             assert [s.iterations for s in r.runs] == [s.iterations for s in v.runs]
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_histograms_pool_every_run(self, vectorized):
+        cfg = config3(seed=23, eps=1e-4)
+        results = benchmark(cfg, 40, runs=3, vectorized=vectorized, annulus_rho_min=0.1 * RHO_MAX)
+        edges, histograms = pooled_histograms_oracle(cfg, 40, ALL_METHODS, 3, vectorized, 0.1 * RHO_MAX)
+        for r, expected in zip(results, histograms, strict=True):
+            assert r.bin_edges.tobytes() == edges.tobytes()
+            assert r.histograms.dtype == expected.dtype and np.array_equal(r.histograms, expected)
+
+    def test_keeps_one_run_of_samples_at_a_time(self):
+        # One vectorized run of 10^5 samples at n = 3 takes 2.4 MB; five
+        # runs pooled took five times that, twice over.
+        tracemalloc.start()
+        try:
+            benchmark(config3(seed=24), 10**5, methods=("c", "d", "e"), runs=5, vectorized=True, annulus_rho_min=0.1 * RHO_MAX)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 10**5 * 8 + 2 * 2**20
 
     def test_benchmark_checks_every_letter_before_sampling(self, monkeypatch):
         def refuse(*args):
