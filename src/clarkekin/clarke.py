@@ -136,14 +136,26 @@ def build_transform(layout: JointLayout | int) -> ClarkeTransform:
     return t
 
 
+def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m times x: one column or Clarke pair x, or a batch x of k columns.
+
+    A batch is a stack of matrix-vector products, so each of its columns
+    gets the bits of m.dot(column); one matrix-matrix product rounds unlike
+    it, which turns a tiny Clarke pair's bending plane.
+    """
+    if x.ndim == 1:
+        return m.dot(x)
+    return np.matmul(m, x.T[:, :, None])[:, :, 0].T
+
+
 def transform(t: ClarkeTransform, rho) -> np.ndarray:
     """Map n displacements to Clarke coordinates (rho_re, rho_im).
 
     An n x k matrix of displacement columns maps column by column to a
-    2 x k matrix.
+    2 x k matrix, each column the bits of the call on that column alone.
     """
     rho = as_displacement(rho, t.n, batch=True)
-    return t.forward @ rho
+    return _product(t.forward, rho)
 
 
 def inverse_transform(t: ClarkeTransform, xi) -> np.ndarray:

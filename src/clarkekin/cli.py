@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .arcspace import SegmentGeometry
-from .clarke import JointLayout, build_transform, inverse_transform, transform
+from .clarke import JointLayout, _product, build_transform, inverse_transform, transform
 from .control import (
     ControllerConfig,
     NoiseModel,
@@ -239,8 +239,7 @@ def _default_waypoints(layout: JointLayout, seed: int, count: int = 5) -> tuple:
         seed=seed,
     )
     batch = sample_direct_batched(cfg, count, "annulus")
-    t = build_transform(layout.n)
-    return tuple(t.forward @ batch.columns[:, i] for i in range(count))
+    return tuple(_product(build_transform(layout.n).forward, batch.columns).T)
 
 
 def cmd_simulate(args) -> int:
@@ -437,7 +436,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return DOMAIN_ERROR
 

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car, arc_from_clarke, clarke_from_arc
-from .clarke import ClarkeTransform, all_finite, as_displacement, build_transform, manifold_residual
+from .clarke import ClarkeTransform, _product, all_finite, as_displacement, build_transform, manifold_residual
 
 # Targets with p_z at or below this height (meters) are rejected: the tip of
 # a forward-bending constant-curvature segment never reaches the p_z <= 0
@@ -181,7 +181,7 @@ def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
             f"displacements up to {top:.3e} m are too large for d={d:.6g} m: the transform's "
             f"rounding moves the bend by up to {rounding:.3e} rad, past {BEND_ROUNDING_TOL:.0e}"
         )
-    xi_re, xi_im = elementwise.split(t.forward.dot(rho))
+    xi_re, xi_im = elementwise.split(_product(t.forward, rho))
     amplitude = elementwise.hypot(xi_re, xi_im)
     widest = elementwise.largest(amplitude)
     if not widest < 2.0 * math.pi * d:
@@ -231,15 +231,23 @@ def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> tuple[np.ndarray, np.ndarr
     return _rotation(ct, st, elementwise.cos(phi), sp, elementwise), position
 
 
+def _least_bend(l: float) -> float:
+    """The bend (rad) that FK and IK raise a smaller one to: l times the
+    smallest normal float, so the radius l/phi stays finite, and never below
+    the smallest float 5e-324, which l*float_min underflows past for l < 2^-52.
+    """
+    return max(sys.float_info.min * l, 5e-324)
+
+
 def _bend_arc(geom: SegmentGeometry, bx, by, phi, elementwise):
     """The plane's cos and sin, phi and the radius l/phi of the bend phi in the plane of (bx, by), for fk_direct and IK.
 
     The plane is theta = atan2(by + 0.0, bx + 0.0): + 0.0 turns -0.0 into
-    +0.0, so a zero vector is the straight pose. phi is raised to l times
-    the smallest normal float, as f_ind raises kappa, so l/phi stays finite.
+    +0.0, so a zero vector is the straight pose. phi is raised to
+    _least_bend, as f_ind raises its bend, so l/phi stays finite.
     """
     theta = elementwise.atan2(by + 0.0, bx + 0.0)
-    phi = elementwise.maximum(phi, sys.float_info.min * geom.l)
+    phi = elementwise.maximum(phi, _least_bend(geom.l))
     return elementwise.cos(theta), elementwise.sin(theta), phi, geom.l / phi
 
 
@@ -248,14 +256,14 @@ def f_ind(geom: SegmentGeometry, arc) -> Pose:
 
     For kappa > 0 the tip sits on a circular arc of radius 1/kappa in the
     bending plane; kappa = 0 yields the straight pose (identity rotation,
-    position (0, 0, l)). A kappa below the smallest normal float, whose
-    radius would overflow, is raised to it: the rotation moves by < 3e-308*l.
-    A bend kappa*l past the largest float is refused.
+    position (0, 0, l)). A bend kappa*l below _least_bend, whose radius
+    would overflow, is raised to it: the rotation moves by < 3e-308*l, or
+    by 5e-324 for l < 2^-52. A bend kappa*l past the largest float is refused.
     """
     ca = _as_car(arc)
     if ca.kappa == 0.0:
         return _BuiltPose(rotation=np.eye(3), position=np.array([0.0, 0.0, geom.l]))
-    phi = max(ca.kappa, sys.float_info.min) * geom.l
+    phi = max(ca.kappa * geom.l, _least_bend(geom.l))
     if not math.isfinite(phi):
         raise ValueError(f"curvature kappa={ca.kappa:.6g} 1/m bends a segment of l={geom.l:.6g} m past the float range")
     return _BuiltPose(*_arc_pose(math.cos(ca.theta), math.sin(ca.theta), phi, geom.l / phi, _ELEMENTWISE[1]))
@@ -267,13 +275,11 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
     rho is one displacement column (n,), giving one Pose, or a batch of k
     columns (n, k), giving a stacked Pose with (k, 3, 3) rotations and
     (k, 3) positions. One formula serves both. A single column evaluates
-    its elementwise functions with `math` and a batch with numpy. The
-    Clarke pair is forward.dot(rho): a matrix-vector product for one column,
-    a matrix-matrix product for a batch. So a row of a batch agrees with
-    the single-column call within 1e-14 absolute (numpy's cos, sin, hypot
-    and arctan2 and the matrix-matrix product differ from their one-column
-    counterparts in the last bits), not bit for bit. A common mode c in rho
-    widens that by the transform's rounding of c.
+    its elementwise functions with `math` and a batch with numpy. Each
+    column of a batch takes its own matrix-vector product, so its Clarke
+    pair forward.dot(rho) has the bits of the single-column call. A row of
+    a batch agrees with that call within 1e-14 absolute, not bit for bit:
+    numpy's hypot and arctan2 differ from math's in the last bits.
 
     It computes what f_ind(arc_from_clarke(xi)) computes for the Clarke
     pair xi = forward @ rho: the arc bent by |xi|/d in the plane of xi
@@ -316,12 +322,13 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, rotation, positio
     target has are built. A bend of a full circle or more, outside FK's
     domain, is held at 2*pi, whose tip is the base, |p| from the target.
     Overflow gives a NaN or infinite rho, refused without a warning as a
-    target that needs displacements past the float range.
+    target that needs displacements past the float range; even a rotation's
+    bend, at most pi, overflows at d = 1e308.
     """
     t, d = build_transform(geom.layout), geom.layout.d
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = d * t.inverse.dot(np.array([bx, by]))
-        xi_re, xi_im = elementwise.split(t.forward.dot(rho))
+        rho = d * _product(t.inverse, np.array([bx, by]))
+        xi_re, xi_im = elementwise.split(_product(t.forward, rho))
         phi = elementwise.minimum(elementwise.hypot(xi_re, xi_im) / d, 2.0 * math.pi)
         ct, st, phi, inv_kappa = _bend_arc(geom, xi_re, xi_im, phi, elementwise)
         sp = elementwise.sin(phi)
@@ -341,6 +348,8 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, rotation, positio
     if rotation is not None:
         gap = np.abs(_rotation(ct, st, elementwise.cos(phi), sp, elementwise) - rotation).max(initial=0.0)
         if not gap <= 1e-9:
+            if not all_finite(rho):
+                raise ValueError(f"target rotation needs displacements past the float range at d={d:.6g} m")
             raise ValueError(f"target rotation is the tip frame of no arc: the frame of IK's bend is {gap:.3e} off")
     return rho
 
@@ -349,15 +358,17 @@ def ik_position(geom: SegmentGeometry, positions) -> np.ndarray:
     """Closed-form inverse kinematics to tip positions.
 
     positions is one position (3,), giving an (n,) displacement vector, or
-    a stack (k, 3), giving (n, k) displacement columns; row i agrees with
-    the single-position call within 1e-14 absolute. Positions have their
-    own entry point because ik reads a (3, 3) array as one rotation, never
-    as three positions. Positions with p_z at or below POSITION_Z_FLOOR,
-    the origin and non-finite entries are rejected. Otherwise IK bends
-    toward p by l*(kappa_x, kappa_y) = 2l*(p_x, p_y)/|p|^2 and returns the
-    displacements of that bend, refused unless fk_direct of them gives p
-    back within REACH_TOL*|p|. |p|^2 overflows only far out of reach,
-    where the bend is zero, refused. A stack is rejected if any row fails.
+    a stack (k, 3), giving (n, k) displacement columns; column i agrees
+    with the single-position call within 1e-14 absolute: its transform
+    products have that call's bits, but numpy's hypot and arctan2 are not
+    math's. Positions have their own entry point because ik reads a (3, 3)
+    array as one rotation, never as three positions. Positions with p_z at
+    or below POSITION_Z_FLOOR, the origin and non-finite entries are
+    rejected. Otherwise IK bends toward p by l*(kappa_x, kappa_y) =
+    2l*(p_x, p_y)/|p|^2 and returns the displacements of that bend, refused
+    unless fk_direct of them gives p back within REACH_TOL*|p|. |p|^2
+    overflows only far out of reach, where the bend is zero, refused. A
+    stack is rejected if any row fails.
     """
     p = np.asarray(positions, dtype=float)
     if p.shape[-1:] != (3,) or p.ndim > 2:
@@ -379,7 +390,9 @@ def ik(geom: SegmentGeometry, target) -> np.ndarray:
     rho = d * inverse @ bend, with no branch on the curvature. Returns the
     displacement vector on the manifold that reproduces the target under
     fk_direct: (n,) for one target, and (n, k) columns for a stacked Pose
-    of k poses, column i within 1e-14 absolute of the call on pose i alone.
+    of k poses, column i within 1e-14 absolute of the call on pose i alone:
+    its transform products have that call's bits, but numpy's hypot and
+    arctan2 are not math's.
     A position (3,) goes to ik_position, and so do stacks of positions. A
     target is accepted only when fk_direct of the returned displacements
     gives it back: rotations within 1e-9 entrywise, positions within

@@ -466,6 +466,10 @@ def test_large_joint_counts_run(capsys, argv):
         (["bench", "--methods", ""], "each method once, got none"),
         (["bench", "--methods", ","], "each method once, got none"),
         (["bench", "--methods", "c,c"], "each method once, got c,c"),
+        # 10^15 columns need 24 PB, past any address space, so the batched
+        # kernel's one allocation fails before it touches memory.
+        (["sample", "--method", "c", "--vectorized", "--k", "1000000000000000"], "Unable to allocate"),
+        (["bench", "--methods", "c", "--vectorized", "--k", "1000000000000000"], "Unable to allocate"),
     ],
 )
 def test_bad_counts_are_one_line_domain_errors(capsys, argv, reason):

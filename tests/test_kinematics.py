@@ -4,10 +4,12 @@ import contextlib
 import dataclasses
 import io
 import itertools
+import json
 import math
 import sys
 import tokenize
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,8 +39,9 @@ from clarkekin import (
     sample_direct_batched,
     transform,
 )
+from clarkekin import clarke, kinematics
 from clarkekin.cli import main
-from clarkekin.clarke import all_finite
+from clarkekin.clarke import _product, all_finite
 from clarkekin.kinematics import (
     _ELEMENTWISE,
     BEND_ROUNDING_TOL,
@@ -48,6 +51,8 @@ from clarkekin.kinematics import (
     _arc_tip,
     _bend_arc,
     _check_rotations,
+    _fk_clarke,
+    _fk_gives_back,
     _rotation,
 )
 
@@ -571,6 +576,14 @@ class TestNearStraightTip:
                 assert np.max(np.abs(tip - fk_oracle(geom, cols[:, i]))) <= 1e-15 * l
 
 
+def columnwise(m, x):
+    """m @ x with one matrix-vector product per column of a batch x (., k):
+    each column rounds as the product on that column alone."""
+    if x.ndim == 1:
+        return m @ x
+    return np.array([m @ c for c in x.T]).reshape(-1, m.shape[0]).T
+
+
 def exact_arc_oracle(geom, xi):
     """What fk_direct computes for a Clarke pair xi (2,): f_ind of its arc."""
     return f_ind(geom, arc_from_clarke(geom, xi))
@@ -592,14 +605,22 @@ def assert_exact_arc(geom, pose, xi):
     assert np.max(np.abs(pose.position - exact.position)) <= 1e-14 * geom.l
 
 
-def cli_fk(geom, rho):
-    """(exit code, stdout, stderr) of `fk --rho`; a warning raises."""
-    argv = ["fk", "--n", str(geom.layout.n), "--d", repr(geom.layout.d), "--l", repr(geom.l)]
+def cli_run(argv):
+    """(exit code, stdout, stderr) of the CLI on argv; a warning raises."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        code = main(argv + ["--rho=" + ",".join(map(repr, np.asarray(rho).tolist()))])
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def geometry_flags(geom):
+    return ["--n", str(geom.layout.n), "--d", repr(geom.layout.d), "--l", repr(geom.l)]
+
+
+def cli_fk(geom, rho):
+    """(exit code, stdout, stderr) of `fk --rho`; a warning raises."""
+    return cli_run(["fk", *geometry_flags(geom), "--rho=" + ",".join(map(repr, np.asarray(rho).tolist()))])
 
 
 def assert_refused(geom, rho, match):
@@ -610,9 +631,11 @@ def assert_refused(geom, rho, match):
     assert err.count("\n") == 1 and err.startswith("error: ") and match in err
 
 
-# A column at n = 27, d = l = 1 whose batch Clarke pair has |xi| =
-# 6.2831853071795858, 4.4e-16 below the float 2*pi: math.hypot rounds it
-# up to 2*pi, refused, and np.hypot down, accepted.
+# A column at n = 27, d = l = 1 at the edge of FK's domain. Its Clarke pair
+# has |xi| = 6.2831853071795858, 4.4e-16 below the float 2*pi, which both
+# math.hypot and np.hypot round up to 2*pi: refused. A matrix-matrix
+# product rounds the pair of the same column to one np.hypot rounds down,
+# accepted; a batch takes the single call's pair, so it refuses too.
 BATCH_HYPOT_SPLIT_RHO = [
     6.087856292036114, 6.2822462315726995, 6.1379586506663735,
     5.662772130151243, 4.882304098345726, 3.838629788861078,
@@ -659,10 +682,10 @@ class TestExactArc:
         geom, rho = case
         t = build_transform(geom.layout.n)
         cols = np.stack([rho, np.zeros_like(rho), rho], axis=1)
-        xi = t.forward @ rho
-        batch_xis = t.forward @ cols
-        # A batch has its own Clarke pairs and amplitudes: gemm rounds
-        # unlike gemv, np.hypot unlike math.hypot.
+        xi = t.forward.dot(rho)
+        # A batch column has the Clarke pair of the call on it alone, but
+        # its own amplitude: np.hypot rounds unlike math.hypot.
+        batch_xis = columnwise(t.forward, cols)
         for x, xis, amplitudes in ((rho, xi[:, None], [math.hypot(*xi)]), (cols, batch_xis, np.hypot(*batch_xis))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -715,6 +738,32 @@ class TestExactArc:
             for pose in (fk_direct(geom, cols[:, i]), Pose(rotation=poses.rotation[i], position=poses.position[i])):
                 assert np.max(np.abs(pose.rotation - straight)) <= 1e-15
                 assert np.max(np.abs(pose.position - [0.0, 0.0, geom.l])) <= 1e-15 * geom.l
+
+    @pytest.mark.parametrize("l", [5e-324, 1e-320, 1e-300, 1e-17, 2.0**-53, 2.0**-52])
+    def test_segments_below_2_to_the_minus_52_keep_a_finite_radius(self, l, tmp_path):
+        # l times the smallest normal float underflows to 0 below l = 2^-52,
+        # so the bend is floored at the smallest float there and l/phi stays
+        # finite: the straight pose from one column, a batch, f_ind and the
+        # CLI, and no displacement for IK of the identity.
+        geom = make_geom(n=3, d=0.01, l=l)
+        batch = fk_direct(geom, np.zeros((3, 2)))
+        poses = [fk_direct(geom, np.zeros(3)), f_ind(geom, CurvatureAngle(1e-310, 0.0))]
+        poses += [Pose(rotation=r, position=p) for r, p in zip(batch.rotation, batch.position)]
+        code, out, err = cli_fk(geom, np.zeros(3))
+        assert code == 0 and err == ""
+        poses.append(Pose(**json.loads(out)))
+        src = tmp_path / "rho.csv"
+        src.write_text("rho_1,rho_2,rho_3\n0,0,0\n")
+        code, out, err = cli_run(["fk", *geometry_flags(geom), "--in", str(src)])
+        assert code == 0 and err == ""
+        row = np.array(out.splitlines()[1].split(","), dtype=float)
+        poses.append(Pose(rotation=row[:9].reshape(3, 3), position=row[9:]))
+        for pose in poses:
+            assert np.max(np.abs(pose.rotation - np.eye(3))) <= 1e-15
+            assert np.max(np.abs(pose.position - [0.0, 0.0, l])) <= 1e-15 * l + 5e-324
+        assert not ik(geom, np.eye(3)).any()
+        code, out, err = cli_run(["ik", *geometry_flags(geom), "--rotation", "1,0,0,0,1,0,0,0,1"])
+        assert code == 0 and err == "" and json.loads(out)["rho"] == [0.0, 0.0, 0.0]
 
     def test_bending_plane_is_not_tilted(self):
         # The nudge tilted the rotation by about delta/|xi|: 1.05e-9 at a
@@ -871,6 +920,9 @@ class TestReach:
                 refused()
         with pytest.raises(ValueError, match=r"ends 7\.071e\+299 m away"):
             ik_position(geom, np.array([far, near]))
+        # A rotation's bend is at most pi, which d = 1e308 still overflows.
+        with pytest.raises(ValueError, match=r"^target rotation needs displacements past the float range at d=1e\+308 m$"):
+            ik(make_geom(d=1e308), rotation_from_angles(0.0, 3.0, 0.0))
 
 
 @st.composite
@@ -1064,9 +1116,23 @@ def fk_batches(draw):
     return make_geom(n=n, d=d, l=l), cols
 
 
+# Batches at n = 8, d = 1e-3, l = 0.01 whose second column is subnormal,
+# about 1e-311 m and 1e-321 m. A matrix-matrix product rounds its tiny
+# Clarke pair unlike the product on that column alone, (7.66e-322,
+# 6.47e-322) against (7.6e-322, 6.4e-322) for the second, which put the
+# rows' rotations 9.4e-13 and 4.5e-4 off the single calls'.
+SUBNORMAL_PSI = 2.0 * np.pi * np.arange(8) / 8
+SUBNORMAL_BATCHES = [
+    displacement_columns(8, 1e-3, [0.5, 3.2e-309], [0.3, -0.2]),
+    np.stack([0.5e-3 * np.pi * np.cos(SUBNORMAL_PSI - 0.3), 1e-321 * np.cos(SUBNORMAL_PSI - 0.7)], axis=1),
+]
+
+
 class TestBatch:
     @settings(max_examples=200, deadline=None)
     @given(fk_batches())
+    @example((make_geom(n=8, d=1e-3, l=0.01), SUBNORMAL_BATCHES[0]))
+    @example((make_geom(n=8, d=1e-3, l=0.01), SUBNORMAL_BATCHES[1]))
     def test_fk_batch_rows_match_single_calls(self, case):
         geom, cols = case
         poses = fk_direct(geom, cols)
@@ -1161,15 +1227,16 @@ def nested_literal_rotation(ct, st, cp, sp):
 
 def matmul_fk_oracle(geom, rho):
     """fk_direct with `@` products and the nested-literal frame, on Python
-    floats for one column (n,) and on numpy arrays for a batch (n, k): the
-    reference whose bits fk_direct keeps on both shapes."""
+    floats for one column (n,) and on numpy arrays for a batch (n, k), one
+    product per column: the reference whose bits fk_direct keeps on both
+    shapes."""
     t = build_transform(geom.layout.n)
     d, l = geom.layout.d, geom.l
     if rho.ndim == 1:
         xi_re, xi_im = (t.forward @ rho).tolist()
         hypot, atan2, maximum, cos, sin = math.hypot, math.atan2, max, math.cos, math.sin
     else:
-        xi_re, xi_im = t.forward @ rho
+        xi_re, xi_im = columnwise(t.forward, rho)
         hypot, atan2, maximum, cos, sin = np.hypot, np.arctan2, np.maximum, np.cos, np.sin
     theta = atan2(xi_im + 0.0, xi_re + 0.0)
     ct, st = cos(theta), sin(theta)
@@ -1181,11 +1248,11 @@ def matmul_fk_oracle(geom, rho):
 
 
 def matmul_ik_position_oracle(geom, p):
-    """ik_position's displacements with the `@` product: d * inverse @ (2l/|p|^2)*(p_x, p_y)."""
+    """ik_position's displacements with one `@` product per target: d * inverse @ (2l/|p|^2)*(p_x, p_y)."""
     t = build_transform(geom.layout.n)
     x, y, z = p.T
     scale = 2.0 * geom.l / (x * x + y * y + z * z)
-    return geom.layout.d * (t.inverse @ np.array([scale * x, scale * y]))
+    return geom.layout.d * columnwise(t.inverse, np.array([scale * x, scale * y]))
 
 
 @st.composite
@@ -1203,8 +1270,9 @@ def fk_shapes(draw):
 
 
 class TestMatmulOracle:
-    """fk_direct and ik_position give the bits of the `@` products and the
-    nested-literal frame, -0.0 included, for one column and for batches."""
+    """fk_direct and ik_position give the bits of the `@` products, one per
+    column, and the nested-literal frame, -0.0 included, for one column and
+    for batches."""
 
     @settings(max_examples=300, deadline=None)
     @given(fk_shapes())
@@ -1228,6 +1296,60 @@ class TestMatmulOracle:
         expected = matmul_ik_position_oracle(geom, p)
         got = ik_position(geom, p)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def clarke_products(call):
+    """Every transform product that call() forms, in order."""
+    formed = []
+
+    def record(m, x):
+        formed.append(_product(m, x))
+        return formed[-1]
+
+    with mock.patch.object(clarke, "_product", record), mock.patch.object(kinematics, "_product", record):
+        call()
+    return formed
+
+
+@st.composite
+def product_batches(draw):
+    """k in [1, 12] displacement columns at n in [3, 64], each a part on the
+    manifold plus a common mode, and k bends, at one scale from 5e-324 to 1e3."""
+    n = draw(st.integers(3, 64))
+    k = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from([5e-324, 1e-321, 1e-311]) | st.floats(-320.0, 3.0).map(lambda e: 10.0**e))
+    pairs = draw(st.lists(st.tuples(fractions, angles), min_size=k, max_size=k))
+    common = draw(st.lists(st.just(0.0) | st.floats(-100.0, 100.0), min_size=k, max_size=k))
+    cols = scale * (displacement_columns(n, 1.0 / np.pi, *zip(*pairs)) + np.array(common))
+    bends = scale * np.array(draw(st.lists(st.tuples(angles, angles), min_size=k, max_size=k))).T
+    # d far above every column keeps them in FK's domain.
+    return make_geom(n=n, d=1e4, l=1.0), cols, bends
+
+
+class TestOneRoundingPerColumn:
+    """Each transform product of a batch gives a column the bits of the call
+    on that column alone: transform, FK's Clarke pair and both products of
+    IK's check, -0.0 included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_batches())
+    def test_batch_pairs_are_the_single_pairs(self, case):
+        geom, cols, bends = case
+        t = build_transform(geom.layout.n)
+        batch = [
+            clarke_products(lambda: transform(t, cols)),
+            clarke_products(lambda: _fk_clarke(geom, t, cols)),
+            clarke_products(lambda: _fk_gives_back(geom, *bends, _ELEMENTWISE[2], None, None, "")),
+        ]
+        for i in range(cols.shape[1]):
+            single = [
+                clarke_products(lambda: transform(t, cols[:, i])),
+                clarke_products(lambda: _fk_clarke(geom, t, cols[:, i])),
+                clarke_products(lambda: _fk_gives_back(geom, *bends[:, i].tolist(), _ELEMENTWISE[1], None, None, "")),
+            ]
+            assert [len(p) for p in batch] == [len(p) for p in single] == [1, 1, 2]
+            for of_batch, of_single in zip(sum(batch, []), sum(single, [])):
+                assert of_batch[:, i].tobytes() == of_single.tobytes()
 
 
 class TestNonFinite:
