@@ -31,7 +31,7 @@ from .control import (
     save_trace_csv,
     trace_to_dict,
 )
-from .csvio import csv_text, displacement_header, format_float, format_rows, read_csv
+from .csvio import csv_text, displacement_header, format_float, format_rows, read_csv, write_text
 from .kinematics import Pose, fk_direct, ik, ik_position
 from .sampling import (
     ALL_METHODS,
@@ -64,8 +64,7 @@ def _parse_floats(text: str) -> np.ndarray:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        write_text(out, (text,))
     else:
         sys.stdout.write(text)
 
@@ -284,8 +283,7 @@ def cmd_simulate(args) -> int:
     }
     if args.trace_out:
         if args.format == "json":
-            with open(args.trace_out, "w") as fh:
-                json.dump(trace_to_dict(closed), fh)
+            write_text(args.trace_out, (json.dumps(trace_to_dict(closed)),))
         else:
             save_trace_csv(closed, args.trace_out)
     _emit(json.dumps(summary, indent=2) + "\n", args.out)

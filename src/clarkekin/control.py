@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .arcspace import SegmentGeometry
-from .clarke import all_finite, as_clarke, as_displacement, build_transform, check_finite
+from .clarke import _product, all_finite, as_clarke, as_displacement, build_transform, check_finite
 from .csvio import read_csv, write_csv
 
 
@@ -319,9 +319,10 @@ def run_simulation(
         with np.errstate(over="raise", invalid="raise"):
             if closed_loop:
                 measured, command = np.empty((2, ticks, n))
+                desired = _product(t.forward, trajectory).T
                 for i in range(ticks):
                     measured[i] = reading = _read(plant.state + draws[i], noise)
-                    command[i] = cmd = controller_step(cfg, t.forward.dot(rows[i]), reading)
+                    command[i] = cmd = controller_step(cfg, desired[i], reading)
                     plant = plant_step(plant, cmd, cfg.dt)
                     states[i + 1] = plant.state
             else:

@@ -1,12 +1,23 @@
-"""CSV text: the one float format, the row writer and the header-checked reader.
+"""CSV text: the one float format, the file writer and the header-checked reader.
 
 Every float is written as "%.17g", which reads back to the same double and
 gives the same text as format(float(v), ".17g") for every value, nan, inf
 and -0.0 included. A file starts with one header line naming its columns.
+
+write_text is the only code that opens a file to write. It writes over the
+old bytes and then cuts the file at the end of the new text. Truncating on
+open costs more: ext4 (auto_da_alloc) starts writeback on closing a file
+truncated to zero and rewritten, and on renaming a file over another. On a
+2-vCPU host's ext4 root, medians of 300 rewrites of 1.5 kB: 84 us truncated,
+101-106 us renamed, 13 us in place; of 100 kB: 176-188, 211-241 and 25-29 us.
+In place also keeps links and the file's mode, and writes to /dev/null.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -38,13 +49,32 @@ def csv_text(header: list[str], rows) -> str:
     return ",".join(header) + "\n" + format_rows(rows)
 
 
+def write_text(path, chunks) -> None:
+    """Write the strings of `chunks` over path's old bytes, then cut a regular file there.
+
+    If writing fails, chunks raising included, a regular file is left empty,
+    never the new head followed by an old tail.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular, end = stat.S_ISREG(os.fstat(fd).st_mode), 0
+        try:
+            with open(fd, "w", closefd=False) as fh:
+                fh.writelines(chunks)
+            if regular:
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+        finally:
+            if regular:
+                os.ftruncate(fd, end)
+    finally:
+        os.close(fd)
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """Write csv_text(header, rows) to path, formatting _BLOCK_ROWS rows at a time."""
     rows = np.asarray(rows, dtype=float)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, rows.shape[0], _BLOCK_ROWS):
-            fh.write(format_rows(rows[start : start + _BLOCK_ROWS]))
+    blocks = (format_rows(rows[start : start + _BLOCK_ROWS]) for start in range(0, rows.shape[0], _BLOCK_ROWS))
+    write_text(path, itertools.chain([",".join(header) + "\n"], blocks))
 
 
 def read_csv(path, headers: list[list[str]] | None = None) -> tuple[list[str], np.ndarray]:

@@ -699,3 +699,64 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "forward" in proc.stdout
+
+
+IK_POSITION = "--position=-0.0019715429862298814,-0.0022647031558552804,0.099939868941973459"
+SIM = ["simulate", "--waypoints", "0,0,0.02,0.01", "--noise", "0"]
+
+
+class TestRerunToTheSamePath:
+    """A second, shorter run over the same path leaves exactly its own bytes."""
+
+    @pytest.mark.parametrize(
+        "first, second, flag",
+        [
+            (["fk", "--rho", "0.001,-0.002,0.001"], ["fk", "--rho", "0.001,-0.002,0.001", "--format", "csv"], "--out"),
+            (["ik", "--n", "5", IK_POSITION], ["ik", "--n", "5", IK_POSITION, "--format", "csv"], "--out"),
+            (["sample", "--method", "c", "--k", "50"], ["sample", "--method", "c", "--k", "5"], "--out"),
+            (["matrix", "--n", "8"], ["matrix", "--n", "3"], "--out"),
+            (SIM + ["--pure-p", "--n", "12"], SIM + ["--n", "3"], "--out"),
+            (SIM + ["--n", "12", "--format", "csv"], SIM + ["--n", "3", "--format", "csv"], "--trace-out"),
+            (SIM + ["--n", "12"], SIM + ["--n", "3"], "--trace-out"),
+        ],
+        ids=["fk", "ik", "sample", "matrix", "simulate", "trace-csv", "trace-json"],
+    )
+    def test_out_file(self, capsys, tmp_path, first, second, flag):
+        path, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run_cli(capsys, *first, flag, str(path))[0] == 0
+        longer = path.read_bytes()
+        assert run_cli(capsys, *second, flag, str(path))[0] == 0
+        assert run_cli(capsys, *second, flag, str(fresh))[0] == 0
+        assert len(fresh.read_bytes()) < len(longer)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_bench_out(self, capsys, tmp_path):
+        # Timings differ from run to run, so the file is checked against
+        # its own parse: a stale tail would not survive it.
+        path = tmp_path / "stats.json"
+        base = ["bench", "--k", "20", "--runs", "1", "--out", str(path)]
+        assert run_cli(capsys, *base, "--methods", "c,d,e")[0] == 0
+        assert run_cli(capsys, *base, "--methods", "c")[0] == 0
+        text = path.read_text()
+        assert [r["method"] for r in json.loads(text)] == ["c"]
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_hist_dir(self, capsys, tmp_path):
+        hist, fresh = tmp_path / "hist", tmp_path / "fresh"
+        base = ["bench", "--methods", "c,e", "--runs", "1", "--seed", "4"]
+        assert run_cli(capsys, *base, "--k", "5000", "--hist-dir", str(hist))[0] == 0
+        longer = {p.name: p.read_bytes() for p in hist.iterdir()}
+        assert run_cli(capsys, *base, "--k", "5", "--hist-dir", str(hist))[0] == 0
+        assert run_cli(capsys, *base, "--k", "5", "--hist-dir", str(fresh))[0] == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(longer) and len(names) == 6
+        for name in names:
+            assert len((fresh / name).read_bytes()) < len(longer[name])
+            assert (hist / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_fk_in_and_out_the_same_file(self, capsys, tmp_path):
+        rows, fresh = tmp_path / "rows.csv", tmp_path / "fresh.csv"
+        assert run_cli(capsys, "sample", "--method", "e", "--d", "0.01", "--k", "40", "--out", str(rows))[0] == 0
+        assert run_cli(capsys, "fk", "--in", str(rows), "--out", str(fresh))[0] == 0
+        assert run_cli(capsys, "fk", "--in", str(rows), "--out", str(rows))[0] == 0
+        assert rows.read_bytes() == fresh.read_bytes()

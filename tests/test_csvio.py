@@ -1,11 +1,19 @@
-"""CSV text: one %.17g row writer, byte-identical to per-value formatting."""
+"""CSV text: one %.17g row writer, byte-identical to per-value formatting,
+and the one in-place file writer."""
+
+import ast
+import os
+import stat
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clarkekin
 from clarkekin.cli import main
 from clarkekin.control import load_trace_csv
-from clarkekin.csvio import format_float, format_rows, read_csv, write_csv
+from clarkekin.csvio import _BLOCK_ROWS, format_float, format_rows, read_csv, write_csv, write_text
 from clarkekin.sampling import load_batch_csv
 
 
@@ -95,3 +103,186 @@ class TestReadCsv:
         with pytest.raises(ValueError, match=match) as exc:
             self.read(tmp_path, text)
         assert "\n" not in str(exc.value)
+
+
+class TestWriteText:
+    def test_rewrite_over_a_longer_file_leaves_no_old_tail(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"x" * 100_000)
+        write_text(path, ("a,b\n", "1,2\n"))
+        assert path.read_bytes() == b"a,b\n1,2\n"
+
+    def test_rewrite_over_a_shorter_file(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"x" * 3)
+        write_text(path, ("a,b\n", "1,2\n" * 20_000))
+        assert path.read_bytes() == b"a,b\n" + b"1,2\n" * 20_000
+
+    def test_new_file_and_no_chunks(self, tmp_path):
+        path = tmp_path / "new.txt"
+        write_text(path, ())
+        assert path.read_bytes() == b""
+        path.write_bytes(b"old")
+        write_text(path, iter(()))
+        assert path.read_bytes() == b""
+
+    def test_symlink_is_kept_and_its_target_rewritten(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("old text, longer than the new\n")
+        link.symlink_to(target)
+        write_text(link, ("new\n",))
+        assert link.is_symlink()
+        assert target.read_text() == "new\n"
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path):
+        path, other = tmp_path / "a.txt", tmp_path / "b.txt"
+        path.write_text("old text, longer than the new\n")
+        os.link(path, other)
+        write_text(path, ("new\n",))
+        assert other.read_text() == "new\n"
+        assert os.stat(path).st_ino == os.stat(other).st_ino
+
+    def test_mode_bits_are_kept(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("old text\n")
+        path.chmod(0o640)
+        write_text(path, ("new\n",))
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        assert path.read_text() == "new\n"
+
+    def test_dev_null_is_written_and_not_cut(self):
+        # ftruncate on a character device fails, so this passes only because
+        # the writer cuts regular files alone.
+        write_text(os.devnull, ("a,b\n", "1,2\n"))
+
+    def test_fifo_gets_every_byte(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_text(fifo, ("a,b\n", "1,2\n" * 50_000))
+        reader.join(timeout=30)
+        assert got == [b"a,b\n" + b"1,2\n" * 50_000]
+
+    @pytest.mark.parametrize("written", [0, 3, 200_000])
+    def test_failing_chunks_leave_the_file_empty(self, tmp_path, written):
+        # The new head may already be on disk when the chunks fail; the file
+        # must not keep it in front of the old tail, which can parse as a
+        # valid CSV with stale rows.
+        path = tmp_path / "f.csv"
+        old = "a,b\n" + "9,9\n" * 100_000
+        path.write_text(old)
+
+        def chunks():
+            yield "a,b\n"
+            yield "1,2\n" * (written // 4)
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            write_text(path, chunks())
+        assert path.read_bytes() == b""
+
+    def test_write_csv_failing_midway_leaves_the_file_empty(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        path.write_text("a,b\n" + "9,9\n" * 10_000)
+        calls = []
+
+        def failing_format(rows):
+            if calls:
+                raise MemoryError("out of memory")
+            calls.append(1)
+            return format_rows(rows)
+
+        monkeypatch.setattr("clarkekin.csvio.format_rows", failing_format)
+        with pytest.raises(MemoryError):
+            write_csv(path, ["a", "b"], np.ones((3 * _BLOCK_ROWS, 2)))
+        assert calls and path.read_bytes() == b""
+
+    def test_a_directory_is_an_os_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            write_text(tmp_path, ("x",))
+
+
+# The names a read-only os.open flags expression may hold (os.O_RDONLY
+# walks as the names os and O_RDONLY); any other name counts as writing.
+_READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW", "O_NONBLOCK", "O_DIRECTORY", "O_NOCTTY"}
+
+
+def _call_name(func) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return None
+
+
+def _opens_to_write(call: ast.Call) -> bool:
+    name = _call_name(call.func)
+    if name not in ("open", "io.open", "os.open"):
+        return False
+    arg = call.args[1] if len(call.args) > 1 else None
+    for kw in call.keywords:
+        if kw.arg in ("mode", "flags"):
+            arg = kw.value
+    if name == "os.open":
+        names = {n.id for n in ast.walk(arg) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(arg) if isinstance(n, ast.Attribute)}
+        return not names or not names <= _READ_FLAGS
+    if arg is None:
+        return False
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return any(c in arg.value for c in "wax+")
+    return True  # a mode computed at run time may write
+
+
+def _writing_opens(tree) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each open(), io.open() or os.open() call that can write."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _opens_to_write(child):
+                found.append((where, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_write_text_is_the_only_code_that_opens_a_file_to_write():
+    src = Path(clarkekin.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 8
+    found = {}
+    for module in modules:
+        for where, line in _writing_opens(ast.parse(module.read_text(), str(module))):
+            found.setdefault((module.name, where), []).append(line)
+    # write_text's own os.open and its text wrapper over that descriptor.
+    assert list(found) == [("csvio.py", "write_text")], found
+    assert len(found["csvio.py", "write_text"]) == 2
+
+
+@pytest.mark.parametrize(
+    "code, writes",
+    [
+        ("open(p)", False),
+        ("open(p, 'r')", False),
+        ("open(p, mode='rb')", False),
+        ("open(p, 'w')", True),
+        ("open(p, 'a')", True),
+        ("open(p, 'x')", True),
+        ("open(p, 'r+')", True),
+        ("open(p, mode=m)", True),
+        ("io.open(p, 'wb')", True),
+        ("os.open(p, os.O_RDONLY)", False),
+        ("os.open(p, os.O_RDONLY | os.O_CLOEXEC)", False),
+        ("os.open(p, os.O_WRONLY)", True),
+        ("os.open(p, os.O_RDWR)", True),
+        ("os.open(p, flags=os.O_CREAT)", True),
+        ("os.open(p, f)", True),
+        ("def g():\n    with open(p, 'w') as fh:\n        pass", True),
+    ],
+)
+def test_the_open_guard_sees_writing_modes(code, writes):
+    assert bool(_writing_opens(ast.parse(code))) == writes
