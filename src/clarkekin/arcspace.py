@@ -13,6 +13,7 @@ for a straight segment (kappa = 0).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +59,22 @@ class AngleAngle:
 
 @dataclass(frozen=True)
 class SegmentGeometry:
-    """Joint layout plus the constant segment length l (m)."""
+    """Joint layout plus the constant segment length l (m).
+
+    FK raises a smaller bend to l times the smallest normal float, so l is
+    refused where that bend reaches FK's 1e-9 rad tolerance (l >= 4.49e298).
+    """
 
     layout: JointLayout
     l: float
 
     def __post_init__(self):
         check_finite("segment length", self.l)
+        if not self.l * sys.float_info.min < 1e-9:
+            raise ValueError(
+                f"segment length must be below {1e-9 / sys.float_info.min:.4g} m, "
+                f"where FK's least bend reaches 1e-9 rad, got {self.l}"
+            )
 
 
 def ccr_to_car(cc: CurvatureCurvature) -> CurvatureAngle:

@@ -27,20 +27,22 @@ and refuse a run that the iteration cap cannot complete.
 Direct methods draw an angle theta = 2*pi*U and an amplitude L per sample
 (in that order) and map through the transform's right-inverse, so every
 sample satisfies the displacement constraint by construction and the
-success rate is exactly 1. One formula (_clarke_pair) serves both direct
-paths: the sequential one feeds it two Python floats per sample, the
-batched one two arrays per block of at most _DIRECT_BLOCK samples, drawn
-in order from the same stream. Both take cos and sin from numpy and do
-the rest in IEEE-exact operations, so the two are bit-identical under one
-seed. The batched path writes each block into its (n, k) output, so it
-needs that output plus one block's fixed working set, whatever k and n.
+success rate is exactly 1. Both direct paths run one block loop (_direct)
+of at most _DIRECT_BLOCK samples: one formula (_clarke_pair) gives each
+block's Clarke pairs, from two Python floats per sample on the sequential
+path and from one (b, 2) array on the batched one, drawn in order from the
+same stream, and one joint map writes the block's joints. cos and sin are
+numpy's in both and the rest IEEE-exact, so the two are bit-identical under
+one seed. Every sampler fills one preallocated C-contiguous (n, k) output
+and returns it read-only, so it needs that output plus one block's fixed
+working set, whatever k and n.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,7 +108,7 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """k displacement samples as the columns of an n x k matrix."""
+    """k displacement samples as the columns of a read-only, C-contiguous n x k matrix."""
 
     columns: np.ndarray
     method: str
@@ -116,8 +118,9 @@ class SampleBatch:
 class SamplingStats:
     """Cost accounting for one sampler call.
 
-    iterations counts every attempted draw, resamples the rejected ones;
-    success_rate = requested/iterations (1.0 for an empty request).
+    wall_time covers the whole call, from its checks to the read-only
+    output; iterations counts every attempted draw, resamples the rejected
+    ones; success_rate = requested/iterations (1.0 for an empty request).
     """
 
     method: str
@@ -139,7 +142,6 @@ def _stream(cfg: SamplerConfig, k: int) -> np.random.Generator:
 
 
 def _finalize(method: str, columns: np.ndarray, wall: float, iterations: int, k: int) -> tuple[SampleBatch, SamplingStats]:
-    columns = np.ascontiguousarray(columns)
     columns.setflags(write=False)
     rate = 1.0 if iterations == 0 else k / iterations
     stats = SamplingStats(
@@ -153,21 +155,22 @@ def _finalize(method: str, columns: np.ndarray, wall: float, iterations: int, k:
 
 
 def _accept_in_blocks(
-    rng: np.random.Generator, cfg: SamplerConfig, width: int, k: int, iteration_cap: int, accept, method: str, hint=""
-) -> tuple[np.ndarray, int]:
-    """The first k accepted candidate rows and the number of draws they took.
+    rng: np.random.Generator, cfg: SamplerConfig, out: np.ndarray, iteration_cap: int, accept, method: str, hint=""
+) -> int:
+    """Fill out, (width, k), with the first k accepted candidates as columns; the draws they took.
 
     A candidate is rho_min + span * rng.random(width). Blocks of consecutive
     candidates come from the one stream and are tested at once, so the k-th
     hit falls on the same draw as with one draw per iteration; iterations is
-    that draw's index plus one. A block is sized from the acceptance rate
-    seen so far and never reaches past iteration_cap or _BLOCK_DOUBLES; the
-    RuntimeError when iteration_cap draws were not enough names the method
-    and ends in hint. accept(block) returns the indices of the accepted rows
-    in ascending order. Overflow in accept is ignored: an inf sum is rejected.
+    that draw's index plus one. A block's hits go straight into the next
+    columns of out. A block is sized from the acceptance rate seen so far
+    and never reaches past iteration_cap or _BLOCK_DOUBLES; the RuntimeError
+    when iteration_cap draws were not enough names the method and ends in
+    hint. accept(block) returns the indices of the accepted rows in
+    ascending order. Overflow in accept is ignored: an inf sum is rejected.
     """
+    width, k = out.shape
     span = cfg.rho_max - cfg.rho_min
-    kept = [np.empty((0, width))]
     accepted = 0
     iterations = 0
     while accepted < k and iterations < iteration_cap:
@@ -183,7 +186,7 @@ def _accept_in_blocks(
         block += cfg.rho_min
         with np.errstate(over="ignore"):
             hits = accept(block)[:need]
-        kept.append(block[hits])
+        out[:, accepted : accepted + hits.size] = block[hits].T
         accepted += hits.size
         iterations += int(hits[-1]) + 1 if accepted == k else rows
     if accepted < k:
@@ -191,7 +194,7 @@ def _accept_in_blocks(
             f"method ({method}) exceeded {iteration_cap} attempts with only "
             f"{accepted}/{k} samples accepted{hint}"
         )
-    return np.concatenate(kept), iterations
+    return iterations
 
 
 def _zero_sum_rows(block: np.ndarray, eps: float, largest: float) -> np.ndarray:
@@ -269,11 +272,12 @@ def sample_rejection_independent(
     span, largest = cfg.rho_max - cfg.rho_min, max(-cfg.rho_min, cfg.rho_max)
     p_max = (eps * (1.0 + 2.0**-51) + n * 2.0**-1073) / span + n * 2.0**-52 * ((n + 1) * (largest / span) + 2.0)
     _refuse_hopeless("a", p_max, iteration_cap, k, "widen rounding_epsilon, narrow the bounds or raise the cap")
-    rows, iterations = _accept_in_blocks(
-        rng, cfg, n, k, iteration_cap, lambda block: _zero_sum_rows(block, eps, largest), "a",
+    columns = np.empty((n, k))
+    iterations = _accept_in_blocks(
+        rng, cfg, columns, iteration_cap, lambda block: _zero_sum_rows(block, eps, largest), "a",
         "; widen rounding_epsilon or raise the cap",
     )
-    return _finalize("a", rows.T, time.perf_counter() - t0, iterations, k)
+    return _finalize("a", columns, time.perf_counter() - t0, iterations, k)
 
 
 def sample_rejection_resolved(
@@ -294,6 +298,7 @@ def sample_rejection_resolved(
     any draw, as method (a) does. Raises RuntimeError when iteration_cap
     attempts did not produce k samples.
     """
+    t0 = time.perf_counter()
     if cfg.layout.n != 3:
         raise ValueError(f"method (b) resolves one of exactly 3 joints, got n={cfg.layout.n}")
 
@@ -301,7 +306,6 @@ def sample_rejection_resolved(
         rho1 = -(pairs[:, 0] + pairs[:, 1])
         return np.flatnonzero((cfg.rho_min <= rho1) & (rho1 <= cfg.rho_max))
 
-    t0 = time.perf_counter()
     rng = _stream(cfg, k)
     if not cfg.rho_min < 0.0 < cfg.rho_max:
         raise ValueError(
@@ -324,28 +328,19 @@ def sample_rejection_resolved(
 
     p_max = cdf(min(q3, 2.0)) - cdf(max(q3 - 1.0, 0.0)) + 5 * 2.0**-50 + 2.0**-1072 / span
     _refuse_hopeless("b", p_max, iteration_cap, k, "move the bounds toward symmetric or raise the cap")
-    pairs, iterations = _accept_in_blocks(rng, cfg, 2, k, iteration_cap, in_bounds, "b")
-    columns = np.vstack([-(pairs[:, 0] + pairs[:, 1]), pairs.T])
+    columns = np.empty((3, k))
+    iterations = _accept_in_blocks(rng, cfg, columns[1:], iteration_cap, in_bounds, "b")
+    # rho_1 = -(rho_2 + rho_3), in place: the same two IEEE operations.
+    np.add(columns[1], columns[2], out=columns[0])
+    np.negative(columns[0], out=columns[0])
     return _finalize("b", columns, time.perf_counter() - t0, iterations, k)
-
-
-def _radial_law(cfg: SamplerConfig, radial: str):
-    """The method letter and amplitude law of a radial law name, checked against cfg."""
-    method = _LAW_METHODS.get(radial)
-    if method is None:
-        raise ValueError(f"unknown radial law {radial!r}; expected line, disk or annulus")
-    if radial == "annulus" and not cfg.rho_min > 0.0:
-        raise ValueError(f"annulus sampling needs rho_min > 0, got {cfg.rho_min}")
-    if radial == "annulus" and not math.isfinite(cfg.rho_max * cfg.rho_max):
-        raise ValueError(f"annulus sampling needs a finite rho_max**2, got rho_max={cfg.rho_max}")
-    return method, DIRECT_METHODS[method][1]
 
 
 def _clarke_pair(cfg: SamplerConfig, amplitude, sqrt, u_angle, u_amp):
     """Clarke coordinates L*(cos theta, sin theta) of direct samples, from their uniforms.
 
     The one direct-sampling formula: two floats (sqrt = math.sqrt) give one
-    sample, two (k,) arrays (sqrt = np.sqrt) give k. cos and sin are numpy's
+    sample, two (b,) arrays (sqrt = np.sqrt) give b. cos and sin are numpy's
     either way, so both paths get the same bits.
     """
     theta = TWO_PI * u_angle
@@ -353,67 +348,70 @@ def _clarke_pair(cfg: SamplerConfig, amplitude, sqrt, u_angle, u_amp):
     return amp * np.cos(theta), amp * np.sin(theta)
 
 
-def _direct_columns(cfg: SamplerConfig, amplitude, u_angle: np.ndarray, u_amp: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The n x b columns of b direct samples, written into out and returned.
+def _direct(cfg: SamplerConfig, k: int, radial: str, pairs) -> tuple[SampleBatch, SamplingStats]:
+    """k direct samples of the radial law into one (n, k) output, _DIRECT_BLOCK at a time.
 
-    Row j is the right-inverse's row (c_j, s_j) times the Clarke pairs:
-    c_j*x + s_j*y, the same operations sample_direct does on floats, which
-    keeps the two paths bit-identical.
+    pairs(rng, amplitude, b) draws the next b samples and returns their
+    Clarke pairs as two (b,) arrays x, y. Joint j of a block is then
+    c_j*x + s_j*y, (c_j, s_j) the right-inverse's row: the one joint map.
     """
-    x, y = _clarke_pair(cfg, amplitude, np.sqrt, u_angle, u_amp)
-    for (c, s), row in zip(build_transform(cfg.layout).inverse.tolist(), out):
-        np.add(c * x, s * y, out=row)
-    return out
+    t0 = time.perf_counter()
+    method = _LAW_METHODS.get(radial)
+    if method is None:
+        raise ValueError(f"unknown radial law {radial!r}; expected line, disk or annulus")
+    if radial == "annulus" and not cfg.rho_min > 0.0:
+        raise ValueError(f"annulus sampling needs rho_min > 0, got {cfg.rho_min}")
+    if radial == "annulus" and not math.isfinite(cfg.rho_max * cfg.rho_max):
+        raise ValueError(f"annulus sampling needs a finite rho_max**2, got rho_max={cfg.rho_max}")
+    amplitude = DIRECT_METHODS[method][1]
+    rng = _stream(cfg, k)
+    c, s = np.split(build_transform(cfg.layout).inverse, 2, axis=1)
+    columns = np.empty((cfg.layout.n, k))
+    for start in range(0, k, _DIRECT_BLOCK):
+        block = columns[:, start : start + _DIRECT_BLOCK]
+        x, y = pairs(rng, amplitude, block.shape[1])
+        np.multiply(c, x, out=block)
+        block += s * y
+    return _finalize(method, columns, time.perf_counter() - t0, iterations=k, k=k)
 
 
 def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch, SamplingStats]:
-    """Direct manifold sampling, one sample per loop iteration.
+    """Direct manifold sampling, one Clarke pair per loop iteration.
 
     radial selects the amplitude law: "line" (method c), "disk" (d) or
     "annulus" (e, needs rho_min > 0). Never resamples: iterations = k and
     success_rate = 1.0 for every seed. Each iteration takes its own two
-    uniforms from the stream and computes one n-joint sample on Python
-    floats, with numpy's cos and sin; the rows go into one (k, n) buffer,
-    transposed once. Bit-identical to sample_direct_batched.
+    uniforms from the stream and forms one sample's Clarke pair on Python
+    floats, with numpy's cos and sin; _direct maps each block of pairs to
+    joints. Bit-identical to sample_direct_batched.
     """
-    method, amplitude = _radial_law(cfg, radial)
-    rng = _stream(cfg, k)
-    inverse = build_transform(cfg.layout).inverse.tolist()
-    # One uniform at a time from the bit generator's next_double (numpy's
-    # ctypes interface), which rng.random fills its arrays with: the same
-    # doubles, at about half the cost of rng.random() (no dtype check, no lock).
-    bits = rng.bit_generator.ctypes
-    next_double, state = bits.next_double, bits.state
-    rows = array("d")
-    t0 = time.perf_counter()
-    for _ in range(k):
-        x, y = _clarke_pair(cfg, amplitude, math.sqrt, next_double(state), next_double(state))
-        # numpy's cos and sin return numpy scalars; the joints are cheaper on floats.
-        x, y = float(x), float(y)
-        rows.extend([c * x + s * y for c, s in inverse])
-    columns = np.frombuffer(rows).reshape(k, cfg.layout.n).T
-    wall = time.perf_counter() - t0
-    return _finalize(method, columns, wall, iterations=k, k=k)
+    def pairs(rng, amplitude, b):
+        # One uniform at a time from the bit generator's next_double (numpy's
+        # ctypes interface), which rng.random fills its arrays with: the same
+        # doubles, at about half the cost of rng.random() (no dtype check, no lock).
+        bits = rng.bit_generator.ctypes
+        next_double, state = bits.next_double, bits.state
+        each = (_clarke_pair(cfg, amplitude, math.sqrt, next_double(state), next_double(state)) for _ in range(b))
+        xy = np.fromiter(itertools.chain.from_iterable(each), float, 2 * b)
+        return xy[0::2], xy[1::2]
+
+    return _direct(cfg, k, radial, pairs)
 
 
 def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatch:
-    """Vectorized direct sampling into one n x k output, _DIRECT_BLOCK samples at a time.
+    """Vectorized direct sampling, one (b, 2) draw of uniforms per block.
 
-    Each block draws its (b, 2) uniforms in turn from the one stream, the
-    doubles a single (k, 2) draw would give, and writes its columns into
-    the output; no temporary grows with k. Bit-identical to k sequential
-    sample_direct draws under the same seed, because the PRNG stream is
-    consumed in the same (theta, L) order and both paths evaluate the same
-    formula.
+    Each block of at most _DIRECT_BLOCK samples draws its uniforms in turn
+    from the one stream, the doubles a single (k, 2) draw would give; no
+    temporary grows with k. Bit-identical to k sequential sample_direct
+    draws under the same seed, because the PRNG stream is consumed in the
+    same (theta, L) order and both paths evaluate the same formula.
     """
-    method, amplitude = _radial_law(cfg, radial)
-    rng = _stream(cfg, k)
-    columns = np.empty((cfg.layout.n, k))
-    for start in range(0, k, _DIRECT_BLOCK):
-        u2 = rng.random((min(_DIRECT_BLOCK, k - start), 2))
-        _direct_columns(cfg, amplitude, u2[:, 0], u2[:, 1], columns[:, start : start + len(u2)])
-    columns.setflags(write=False)
-    return SampleBatch(columns=columns, method=method)
+    def pairs(rng, amplitude, b):
+        u2 = rng.random((b, 2))
+        return _clarke_pair(cfg, amplitude, np.sqrt, u2[:, 0], u2[:, 1])
+
+    return _direct(cfg, k, radial, pairs)[0]
 
 
 def sample(cfg: SamplerConfig, k: int, method: str, vectorized: bool = False) -> tuple[SampleBatch, SamplingStats]:

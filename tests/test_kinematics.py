@@ -765,6 +765,41 @@ class TestExactArc:
         code, out, err = cli_run(["ik", *geometry_flags(geom), "--rotation", "1,0,0,0,1,0,0,0,1"])
         assert code == 0 and err == "" and json.loads(out)["rho"] == [0.0, 0.0, 0.0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(5e-324, sys.float_info.max),
+        st.sampled_from([0.0, 5e-324, 1e-310, 1e-100, 1e-12]),
+        st.floats(-np.pi, np.pi),
+    )
+    @example(4.49e298, 0.0, 0.0)
+    @example(4.5e298, 0.0, 0.0)
+    @example(sys.float_info.max, 5e-324, 0.0)
+    def test_straight_at_every_length_or_refused(self, l, bend, theta):
+        # FK raises a smaller bend to l*float_min, a real bend for long
+        # segments: the tip of zero displacements tilted 0.22 rad at
+        # l = 1e307. SegmentGeometry refuses l exactly where that bend
+        # reaches 1e-9 rad; every length it takes keeps the straight pose.
+        try:
+            geom = make_geom(n=3, d=0.01, l=l)
+        except ValueError as exc:
+            assert l * sys.float_info.min >= 1e-9
+            assert str(exc).startswith("segment length must be below 4.494e+298 m")
+            return
+        poses = [fk_direct(geom, np.zeros(3)), f_ind(geom, CurvatureAngle(0.0, theta))]
+        batch = fk_direct(geom, np.zeros((3, 2)))
+        poses += [Pose(rotation=r, position=p) for r, p in zip(batch.rotation, batch.position)]
+        for pose in poses:
+            assert np.max(np.abs(pose.rotation - np.eye(3))) <= 1e-9
+        # A bend, however small, keeps its plane: the straight pose Rz(theta).
+        if 0.0 < bend / l < math.inf:
+            pose = f_ind(geom, CurvatureAngle(bend / l, theta))
+            assert np.max(np.abs(pose.rotation - rotation_from_angles(theta, 0.0, 0.0))) <= 1e-9
+
+    def test_cli_refuses_a_segment_past_the_longest(self):
+        code, out, err = cli_run(["fk", "--rho", "0,0,0", "--l", "1e308"])
+        assert code == 3 and out == ""
+        assert err == "error: segment length must be below 4.494e+298 m, where FK's least bend reaches 1e-9 rad, got 1e+308\n"
+
     def test_bending_plane_is_not_tilted(self):
         # The nudge tilted the rotation by about delta/|xi|: 1.05e-9 at a
         # bend of 0.06 rad, 6.3e-9 at 0.01 and 6.3e-7 at 1e-4 (n = 5, d = 0.01).
@@ -912,13 +947,14 @@ class TestReach:
     def test_overflowing_displacements_are_named_not_a_nan_gap(self):
         # d*inverse @ bend overflows here, and FK of it is NaN: the refusal
         # says so instead of a NaN gap. A row refused first keeps its gap.
-        geom = make_geom(d=1e300, l=1e300)
+        # l = 4e298 is just below the longest segment SegmentGeometry takes.
+        geom = make_geom(d=1e300, l=4e298)
         near, far = [1e-3, 0.0, 1e-8], [0.5e300, 0.0, 0.5e300]
         overflow = r"bent toward it needs displacements past the float range \(\|p\|=0\.001 m\)$"
         for refused in (lambda: ik_position(geom, near), lambda: ik_position(geom, np.array([near, far]))):
             with pytest.raises(ValueError, match=overflow):
                 refused()
-        with pytest.raises(ValueError, match=r"ends 7\.071e\+299 m away"):
+        with pytest.raises(ValueError, match=r"ends 6\.794e\+299 m away"):
             ik_position(geom, np.array([far, near]))
         # A rotation's bend is at most pi, which d = 1e308 still overflows.
         with pytest.raises(ValueError, match=r"^target rotation needs displacements past the float range at d=1e\+308 m$"):

@@ -26,11 +26,11 @@ from clarkekin import (
 )
 from clarkekin.clarke import TWO_PI
 from clarkekin.sampling import (
+    _BLOCK_DOUBLES,
     _DIRECT_BLOCK,
     ALL_METHODS,
     DEFAULT_ITERATION_CAP,
     DIRECT_METHODS,
-    _direct_columns,
     _zero_sum_rows,
     histogram_csv,
     load_batch_csv,
@@ -111,13 +111,12 @@ def trig_direct_columns_oracle(cfg, amplitude, u2):
 
 
 def per_sample_direct_oracle(cfg, k, radial):
-    """Direct sampling with one (1, 2) block of uniforms per sample through the batched kernel."""
+    """Direct sampling with one (1, 2) draw of uniforms per sample, each column from the trig oracle."""
     amplitude = next(law for name, law in DIRECT_METHODS.values() if name == radial)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     columns = np.empty((cfg.layout.n, k))
     for i in range(k):
-        u2 = rng.random((1, 2))
-        _direct_columns(cfg, amplitude, u2[:, 0], u2[:, 1], columns[:, i : i + 1])
+        columns[:, i : i + 1] = trig_direct_columns_oracle(cfg, amplitude, rng.random((1, 2)))
     return columns
 
 
@@ -153,6 +152,17 @@ def pooled_histograms_oracle(cfg, k, methods, runs, vectorized, annulus_rho_min)
         )
         histograms.append(np.vstack([np.histogram(pooled[j], bins=edges)[0] for j in range(cfg.layout.n)]))
     return edges, histograms
+
+
+def peak_bytes(fn):
+    """fn's result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def recording_rng(shapes):
@@ -261,13 +271,18 @@ class TestBlockDrawsMatchPerDrawOracle:
             oracle(cfg, 40, iteration_cap=iterations - 1)
         assert str(raised.value) == str(expected.value)
 
-    def test_blocks_stay_bounded(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["a", "b"])
+    def test_blocks_stay_bounded(self, monkeypatch, method):
+        # These bounds accept a draw with chance about 1e-10 (a) and 1e-7 (b),
+        # so 10^6 draws end at the cap with fewer than 10 samples.
         shapes = []
         monkeypatch.setattr("clarkekin.sampling._rng", recording_rng(shapes))
+        sampler, _ = SAMPLER_AND_ORACLE[method]
+        cfg = config3(eps=1e-12) if method == "a" else config3(rho_min=-1.5e-4, rho_max=1.0)
         with pytest.raises(RuntimeError, match="exceeded"):
-            sample_rejection_independent(config3(eps=1e-12), 10, iteration_cap=10**6)
+            sampler(cfg, 10, iteration_cap=10**6)
         assert sum(rows for rows, _ in shapes) == 10**6
-        assert max(rows * width for rows, width in shapes) <= 2**18
+        assert max(rows * width for rows, width in shapes) <= _BLOCK_DOUBLES
 
 
     @pytest.mark.parametrize("method", ["a", "b"])
@@ -597,6 +612,19 @@ class TestRejectionResolved:
         assert batch.columns.shape == (3, 0)
         assert stats.iterations == 0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("q", [0.03, 0.2, 0.45, 0.5, 0.8, 0.97])
+    def test_acceptance_rate_within_five_binomial_deviations(self, q, seed):
+        # Bounds [-q*span, (1 - q)*span]: the k-th hit ends a run of N
+        # draws, and k lies within 5 deviations of N*p, p the exact rate.
+        span = 2 * RHO_MAX
+        cfg = config3(seed=seed, rho_min=-q * span, rho_max=(1.0 - q) * span)
+        p = resolved_rate_oracle(cfg)
+        k = 5000
+        _, stats = sample_rejection_resolved(cfg, k)
+        n = stats.iterations
+        assert abs(k - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
+
     @pytest.mark.parametrize(
         "rho_min, rho_max",
         [(-RHO_MAX, RHO_MAX), (-RHO_MAX, 3 * RHO_MAX), (-1e-4, 1.0), (-1.0, 1e-4), (-1e308, 1e303), (-1e-300, 1e-295)],
@@ -693,11 +721,13 @@ class TestDirect:
 class TestDirectColumns:
     @pytest.mark.parametrize("n", range(3, 65))
     def test_bitwise_equal_to_trig_oracle(self, n):
-        u2 = np.random.default_rng(n).random((17, 2))
+        # Both kernels take the doubles of one (17, 2) draw from the seed's stream.
         cfg = SamplerConfig(layout=JointLayout(n=n, d=D), rho_min=0.1 * RHO_MAX, rho_max=RHO_MAX, seed=n)
-        for _, amplitude in DIRECT_METHODS.values():
-            got = _direct_columns(cfg, amplitude, u2[:, 0], u2[:, 1], np.empty((n, 17)))
-            assert got.tobytes() == trig_direct_columns_oracle(cfg, amplitude, u2).tobytes()
+        u2 = np.random.Generator(np.random.PCG64(n)).random((17, 2))
+        for radial, amplitude in DIRECT_METHODS.values():
+            expected = trig_direct_columns_oracle(cfg, amplitude, u2).tobytes()
+            assert sample_direct_batched(cfg, 17, radial).columns.tobytes() == expected
+            assert sample_direct(cfg, 17, radial)[0].columns.tobytes() == expected
 
 
 class TestBatchedBlocks:
@@ -719,14 +749,31 @@ class TestBatchedBlocks:
 
     def test_needs_its_output_plus_one_block(self):
         # The 3 x 10^6 output takes 24 MB; one block of working set fits in 2 MiB.
-        tracemalloc.start()
-        try:
-            batch = sample_direct_batched(config3(seed=6), 10**6, "disk")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        batch, peak = peak_bytes(lambda: sample_direct_batched(config3(seed=6), 10**6, "disk"))
         assert batch.columns.nbytes == 24 * 10**6
         assert peak < batch.columns.nbytes + 2 * 2**20
+
+
+class TestFixedMemory:
+    """Each sampler fills one (n, k) output; its working set does not grow with k."""
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: sample_direct(config3(seed=6), 10**6, "disk"),
+            lambda: sample_rejection_resolved(config3(seed=6), 10**6),
+            # A grid as wide as the bounds accepts most draws, so the run is quick.
+            lambda: sample_rejection_independent(config3(seed=6, eps=RHO_MAX), 10**6),
+        ],
+        ids=["direct", "b", "a"],
+    )
+    def test_needs_its_output_plus_six_mib(self, draw):
+        # The 3 x 10^6 output takes 24 MB. A grown buffer and its copy, or a
+        # list of blocks joined and stacked, took twice that and more.
+        (batch, _), peak = peak_bytes(draw)
+        assert batch.columns.nbytes == 24 * 10**6
+        assert batch.columns.flags.c_contiguous and not batch.columns.flags.writeable
+        assert peak <= batch.columns.nbytes + 6 * 2**20
 
 
 @st.composite
@@ -890,12 +937,9 @@ class TestBenchmark:
     def test_keeps_one_run_of_samples_at_a_time(self):
         # One vectorized run of 10^5 samples at n = 3 takes 2.4 MB; five
         # runs pooled took five times that, twice over.
-        tracemalloc.start()
-        try:
-            benchmark(config3(seed=24), 10**5, methods=("c", "d", "e"), runs=5, vectorized=True, annulus_rho_min=0.1 * RHO_MAX)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(
+            lambda: benchmark(config3(seed=24), 10**5, methods=("c", "d", "e"), runs=5, vectorized=True, annulus_rho_min=0.1 * RHO_MAX)
+        )
         assert peak < 3 * 10**5 * 8 + 2 * 2**20
 
     def test_benchmark_checks_every_letter_before_sampling(self, monkeypatch):
