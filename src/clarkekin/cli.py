@@ -31,7 +31,7 @@ from .control import (
     save_trace_csv,
     trace_to_dict,
 )
-from .csvio import csv_text, displacement_header, format_float, format_rows, read_csv, write_text
+from .csvio import csv_chunks, displacement_header, format_float, format_rows, read_csv, write_text
 from .kinematics import Pose, fk_direct, ik, ik_position
 from .sampling import (
     ALL_METHODS,
@@ -62,11 +62,19 @@ def _parse_floats(text: str) -> np.ndarray:
         raise ValueError(f"could not parse float list {text!r}: {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
     if out:
-        write_text(out, (text,))
-    else:
-        sys.stdout.write(text)
+        write_text(out, chunks)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (`| head -1`): the output ends, not the command,
+        # and neither its rest nor the flush at exit meets the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _geometry(args) -> SegmentGeometry:
@@ -75,11 +83,13 @@ def _geometry(args) -> SegmentGeometry:
 
 def cmd_matrix(args) -> int:
     t = build_transform(args.n)
-    lines = []
-    for name, m in (("forward", t.forward), ("inverse", t.inverse)):
-        lines.append(f"{name} ({m.shape[0]} x {m.shape[1]}):")
-        lines += ["  " + "  ".join(format(float(v), ".15g") for v in row) for row in m]
-    _emit("\n".join(lines) + "\n", args.out)
+
+    def lines():
+        for name, m in (("forward", t.forward), ("inverse", t.inverse)):
+            yield f"{name} ({m.shape[0]} x {m.shape[1]}):\n"
+            yield from ("  " + "  ".join(map(format_float, row)) + "\n" for row in m)
+
+    _emit(lines(), args.out)
     return 0
 
 
@@ -93,15 +103,8 @@ def cmd_transform(args) -> int:
     else:
         rho = inverse_transform(t, _parse_floats(args.xi))
         payload = {"rho": list(rho)}
-    _emit(_format_payload(payload, args.format), args.out)
+    _emit((_format_payload(payload, args.format),), args.out)
     return 0
-
-
-def _pose_payload(pose: Pose) -> dict:
-    return {
-        "rotation": [list(map(float, row)) for row in pose.rotation],
-        "position": [float(v) for v in pose.position],
-    }
 
 
 def _format_payload(payload: dict, fmt: str) -> str:
@@ -116,12 +119,13 @@ def cmd_fk(args) -> int:
         raise UsageError("give exactly one of --rho or --in FILE")
     if args.rho is not None:
         pose = fk_direct(geom, _parse_floats(args.rho))
-        _emit(_format_payload(_pose_payload(pose), args.format), args.out)
+        payload = {"rotation": pose.rotation.tolist(), "position": pose.position.tolist()}
+        _emit((_format_payload(payload, args.format),), args.out)
         return 0
     _, rows = read_csv(args.infile, [displacement_header(args.n)])
     poses = fk_direct(geom, rows.T)
     flat = np.hstack([poses.rotation.reshape(-1, 9), poses.position])
-    _emit(csv_text(POSE_HEADER, flat), args.out)
+    _emit(csv_chunks(POSE_HEADER, flat), args.out)
     return 0
 
 
@@ -153,10 +157,10 @@ def cmd_ik(args) -> int:
             rho = ik(geom, Pose(rotation=rows[:, :9].reshape(-1, 3, 3), position=rows[:, 9:]))
         else:
             rho = ik_position(geom, rows)
-        _emit(csv_text(displacement_header(args.n), rho.T), args.out)
+        _emit(csv_chunks(displacement_header(args.n), rho.T), args.out)
         return 0
     rho = ik(geom, _target_from_args(args))
-    _emit(_format_payload({"rho": list(rho)}, args.format), args.out)
+    _emit((_format_payload({"rho": list(rho)}, args.format),), args.out)
     return 0
 
 
@@ -183,7 +187,7 @@ def _sampler_config(args, method: str | None = None) -> SamplerConfig:
 def cmd_sample(args) -> int:
     cfg = _sampler_config(args, method=args.method)
     batch, stats = sample(cfg, args.k, args.method, args.vectorized)
-    _emit(csv_text(displacement_header(cfg.layout.n), batch.columns.T), args.out)
+    _emit(csv_chunks(displacement_header(cfg.layout.n), batch.columns.T), args.out)
     sys.stderr.write(
         f"method {stats.method}: k={args.k}{' vectorized' if args.vectorized else ''} "
         f"iterations={stats.iterations} resamples={stats.resamples} "
@@ -217,14 +221,14 @@ def cmd_bench(args) -> int:
             }
             for r in results
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit((json.dumps(payload, indent=2) + "\n",), args.out)
     else:
-        _emit(stats_csv(results), args.out)
+        _emit((stats_csv(results),), args.out)
     if args.hist_dir:
         os.makedirs(args.hist_dir, exist_ok=True)
         for r in results:
             for j in range(cfg.layout.n):
-                _emit(histogram_csv(r, j), os.path.join(args.hist_dir, f"hist_{r.method}_joint{j + 1}.csv"))
+                _emit((histogram_csv(r, j),), os.path.join(args.hist_dir, f"hist_{r.method}_joint{j + 1}.csv"))
     return 0
 
 
@@ -283,17 +287,17 @@ def cmd_simulate(args) -> int:
     }
     if args.trace_out:
         if args.format == "json":
-            write_text(args.trace_out, (json.dumps(trace_to_dict(closed)),))
+            _emit((json.dumps(trace_to_dict(closed)),), args.trace_out)
         else:
             save_trace_csv(closed, args.trace_out)
-    _emit(json.dumps(summary, indent=2) + "\n", args.out)
+    _emit((json.dumps(summary, indent=2) + "\n",), args.out)
     return 0
 
 
 def cmd_noise_report(args) -> int:
     layout = JointLayout(n=args.n, d=args.d)
     report = noise_propagation(layout, args.sigma, args.joint)
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+    _emit((json.dumps(report.to_dict(), indent=2) + "\n",), args.out)
     return 0
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .arcspace import SegmentGeometry
 from .clarke import _product, all_finite, as_clarke, as_displacement, build_transform, check_finite
-from .csvio import read_csv, write_csv
+from .csvio import csv_chunks, read_csv, write_text
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,7 @@ def _trace_header(n: int) -> list[str]:
 def save_trace_csv(trace: SimTrace, path) -> None:
     """Write a trace as CSV, one row per tick, under the _trace_header columns."""
     columns = (trace.time, trace.rho_desired, trace.rho_measured, trace.rho_command, trace.rho_plant)
-    write_csv(path, _trace_header(trace.rho_desired.shape[0]), np.vstack(columns).T)
+    write_text(path, csv_chunks(_trace_header(trace.rho_desired.shape[0]), np.vstack(columns).T))
 
 
 def trace_to_dict(trace: SimTrace) -> dict:

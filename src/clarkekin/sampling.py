@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clarke import TWO_PI, JointLayout, build_transform, check_finite
-from .csvio import csv_text, displacement_header, format_rows, read_csv, write_csv
+from .csvio import csv_chunks, displacement_header, format_rows, read_csv, write_text
 
 REJECTION_METHODS = ("a", "b")
 
@@ -523,7 +523,7 @@ def benchmark(
 
 def save_batch_csv(batch: SampleBatch, path) -> None:
     """Write one sample per row with header rho_1..rho_n, 17 significant digits."""
-    write_csv(path, displacement_header(batch.columns.shape[0]), batch.columns.T)
+    write_text(path, csv_chunks(displacement_header(batch.columns.shape[0]), batch.columns.T))
 
 
 def load_batch_csv(path) -> np.ndarray:
@@ -546,4 +546,4 @@ def stats_csv(results: list[MethodBenchmark]) -> str:
 def histogram_csv(result: MethodBenchmark, joint: int) -> str:
     """Per-joint histogram with columns bin_lo,bin_hi,count."""
     edges = result.bin_edges
-    return csv_text(["bin_lo", "bin_hi", "count"], np.column_stack([edges[:-1], edges[1:], result.histograms[joint]]))
+    return "".join(csv_chunks(["bin_lo", "bin_hi", "count"], np.column_stack([edges[:-1], edges[1:], result.histograms[joint]])))

@@ -2,7 +2,10 @@
 
 import json
 import math
+import subprocess
+import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from clarkekin import JointLayout, SegmentGeometry, build_transform, fk_direct
 from clarkekin.cli import build_parser, main
+from clarkekin.csvio import read_csv
 
 
 def run_cli(capsys, *argv):
@@ -760,3 +765,72 @@ class TestRerunToTheSamePath:
         assert run_cli(capsys, "fk", "--in", str(rows), "--out", str(fresh))[0] == 0
         assert run_cli(capsys, "fk", "--in", str(rows), "--out", str(rows))[0] == 0
         assert rows.read_bytes() == fresh.read_bytes()
+
+
+def test_matrix_reads_back_to_the_transform_bits(capsys):
+    for n in (3, 4, 7):
+        code, out, _ = run_cli(capsys, "matrix", "--n", str(n))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"forward (2 x {n}):" and lines[3] == f"inverse ({n} x 2):"
+        forward = np.array([[float(v) for v in line.split()] for line in lines[1:3]])
+        inverse = np.array([[float(v) for v in line.split()] for line in lines[4:]])
+        t = build_transform(n)
+        assert forward.tobytes() == t.forward.tobytes()
+        assert inverse.tobytes() == t.inverse.tobytes()
+
+
+def peak_bytes(fn):
+    """fn's result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestStreamedCsv:
+    """sample, fk --in and ik --in format their rows a block at a time, never the whole file."""
+
+    def test_sample_out_needs_its_samples_plus_four_mib(self, tmp_path):
+        # The 3 x k samples take 4.8 MB; the whole file's text, with a
+        # Python float per value, took seven times that.
+        out, k = tmp_path / "s.csv", 200_000
+        code, peak = peak_bytes(lambda: main(["sample", "--vectorized", "--k", str(k), "--out", str(out)]))
+        assert code == 0
+        assert peak <= 3 * k * 8 + 4 * 2**20
+        assert out.read_text().count("\n") == k + 1
+
+    def test_fk_in_out_needs_what_fk_needs_plus_four_mib(self, tmp_path):
+        # Reading 40,000 rows and computing their poses peaks inside
+        # fk_direct; writing the 12-column file may add one block's text.
+        rows, out = tmp_path / "rows.csv", tmp_path / "poses.csv"
+        assert main(["sample", "--d", "0.01", "--k", "40000", "--out", str(rows)]) == 0
+        geom = SegmentGeometry(layout=JointLayout(n=3, d=0.01), l=0.1)
+        _, computing = peak_bytes(lambda: fk_direct(geom, read_csv(rows)[1].T))
+        code, peak = peak_bytes(lambda: main(["fk", "--in", str(rows), "--out", str(out)]))
+        assert code == 0
+        assert peak <= computing + 4 * 2**20
+        assert out.read_text().count("\n") == 40_001
+
+    @pytest.mark.parametrize(
+        "argv, first, err",
+        [
+            (["sample", "--k", "400000", "--vectorized"], "rho_1,rho_2,rho_3\n", "method e: k=400000 vectorized "),
+            (["matrix", "--n", "200000"], "forward (2 x 200000):\n", ""),
+        ],
+        ids=["sample", "matrix"],
+    )
+    def test_closed_stdout_ends_the_output_not_the_command(self, argv, first, err):
+        # The reader takes one line and leaves; the rest of the output meets
+        # a closed pipe. No error line, no "Exception ignored" at exit.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "clarkekin.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, stderr
+        assert stderr.startswith(err) and stderr.count("\n") == (1 if err else 0)

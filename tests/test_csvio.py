@@ -1,5 +1,5 @@
 """CSV text: one %.17g row writer, byte-identical to per-value formatting,
-and the one in-place file writer."""
+the header-then-blocks stream built on it, and the one in-place file writer."""
 
 import ast
 import os
@@ -13,7 +13,7 @@ import pytest
 import clarkekin
 from clarkekin.cli import main
 from clarkekin.control import load_trace_csv
-from clarkekin.csvio import _BLOCK_ROWS, format_float, format_rows, read_csv, write_csv, write_text
+from clarkekin.csvio import _BLOCK_ROWS, csv_chunks, format_float, format_rows, read_csv, write_text
 from clarkekin.sampling import load_batch_csv
 
 
@@ -43,6 +43,15 @@ def test_row_formatter_matches_per_value_format():
 
 def test_empty_rows():
     assert format_rows(np.empty((0, 4))) == ""
+    assert list(csv_chunks(["a", "b"], np.empty((0, 2)))) == ["a,b\n"]
+
+
+def test_csv_chunks_are_the_header_then_blocks_of_rows():
+    rows = np.random.default_rng(22).standard_normal((2 * _BLOCK_ROWS + 5, 3))
+    chunks = list(csv_chunks(["a", "b", "c"], rows))
+    assert chunks[0] == "a,b,c\n"
+    assert [chunk.count("\n") for chunk in chunks[1:]] == [_BLOCK_ROWS, _BLOCK_ROWS, 5]
+    assert "".join(chunks[1:]) == per_value_rows(rows)
 
 
 def test_trace_file_byte_identical_to_per_value_writer(tmp_path):
@@ -73,7 +82,7 @@ class TestReadCsv:
 
     def test_round_trip(self, tmp_path):
         rows = np.random.default_rng(0).standard_normal((5, 3))
-        write_csv(tmp_path / "w.csv", ["a", "b", "c"], rows)
+        write_text(tmp_path / "w.csv", csv_chunks(["a", "b", "c"], rows))
         header, back = read_csv(tmp_path / "w.csv", self.HEADERS)
         assert header == ["a", "b", "c"]
         assert np.array_equal(back, rows)
@@ -183,7 +192,7 @@ class TestWriteText:
             write_text(path, chunks())
         assert path.read_bytes() == b""
 
-    def test_write_csv_failing_midway_leaves_the_file_empty(self, tmp_path, monkeypatch):
+    def test_csv_chunks_failing_midway_leave_the_file_empty(self, tmp_path, monkeypatch):
         path = tmp_path / "f.csv"
         path.write_text("a,b\n" + "9,9\n" * 10_000)
         calls = []
@@ -196,7 +205,7 @@ class TestWriteText:
 
         monkeypatch.setattr("clarkekin.csvio.format_rows", failing_format)
         with pytest.raises(MemoryError):
-            write_csv(path, ["a", "b"], np.ones((3 * _BLOCK_ROWS, 2)))
+            write_text(path, csv_chunks(["a", "b"], np.ones((3 * _BLOCK_ROWS, 2))))
         assert calls and path.read_bytes() == b""
 
     def test_a_directory_is_an_os_error(self, tmp_path):
@@ -236,18 +245,23 @@ def _opens_to_write(call: ast.Call) -> bool:
     return True  # a mode computed at run time may write
 
 
-def _writing_opens(tree) -> list[tuple[str, int]]:
-    """(enclosing function, line) of each open(), io.open() or os.open() call that can write."""
+def _calls(tree, keep) -> list[tuple[str, ast.Call]]:
+    """(enclosing function, call) of each call in tree for which keep(call) holds."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and _opens_to_write(child):
-                found.append((where, child.lineno))
+            if isinstance(child, ast.Call) and keep(child):
+                found.append((where, child))
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
 
     visit(tree, "<module>")
     return found
+
+
+def _writing_opens(tree) -> list[tuple[str, ast.Call]]:
+    """(enclosing function, call) of each open(), io.open() or os.open() call that can write."""
+    return _calls(tree, _opens_to_write)
 
 
 def test_write_text_is_the_only_code_that_opens_a_file_to_write():
@@ -256,11 +270,23 @@ def test_write_text_is_the_only_code_that_opens_a_file_to_write():
     assert len(modules) >= 8
     found = {}
     for module in modules:
-        for where, line in _writing_opens(ast.parse(module.read_text(), str(module))):
-            found.setdefault((module.name, where), []).append(line)
-    # write_text's own os.open and its text wrapper over that descriptor.
-    assert list(found) == [("csvio.py", "write_text")], found
-    assert len(found["csvio.py", "write_text"]) == 2
+        for where, call in _writing_opens(ast.parse(module.read_text(), str(module))):
+            found.setdefault((module.name, where), []).append(ast.unparse(call.args[0]))
+    # write_text's own os.open and its text wrapper over that descriptor, and
+    # the os.devnull that the CLI puts in place of a stdout its reader closed.
+    assert found == {("csvio.py", "write_text"): ["path", "fd"], ("cli.py", "_emit"): ["os.devnull"]}, found
+
+
+def test_the_cli_writes_only_through_emit():
+    # Every command's output, stdout and files alike, goes through _emit,
+    # the one caller of write_text and of sys.stdout's writers in cli.py.
+    module = Path(clarkekin.__file__).parent / "cli.py"
+    writers = ("write_text", "sys.stdout.write", "sys.stdout.writelines", "print")
+    found = _calls(ast.parse(module.read_text()), lambda call: ast.unparse(call.func) in writers)
+    assert sorted((where, ast.unparse(call.func)) for where, call in found) == [
+        ("_emit", "sys.stdout.writelines"),
+        ("_emit", "write_text"),
+    ]
 
 
 @pytest.mark.parametrize(

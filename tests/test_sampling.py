@@ -137,6 +137,26 @@ def resolved_rate_oracle(cfg):
     return float(cdf(-Fraction(cfg.rho_min)) - cdf(-Fraction(cfg.rho_max)))
 
 
+def independent_rate_oracle(cfg):
+    """Method (a)'s chance of acceptance for continuous candidates: P(|sum| <= eps/2).
+
+    The candidates are rho_min + span*U, so the sum is n*rho_min + span*S,
+    S the Irwin-Hall sum of n uniforms, whose CDF is the alternating sum
+    sum_j (-1)**j * C(n, j) * (x - j)**n / n! over j <= x. In floats that
+    sum is stable only for small n: its terms reach C(n, n/2) * n**n / n!,
+    about 1.3e3 at n = 6 (an absolute error near 1e-13 on a chance near
+    1e-3) but 6e44 at n = 64, where every digit cancels.
+    """
+    n, span = cfg.layout.n, cfg.rho_max - cfg.rho_min
+
+    def cdf(x):
+        x = min(max(x, 0.0), float(n))
+        return sum((-1) ** j * math.comb(n, j) * (x - j) ** n for j in range(math.floor(x) + 1)) / math.factorial(n)
+
+    half = 0.5 * cfg.rounding_epsilon
+    return cdf((half - n * cfg.rho_min) / span) - cdf((-half - n * cfg.rho_min) / span)
+
+
 def pooled_histograms_oracle(cfg, k, methods, runs, vectorized, annulus_rho_min):
     """Per method, the columns of every run pooled, then one np.histogram per joint."""
     edges = np.linspace(cfg.rho_min, cfg.rho_max, 51)
@@ -565,6 +585,28 @@ class TestRejectionIndependent:
         cfg = SamplerConfig(JointLayout(n=n, d=D), rho_min, 75694469.49075718, rounding_epsilon=eps)
         with pytest.raises(RuntimeError, match="exceeded"):
             sample_rejection_independent(cfg, 1, iteration_cap=1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "q, eps",
+        [(0.5, 1e-5), (0.3, 1e-2 * 2 * RHO_MAX), (0.65, 5e-3 * 2 * RHO_MAX)],
+        ids=["paper", "q0.3", "q0.65"],
+    )
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_acceptance_rate_within_five_binomial_deviations(self, n, q, eps, seed):
+        # Bounds [-q*span, (1 - q)*span], span = 2*d*pi; q = 0.5 with eps =
+        # 1e-5 is the paper's setting (rate about 1/840 at n = 3). The k-th
+        # hit ends a run of N draws, and k lies within 5 deviations of N*p,
+        # p the Irwin-Hall rate. n stops at 6, where the oracle's float sum
+        # still meets exact rational arithmetic within 2e-13 of p (see
+        # independent_rate_oracle).
+        span = 2 * RHO_MAX
+        cfg = SamplerConfig(JointLayout(n=n, d=D), -q * span, (1.0 - q) * span, rounding_epsilon=eps, seed=seed)
+        p = independent_rate_oracle(cfg)
+        k = 5000
+        _, stats = sample_rejection_independent(cfg, k)
+        draws = stats.iterations
+        assert abs(k - draws * p) <= 5.0 * math.sqrt(draws * p * (1.0 - p))
 
     def test_accepted_rho1_symmetric(self):
         # The marginal of each joint under the sum constraint is symmetric
