@@ -289,14 +289,16 @@ def run_simulation(
 ) -> SimTrace:
     """Simulate the loop tick by tick over a joint-space reference.
 
-    Per tick: measure (plant state, noise draw, optional quantization, then
-    bias), evaluate the controller, advance the plant. closed_loop=False
-    feeds the reference straight to the actuators instead, for open-loop
-    comparisons. Deterministic for a given noise seed: the noise is drawn
-    as one T x n block from the same PCG64 stream, bitwise the values of T
-    per-tick draws, so seeded traces are unchanged. Raises ValueError if
-    the loop leaves the float range, and for the closed loop if kp is at
-    or past the stability bound (1 + a)/(1 - a), a = exp(-dt/tau).
+    Per tick the closed loop measures (plant state, noise draw, optional
+    quantization, then bias), evaluates controller_step and advances the
+    plant through plant_step. closed_loop=False feeds the reference
+    straight to the actuators, for open-loop comparisons: one ZOH
+    recurrence, its reference checked once, with the bits of plant_step.
+    Deterministic for a given noise seed: the noise is drawn as one T x n
+    block from the same PCG64 stream, bitwise the values of T per-tick
+    draws, so seeded traces are unchanged. Raises ValueError if the loop
+    leaves the float range, and for the closed loop if kp is at or past
+    the stability bound (1 + a)/(1 - a), a = exp(-dt/tau).
     """
     if closed_loop:
         _check_stable(cfg, plant)
@@ -313,32 +315,48 @@ def run_simulation(
     # One row per tick; states[i] is the plant state read at tick i.
     states = np.empty((ticks + 1, n))
     states[0] = plant.state
-    rows = trajectory.T
     try:
         draws = np.random.Generator(np.random.PCG64(noise.seed)).uniform(-noise.epsilon, noise.epsilon, (ticks, n))
         with np.errstate(over="raise", invalid="raise"):
             if closed_loop:
-                measured, command = np.empty((2, ticks, n))
+                command = np.empty((ticks, n))
                 desired = _product(t.forward, trajectory).T
                 for i in range(ticks):
-                    measured[i] = reading = _read(plant.state + draws[i], noise)
-                    command[i] = cmd = controller_step(cfg, desired[i], reading)
+                    command[i] = cmd = controller_step(cfg, desired[i], _read(plant.state + draws[i], noise))
                     plant = plant_step(plant, cmd, cfg.dt)
                     states[i + 1] = plant.state
             else:
-                for i in range(ticks):
-                    plant = plant_step(plant, rows[i], cfg.dt)
-                    states[i + 1] = plant.state
-                measured, command = _read(states[:-1] + draws, noise), rows
+                command = as_displacement(trajectory, n, batch=True).T
+                a = math.exp(-cfg.dt / plant.tau)
+                # plant_step's a*x + (1 - a)*u, summed the other way round: the same bits.
+                np.multiply(command, 1.0 - a, out=states[1:])
+                for x, x_next in zip(states[:-1], states[1:]):
+                    x_next += a * x
+            measured = _read(states[:-1] + draws, noise)
     except (FloatingPointError, OverflowError) as exc:
         raise ValueError(f"simulation left the float range: {exc}") from None
     return SimTrace(cfg.dt * np.arange(ticks), trajectory.copy(), measured.T.copy(), command.T.copy(), states[1:].T.copy())
 
 
 def clarke_tracking_rms(trace: SimTrace, transform_) -> float:
-    """RMS of the Clarke-space error between desired and plant displacement."""
-    err = transform_.forward @ (trace.rho_desired - trace.rho_plant)
-    return float(np.sqrt(np.mean(np.sum(err * err, axis=0))))
+    """RMS of the Clarke-space error between desired and plant displacement.
+
+    Where the mean square overflows or falls below the normal range, the
+    error is first scaled by an exact power of two, so a nonzero error
+    never reads 0. An RMS past the float range raises ValueError.
+    """
+    exponent = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = transform_.forward @ (trace.rho_desired - trace.rho_plant)
+        square = np.mean(np.sum(err * err, axis=0))
+        if not sys.float_info.min <= square < math.inf and np.any(err):
+            exponent = math.frexp(np.max(np.abs(err)))[1]
+            scaled = np.ldexp(err, -exponent)
+            square = np.mean(np.sum(scaled * scaled, axis=0))
+        rms = float(np.ldexp(np.sqrt(square), exponent))
+    if not math.isfinite(rms):
+        raise ValueError(f"the Clarke tracking RMS passes the float range: {rms}")
+    return rms
 
 
 @dataclass(frozen=True)

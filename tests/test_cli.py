@@ -13,8 +13,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from clarkekin import JointLayout, SegmentGeometry, build_transform, fk_direct
+from clarkekin import (
+    ControllerConfig,
+    JointLayout,
+    NoiseModel,
+    PT1Plant,
+    SegmentGeometry,
+    build_transform,
+    fk_direct,
+    run_simulation,
+)
 from clarkekin.cli import build_parser, main
+from clarkekin.control import load_trace_csv
 from clarkekin.csvio import read_csv
 
 
@@ -412,6 +422,51 @@ class TestSimulate:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN."""
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def summary_and_errors(capsys, tmp_path, argv):
+    """A default-geometry simulate summary, and the Clarke tracking error of each loop by summary key."""
+    path = tmp_path / "trace.csv"
+    code, out, err = run_cli_strict(capsys, ["simulate", "--format", "csv", "--trace-out", str(path)] + argv)
+    assert code == 0 and err == ""
+    closed = load_trace_csv(path)
+    cfg = ControllerConfig(kp=125.0, dt=1e-3, geometry=SegmentGeometry(layout=JointLayout(n=5, d=0.01), l=0.1))
+    plant = PT1Plant(tau=0.25, state=np.zeros(5))
+    opened = run_simulation(cfg, plant, NoiseModel(0.0), closed.rho_desired, closed_loop=False)
+    forward = build_transform(5).forward
+    traces = {"rms_closed_loop": closed, "rms_open_loop": opened}
+    return strict_json(out), {key: forward @ (tr.rho_desired - tr.rho_plant) for key, tr in traces.items()}
+
+
+class TestSimulateRms:
+    @pytest.mark.parametrize(
+        "argv", [["--noise", "1e160"], ["--noise", "1e300"], ["--noise", "0", "--waypoints", "0,0,1e-200,0"]]
+    )
+    def test_rms_outside_the_square_range(self, capsys, tmp_path, argv):
+        # The squared error overflows under 1e160 noise and underflows on a
+        # 1e-200 reference. Each RMS is still that of the error within a few
+        # ulps of math.hypot, which scales its arguments itself.
+        summary, errors = summary_and_errors(capsys, tmp_path, argv)
+        for key, err in errors.items():
+            want = math.hypot(*err.ravel().tolist()) / math.sqrt(err.shape[1])
+            assert 0.0 < summary[key] < math.inf
+            assert abs(summary[key] - want) <= 4 * math.ulp(want), key
+
+    def test_default_summary_keeps_the_plain_rms(self, capsys, tmp_path):
+        # Where the mean square is finite and normal, the RMS keeps the bits
+        # of the plain formula, and so the summary keeps its bytes.
+        summary, errors = summary_and_errors(capsys, tmp_path, [])
+        for key, err in errors.items():
+            assert summary[key] == float(np.sqrt(np.mean(np.sum(err * err, axis=0)))), key
 
 
 class TestNoiseReport:

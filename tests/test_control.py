@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clarkekin import (
@@ -16,6 +16,7 @@ from clarkekin import (
     NoiseModel,
     PT1Plant,
     SegmentGeometry,
+    SimTrace,
     TrajectorySpec,
     build_transform,
     clarke_tracking_rms,
@@ -471,6 +472,10 @@ class TestTrajectory:
             TrajectorySpec(waypoints=(np.zeros(2), np.ones(2)), v_max=0.0, a_max=1.0, d_max=1.0)
 
 
+# The settings the float-edge examples of the per-tick oracle test share.
+EDGE = dict(n=5, ticks=40, feedforward=True, epsilon=2.5e-3, bias=2.0**-10, seed=3, dt=1e-3, tau=0.25, stability=0.5)
+
+
 class TestSimulation:
     def test_deterministic(self, cfg, geom):
         traj = generate_trajectory(geom.layout, spec_between([0.0, 0.0], [0.02, 0.01]), cfg.dt)
@@ -522,6 +527,18 @@ class TestSimulation:
         opened = run_simulation(cfg, plant, noise, traj, closed_loop=False)
         assert clarke_tracking_rms(closed, t) < clarke_tracking_rms(opened, t)
 
+    @pytest.mark.parametrize("plant_sign", [0.0, -1.0])
+    def test_rms_past_the_float_range_is_a_value_error(self, plant_sign):
+        # At n = 4, joints of +-1.7e308 make an error of 1.7e308 in both
+        # Clarke coordinates, an RMS of 2.4e308; against the opposite plant
+        # the joint error overflows as well.
+        t = build_transform(4)
+        desired = np.array([[1.7e308], [1.7e308], [-1.7e308], [-1.7e308]])
+        trace = SimTrace(np.zeros(1), desired, desired, desired, plant_sign * desired)
+        with pytest.raises(ValueError, match="^the Clarke tracking RMS passes the float range"):
+            clarke_tracking_rms(trace, t)
+        assert clarke_tracking_rms(SimTrace(np.zeros(1), desired, desired, desired, desired), t) == 0.0
+
     def test_bias_leaves_commands_bitwise_unchanged(self, cfg, geom):
         # Quantized encoder readings plus a grid-aligned constant offset:
         # the offset cancels exactly in the controller, so the whole
@@ -548,9 +565,19 @@ class TestSimulation:
         dt=st.floats(1e-4, 1e-2),
         tau=st.floats(0.05, 1.0),
         stability=st.floats(0.01, 0.95),
+        state_fill=st.none(),
+        traj_exp=st.just(0),
     )
+    # The open loop at the float edge: a plant state near +-1.7e308, a
+    # reference scaled by 2**1028 to joints near 1.2e308, and both at once.
+    # Quantizing a reading near 1.7e308 overflows, in the loop and the
+    # oracle alike.
+    @example(**EDGE, closed_loop=False, quantum=0.0, state_fill=1.7e308, traj_exp=0)
+    @example(**EDGE, closed_loop=False, quantum=0.0, state_fill=-1.7e308, traj_exp=1028)
+    @example(**EDGE, closed_loop=False, quantum=0.0, state_fill=None, traj_exp=1028)
+    @example(**EDGE, closed_loop=False, quantum=2.0**-40, state_fill=-1.7e308, traj_exp=0)
     def test_bitwise_equal_to_per_tick_oracle(
-        self, n, ticks, closed_loop, feedforward, epsilon, bias, quantum, seed, dt, tau, stability
+        self, n, ticks, closed_loop, feedforward, epsilon, bias, quantum, seed, dt, tau, stability, state_fill, traj_exp
     ):
         # kp stays below (1 + a) / (1 - a), a = exp(-dt/tau), so the loop's
         # pole a - (1 - a)*kp lies inside the unit circle.
@@ -558,10 +585,17 @@ class TestSimulation:
         geom = SegmentGeometry(layout=JointLayout(n=n, d=0.01), l=0.1)
         cfg = ControllerConfig(kp=stability * (1.0 + a) / (1.0 - a), dt=dt, geometry=geom, feedforward=feedforward)
         rng = np.random.default_rng(seed)
-        traj = build_transform(n).inverse @ rng.uniform(-0.03, 0.03, (2, ticks))
-        plant = PT1Plant(tau=tau, state=rng.uniform(-1e-3, 1e-3, n))
+        traj = np.ldexp(build_transform(n).inverse @ rng.uniform(-0.03, 0.03, (2, ticks)), traj_exp)
+        state = rng.uniform(-1e-3, 1e-3, n) if state_fill is None else np.full(n, state_fill)
+        plant = PT1Plant(tau=tau, state=state)
         noise = NoiseModel(epsilon=epsilon, seed=seed, bias=bias, quantum=quantum)
-        trace = run_simulation(cfg, plant, noise, traj, closed_loop=closed_loop)
+        try:
+            trace = run_simulation(cfg, plant, noise, traj, closed_loop=closed_loop)
+        except ValueError as exc:
+            with pytest.raises(FloatingPointError) as oracle_exc, np.errstate(over="raise", invalid="raise"):
+                per_tick_simulation_oracle(cfg, plant, noise, traj, closed_loop=closed_loop)
+            assert str(exc) == f"simulation left the float range: {oracle_exc.value}"
+            return
         expected = per_tick_simulation_oracle(cfg, plant, noise, traj, closed_loop=closed_loop)
         got = (trace.time, trace.rho_desired, trace.rho_measured, trace.rho_command, trace.rho_plant)
         for name, g, e in zip(("time", "desired", "measured", "command", "plant"), got, expected):
@@ -590,9 +624,19 @@ class TestSimulation:
         plant = PT1Plant(tau=0.25, state=np.zeros(5))
         run_simulation(cfg, plant, NoiseModel(1e-3, seed=1), traj, closed_loop=True)
         assert calls == {"controller_step": ticks, "plant_step": ticks}
-        calls["plant_step"] = 0
+        # The open loop is one recurrence; test_bitwise_equal_to_per_tick_oracle
+        # pins its bits to a plant step per tick.
+        calls.update(controller_step=0, plant_step=0)
         run_simulation(cfg, plant, NoiseModel(1e-3, seed=1), traj, closed_loop=False)
-        assert calls["plant_step"] == ticks
+        assert calls == {"controller_step": 0, "plant_step": 0}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tick", [0, 7, -1])
+    def test_open_loop_refuses_a_non_finite_reference(self, cfg, bad, tick):
+        traj = np.tile(inverse_transform(build_transform(5), [0.01, 0.0])[:, None], (1, 15))
+        traj[2, tick] = bad
+        with pytest.raises(ValueError, match="^displacement vector entries must be finite$"):
+            run_simulation(cfg, PT1Plant(tau=0.25, state=np.zeros(5)), NoiseModel(1e-3), traj, closed_loop=False)
 
     @pytest.mark.parametrize("closed_loop", [True, False])
     def test_overflow_is_a_value_error(self, geom, closed_loop):
