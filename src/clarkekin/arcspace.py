@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clarke import JointLayout, as_clarke, check_finite
+from .clarke import JointLayout, _angle, _in_float_range, as_clarke, check_finite
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,12 @@ class SegmentGeometry:
 
 
 def ccr_to_car(cc: CurvatureCurvature) -> CurvatureAngle:
-    """Curvature-curvature to curvature-angle.
+    """Curvature-curvature to curvature-angle, theta in (-pi, pi].
 
-    (0, 0) maps to (0, 0): a straight segment carries theta = 0.
+    (0, 0) maps to (0, 0), with either sign of zero: a straight segment
+    carries theta = 0.
     """
-    kappa = math.hypot(cc.kappa_x, cc.kappa_y)
-    theta = math.atan2(cc.kappa_y, cc.kappa_x)
-    return CurvatureAngle(kappa=kappa, theta=theta)
+    return CurvatureAngle(kappa=math.hypot(cc.kappa_x, cc.kappa_y), theta=_angle(cc.kappa_x, cc.kappa_y))
 
 
 def car_to_ccr(ca: CurvatureAngle) -> CurvatureCurvature:
@@ -120,26 +119,25 @@ def clarke_from_arc(geom: SegmentGeometry, arc) -> np.ndarray:
 
     rho_re = d*l*kappa*cos(theta) and rho_im = d*l*kappa*sin(theta); the
     magnitude of the pair is the virtual displacement d*l*kappa. Accepts
-    either arc representation.
+    either arc representation; refuses an arc whose pair overflows.
     """
-    d = geom.layout.d
+    dl = geom.layout.d * geom.l
     if isinstance(arc, CurvatureCurvature):
-        return d * geom.l * np.array([arc.kappa_x, arc.kappa_y])
-    ca = _as_car(arc)
-    scale = d * geom.l * ca.kappa
-    return np.array([scale * math.cos(ca.theta), scale * math.sin(ca.theta)])
+        xi = np.array([dl * arc.kappa_x, dl * arc.kappa_y])
+    else:
+        ca = _as_car(arc)
+        xi = np.array([dl * ca.kappa * math.cos(ca.theta), dl * ca.kappa * math.sin(ca.theta)])
+    return _in_float_range(xi, "the Clarke coordinates of this arc")
 
 
 def arc_from_clarke(geom: SegmentGeometry, xi) -> CurvatureAngle:
     """Arc parameters of the bend encoded by Clarke coordinates.
 
-    kappa = |xi| / (d*l) and theta = atan2(rho_im, rho_re); the origin maps
-    to the straight segment (0, 0).
+    kappa = |xi| / (d*l) and theta = atan2(rho_im, rho_re) in (-pi, pi];
+    the origin, with either sign of zero, maps to the straight segment (0, 0).
     """
     xi = as_clarke(xi)
-    kappa = math.hypot(xi[0], xi[1]) / (geom.layout.d * geom.l)
-    theta = math.atan2(xi[1], xi[0])
-    return CurvatureAngle(kappa=kappa, theta=theta)
+    return CurvatureAngle(kappa=math.hypot(xi[0], xi[1]) / (geom.layout.d * geom.l), theta=_angle(xi[0], xi[1]))
 
 
 def virtual_displacement(geom: SegmentGeometry, ca: CurvatureAngle) -> tuple[float, float, float]:
@@ -148,7 +146,10 @@ def virtual_displacement(geom: SegmentGeometry, ca: CurvatureAngle) -> tuple[flo
     Returns (total, proj_x, proj_y) in meters where total = d*l*kappa is the
     maximum displacement, lying in the bending plane, and the projections
     onto the xz- and yz-planes equal the Clarke coordinates. Always
-    satisfies total^2 = proj_x^2 + proj_y^2.
+    satisfies total^2 = proj_x^2 + proj_y^2. Refuses a bend whose total
+    overflows; the projections never exceed it.
     """
     total = geom.layout.d * geom.l * ca.kappa
+    if not math.isfinite(total):
+        raise ValueError("the virtual displacement of this arc is past the float range")
     return total, total * math.cos(ca.theta), total * math.sin(ca.theta)

@@ -148,24 +148,35 @@ def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(m, x.T[:, :, None])[:, :, 0].T
 
 
+def _in_float_range(result: np.ndarray, what: str) -> np.ndarray:
+    # A result computed without a warning (np.errstate, Python floats), refused if it overflowed.
+    if not all_finite(result):
+        raise ValueError(f"{what} are past the float range")
+    return result
+
+
 def transform(t: ClarkeTransform, rho) -> np.ndarray:
     """Map n displacements to Clarke coordinates (rho_re, rho_im).
 
     An n x k matrix of displacement columns maps column by column to a
     2 x k matrix, each column the bits of the call on that column alone.
+    Displacements whose Clarke coordinates overflow are refused.
     """
     rho = as_displacement(rho, t.n, batch=True)
-    return _product(t.forward, rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _in_float_range(_product(t.forward, rho), "the Clarke coordinates of these displacements")
 
 
 def inverse_transform(t: ClarkeTransform, xi) -> np.ndarray:
     """Map Clarke coordinates back to the n displacements.
 
     The result always satisfies sum(rho) = 0 up to roundoff, i.e. it lies
-    on the 2-dof displacement manifold.
+    on the 2-dof displacement manifold. Clarke coordinates whose
+    displacements overflow are refused.
     """
     xi = as_clarke(xi)
-    return t.inverse @ xi
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _in_float_range(t.inverse @ xi, "the displacements of these Clarke coordinates")
 
 
 def projector(t: ClarkeTransform) -> np.ndarray:
@@ -198,19 +209,26 @@ def is_on_manifold(t: ClarkeTransform, rho, tol: float = 1e-12) -> bool:
     return manifold_residual(t, rho) <= tol
 
 
+def _angle(x: float, y: float) -> float:
+    """The angle of the 2-vector (x, y) in (-pi, pi], and 0 at the origin.
+
+    atan2(y + 0.0, x + 0.0), the plane rule of fk_direct: + 0.0 turns -0.0
+    into +0.0, so no signed zero turns the angle. atan2 still rounds to -pi
+    for x < 0 and y < 0 above about -3.4e-16*|x|; that is folded to pi.
+    """
+    angle = math.atan2(y + 0.0, x + 0.0)
+    return math.pi if angle == -math.pi else angle
+
+
 def rectangular_to_polar(xi) -> tuple[float, float]:
     """Convert Clarke coordinates to (amplitude, angle).
 
     amplitude = hypot(rho_re, rho_im) >= 0 and angle = atan2(rho_im, rho_re)
-    in (-pi, pi]. The origin maps to (0.0, 0.0) by convention (the
-    continuous limit along the +x direction).
+    in (-pi, pi]. The origin, with either sign of zero, maps to (0.0, 0.0)
+    by convention (the continuous limit along the +x direction).
     """
     xi = as_clarke(xi)
-    amplitude = math.hypot(xi[0], xi[1])
-    angle = math.atan2(xi[1], xi[0])
-    if angle == -math.pi:
-        angle = math.pi
-    return amplitude, angle
+    return math.hypot(xi[0], xi[1]), _angle(xi[0], xi[1])
 
 
 def polar_to_rectangular(amplitude: float, angle: float) -> np.ndarray:

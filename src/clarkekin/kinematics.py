@@ -26,7 +26,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car, arc_from_clarke, clarke_from_arc
-from .clarke import ClarkeTransform, _product, all_finite, as_displacement, build_transform, manifold_residual
+from .clarke import (
+    ClarkeTransform, _product, all_finite, as_displacement, build_transform, inverse_transform, manifold_residual
+)
 
 # Targets with p_z at or below this height (meters) are rejected: the tip of
 # a forward-bending constant-curvature segment never reaches the p_z <= 0
@@ -46,47 +48,42 @@ MANIFOLD_TOL = 1e-9
 # bends nothing, would read as a bend.
 BEND_ROUNDING_TOL = 1e-9
 
-_I3 = np.eye(3)
-_I3.setflags(write=False)
-
 # Elementwise functions by the number of dimensions of rho in fk_direct or
-# of a bend in IK: one column or target runs on Python floats, as fast as
+# of a target in IK: one column or target runs on Python floats, as fast as
 # the scalar formula, and a batch in one numpy pass (numpy < 2 has no
-# atan2). split gives an array's rows; largest_abs and largest give the
-# largest |entry| and entry as one float; frames makes the nine entries of
-# a 3 x 3 frame, row-major, into one (3, 3) frame or a (k, 3, 3) stack.
+# atan2). split gives an array's rows; largest_abs, largest and least give
+# the largest |entry|, largest and least entry (+inf if none) as one float,
+# worst the largest |entry| of a list of entries, failing `<= tol` on a NaN;
+# frames makes a 3 x 3 frame's nine row-major entries one frame or a stack.
 _ELEMENTWISE = {
     1: SimpleNamespace(
         hypot=math.hypot, atan2=math.atan2, maximum=max, minimum=min, cos=math.cos, sin=math.sin,
-        split=np.ndarray.tolist, largest_abs=lambda r: max(map(abs, r.tolist())), largest=float,
-        frames=lambda e: np.array(e).reshape(3, 3),
+        split=np.ndarray.tolist, largest_abs=lambda r: max(map(abs, r.tolist())), largest=float, least=float,
+        worst=lambda v: max(math.inf if e != e else abs(e) for e in v), frames=lambda e: np.array(e).reshape(3, 3),
     ),
     2: SimpleNamespace(
         hypot=np.hypot, atan2=np.arctan2, maximum=np.maximum, minimum=np.minimum, cos=np.cos, sin=np.sin,
         split=tuple, largest_abs=lambda r: float(abs(r).max(initial=0.0)), largest=lambda a: float(a.max(initial=0.0)),
+        worst=lambda v: float(abs(np.array(v)).max(initial=0.0)), least=lambda a: float(a.min(initial=math.inf)),
         frames=lambda e: np.array(e).T.reshape(-1, 3, 3),
     ),
 }
 
 
-def _check_rotations(r: np.ndarray, what: str) -> None:
-    # One vectorized check over a rotation (3, 3) or a stack (k, 3, 3).
-    # Each test is written as `not err <= tol`, so a NaN entry fails it; a
-    # huge or non-finite entry fails it without a warning. The cofactor
-    # expansion costs a tenth of np.linalg.det on a stack.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram_err = np.abs(r.swapaxes(-1, -2) @ r - _I3).max(initial=0.0)
-        if not gram_err <= 1e-9:
+def _check_rotations(m, elementwise, what: str) -> None:
+    # m[j][i] is entry (i, j) of one rotation (floats) or of each rotation of
+    # a stack ((k,) rows). Each test is written as `not err <= tol`, so a NaN
+    # fails it; a huge or non-finite entry fails it without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):  # gram: R^T R - I on and above its diagonal, columns a, b
+        gram = [a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - (a is b) for i, a in enumerate(m) for b in m[i:]]
+        if not elementwise.worst(gram) <= 1e-9:
             raise ValueError(f"{what} is not orthonormal")
-        # det(R) = det(R^T); .T moves a batch axis last, so m[i, j] is
-        # entry (i, j) of every transposed matrix.
-        m = r.T
         det = (
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
-    if not np.abs(det - 1.0).max(initial=0.0) <= 1e-9:
+    if not elementwise.worst([det - 1.0]) <= 1e-9:
         raise ValueError(f"{what} must have determinant +1")
 
 
@@ -96,9 +93,9 @@ class Pose:
 
     One pose has a (3, 3) rotation and a (3,) position. A stack of k poses
     has a (k, 3, 3) rotation and a (k, 3) position, pose i at index i.
-    A pose or stack built by the caller is rejected, in one numpy pass, if
-    any rotation is not orthonormal with determinant +1 (within 1e-9) or
-    any entry is not finite. The poses fk_direct, f_ind and
+    A pose or stack built by the caller is rejected, by one formula for
+    both, if any rotation is not orthonormal with determinant +1 (within
+    1e-9) or any entry is not finite. The poses fk_direct, f_ind and
     recover_pose_from_position return are not checked again; a copy of one
     made with dataclasses.replace is.
     """
@@ -114,7 +111,8 @@ class Pose:
                 "pose needs a (3, 3) rotation and a (3,) position, "
                 "or a (k, 3, 3) rotation and a (k, 3) position for a stack"
             )
-        _check_rotations(rotation, "rotation matrix")
+        elementwise = _ELEMENTWISE[rotation.ndim - 1]
+        _check_rotations(elementwise.split(rotation.T), elementwise, "rotation matrix")
         if not all_finite(position):
             raise ValueError("position entries must be finite")
         rotation.setflags(write=False)
@@ -135,19 +133,19 @@ class _BuiltPose(Pose):
         object.__setattr__(self, "__class__", Pose)
 
 
-def _rotation(ct, st, cp, sp, elementwise) -> np.ndarray:
-    """Rz(theta) @ Ry(phi) from cos/sin of theta and phi: (3, 3) from floats, or (k, 3, 3) from (k,) arrays."""
+def _rotation(ct, st, cp, sp) -> tuple:
+    """The nine entries of Rz(theta) @ Ry(phi), row-major, from cos/sin of theta and phi: floats or (k,) arrays."""
     zero = 0.0 * abs(ct)  # +0.0 shaped like ct; 0.0 * ct is -0.0 for ct < 0
-    return elementwise.frames((ct * cp, -st, ct * sp, st * cp, ct, st * sp, -sp, zero, cp))
+    return ct * cp, -st, ct * sp, st * cp, ct, st * sp, -sp, zero, cp
 
 
 def f_dep_inverse(geom: SegmentGeometry, arc) -> np.ndarray:
     """Displacements realizing an arc: rho = inverse @ clarke_from_arc(arc).
 
-    Accepts either arc representation; the result lies on the displacement
-    manifold and is linear in the curvature components.
+    Accepts either arc representation and refuses one whose displacements
+    overflow; the result lies on the manifold, linear in the curvatures.
     """
-    return build_transform(geom.layout).inverse @ clarke_from_arc(geom, arc)
+    return inverse_transform(build_transform(geom.layout), clarke_from_arc(geom, arc))
 
 
 def f_dep(geom: SegmentGeometry, rho) -> CurvatureCurvature:
@@ -228,7 +226,7 @@ def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> tuple[np.ndarray, np.ndarr
     sp = elementwise.sin(phi)
     # Transposed, so a batch index moves to the front: (k, 3) positions.
     position = np.array(_arc_tip(ct, st, sp, phi, inv_kappa, elementwise)).T
-    return _rotation(ct, st, elementwise.cos(phi), sp, elementwise), position
+    return elementwise.frames(_rotation(ct, st, elementwise.cos(phi), sp)), position
 
 
 def _least_bend(l: float) -> float:
@@ -295,27 +293,27 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
     return _BuiltPose(*_arc_pose(*_bend_arc(geom, xi_re, xi_im, amplitude / geom.layout.d, elementwise), elementwise))
 
 
-def _check_position_target(p: np.ndarray) -> None:
-    # p is one position (3,) or a stack (k, 3).
-    if not all_finite(p):
+def _check_position_target(x, y, z, elementwise) -> None:
+    # The coordinates of one position (floats) or of a stack ((k,) rows).
+    if not elementwise.worst((x, y, z)) < math.inf:
         raise ValueError("target position entries must be finite")
-    z = p.T[2]
-    if not (p != 0.0).any(axis=-1).all():
+    if not elementwise.least(elementwise.maximum(elementwise.maximum(abs(x), abs(y)), abs(z))) > 0.0:
         raise ValueError("target position at the origin is prohibited")
-    if not (z > POSITION_Z_FLOOR).all():
+    lowest = elementwise.least(z)
+    if not lowest > POSITION_Z_FLOOR:
         raise ValueError(
-            f"target p_z={np.min(z):.3e} is in the prohibited region: the reachable "
+            f"target p_z={lowest:.3e} is in the prohibited region: the reachable "
             f"workspace requires p_z > {POSITION_Z_FLOOR:.1e} m"
         )
 
 
-def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, rotation, position, what: str) -> np.ndarray:
+def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, r, p, what: str) -> np.ndarray:
     """The displacements rho = d * inverse.dot((bx, by)) of the bend IK found
     for a target, (n,) or (n, k), refused unless fk_direct of them gives
-    the target back: IK's one acceptance rule. Each position within
-    REACH_TOL*|p|, each rotation within 1e-9 entrywise (None where the
-    target has none). Floats for one target, (k,) rows for a stack; what,
-    with an {l} field, names a position target in the refusal.
+    the target back: IK's one acceptance rule. Each position p = (x, y, z)
+    within REACH_TOL*|p|, each rotation r (r[j][i] is entry (i, j)) within
+    1e-9 entrywise; None where the target has none. Floats for one target,
+    (k,) rows for a stack; what, with an {l} field, names a position target.
 
     The tip is fk_direct's arc of rho: the plane and the bend |xi|/d of its
     Clarke pair xi = forward.dot(rho); only the parts of the tip that the
@@ -332,9 +330,9 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, rotation, positio
         phi = elementwise.minimum(elementwise.hypot(xi_re, xi_im) / d, 2.0 * math.pi)
         ct, st, phi, inv_kappa = _bend_arc(geom, xi_re, xi_im, phi, elementwise)
         sp = elementwise.sin(phi)
-        if position is not None:
+        if p is not None:
             tx, ty, tz = _arc_tip(ct, st, sp, phi, inv_kappa, elementwise)
-            x, y, z = elementwise.split(position.T)
+            x, y, z = p
             gap = elementwise.hypot(elementwise.hypot(tx - x, ty - y), tz - z)
             norm = elementwise.hypot(elementwise.hypot(x, y), z)
             ratio = gap / norm
@@ -345,8 +343,9 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, rotation, positio
                 if not all_finite(np.reshape(rho, (t.n, -1))[:, i]):
                     ends = "needs displacements past the float range"
                 raise ValueError(f"target position is {where} {ends} (|p|={norm:.6g} m)")
-    if rotation is not None:
-        gap = np.abs(_rotation(ct, st, elementwise.cos(phi), sp, elementwise) - rotation).max(initial=0.0)
+    if r is not None:
+        frame = _rotation(ct, st, elementwise.cos(phi), sp)  # entry (i, j) at 3*i + j
+        gap = elementwise.worst([frame[3 * i + j] - r[j][i] for i in range(3) for j in range(3)])
         if not gap <= 1e-9:
             if not all_finite(rho):
                 raise ValueError(f"target rotation needs displacements past the float range at d={d:.6g} m")
@@ -373,14 +372,14 @@ def ik_position(geom: SegmentGeometry, positions) -> np.ndarray:
     p = np.asarray(positions, dtype=float)
     if p.shape[-1:] != (3,) or p.ndim > 2:
         raise ValueError(f"positions must have shape (3,) or (k, 3), got {p.shape}")
-    _check_position_target(p)
     elementwise = _ELEMENTWISE[p.ndim]
     x, y, z = elementwise.split(p.T)
+    _check_position_target(x, y, z, elementwise)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = 2.0 * geom.l / (x * x + y * y + z * z)
         bx, by = scale * x, scale * y
     what = "off the reachable surface: the arc of length l={l:.6g} m bent toward it"
-    return _fk_gives_back(geom, bx, by, elementwise, None, p, what)
+    return _fk_gives_back(geom, bx, by, elementwise, None, (x, y, z), what)
 
 
 def ik(geom: SegmentGeometry, target) -> np.ndarray:
@@ -402,13 +401,15 @@ def ik(geom: SegmentGeometry, target) -> np.ndarray:
     returned displacements are independent of l.
     """
     if isinstance(target, Pose):
-        # A Pose holds rotations (checked, or built from two angles); of
-        # its positions, the region remains to be checked.
-        _check_position_target(target.position)
-        rotation, position = target.rotation, target.position
+        # A Pose holds checked (or built) rotations; its positions' region remains to be checked.
+        elementwise = _ELEMENTWISE[target.position.ndim]
+        p = elementwise.split(target.position.T)
+        _check_position_target(*p, elementwise)
+        r = elementwise.split(target.rotation.T)  # r[j][i] is entry (i, j) of each rotation
     elif np.shape(target) == (3, 3):
-        rotation, position = np.asarray(target, dtype=float), None
-        _check_rotations(rotation, "target rotation matrix")
+        elementwise, p = _ELEMENTWISE[1], None
+        r = elementwise.split(np.asarray(target, dtype=float).T)
+        _check_rotations(r, elementwise, "target rotation matrix")
     else:
         p = np.asarray(target, dtype=float)
         if p.shape != (3,):
@@ -420,12 +421,10 @@ def ik(geom: SegmentGeometry, target) -> np.ndarray:
     # The bend of the tip frame Rz(theta) @ Ry(phi), from the rotation alone,
     # so l never enters: phi = atan2(|R[2, :2]|, R[2, 2]) in [0, pi] toward
     # (cos theta, sin theta) = (R[1, 1], -R[0, 1]).
-    elementwise = _ELEMENTWISE[rotation.ndim - 1]
-    r = elementwise.split(rotation.T)  # r[j][i] is entry (i, j) of each rotation
     phi = elementwise.atan2(elementwise.hypot(r[0][2], r[1][2]), r[2][2])
     bx, by = phi * r[1][1], -phi * r[1][0]
     what = "not the tip of the arc its rotation describes: that arc of length l={l:.6g} m"
-    return _fk_gives_back(geom, bx, by, elementwise, rotation, position, what)
+    return _fk_gives_back(geom, bx, by, elementwise, r, p, what)
 
 
 def f_ind_inverse(geom: SegmentGeometry, target) -> CurvatureCurvature:

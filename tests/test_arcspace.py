@@ -1,9 +1,13 @@
 """Arc-space representations and their conversions."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarkekin import (
     AngleAngle,
@@ -13,12 +17,16 @@ from clarkekin import (
     SegmentGeometry,
     aar_to_car,
     arc_from_clarke,
+    build_transform,
     car_to_aar,
     car_to_ccr,
     ccr_to_car,
     clarke_from_arc,
+    f_dep_inverse,
+    rectangular_to_polar,
     virtual_displacement,
 )
+from clarkekin.clarke import all_finite
 
 
 @pytest.fixture
@@ -165,3 +173,104 @@ class TestVirtualDisplacement:
             assert px == pytest.approx(xi[0], abs=1e-15)
             assert py == pytest.approx(xi[1], abs=1e-15)
             assert total == pytest.approx(geom.layout.d * geom.l * ca.kappa, rel=1e-14)
+
+
+def unchecked_clarke_from_arc(geom, arc):
+    """clarke_from_arc with no float-range check: its formula, in its order."""
+    d = geom.layout.d
+    if isinstance(arc, CurvatureCurvature):
+        return d * geom.l * np.array([arc.kappa_x, arc.kappa_y])
+    scale = d * geom.l * arc.kappa
+    return np.array([scale * math.cos(arc.theta), scale * math.sin(arc.theta)])
+
+
+class TestArcMapsPastTheFloatRange:
+    """clarke_from_arc, f_dep_inverse and virtual_displacement return a finite
+    result with the bits of their unchecked formula, or refuse it in one
+    line; they never warn."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(3, 64),
+        st.floats(-300.0, 300.0),
+        st.floats(-300.0, 298.0),
+        st.floats(-1.7e308, 1.7e308) | st.sampled_from([1.7e308, -1.7e308, 1e306, 0.0]),
+        st.floats(-1.7e308, 1.7e308) | st.sampled_from([1.7e308, -1.7e308, 1e306, 0.0]),
+    )
+    def test_results_are_finite_or_refused(self, n, log_d, log_l, kx, ky):
+        geom = SegmentGeometry(JointLayout(n, 10.0**log_d), 10.0**log_l)
+        inverse = build_transform(n).inverse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arc in (CurvatureCurvature(kx, ky), CurvatureAngle(abs(kx), ky % 7.0)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    xi = unchecked_clarke_from_arc(geom, arc)
+                    rho = inverse @ xi
+                if not all_finite(xi):
+                    for call in (lambda: clarke_from_arc(geom, arc), lambda: f_dep_inverse(geom, arc)):
+                        with pytest.raises(ValueError, match="past the float range"):
+                            call()
+                    continue
+                assert clarke_from_arc(geom, arc).tobytes() == xi.tobytes()
+                if all_finite(rho):
+                    assert f_dep_inverse(geom, arc).tobytes() == rho.tobytes()
+                else:
+                    with pytest.raises(ValueError, match="past the float range"):
+                        f_dep_inverse(geom, arc)
+            ca = CurvatureAngle(abs(kx), ky % 7.0)
+            total = geom.layout.d * geom.l * ca.kappa
+            if math.isfinite(total):
+                expected = (total, total * math.cos(ca.theta), total * math.sin(ca.theta))
+                assert virtual_displacement(geom, ca) == expected
+            else:
+                with pytest.raises(ValueError, match="past the float range"):
+                    virtual_displacement(geom, ca)
+
+    def test_the_reported_cases(self):
+        geom = SegmentGeometry(JointLayout(5, 1.0), 1e3)
+        for call in (
+            lambda: f_dep_inverse(geom, CurvatureCurvature(1e306, 1e306)),
+            lambda: clarke_from_arc(geom, CurvatureCurvature(1e306, -1e306)),
+            lambda: virtual_displacement(geom, CurvatureAngle(1e306, 1.0)),
+        ):
+            with pytest.raises(ValueError, match="past the float range"):
+                call()
+
+
+def angles_of(x, y):
+    """The angle each of the three 2-vector maps gives (x, y)."""
+    geom = SegmentGeometry(JointLayout(3, 0.01), 0.1)
+    return rectangular_to_polar([x, y])[1], arc_from_clarke(geom, [x, y]).theta, ccr_to_car(CurvatureCurvature(x, y)).theta
+
+
+class TestOneAngleRule:
+    """rectangular_to_polar, arc_from_clarke and ccr_to_car give a 2-vector
+    one angle: atan2(y + 0.0, x + 0.0) in (-pi, pi], and +0.0 at the origin."""
+
+    @pytest.mark.parametrize("x, y", list(itertools.product([0.0, -0.0], repeat=2)))
+    def test_the_origin_with_either_sign_of_zero(self, x, y):
+        for angle in angles_of(x, y):
+            assert angle == 0.0 and math.copysign(1.0, angle) == 1.0
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(x, y) for x in (-1e-3, -1.0, -1e300) for y in (0.0, -0.0, -1e-20, -5e-324)] + [(-5e-324, 0.0), (-5e-324, -0.0)],
+    )
+    def test_the_negative_x_axis_is_pi(self, x, y):
+        # Under a bare atan2, y = -0.0 gives -pi, and so does a y below zero
+        # by less than about 3e-16*|x|, where the angle rounds to -pi.
+        assert angles_of(x, y) == (math.pi,) * 3
+
+    @pytest.mark.parametrize("x, y", [(1.0, -0.0), (2.0, 0.0), (5e-324, -0.0)])
+    def test_the_positive_x_axis_is_zero(self, x, y):
+        for angle in angles_of(x, y):
+            assert angle == 0.0 and math.copysign(1.0, angle) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+    def test_all_three_agree_in_the_half_open_range(self, x, y):
+        angles = angles_of(x, y)
+        assert angles[0] == angles[1] == angles[2]
+        assert -math.pi < angles[0] <= math.pi
+        if x or y:
+            assert angles[0] == math.atan2(y, x) or (angles[0] == math.pi and math.atan2(y, x) == -math.pi)

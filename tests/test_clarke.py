@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -283,6 +283,53 @@ class TestInverseTransform:
             for _ in range(20):
                 rho = inverse_transform(t, rng.standard_normal(2))
                 assert abs(rho.sum()) < 1e-12
+
+
+# Entries up to the edge of the float range, and small ones that keep a
+# product finite.
+huge_entries = st.one_of(st.floats(-1.7e308, 1.7e308), st.sampled_from([1.7e308, -1.7e308, 1.3e308, -1.3e308, 0.0]))
+
+
+class TestTransformPairPastTheFloatRange:
+    """A result past the float range is refused, never returned as inf or NaN."""
+
+    @staticmethod
+    def decide(call, unchecked):
+        """call's result must have the bits of the unchecked product where that
+        is finite; elsewhere call must raise a one-line ValueError. No warning
+        either way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = unchecked()
+            if all_finite(expected):
+                assert call().tobytes() == expected.tobytes()
+            else:
+                with pytest.raises(ValueError, match="past the float range") as exc:
+                    call()
+                assert "\n" not in str(exc.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 64).flatmap(lambda n: st.lists(huge_entries, min_size=n, max_size=n)))
+    @example(rho=[1.7e308, -1.7e308, -1.7e308])
+    def test_transform(self, rho):
+        t = build_transform(len(rho))
+        rho = np.array(rho)
+        self.decide(lambda: transform(t, rho), lambda: t.forward.dot(rho))
+        batch = np.stack([rho, rho[::-1]], axis=1)
+        self.decide(lambda: transform(t, batch), lambda: np.stack([t.forward.dot(c) for c in batch.T], axis=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 64), huge_entries, huge_entries)
+    def test_inverse_transform(self, n, re, im):
+        t = build_transform(n)
+        self.decide(lambda: inverse_transform(t, [re, im]), lambda: t.inverse @ np.array([re, im]))
+
+    def test_the_two_cli_cases(self):
+        with pytest.raises(ValueError, match="displacements of these Clarke coordinates are past the float range"):
+            inverse_transform(build_transform(5), [1.3e308, 1.3e308])
+        with pytest.raises(ValueError, match="Clarke coordinates of these displacements are past the float range"):
+            transform(build_transform(3), [1.7e308, -1.7e308, -1.7e308])
 
 
 def as_clarke_oracle(xi):

@@ -690,6 +690,48 @@ def test_sampling_bounds_that_cannot_work_are_one_line(capsys, argv, reason):
     assert err.count("\n") == 1 and err.startswith("error: ") and reason in err
 
 
+# A tip frame Ry(1 rad), the frame of a bend of 1 rad in the x-z plane.
+_TIP_FRAME = "0.5403023058681398,0,0.8414709848078965,0,1,0,-0.8414709848078965,0,0.5403023058681398"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--n", "3", "--rho", "0.001,-0.0005,-0.0005"],
+        ["transform", "--n", "5", "--xi", "0.001,0.002"],
+        ["transform", "--n", "5", "--xi", "1.3e308,1.3e308"],
+        ["transform", "--n", "3", "--rho=1.7e308,-1.7e308,-1.7e308"],
+        ["transform", "--n", "64", "--xi=-1.7e308,1.7e308"],
+        ["transform", "--n", "4", "--xi=1.7e308,0"],
+        ["fk", "--rho", "0.001,-0.0005,-0.0005"],
+        ["fk", "--rho=1e308,-5e307,-5e307"],
+        ["fk", "--d", "1e308", "--rho=1e308,-5e307,-5e307"],
+        ["ik", "--position", "0.01,0,0.09"],
+        ["ik", "--rotation", _TIP_FRAME],
+        ["ik", "--pose", _TIP_FRAME + ",0.01,0,0.09"],
+        ["ik", "--position=1e308,1e308,1e308"],
+        ["ik", "--d", "1e308", "--rotation", _TIP_FRAME],
+        ["noise-report"],
+        ["noise-report", "--n", "64", "--sigma=-1.7e308", "--d", "1e308"],
+        ["simulate"],
+        ["simulate", "--noise", "1e300"],
+        ["bench", "--k", "20", "--runs", "1", "--methods", "c,d,e"],
+        ["bench", "--k", "5", "--runs", "1", "--methods", "c,d,e", "--rho-max", "1e150"],
+    ],
+)
+def test_json_outputs_are_strict_or_refused_in_one_line(capsys, argv):
+    # Every JSON path at its defaults and at extreme finite inputs: the output
+    # parses without Infinity or NaN, or the command exits 2 or 3 with one
+    # stderr line and no warning.
+    code, out, err = run_cli_strict(capsys, argv)
+    if code == 0:
+        strict_json(out)
+        assert err == ""
+    else:
+        assert code in (2, 3) and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Warning" not in err
+
+
 def _finite_rows(text, skip=0):
     """The data rows of CSV text; each value past the first `skip` must be a finite float."""
     rows = [line.split(",")[skip:] for line in text.splitlines()[1:]]

@@ -50,7 +50,6 @@ from clarkekin.kinematics import (
     _arc_pose,
     _arc_tip,
     _bend_arc,
-    _check_rotations,
     _fk_clarke,
     _fk_gives_back,
     _rotation,
@@ -1434,9 +1433,48 @@ def rejection(make):
     return None
 
 
+_I3 = np.eye(3)
+
+
+def numpy_rotation_check(r, what):
+    """The rotation check as one numpy pass over a rotation (3, 3) or a stack
+    (k, 3, 3): the library's former _check_rotations, kept as the oracle its
+    elementwise formula must match on both shapes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_err = np.abs(r.swapaxes(-1, -2) @ r - _I3).max(initial=0.0)
+        if not gram_err <= 1e-9:
+            raise ValueError(f"{what} is not orthonormal")
+        # det(R) = det(R^T); .T moves a batch axis last, so m[i, j] is
+        # entry (i, j) of every transposed matrix.
+        m = r.T
+        det = (
+            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        )
+    if not np.abs(det - 1.0).max(initial=0.0) <= 1e-9:
+        raise ValueError(f"{what} must have determinant +1")
+
+
+def numpy_position_check(p):
+    """The position target check as one numpy pass over a position (3,) or a
+    stack (k, 3): the library's former _check_position_target, kept as the
+    oracle its elementwise formula must match on both shapes."""
+    if not all_finite(p):
+        raise ValueError("target position entries must be finite")
+    z = p.T[2]
+    if not (p != 0.0).any(axis=-1).all():
+        raise ValueError("target position at the origin is prohibited")
+    if not (z > POSITION_Z_FLOOR).all():
+        raise ValueError(
+            f"target p_z={np.min(z):.3e} is in the prohibited region: the reachable "
+            f"workspace requires p_z > {POSITION_Z_FLOOR:.1e} m"
+        )
+
+
 def rotation_oracle(r, what="rotation matrix"):
-    """The numpy check of a stack, _check_rotations, on r as a stack of one."""
-    return rejection(lambda: _check_rotations(np.asarray(r, dtype=float)[None], what))
+    """The numpy check of a stack, numpy_rotation_check, on r as a stack of one."""
+    return rejection(lambda: numpy_rotation_check(np.asarray(r, dtype=float)[None], what))
 
 
 def assert_ik_decides_on_the_rotation(r):
@@ -1542,6 +1580,55 @@ class TestOnePoseChecksMatchTheStackOracle:
         assert one == stack == (None if math.isfinite(p[slot]) else "position entries must be finite")
 
 
+def position_oracle(p):
+    """The numpy check of a stack, numpy_position_check, on p as a stack of one."""
+    return rejection(lambda: numpy_position_check(np.asarray(p, dtype=float)[None]))
+
+
+TARGET_CHECK_MESSAGES = ("target position entries", "target position at the origin", "target p_z=")
+# Per slot: each non-finite value, both zeros, subnormals, 1e+-300 and p_z at
+# and next to the floor.
+POSITION_SLOT_VALUES = (
+    NON_FINITE
+    + (0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e-300, -1e-300, 1e300, -1e300, 0.05)
+    + (POSITION_Z_FLOOR, math.nextafter(POSITION_Z_FLOOR, 0.0), math.nextafter(POSITION_Z_FLOOR, 1.0))
+)
+
+
+class TestOnePositionCheckMatchesTheStackOracle:
+    """The position target check decides one position (3,), a stack of one
+    (1, 3) and the position of one Pose as the numpy pass over a stack did."""
+
+    @staticmethod
+    def check_outcome(call):
+        """call's refusal when it is a target check, else None: a target that
+        passes the checks may still be refused as out of reach."""
+        outcome = rejection(call)
+        return outcome if outcome is not None and outcome.startswith(TARGET_CHECK_MESSAGES) else None
+
+    def test_every_slot_value(self):
+        geom = make_geom()
+        for p in itertools.product(POSITION_SLOT_VALUES, repeat=3):
+            p = np.array(p)
+            expected = position_oracle(p)
+            assert self.check_outcome(lambda: ik_position(geom, p)) == expected
+            assert self.check_outcome(lambda: ik_position(geom, p[None])) == expected
+            assert self.check_outcome(lambda: ik(geom, p)) == expected
+            if all_finite(p):  # Pose itself refuses a non-finite position
+                assert self.check_outcome(lambda: ik(geom, Pose(rotation=np.eye(3), position=p))) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from(POSITION_SLOT_VALUES)] * 3), min_size=0, max_size=6))
+    def test_stacks(self, rows):
+        geom = make_geom()
+        p = np.array(rows).reshape(-1, 3)
+        expected = rejection(lambda: numpy_position_check(p))
+        assert self.check_outcome(lambda: ik_position(geom, p)) == expected
+        if all_finite(p):
+            stack = Pose(rotation=np.broadcast_to(np.eye(3), (len(p), 3, 3)), position=p)
+            assert self.check_outcome(lambda: ik(geom, stack)) == expected
+
+
 @st.composite
 def built_pose_cases(draw):
     """A geometry, a bend phi and a plane theta: phi exactly 0, down to
@@ -1563,7 +1650,7 @@ def built_pose_cases(draw):
 
 def assert_passes_the_pose_checks(pose):
     # What Pose.__post_init__ checks on a pose the caller builds.
-    _check_rotations(pose.rotation, "rotation matrix")
+    numpy_rotation_check(pose.rotation, "rotation matrix")
     assert all_finite(pose.position)
 
 
