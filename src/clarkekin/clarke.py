@@ -244,4 +244,6 @@ def wrap_to_two_pi(angle: float) -> float:
     wrapped = math.fmod(angle, TWO_PI)
     if wrapped < 0.0:
         wrapped += TWO_PI
-    return wrapped
+    # A negative angle within half an ulp of 0 rounds up to TWO_PI; on the
+    # circle, 0 is the nearest value in range.
+    return 0.0 if wrapped == TWO_PI else wrapped

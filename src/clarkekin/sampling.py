@@ -28,14 +28,14 @@ Direct methods draw an angle theta = 2*pi*U and an amplitude L per sample
 (in that order) and map through the transform's right-inverse, so every
 sample satisfies the displacement constraint by construction and the
 success rate is exactly 1. Both direct paths run one block loop (_direct)
-of at most _DIRECT_BLOCK samples: one formula (_clarke_pair) gives each
-block's Clarke pairs, from two Python floats per sample on the sequential
-path and from one (b, 2) array on the batched one, drawn in order from the
-same stream, and one joint map writes the block's joints. cos and sin are
-numpy's in both and the rest IEEE-exact, so the two are bit-identical under
-one seed. Every sampler fills one preallocated C-contiguous (n, k) output
-and returns it read-only, so it needs that output plus one block's fixed
-working set, whatever k and n.
+of at most _DIRECT_BLOCK samples, which draws a block's uniforms at once as
+one (b, 2) array from the stream. One formula (_clarke_pair) gives the
+block's Clarke pairs, per sample on Python floats on the sequential path and
+on the array's columns on the batched one, and one joint map writes the
+block's joints. cos and sin are numpy's in both and the rest IEEE-exact, so
+the two are bit-identical under one seed. Every sampler fills one
+preallocated C-contiguous (n, k) output and returns it read-only, so it
+needs that output plus one block's fixed working set, whatever k and n.
 """
 
 from __future__ import annotations
@@ -351,9 +351,11 @@ def _clarke_pair(cfg: SamplerConfig, amplitude, sqrt, u_angle, u_amp):
 def _direct(cfg: SamplerConfig, k: int, radial: str, pairs) -> tuple[SampleBatch, SamplingStats]:
     """k direct samples of the radial law into one (n, k) output, _DIRECT_BLOCK at a time.
 
-    pairs(rng, amplitude, b) draws the next b samples and returns their
-    Clarke pairs as two (b,) arrays x, y. Joint j of a block is then
-    c_j*x + s_j*y, (c_j, s_j) the right-inverse's row: the one joint map.
+    Each block of b samples draws its uniforms once, as rng.random((b, 2)):
+    the doubles a single (k, 2) draw would give, (theta, L) in turn.
+    pairs(amplitude, u2) turns them into Clarke pairs, two (b,) arrays x, y.
+    Joint j of a block is then c_j*x + s_j*y, (c_j, s_j) the right-inverse's
+    row: the one joint map.
     """
     t0 = time.perf_counter()
     method = _LAW_METHODS.get(radial)
@@ -369,7 +371,7 @@ def _direct(cfg: SamplerConfig, k: int, radial: str, pairs) -> tuple[SampleBatch
     columns = np.empty((cfg.layout.n, k))
     for start in range(0, k, _DIRECT_BLOCK):
         block = columns[:, start : start + _DIRECT_BLOCK]
-        x, y = pairs(rng, amplitude, block.shape[1])
+        x, y = pairs(amplitude, rng.random((block.shape[1], 2)))
         np.multiply(c, x, out=block)
         block += s * y
     return _finalize(method, columns, time.perf_counter() - t0, iterations=k, k=k)
@@ -380,35 +382,28 @@ def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch,
 
     radial selects the amplitude law: "line" (method c), "disk" (d) or
     "annulus" (e, needs rho_min > 0). Never resamples: iterations = k and
-    success_rate = 1.0 for every seed. Each iteration takes its own two
-    uniforms from the stream and forms one sample's Clarke pair on Python
-    floats, with numpy's cos and sin; _direct maps each block of pairs to
-    joints. Bit-identical to sample_direct_batched.
+    success_rate = 1.0 for every seed. _direct draws each block's uniforms
+    at once; each iteration forms one sample's Clarke pair from its two, as
+    Python floats, with numpy's cos and sin, and _direct maps the block's
+    pairs to joints. Bit-identical to sample_direct_batched.
     """
-    def pairs(rng, amplitude, b):
-        # One uniform at a time from the bit generator's next_double (numpy's
-        # ctypes interface), which rng.random fills its arrays with: the same
-        # doubles, at about half the cost of rng.random() (no dtype check, no lock).
-        bits = rng.bit_generator.ctypes
-        next_double, state = bits.next_double, bits.state
-        each = (_clarke_pair(cfg, amplitude, math.sqrt, next_double(state), next_double(state)) for _ in range(b))
-        xy = np.fromiter(itertools.chain.from_iterable(each), float, 2 * b)
+    def pairs(amplitude, u2):
+        each = (_clarke_pair(cfg, amplitude, math.sqrt, u_angle, u_amp) for u_angle, u_amp in u2.tolist())
+        xy = np.fromiter(itertools.chain.from_iterable(each), float, 2 * len(u2))
         return xy[0::2], xy[1::2]
 
     return _direct(cfg, k, radial, pairs)
 
 
 def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatch:
-    """Vectorized direct sampling, one (b, 2) draw of uniforms per block.
+    """Vectorized direct sampling, one Clarke-pair formula per block of uniforms.
 
-    Each block of at most _DIRECT_BLOCK samples draws its uniforms in turn
-    from the one stream, the doubles a single (k, 2) draw would give; no
-    temporary grows with k. Bit-identical to k sequential sample_direct
-    draws under the same seed, because the PRNG stream is consumed in the
-    same (theta, L) order and both paths evaluate the same formula.
+    Each block of at most _DIRECT_BLOCK samples forms its Clarke pairs on the
+    columns of its (b, 2) draw; no temporary grows with k. Bit-identical to
+    k sequential sample_direct draws under the same seed, because both paths
+    draw the same blocks and evaluate the same formula.
     """
-    def pairs(rng, amplitude, b):
-        u2 = rng.random((b, 2))
+    def pairs(amplitude, u2):
         return _clarke_pair(cfg, amplitude, np.sqrt, u2[:, 0], u2[:, 1])
 
     return _direct(cfg, k, radial, pairs)[0]

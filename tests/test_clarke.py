@@ -499,6 +499,14 @@ def test_wrap_to_two_pi():
     assert wrap_to_two_pi(-np.pi / 2) == pytest.approx(3 * np.pi / 2, abs=1e-15)
     assert wrap_to_two_pi(7.0) == pytest.approx(7.0 - 2 * np.pi, abs=1e-15)
     assert 0.0 <= wrap_to_two_pi(-1e-9) < 2 * np.pi
+    # fmod(a, TWO_PI) + TWO_PI rounds up to TWO_PI for these; 0 is the nearest value in range.
+    for tiny in (-1e-17, -2.2e-16, -4.4e-16, -5e-324):
+        assert wrap_to_two_pi(tiny) == 0.0
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_wrap_to_two_pi_stays_in_range(angle):
+    assert 0.0 <= wrap_to_two_pi(angle) < TWO_PI
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])

@@ -783,10 +783,12 @@ class TestBatchedBlocks:
         sequential, _ = sample_direct(cfg, k, radial)
         assert sample_direct_batched(cfg, k, radial).columns.tobytes() == sequential.columns.tobytes()
 
-    def test_no_draw_exceeds_one_block(self, monkeypatch):
+    @pytest.mark.parametrize("draw", [sample_direct, sample_direct_batched], ids=["sequential", "batched"])
+    def test_no_draw_exceeds_one_block(self, monkeypatch, draw):
+        # Both direct paths draw each block's uniforms at once, from the one stream.
         shapes = []
         monkeypatch.setattr("clarkekin.sampling._rng", recording_rng(shapes))
-        sample_direct_batched(config3(seed=5), 2 * self.B + 3, "disk")
+        draw(config3(seed=5), 2 * self.B + 3, "disk")
         assert shapes == [(self.B, 2), (self.B, 2), (3, 2)]
 
     def test_needs_its_output_plus_one_block(self):
