@@ -39,11 +39,18 @@ def as_displacement(rho, n: int, batch: bool = False) -> np.ndarray:
     With batch=True an n x k matrix of displacement columns is accepted as
     well; callers that reduce over the joints leave it off, so they reject
     a batch instead of reducing over every column at once.
+
+    One column is checked by the sum of its entries as Python floats, which
+    never warns: a finite sum proves them finite. A sum that is not finite
+    and a batch take all_finite's exact count, which accepts finite entries
+    whose sum overflows.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (n,) and not (batch and rho.ndim == 2 and rho.shape[0] == n):
         shapes = f"({n},) or ({n}, k)" if batch else f"({n},)"
         raise ValueError(f"displacement vector must have shape {shapes}, got {rho.shape}")
+    if rho.ndim == 1 and math.isfinite(sum(rho.tolist())):
+        return rho
     if not all_finite(rho):
         raise ValueError("displacement vector entries must be finite")
     return rho

@@ -124,8 +124,7 @@ def cmd_fk(args) -> int:
         return 0
     _, rows = read_csv(args.infile, [displacement_header(args.n)])
     poses = fk_direct(geom, rows.T)
-    flat = np.hstack([poses.rotation.reshape(-1, 9), poses.position])
-    _emit(csv_chunks(POSE_HEADER, flat), args.out)
+    _emit(csv_chunks(POSE_HEADER, poses.rotation.reshape(-1, 9), poses.position), args.out)
     return 0
 
 

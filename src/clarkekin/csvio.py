@@ -45,10 +45,12 @@ def displacement_header(n: int) -> list[str]:
     return [f"rho_{i + 1}" for i in range(n)]
 
 
-def csv_chunks(header: list[str], rows):
-    """The header line, then the text of _BLOCK_ROWS rows of `rows` at a time."""
-    rows = np.asarray(rows, dtype=float)
-    blocks = (format_rows(rows[start : start + _BLOCK_ROWS]) for start in range(0, rows.shape[0], _BLOCK_ROWS))
+def csv_chunks(header: list[str], *parts):
+    """The header line, then the text of _BLOCK_ROWS rows at a time. Row i is row i of
+    each 2-D array in parts side by side, so no array of all the file's rows is built."""
+    parts = [np.asarray(part, dtype=float) for part in parts]
+    starts = range(0, parts[0].shape[0], _BLOCK_ROWS)
+    blocks = (format_rows(np.concatenate([part[i : i + _BLOCK_ROWS] for part in parts], axis=1)) for i in starts)
     return itertools.chain([",".join(header) + "\n"], blocks)
 
 

@@ -54,18 +54,18 @@ BEND_ROUNDING_TOL = 1e-9
 # atan2). split gives an array's rows; largest_abs, largest and least give
 # the largest |entry|, largest and least entry (+inf if none) as one float,
 # worst the largest |entry| of a list of entries, failing `<= tol` on a NaN;
-# frames makes a 3 x 3 frame's nine row-major entries one frame or a stack.
+# pose views a frozen buffer of a frame's nine row-major entries and a tip's three as one pose or a stack.
 _ELEMENTWISE = {
     1: SimpleNamespace(
         hypot=math.hypot, atan2=math.atan2, maximum=max, minimum=min, cos=math.cos, sin=math.sin,
         split=np.ndarray.tolist, largest_abs=lambda r: max(map(abs, r.tolist())), largest=float, least=float,
-        worst=lambda v: max(math.inf if e != e else abs(e) for e in v), frames=lambda e: np.array(e).reshape(3, 3),
+        worst=lambda v: max(math.inf if e != e else abs(e) for e in v), pose=lambda a: (a[:9].reshape(3, 3), a[9:]),
     ),
     2: SimpleNamespace(
         hypot=np.hypot, atan2=np.arctan2, maximum=np.maximum, minimum=np.minimum, cos=np.cos, sin=np.sin,
         split=tuple, largest_abs=lambda r: float(abs(r).max(initial=0.0)), largest=lambda a: float(a.max(initial=0.0)),
         worst=lambda v: float(abs(np.array(v)).max(initial=0.0)), least=lambda a: float(a.min(initial=math.inf)),
-        frames=lambda e: np.array(e).T.reshape(-1, 3, 3),
+        pose=lambda a: (a[:9].T.reshape(-1, 3, 3), a[9:].T),
     ),
 }
 
@@ -122,15 +122,19 @@ class Pose:
 
 
 class _BuiltPose(Pose):
-    # A pose the library computed: a rotation Rz(theta) @ Ry(phi) from the
-    # cos and sin of two angles and a finite position, as float arrays of
-    # the right shapes. It inherits Pose.__init__, only freezes them, and
-    # then becomes a Pose, so dataclasses.replace checks what a caller puts
-    # in a copy.
+    # A pose the library computed: a rotation Rz(theta) @ Ry(phi) from the cos
+    # and sin of two angles and a finite position, as _frozen_pose's read-only
+    # views. It inherits Pose.__init__, checks nothing, and then becomes a
+    # Pose, so dataclasses.replace checks what a caller puts in a copy.
     def __post_init__(self):
-        self.rotation.setflags(write=False)
-        self.position.setflags(write=False)
         object.__setattr__(self, "__class__", Pose)
+
+
+def _frozen_pose(entries, elementwise) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation and position views of one frozen (12,) or (12, k) array of a frame's nine row-major entries and a tip's three."""
+    buffer = np.array(entries)
+    buffer.setflags(write=False)
+    return elementwise.pose(buffer)
 
 
 def _rotation(ct, st, cp, sp) -> tuple:
@@ -161,8 +165,8 @@ def f_dep(geom: SegmentGeometry, rho) -> CurvatureCurvature:
 
 
 def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
-    """The Clarke pair xi_re, xi_im of rho (n,) or (n, k) and its amplitude
-    |xi|: floats for one column, (k,) arrays for a batch. Refuses rho
+    """The Clarke pair xi_re, xi_im of rho (n,) or (n, k) and its bend
+    |xi|/d: floats for one column, (k,) arrays for a batch. Refuses rho
     outside FK's domain.
 
     The transform sums n products of entries at most 2/n, so its rounding
@@ -187,7 +191,7 @@ def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
             f"displacements bend the segment by {widest / d / math.pi:.6g}*pi rad, a full circle "
             f"or more: FK's domain is |xi| < 2*pi*d"
         )
-    return xi_re, xi_im, amplitude
+    return xi_re, xi_im, amplitude / d
 
 
 def f_dep_curvature_angle(geom: SegmentGeometry, rho) -> CurvatureAngle:
@@ -224,9 +228,8 @@ def _arc_tip(ct, st, sp, phi, inv_kappa, elementwise):
 def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> tuple[np.ndarray, np.ndarray]:
     """Tip rotation and position of _arc_tip's arc: one pose from floats, a stack from (k,) arrays."""
     sp = elementwise.sin(phi)
-    # Transposed, so a batch index moves to the front: (k, 3) positions.
-    position = np.array(_arc_tip(ct, st, sp, phi, inv_kappa, elementwise)).T
-    return elementwise.frames(_rotation(ct, st, elementwise.cos(phi), sp)), position
+    tip = _arc_tip(ct, st, sp, phi, inv_kappa, elementwise)
+    return _frozen_pose(_rotation(ct, st, elementwise.cos(phi), sp) + tip, elementwise)
 
 
 def _least_bend(l: float) -> float:
@@ -260,7 +263,7 @@ def f_ind(geom: SegmentGeometry, arc) -> Pose:
     """
     ca = _as_car(arc)
     if ca.kappa == 0.0:
-        return _BuiltPose(rotation=np.eye(3), position=np.array([0.0, 0.0, geom.l]))
+        return _BuiltPose(*_frozen_pose((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, geom.l), _ELEMENTWISE[1]))
     phi = max(ca.kappa * geom.l, _least_bend(geom.l))
     if not math.isfinite(phi):
         raise ValueError(f"curvature kappa={ca.kappa:.6g} 1/m bends a segment of l={geom.l:.6g} m past the float range")
@@ -289,8 +292,8 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n, batch=True)
     elementwise = _ELEMENTWISE[rho.ndim]
-    xi_re, xi_im, amplitude = _fk_clarke(geom, t, rho)
-    return _BuiltPose(*_arc_pose(*_bend_arc(geom, xi_re, xi_im, amplitude / geom.layout.d, elementwise), elementwise))
+    # Nothing holds the Clarke pair once _bend_arc returns, so a batch's pose is built without it.
+    return _BuiltPose(*_arc_pose(*_bend_arc(geom, *_fk_clarke(geom, t, rho), elementwise), elementwise))
 
 
 def _check_position_target(x, y, z, elementwise) -> None:

@@ -1,0 +1,113 @@
+"""Print one SHA-256 per output of the paths the benchmark's workloads run.
+
+    python tests/output_hashes.py > hashes.txt
+
+Run it on two commits and diff the two files: an empty diff shows that
+every output below kept its bytes. It covers:
+
+- `simulate` seeds 1-5: the summary and the trace as CSV and as JSON;
+- `fk --in` and `ik --in` on pose rows and on position rows, n = 3, 5, 12;
+- a 1 kHz loop of controller_step, plant_step and fk_direct at n = 5 over
+  a seeded reference: the command, plant state and pose of every tick.
+
+Inputs come from numpy's seeded generators, not from the library. The
+numbers depend on numpy's build and the CPU as well, so compare two
+commits on one machine. pytest does not collect this file: its name does
+not start with test_.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from clarkekin import control, kinematics  # noqa: E402
+from clarkekin.arcspace import SegmentGeometry  # noqa: E402
+from clarkekin.clarke import JointLayout  # noqa: E402
+from clarkekin.cli import main  # noqa: E402
+
+D, L = 0.01, 0.1
+
+
+def cli_output(argv: list[str], path: Path) -> bytes:
+    """The bytes `clarkekin argv --out path` writes; exits on a failed command."""
+    code = main([*argv, "--out", str(path)])
+    if code != 0:
+        sys.exit(f"clarkekin {' '.join(argv)} exited {code}")
+    return path.read_bytes()
+
+
+def simulate_outputs(tmp: Path):
+    # --format picks the trace's format; the summary is JSON either way.
+    for seed in range(1, 6):
+        for fmt in ("csv", "json"):
+            trace = tmp / f"trace_{seed}.{fmt}"
+            argv = ["simulate", "--seed", str(seed), "--format", fmt, "--trace-out", str(trace)]
+            summary = cli_output(argv, tmp / f"summary_{seed}.json")
+            if fmt == "csv":
+                yield f"simulate seed={seed} summary", summary
+            yield f"simulate seed={seed} trace {fmt}", trace.read_bytes()
+
+
+def kinematics_outputs(tmp: Path):
+    for n in (3, 5, 12):
+        rng = np.random.default_rng([26, n])
+        amp = 0.99 * D * math.pi * rng.random(500)
+        amp[:5] = 0.0
+        psi = 2.0 * math.pi * np.arange(n) / n
+        rho = amp[:, None] * np.cos(psi[None, :] - 2.0 * math.pi * rng.random(500)[:, None])
+        rows = tmp / f"rho_{n}.csv"
+        header = ",".join(f"rho_{i + 1}" for i in range(n)) + "\n"
+        rows.write_text(header + "".join(",".join(map(repr, r)) + "\n" for r in rho.tolist()))
+        geom = ["--n", str(n), "--d", repr(D), "--l", repr(L)]
+        poses = tmp / f"pose_{n}.csv"
+        yield f"fk --in n={n}", cli_output(["fk", *geom, "--in", str(rows)], poses)
+        lines = poses.read_text().splitlines()
+        positions = tmp / f"pos_{n}.csv"
+        positions.write_text("".join(",".join(line.split(",")[9:]) + "\n" for line in lines))
+        yield f"ik --in pose rows n={n}", cli_output(["ik", *geom, "--in", str(poses)], tmp / f"ik_pose_{n}.csv")
+        yield f"ik --in position rows n={n}", cli_output(["ik", *geom, "--in", str(positions)], tmp / f"ik_pos_{n}.csv")
+
+
+def realtime_outputs():
+    n, dt = 5, 1e-3
+    geom = SegmentGeometry(layout=JointLayout(n=n, d=D), l=L)
+    cfg = control.ControllerConfig(kp=125.0, dt=dt, geometry=geom)
+    rng = np.random.default_rng(26)
+    r = math.pi * D * np.sqrt(0.01 + 0.99 * rng.random(5))
+    theta = 2.0 * math.pi * rng.random(5)
+    waypoints = tuple(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+    spec = control.TrajectorySpec(waypoints=waypoints, v_max=0.01 * math.pi, a_max=0.1 * math.pi, d_max=0.1 * math.pi)
+    psi = 2.0 * math.pi * np.arange(n) / n
+    xi_ref = ((2.0 / n) * np.vstack([np.cos(psi), np.sin(psi)]) @ control.generate_trajectory(geom.layout, spec, dt)).T
+    noise = rng.uniform(-2.5e-3, 2.5e-3, (xi_ref.shape[0], n))
+    plant = control.PT1Plant(tau=0.25, state=np.zeros(n))
+    commands, states, poses = [], [], []
+    for xi, eps in zip(xi_ref, noise):
+        command = control.controller_step(cfg, xi, plant.state + eps)
+        plant = control.plant_step(plant, command, dt)
+        pose = kinematics.fk_direct(geom, plant.state)
+        commands.append(command.tobytes())
+        states.append(plant.state.tobytes())
+        poses.append(pose.rotation.tobytes() + pose.position.tobytes())
+    ticks = xi_ref.shape[0]
+    yield f"realtime ticks={ticks} commands", b"".join(commands)
+    yield f"realtime ticks={ticks} plant states", b"".join(states)
+    yield f"realtime ticks={ticks} poses", b"".join(poses)
+
+
+def main_hashes() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in (*simulate_outputs(Path(tmp)), *kinematics_outputs(Path(tmp)), *realtime_outputs()):
+            print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+
+
+if __name__ == "__main__":
+    main_hashes()

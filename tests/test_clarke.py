@@ -21,7 +21,7 @@ from clarkekin import (
     transform,
     wrap_to_two_pi,
 )
-from clarkekin.clarke import TWO_PI, all_finite, as_clarke
+from clarkekin.clarke import TWO_PI, all_finite, as_clarke, as_displacement
 
 N_RANGE = range(3, 65)
 
@@ -360,6 +360,66 @@ class TestAsClarke:
     def test_shape(self, bad):
         with pytest.raises(ValueError, match=r"shape \(2,\)"):
             as_clarke(bad)
+
+
+def as_displacement_oracle(rho):
+    """all_finite's exact count over a column or a batch: the ValueError message, or None."""
+    return None if all_finite(rho) else "displacement vector entries must be finite"
+
+
+# Finite entries whose Python sum overflows or is signed zero, subnormals,
+# and the non-finite values a one-column sum must not let through.
+DISPLACEMENT_ENTRIES = (
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 5e-324, -5e-324, 2.2e-308, 0.0, -0.0])
+    | st.floats(-1.0, 1.0)
+)
+
+
+class TestOneColumnCheck:
+    """One column is checked on Python floats and a batch by all_finite; both refuse what all_finite refuses."""
+
+    @staticmethod
+    def assert_matches_the_oracle(rho):
+        n = rho.shape[0]
+        for x, batch in ((rho, False), (rho, True), (rho[:, None], True)):
+            expected = as_displacement_oracle(x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if expected is not None:
+                    with pytest.raises(ValueError, match="^displacement vector entries must be finite$"):
+                        as_displacement(x, n, batch=batch)
+                    continue
+                got = as_displacement(x, n, batch=batch)
+            assert got.shape == x.shape and got.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 12, 64])
+    def test_a_non_finite_entry_anywhere_is_refused(self, n):
+        base = np.linspace(-0.01, 0.01, n)
+        for i in range(n):
+            for bad in (math.nan, math.inf, -math.inf):
+                rho = base.copy()
+                rho[i] = bad
+                self.assert_matches_the_oracle(rho)
+            rho = base.copy()
+            rho[i], rho[(i + 1) % n] = math.inf, -math.inf  # sums to NaN
+            self.assert_matches_the_oracle(rho)
+
+    @pytest.mark.parametrize("n", [3, 5, 12, 64])
+    def test_finite_columns_are_accepted_even_where_their_sum_overflows(self, n):
+        for rho in (
+            np.full(n, 1.7e308),
+            np.full(n, -1.7e308),
+            np.where(np.arange(n) % 2 == 0, 1.7e308, 5e-324),
+            np.full(n, 5e-324),
+            np.full(n, -0.0),
+        ):
+            assert as_displacement_oracle(rho) is None
+            self.assert_matches_the_oracle(rho)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from([3, 5, 12, 64]))
+    def test_matches_all_finite(self, data, n):
+        self.assert_matches_the_oracle(data.draw(arrays(np.float64, (n,), elements=DISPLACEMENT_ENTRIES)))
 
 
 class TestMagnitudeRelations:

@@ -23,6 +23,7 @@ from clarkekin import (
     fk_direct,
     run_simulation,
 )
+from clarkekin import cli
 from clarkekin.cli import build_parser, main
 from clarkekin.control import load_trace_csv
 from clarkekin.csvio import read_csv
@@ -911,6 +912,32 @@ class TestStreamedCsv:
         assert code == 0
         assert peak <= computing + 4 * 2**20
         assert out.read_text().count("\n") == 40_001
+
+    def test_fk_in_writes_its_pose_stack_without_a_copy(self, tmp_path, monkeypatch):
+        # Twice the rows, and still nothing past fk_direct's own peak. With
+        # fk_direct's stack built beforehand, the command needs what reading
+        # the rows needs and one block: a (k, 12) copy of the stack took
+        # 0.96 MB more per 10,000 rows.
+        geom = SegmentGeometry(layout=JointLayout(n=3, d=0.01), l=0.1)
+        beyond_fk, beyond_reading = [], []
+        for k in (10_000, 20_000):
+            rows, out = tmp_path / f"rows{k}.csv", tmp_path / f"poses{k}.csv"
+            assert main(["sample", "--d", "0.01", "--k", str(k), "--out", str(rows)]) == 0
+            argv = ["fk", "--in", str(rows), "--out", str(out)]
+            _, computing = peak_bytes(lambda: fk_direct(geom, read_csv(rows)[1].T))
+            code, peak = peak_bytes(lambda: main(argv))
+            assert code == 0
+            beyond_fk.append(peak - computing)
+            text = out.read_text()
+            stack = fk_direct(geom, read_csv(rows)[1].T)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "fk_direct", lambda g, rho: stack)
+                _, reading = peak_bytes(lambda: read_csv(rows))
+                code, peak = peak_bytes(lambda: main(argv))
+            assert code == 0 and out.read_text() == text
+            beyond_reading.append(peak - reading)
+        assert beyond_fk[1] <= beyond_fk[0] + 2**18
+        assert beyond_reading[1] <= beyond_reading[0] + 2**18 and max(beyond_reading) <= 2**19
 
     @pytest.mark.parametrize(
         "argv, first, err",

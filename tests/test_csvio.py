@@ -54,6 +54,14 @@ def test_csv_chunks_are_the_header_then_blocks_of_rows():
     assert "".join(chunks[1:]) == per_value_rows(rows)
 
 
+@pytest.mark.parametrize("split", [1, 2])
+def test_csv_chunks_set_parts_side_by_side(split):
+    # The chunks of the columns in two parts, one a transposed view, are those of the whole rows.
+    rows = np.random.default_rng(23).standard_normal((2 * _BLOCK_ROWS + 5, 3))
+    parts = (rows[:, :split], np.asfortranarray(rows[:, split:]))
+    assert list(csv_chunks(["a", "b", "c"], *parts)) == list(csv_chunks(["a", "b", "c"], rows))
+
+
 def test_trace_file_byte_identical_to_per_value_writer(tmp_path):
     trace_file = tmp_path / "trace.csv"
     argv = ["simulate", "--seed", "11", "--format", "csv", "--trace-out", str(trace_file), "--out", str(tmp_path / "s.json")]

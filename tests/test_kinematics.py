@@ -1099,6 +1099,68 @@ class TestPoseType:
             dataclasses.replace(built, position=[0.0, math.inf, 0.1])
 
 
+def two_array_pose_oracle(geom, rho):
+    """fk_direct's pose built as two arrays: the nine frame entries as one,
+    the three tip entries as another, for one column or a batch."""
+    elementwise = _ELEMENTWISE[rho.ndim]
+    ct, st_, phi, inv_kappa = _bend_arc(geom, *_fk_clarke(geom, build_transform(geom.layout), rho), elementwise)
+    sp = elementwise.sin(phi)
+    position = np.array(_arc_tip(ct, st_, sp, phi, inv_kappa, elementwise)).T
+    frame = np.array(_rotation(ct, st_, elementwise.cos(phi), sp))
+    return (frame.reshape(3, 3) if rho.ndim == 1 else frame.T.reshape(-1, 3, 3)), position
+
+
+def bases(a):
+    """a and every array it views, down to the one that owns the memory."""
+    while a is not None:
+        yield a
+        a = a.base
+
+
+class TestOneBufferPose:
+    """fk_direct and f_ind build a pose's rotation and position as views of one frozen buffer."""
+
+    @staticmethod
+    def columns(n, seed):
+        geom = make_geom(n=n)
+        d = geom.layout.d
+        straight, near_half = np.zeros(n), inverse_transform(build_transform(n), [d * np.pi * (1 - 1e-12), 0.0])
+        return geom, np.column_stack([straight, near_half, manifold_samples(geom, 200, seed=seed, lo=1e-9, hi=0.999)])
+
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    def test_bits_of_the_two_array_oracle(self, n):
+        geom, cols = self.columns(n, seed=n)
+        for rho in [*cols.T, cols]:
+            pose = fk_direct(geom, rho)
+            rotation, position = two_array_pose_oracle(geom, rho)
+            assert type(pose) is Pose
+            assert pose.rotation.shape == rotation.shape and pose.rotation.tobytes() == rotation.tobytes()
+            assert pose.position.shape == position.shape and pose.position.tobytes() == position.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    def test_read_only_down_to_the_buffer(self, n):
+        # f_ind's straight and bent poses are built the same way.
+        geom, cols = self.columns(n, seed=100 + n)
+        poses = [fk_direct(geom, rho) for rho in (cols[:, 0], cols[:, 1], cols[:, 2], cols)]
+        for pose in poses + [f_ind(geom, CurvatureAngle(kappa, 0.3)) for kappa in (0.0, 10.0)]:
+            assert type(pose) is Pose
+            for a in (pose.rotation, pose.position):
+                assert not any(b.flags.writeable for b in bases(a))
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 1.0
+
+    def test_a_copy_checks_its_new_position(self):
+        geom, cols = self.columns(5, seed=7)
+        pose = fk_direct(geom, cols[:, 2])
+        for bad in ([0.0, math.nan, 0.1], [math.inf, 0.0, 0.1]):
+            with pytest.raises(ValueError, match="^position entries must be finite$"):
+                dataclasses.replace(pose, position=bad)
+        with pytest.raises(ValueError, match="pose needs"):
+            dataclasses.replace(pose, position=[0.0, 0.1])
+        moved = dataclasses.replace(pose, position=[0.0, 0.0, 0.2])
+        assert type(moved) is Pose and moved.rotation is pose.rotation and moved.position.tolist() == [0.0, 0.0, 0.2]
+
+
 def scalar_fk_oracle(geom, rho):
     """The single-column FK formula written with scalar math only.
 
