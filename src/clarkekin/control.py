@@ -422,8 +422,8 @@ def _trace_header(n: int) -> list[str]:
 
 def save_trace_csv(trace: SimTrace, path) -> None:
     """Write a trace as CSV, one row per tick, under the _trace_header columns."""
-    columns = (trace.time, trace.rho_desired, trace.rho_measured, trace.rho_command, trace.rho_plant)
-    write_text(path, csv_chunks(_trace_header(trace.rho_desired.shape[0]), np.vstack(columns).T))
+    joints = (trace.rho_desired.T, trace.rho_measured.T, trace.rho_command.T, trace.rho_plant.T)
+    write_text(path, csv_chunks(_trace_header(trace.rho_desired.shape[0]), trace.time[:, None], *joints))
 
 
 def trace_to_dict(trace: SimTrace) -> dict:

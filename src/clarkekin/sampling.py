@@ -30,12 +30,15 @@ sample satisfies the displacement constraint by construction and the
 success rate is exactly 1. Both direct paths run one block loop (_direct)
 of at most _DIRECT_BLOCK samples, which draws a block's uniforms at once as
 one (b, 2) array from the stream. One formula (_clarke_pair) gives the
-block's Clarke pairs, per sample on Python floats on the sequential path and
-on the array's columns on the batched one, and one joint map writes the
-block's joints. cos and sin are numpy's in both and the rest IEEE-exact, so
-the two are bit-identical under one seed. Every sampler fills one
-preallocated C-contiguous (n, k) output and returns it read-only, so it
-needs that output plus one block's fixed working set, whatever k and n.
+block's Clarke pairs, per sample on Python floats with math's sqrt, cos and
+sin on the sequential path, and on the array's columns with numpy's on the
+batched one; one joint map writes the block's joints. sqrt rounds correctly
+and the rest is IEEE-exact, so the two are bit-identical under one seed
+wherever numpy's float64 cos and sin are the C library's, as they are for
+numpy 2.4.6 on x86_64 with glibc 2.36; TestTrigPremise checks that equality.
+Every sampler fills one preallocated C-contiguous (n, k) output and returns
+it read-only, so it needs that output plus one block's fixed working set,
+whatever k and n.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ REJECTION_METHODS = ("a", "b")
 
 # The direct methods: letter -> (radial law, amplitude L from a uniform u).
 # sample() dispatches through this one table. sqrt is math.sqrt for one
-# float and np.sqrt for an array; both round correctly, so a law gives the
-# same bits either way.
+# float and np.sqrt for an array (_clarke_pair passes its namespace's); both
+# round correctly, so a law gives the same bits either way.
 DIRECT_METHODS = {
     "c": ("line", lambda cfg, u, sqrt: cfg.rho_min + (cfg.rho_max - cfg.rho_min) * u),
     "d": ("disk", lambda cfg, u, sqrt: cfg.rho_max * sqrt(u)),
@@ -336,16 +339,17 @@ def sample_rejection_resolved(
     return _finalize("b", columns, time.perf_counter() - t0, iterations, k)
 
 
-def _clarke_pair(cfg: SamplerConfig, amplitude, sqrt, u_angle, u_amp):
+def _clarke_pair(cfg: SamplerConfig, amplitude, xp, u_angle, u_amp):
     """Clarke coordinates L*(cos theta, sin theta) of direct samples, from their uniforms.
 
-    The one direct-sampling formula: two floats (sqrt = math.sqrt) give one
-    sample, two (b,) arrays (sqrt = np.sqrt) give b. cos and sin are numpy's
-    either way, so both paths get the same bits.
+    The one direct-sampling formula, with sqrt, cos and sin from the namespace
+    xp: two floats (xp = math) give one sample, two (b,) arrays (xp = numpy)
+    give b. Both paths get the same bits where numpy's float64 cos and sin are
+    the C library's.
     """
     theta = TWO_PI * u_angle
-    amp = amplitude(cfg, u_amp, sqrt)
-    return amp * np.cos(theta), amp * np.sin(theta)
+    amp = amplitude(cfg, u_amp, xp.sqrt)
+    return amp * xp.cos(theta), amp * xp.sin(theta)
 
 
 def _direct(cfg: SamplerConfig, k: int, radial: str, pairs) -> tuple[SampleBatch, SamplingStats]:
@@ -384,11 +388,12 @@ def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch,
     "annulus" (e, needs rho_min > 0). Never resamples: iterations = k and
     success_rate = 1.0 for every seed. _direct draws each block's uniforms
     at once; each iteration forms one sample's Clarke pair from its two, as
-    Python floats, with numpy's cos and sin, and _direct maps the block's
-    pairs to joints. Bit-identical to sample_direct_batched.
+    Python floats, with math's sqrt, cos and sin, and _direct maps the
+    block's pairs to joints. Bit-identical to sample_direct_batched wherever
+    numpy's float64 cos and sin are the C library's (TestTrigPremise checks it).
     """
     def pairs(amplitude, u2):
-        each = (_clarke_pair(cfg, amplitude, math.sqrt, u_angle, u_amp) for u_angle, u_amp in u2.tolist())
+        each = (_clarke_pair(cfg, amplitude, math, u_angle, u_amp) for u_angle, u_amp in u2.tolist())
         xy = np.fromiter(itertools.chain.from_iterable(each), float, 2 * len(u2))
         return xy[0::2], xy[1::2]
 
@@ -404,7 +409,7 @@ def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatc
     draw the same blocks and evaluate the same formula.
     """
     def pairs(amplitude, u2):
-        return _clarke_pair(cfg, amplitude, np.sqrt, u2[:, 0], u2[:, 1])
+        return _clarke_pair(cfg, amplitude, np, u2[:, 0], u2[:, 1])
 
     return _direct(cfg, k, radial, pairs)[0]
 

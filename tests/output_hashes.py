@@ -8,7 +8,12 @@ every output below kept its bytes. It covers:
 - `simulate` seeds 1-5: the summary and the trace as CSV and as JSON;
 - `fk --in` and `ik --in` on pose rows and on position rows, n = 3, 5, 12;
 - a 1 kHz loop of controller_step, plant_step and fk_direct at n = 5 over
-  a seeded reference: the command, plant state and pose of every tick.
+  a seeded reference: the command, plant state and pose of every tick;
+- `sample --out`: methods a and b at n = 3, and c, d and e at n = 3 and 12,
+  sequential and `--vectorized`;
+- `bench --hist-dir` over a-e, sequential and `--vectorized`: the JSON
+  without its timings (`time_s_mean`, `time_s_std`, `factor`) and every
+  histogram CSV it writes.
 
 Inputs come from numpy's seeded generators, not from the library. The
 numbers depend on numpy's build and the CPU as well, so compare two
@@ -18,7 +23,10 @@ not start with test_.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import math
 import sys
 import tempfile
@@ -76,6 +84,27 @@ def kinematics_outputs(tmp: Path):
         yield f"ik --in position rows n={n}", cli_output(["ik", *geom, "--in", str(positions)], tmp / f"ik_pos_{n}.csv")
 
 
+def sampler_outputs(tmp: Path):
+    # sample writes its wall time to stderr, and bench's timing fields are
+    # dropped here: times are not outputs.
+    runs = [(m, 3, []) for m in "ab"]
+    runs += [(m, n, flags) for m in "cde" for n in (3, 12) for flags in ([], ["--vectorized"])]
+    with contextlib.redirect_stderr(io.StringIO()):
+        for method, n, flags in runs:
+            argv = ["sample", "--method", method, "--n", str(n), "--k", "40000", "--seed", "27", *flags]
+            yield " ".join(argv), cli_output(argv, tmp / "sample.csv")
+    for flags in ([], ["--vectorized"]):
+        argv = ["bench", "--k", "2000", "--runs", "3", "--seed", "27", *flags]
+        hists = tmp / f"hist{len(flags)}"
+        results = json.loads(cli_output([*argv, "--hist-dir", str(hists)], tmp / "bench.json"))
+        for r in results:
+            for timing in ("time_s_mean", "time_s_std", "factor"):
+                del r[timing]
+        yield f"{' '.join(argv)} JSON", json.dumps(results).encode()
+        for path in sorted(hists.iterdir()):
+            yield f"{' '.join(argv)} {path.name}", path.read_bytes()
+
+
 def realtime_outputs():
     n, dt = 5, 1e-3
     geom = SegmentGeometry(layout=JointLayout(n=n, d=D), l=L)
@@ -105,7 +134,12 @@ def realtime_outputs():
 
 def main_hashes() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in (*simulate_outputs(Path(tmp)), *kinematics_outputs(Path(tmp)), *realtime_outputs()):
+        for name, data in (
+            *simulate_outputs(Path(tmp)),
+            *kinematics_outputs(Path(tmp)),
+            *realtime_outputs(),
+            *sampler_outputs(Path(tmp)),
+        ):
             print(f"{hashlib.sha256(data).hexdigest()}  {name}")
 
 

@@ -706,8 +706,27 @@ class TestSimulation:
         assert np.array_equal(back.rho_command, trace.rho_command)
         assert np.array_equal(back.rho_plant, trace.rho_plant)
 
+    def test_trace_csv_streams_without_a_copy_of_the_trace(self, tmp_path):
+        # Four times the ticks, and the peak past the trace's own arrays stays
+        # put: a (1 + 4n, T) copy of the trace took 1.68 MB more per 10,000
+        # ticks at n = 5.
+        beyond = []
+        for ticks in (2_000, 8_000):
+            rows = np.random.default_rng(ticks).random((1 + 4 * 5, ticks))
+            trace = SimTrace(rows[0], rows[1:6], rows[6:11], rows[11:16], rows[16:])
+            tracemalloc.start()
+            try:
+                save_trace_csv(trace, tmp_path / f"trace{ticks}.csv")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            beyond.append(peak)
+            back = load_trace_csv(tmp_path / f"trace{ticks}.csv")
+            assert np.array_equal(back.time, trace.time) and np.array_equal(back.rho_plant, trace.rho_plant)
+        assert beyond[1] <= beyond[0] + 2**18 and max(beyond) <= 2**20
+
     @pytest.mark.parametrize(
-        "header", ["a,b,c", "t", "t,rho_d_1,rho_m_1,rho_cmd_1,rho_plant_2", "t,rho_m_1,rho_d_1,rho_cmd_1,rho_plant_1"]
+        "header",["a,b,c", "t", "t,rho_d_1,rho_m_1,rho_cmd_1,rho_plant_2", "t,rho_m_1,rho_d_1,rho_cmd_1,rho_plant_1"]
     )
     def test_load_trace_rejects_foreign_header(self, tmp_path, header):
         path = tmp_path / "trace.csv"

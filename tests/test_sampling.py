@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import platform
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -770,6 +771,27 @@ class TestDirectColumns:
             expected = trig_direct_columns_oracle(cfg, amplitude, u2).tobytes()
             assert sample_direct_batched(cfg, 17, radial).columns.tobytes() == expected
             assert sample_direct(cfg, 17, radial)[0].columns.tobytes() == expected
+
+
+class TestTrigPremise:
+    # sample_direct takes cos and sin from math, sample_direct_batched from
+    # numpy: the two give the same bits only while these agree.
+    @pytest.mark.parametrize("name", ["cos", "sin"])
+    def test_numpy_float64_trig_is_the_c_librarys(self, name):
+        angles = TWO_PI * np.random.Generator(np.random.PCG64(27)).random(10**6)
+        edges = [0.0, *(q * (TWO_PI / 4) for q in range(-4, 5)), TWO_PI * (1.0 - 2.0**-53)]
+        angles = np.concatenate([edges, angles])
+        got = getattr(np, name)(angles)
+        want = np.array([getattr(math, name)(a) for a in angles.tolist()])
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        if differ.size:
+            i = differ[0]
+            pytest.fail(
+                f"np.{name} differs from math.{name} at {differ.size} of {angles.size} angles, first at "
+                f"{float(angles[i])!r}: {float(got[i])!r} != {float(want[i])!r} (numpy {np.__version__}, "
+                f"{platform.machine()}, libc {platform.libc_ver()}); sample_direct == sample_direct_batched "
+                "bit for bit rests on this equality"
+            )
 
 
 class TestBatchedBlocks:
