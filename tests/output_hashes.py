@@ -13,7 +13,12 @@ every output below kept its bytes. It covers:
   sequential and `--vectorized`;
 - `bench --hist-dir` over a-e, sequential and `--vectorized`: the JSON
   without its timings (`time_s_mean`, `time_s_std`, `factor`) and every
-  histogram CSV it writes.
+  histogram CSV it writes;
+- `bench --format csv`, sequential and `--vectorized`, without its `time_s`
+  and `factor` columns;
+- the one-value commands as CSV, n = 3, 5, 12: `transform --rho` and
+  `--xi`, `fk --rho`, and `ik --position`, `--rotation` and `--pose` on the
+  pose that `fk --rho` printed.
 
 Inputs come from numpy's seeded generators, not from the library. The
 numbers depend on numpy's build and the CPU as well, so compare two
@@ -105,6 +110,35 @@ def sampler_outputs(tmp: Path):
             yield f"{' '.join(argv)} {path.name}", path.read_bytes()
 
 
+def bench_csv_outputs(tmp: Path):
+    # The time_s and factor columns are timings, not outputs.
+    for flags in ([], ["--vectorized"]):
+        argv = ["bench", "--k", "2000", "--runs", "3", "--seed", "27", "--format", "csv", *flags]
+        with contextlib.redirect_stderr(io.StringIO()):
+            rows = [line.split(",") for line in cli_output(argv, tmp / "bench.csv").decode().splitlines()]
+        assert rows[0][1:3] == ["time_s", "factor"], rows[0]
+        yield " ".join(argv), "".join(",".join(row[:1] + row[3:]) + "\n" for row in rows).encode()
+
+
+def payload_outputs(tmp: Path):
+    # One value in, one CSV row per key out.
+    for n in (3, 5, 12):
+        rng = np.random.default_rng([28, n])
+        geom = ["--n", str(n), "--d", repr(D), "--l", repr(L), "--format", "csv"]
+        psi = 2.0 * math.pi * np.arange(n) / n
+        for j in range(3):
+            amp, theta = 0.99 * D * math.pi * rng.random(), 2.0 * math.pi * rng.random()
+            rho = ",".join(map(repr, (amp * np.cos(psi - theta)).tolist()))
+            xi = ",".join(map(repr, (amp * rng.standard_normal(2)).tolist()))
+            yield f"transform --rho n={n} #{j}", cli_output(["transform", *geom, f"--rho={rho}"], tmp / "xi.csv")
+            yield f"transform --xi n={n} #{j}", cli_output(["transform", *geom, f"--xi={xi}"], tmp / "rho.csv")
+            pose = cli_output(["fk", *geom, f"--rho={rho}"], tmp / "pose.csv")
+            yield f"fk --rho n={n} #{j}", pose
+            rotation, position = (line.split(",", 1)[1] for line in pose.decode().splitlines())
+            for flag, value in (("--position", position), ("--rotation", rotation), ("--pose", f"{rotation},{position}")):
+                yield f"ik {flag} n={n} #{j}", cli_output(["ik", *geom, f"{flag}={value}"], tmp / "ik.csv")
+
+
 def realtime_outputs():
     n, dt = 5, 1e-3
     geom = SegmentGeometry(layout=JointLayout(n=n, d=D), l=L)
@@ -139,6 +173,8 @@ def main_hashes() -> None:
             *kinematics_outputs(Path(tmp)),
             *realtime_outputs(),
             *sampler_outputs(Path(tmp)),
+            *bench_csv_outputs(Path(tmp)),
+            *payload_outputs(Path(tmp)),
         ):
             print(f"{hashlib.sha256(data).hexdigest()}  {name}")
 

@@ -2,9 +2,11 @@
 the header-then-blocks stream built on it, and the one in-place file writer."""
 
 import ast
+import math
 import os
 import stat
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 import clarkekin
 from clarkekin.cli import main
 from clarkekin.control import load_trace_csv
-from clarkekin.csvio import _BLOCK_ROWS, csv_chunks, format_float, format_rows, read_csv, write_text
+from clarkekin._csvblock import _PASS_VALUES
+from clarkekin.csvio import _BLOCK_ROWS, _FAST_VALUES, csv_chunks, format_float, format_rows, read_csv, write_text
 from clarkekin.sampling import load_batch_csv
 
 
@@ -39,6 +42,131 @@ def test_row_formatter_matches_per_value_format():
     rows = values.reshape(-1, 10)
     assert format_rows(rows) == per_value_rows(rows)
     assert [format_float(v) for v in values[-6:]] == ["nan", "inf", "-inf", "-0", "0", "4.9406564584124654e-324"]
+
+
+def exact_ties() -> np.ndarray:
+    """Doubles m * 2**-j (m odd) whose decimal expansion has exactly 18 significant
+    digits, the last a 5: %.17g rounds each from an exact half, to even. 2**-25 is one."""
+    ties = []
+    for j in range(2, 26):
+        m = -(-(10**17) // 5**j) | 1  # the first odd m with m * 5**j >= 10**17
+        ties += [m * 2.0**-j for m in range(m, m + 60, 2) if len(str(m * 5**j)) == 18]
+    ties = np.array(ties)
+    assert 2.0**-25 in ties and ties.size > 600
+    return ties
+
+
+def near_ties() -> np.ndarray:
+    """Doubles v = c * 2**u of 1e34..1e42 whose v / 10**t (t = k - 16) lies
+    2**(t - 1) / 10**t from a half, the closest a non-tie can come: 1.3e-13
+    at t = 18, 1e-15 at t = 21. Those within 1e-9 of a half take the "%" path."""
+    found = []
+    for t in range(18, 26):
+        k = 16 + t
+        for u in range((10**k).bit_length() - 53, (10 ** (k + 1)).bit_length() - 52):
+            for sign in (1, -1):
+                # c * 2**u = 10**t / 2 + sign * 2**(t - 1) (mod 10**t), solved mod 5**t.
+                c = (5**t + sign) // 2 * pow(2, t - u, 5**t) % 5**t
+                c += -(-(2**52 - c) // 5**t) * 5**t
+                found += [math.ldexp(c, u) for c in range(c, 2**53, 5**t) if 10**k <= c * 2**u < 10 ** (k + 1)]
+    assert len(found) > 9000
+    return np.array(found)
+
+
+def near_powers_of_ten(ks) -> np.ndarray:
+    """The double nearest each 10**k and its neighbours one ulp below and above."""
+    nearest = np.array([float(f"1e{k}") for k in ks])
+    return np.concatenate([np.nextafter(nearest, 0.0), nearest, np.nextafter(nearest, np.inf)])
+
+
+def sensitive_values() -> np.ndarray:
+    """Values that the block formatter gets wrong without its tie fallback or its
+    exact decimal exponent; every exactness case below mixes some in."""
+    return np.concatenate([exact_ties()[::50], near_powers_of_ten(range(-6, 18))])
+
+
+def assert_exact(values, width: int) -> None:
+    """format_rows on the values as rows of `width`, both signs, against the per-value oracle."""
+    values = np.concatenate([values, -values])
+    rows = np.resize(values, (-(-values.size // width), width))
+    assert rows.size >= _FAST_VALUES
+    text = format_rows(rows)
+    if text != per_value_rows(rows):
+        wrong = [(got, want) for got, want in zip(text.split("\n"), per_value_rows(rows).split("\n")) if got != want]
+        pytest.fail(f"{len(wrong)} rows differ, first {wrong[0]}")
+
+
+class TestBlockFormatterExactness:
+    """The numpy block formatter against the per-value oracle where %.17g is hardest."""
+
+    def test_exact_ties_round_half_to_even(self):
+        assert_exact(exact_ties(), 7)
+        # A tie's 17-digit text: the half rounds to the even neighbour.
+        assert format_float(2.0**-25) == "2.9802322387695312e-08"
+
+    def test_near_ties(self):
+        assert_exact(np.concatenate([near_ties(), sensitive_values()]), 4)
+
+    def test_doubles_nearest_each_power_of_ten_and_their_neighbours(self):
+        assert_exact(near_powers_of_ten(range(-330, 309)), 6)
+
+    def test_the_fixed_and_exponent_forms_switch_where_g_does(self):
+        edges = near_powers_of_ten([-5, -4, 16, 17])
+        steps = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        values = np.concatenate([edges, steps, [9.99995e-5, 9.9999999999999995e-5, 99999999999999984.0, 1e16 + 2.0]])
+        text = format_rows(np.resize(values, (200, 1)))
+        for v in ("0.0001", "1.0000000000000001e-05", "10000000000000000", "1e+17"):
+            assert v + "\n" in text
+        assert_exact(np.concatenate([values, sensitive_values()]), 5)
+
+    def test_subnormals_nan_payloads_inf_and_signed_zeros(self):
+        rng = np.random.default_rng(24)
+        subnormals = (rng.integers(1, 2**52, 300, dtype=np.uint64)).view(np.float64)
+        nans = (rng.integers(1, 2**52, 50, dtype=np.uint64) | np.uint64(0x7FF << 52)).view(np.float64)
+        specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, 2.0**-1022, np.nextafter(2.0**-1022, 0.0)]
+        values = np.concatenate([subnormals, nans, specials, sensitive_values()])
+        assert_exact(values, 9)
+        assert format_rows(np.zeros((_FAST_VALUES, 1))) == "0\n" * _FAST_VALUES
+        assert format_rows(np.full((_FAST_VALUES, 1), -0.0)) == "-0\n" * _FAST_VALUES
+
+    @pytest.mark.parametrize("width", range(1, 25))
+    def test_every_row_width_across_passes(self, width):
+        # Rows span several passes of the formatter, so passes start and end inside rows.
+        rng = np.random.default_rng(width)
+        normal = rng.standard_normal(2 * _PASS_VALUES + 3 * width) * 10.0 ** rng.integers(-20, 20, 2 * _PASS_VALUES + 3 * width)
+        values = np.concatenate([normal, sensitive_values()])
+        rng.shuffle(values)
+        assert_exact(values, width)
+
+    @pytest.mark.parametrize("size", [_FAST_VALUES - 1, _FAST_VALUES, _PASS_VALUES - 1, _PASS_VALUES + 1])
+    def test_block_sizes_on_both_sides_of_the_cuts(self, size):
+        values = np.resize(sensitive_values(), size)
+        for width in (1, 3):
+            rows = np.resize(values, (size // width, width))
+            assert format_rows(rows) == per_value_rows(rows)
+
+    def test_the_exponent_table_is_exact(self):
+        # _tables takes floor(b * log10(2)) in floating point; integers are the oracle.
+        for b in range(-1074, 1024):
+            exact = len(str(2**b)) - 1 if b >= 0 else len(str(5**-b)) - 1 + b
+            assert np.floor(b * np.log10(2.0)) == exact
+
+
+def test_format_rows_working_set_follows_values_not_rows():
+    # The same 53,970 values as 21 and as 257 columns: the peak past the text
+    # must not grow with the width of a row.
+    rng = np.random.default_rng(25)
+    beyond = []
+    for shape in ((2570, 21), (210, 257)):
+        rows = rng.standard_normal(shape)
+        tracemalloc.start()
+        try:
+            text = format_rows(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        beyond.append(peak - len(text))
+    assert abs(beyond[1] - beyond[0]) <= 2**18, beyond
 
 
 def test_empty_rows():
