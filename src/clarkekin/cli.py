@@ -1,7 +1,9 @@
 """Command-line front end: transforms, kinematics, sampling and simulation.
 
 Subcommands: matrix, transform, fk, ik, sample, bench, simulate,
-noise-report. Every randomized subcommand takes an explicit --seed
+noise-report. Each takes --n, --out and --config, and those of --d, --l,
+--seed and --format that its command reads; any other flag or config key
+is a usage error. Every randomized subcommand takes an explicit --seed
 (default 0, echoed in the output) so results are replayable. Exit codes:
 0 success, 2 usage error, 3 domain/precondition error.
 """
@@ -107,10 +109,17 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _format_payload(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2, default=float) + "\n"
-    return "".join(key + "," + format_rows(np.reshape(value, (1, -1))) for key, value in payload.items())
+def _format_payload(payload: dict, fmt: str | None) -> str:
+    # JSON unless --format csv. fk and ik leave --format unset by default, so
+    # that their --in, which writes CSV, can refuse a given --format json.
+    if fmt == "csv":
+        return "".join(key + "," + format_rows(np.reshape(value, (1, -1))) for key, value in payload.items())
+    return json.dumps(payload, indent=2, default=float) + "\n"
+
+
+def _refuse_json_rows(args) -> None:
+    if args.format == "json":
+        raise UsageError("--in writes CSV; --format json applies to one value only")
 
 
 def cmd_fk(args) -> int:
@@ -122,6 +131,7 @@ def cmd_fk(args) -> int:
         payload = {"rotation": pose.rotation.tolist(), "position": pose.position.tolist()}
         _emit((_format_payload(payload, args.format),), args.out)
         return 0
+    _refuse_json_rows(args)
     _, rows = read_csv(args.infile, [displacement_header(args.n)])
     poses = fk_direct(geom, rows.T)
     _emit(csv_chunks(POSE_HEADER, poses.rotation.reshape(-1, 9), poses.position), args.out)
@@ -151,6 +161,7 @@ def _target_from_args(args):
 def cmd_ik(args) -> int:
     geom = _geometry(args)
     if args.infile is not None:
+        _refuse_json_rows(args)
         header, rows = read_csv(args.infile, [POSE_HEADER, POSITION_HEADER])
         if header == POSE_HEADER:
             rho = ik(geom, Pose(rotation=rows[:, :9].reshape(-1, 3, 3), position=rows[:, 9:]))
@@ -332,21 +343,26 @@ def _config_tokens(path: str, args) -> list[str]:
     return tokens
 
 
-def _add_common(p: argparse.ArgumentParser, *, n: int = 3, d: float = 0.01, l: float = 0.1) -> None:
-    # Sampling subcommands default to the 1 mm benchmark radius; the
-    # kinematics and control ones to the 10 mm segment geometry.
+def _add_common(p: argparse.ArgumentParser, *reads: str, n: int = 3, d: float = 0.01, l: float = 0.1, fmt: str | None = "json") -> None:
+    # --n, --out, --config, and the shared flags named in `reads`. Sampling
+    # subcommands default to the 1 mm benchmark radius; the kinematics and
+    # control ones to the 10 mm segment geometry.
     p.add_argument("--n", type=int, default=n, help="number of displacement joints")
-    p.add_argument("--d", type=float, default=d, help="joint radius from the center-line, m")
-    p.add_argument("--l", type=float, default=l, help="segment length, m")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed (printed with the output)")
-    p.add_argument("--format", choices=("csv", "json"), default="json", help="output format")
+    if "d" in reads:
+        p.add_argument("--d", type=float, default=d, help="joint radius from the center-line, m")
+    if "l" in reads:
+        p.add_argument("--l", type=float, default=l, help="segment length, m")
+    if "seed" in reads:
+        p.add_argument("--seed", type=int, default=0, help="PRNG seed (printed with the output)")
+    if "format" in reads:
+        p.add_argument("--format", choices=("csv", "json"), default=fmt, help="output format")
     p.add_argument("--out", default=None, help="write the primary output to this path")
     p.add_argument("--config", default=None, help="KEY = VALUE defaults file; flags override it")
 
 
-def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
+def _add_sampler_flags(p: argparse.ArgumentParser, *reads: str) -> None:
     # The flags sample and bench share, on the sampling defaults.
-    _add_common(p, d=0.001)
+    _add_common(p, *reads, "d", "seed", d=0.001)
     p.add_argument("--k", type=int, default=1000, help="number of samples (per run for bench)")
     p.add_argument("--rho-min", type=float, default=None, help="lower bound, m (default -d*pi)")
     p.add_argument("--rho-max", type=float, default=None, help="upper bound, m (default d*pi)")
@@ -369,19 +385,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("transform", help="apply the transform or its inverse to a vector")
-    _add_common(p)
+    _add_common(p, "format")
     p.add_argument("--rho", help="comma-separated displacements, forward direction")
     p.add_argument("--xi", help="comma-separated Clarke pair, inverse direction")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("fk", help="forward kinematics from displacements")
-    _add_common(p)
+    _add_common(p, "d", "l", "format", fmt=None)
     p.add_argument("--rho", help="comma-separated displacements")
     p.add_argument("--in", dest="infile", help="batch CSV: header rho_1..rho_n, one displacement row per line")
     p.set_defaults(func=cmd_fk)
 
     p = sub.add_parser("ik", help="inverse kinematics to a position, rotation or pose")
-    _add_common(p)
+    _add_common(p, "d", "l", "format", fmt=None)
     p.add_argument("--position", help="px,py,pz")
     p.add_argument("--rotation", help="9 row-major rotation entries")
     p.add_argument("--pose", help="9 rotation entries followed by px,py,pz")
@@ -394,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("bench", help="time the sampling methods and emit stats/histograms")
-    _add_sampler_flags(p)
+    _add_sampler_flags(p, "format")
     p.add_argument("--methods", default=",".join(ALL_METHODS), help="comma list from a,b,c,d,e")
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--hist-dir", default=None, help="write per-joint histogram CSVs here")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("simulate", help="closed-loop displacement control simulation")
-    _add_common(p, n=5)
+    _add_common(p, "d", "l", "seed", "format", n=5)
     p.add_argument("--kp", type=float, default=125.0, help="proportional gain")
     p.add_argument("--dt", type=float, default=1e-3, help="sample time, s")
     p.add_argument("--tau", type=float, default=0.25, help="actuator time constant, s")
@@ -415,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("noise-report", help="single-joint error spread over the manifold")
-    _add_common(p)
+    _add_common(p, "d")
     p.add_argument("--sigma", type=float, default=1.0, help="error size on the faulty joint, m")
     p.add_argument("--joint", type=int, default=0, help="zero-based faulty joint index")
     p.set_defaults(func=cmd_noise_report)

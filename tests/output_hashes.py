@@ -1,9 +1,11 @@
-"""Print one SHA-256 per output of the paths the benchmark's workloads run.
+"""Print one SHA-256 per output of every CLI subcommand, after the platform it ran on.
 
     python tests/output_hashes.py > hashes.txt
 
 Run it on two commits and diff the two files: an empty diff shows that
-every output below kept its bytes. It covers:
+every output below kept its bytes. Its output on the last commit that
+changed an output on purpose is the ledger, tests/output_hashes.txt, which
+test_output_ledger.py compares against. It covers:
 
 - `simulate` seeds 1-5: the summary and the trace as CSV and as JSON;
 - `fk --in` and `ik --in` on pose rows and on position rows, n = 3, 5, 12;
@@ -16,14 +18,17 @@ every output below kept its bytes. It covers:
   histogram CSV it writes;
 - `bench --format csv`, sequential and `--vectorized`, without its `time_s`
   and `factor` columns;
-- the one-value commands as CSV, n = 3, 5, 12: `transform --rho` and
-  `--xi`, `fk --rho`, and `ik --position`, `--rotation` and `--pose` on the
-  pose that `fk --rho` printed.
+- the one-value commands as CSV and as JSON, n = 3, 5, 12: `transform
+  --rho` and `--xi`, `fk --rho`, and `ik --position`, `--rotation` and
+  `--pose` on the pose that `fk --rho` printed as CSV;
+- `matrix` at n = 3, 5, 12;
+- `noise-report` at n = 3, 5, 12, on three joints and error sizes each.
 
 Inputs come from numpy's seeded generators, not from the library. The
 numbers depend on numpy's build and the CPU as well, so compare two
-commits on one machine. pytest does not collect this file: its name does
-not start with test_.
+commits on one machine; the first lines, each starting with "#", name the
+numpy version, its BLAS, the CPU model and the machine type. pytest does
+not collect this file: its name does not start with test_.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import hashlib
 import io
 import json
 import math
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -121,22 +127,33 @@ def bench_csv_outputs(tmp: Path):
 
 
 def payload_outputs(tmp: Path):
-    # One value in, one CSV row per key out.
+    # One value in, one CSV row per key out, or one JSON object.
     for n in (3, 5, 12):
         rng = np.random.default_rng([28, n])
-        geom = ["--n", str(n), "--d", repr(D), "--l", repr(L), "--format", "csv"]
+        geom = ["--n", str(n), "--d", repr(D), "--l", repr(L)]
         psi = 2.0 * math.pi * np.arange(n) / n
         for j in range(3):
             amp, theta = 0.99 * D * math.pi * rng.random(), 2.0 * math.pi * rng.random()
             rho = ",".join(map(repr, (amp * np.cos(psi - theta)).tolist()))
             xi = ",".join(map(repr, (amp * rng.standard_normal(2)).tolist()))
-            yield f"transform --rho n={n} #{j}", cli_output(["transform", *geom, f"--rho={rho}"], tmp / "xi.csv")
-            yield f"transform --xi n={n} #{j}", cli_output(["transform", *geom, f"--xi={xi}"], tmp / "rho.csv")
-            pose = cli_output(["fk", *geom, f"--rho={rho}"], tmp / "pose.csv")
-            yield f"fk --rho n={n} #{j}", pose
+            pose = cli_output(["fk", *geom, "--format", "csv", f"--rho={rho}"], tmp / "pose.csv")
             rotation, position = (line.split(",", 1)[1] for line in pose.decode().splitlines())
-            for flag, value in (("--position", position), ("--rotation", rotation), ("--pose", f"{rotation},{position}")):
-                yield f"ik {flag} n={n} #{j}", cli_output(["ik", *geom, f"{flag}={value}"], tmp / "ik.csv")
+            runs = [("transform", "--rho", rho), ("transform", "--xi", xi), ("fk", "--rho", rho)]
+            targets = (("--position", position), ("--rotation", rotation), ("--pose", f"{rotation},{position}"))
+            runs += [("ik", flag, value) for flag, value in targets]
+            for fmt in ("csv", "json"):
+                for command, flag, value in runs:
+                    shared = ["--n", str(n)] if command == "transform" else geom
+                    argv = [command, *shared, "--format", fmt, f"{flag}={value}"]
+                    yield f"{command} {flag} --format {fmt} n={n} #{j}", cli_output(argv, tmp / "payload")
+
+
+def report_outputs(tmp: Path):
+    for n in (3, 5, 12):
+        yield f"matrix n={n}", cli_output(["matrix", "--n", str(n)], tmp / "matrix.txt")
+        for joint, sigma in ((0, 1.0), (1, 0.001), (n - 1, 2.5e-3)):
+            argv = ["noise-report", "--n", str(n), "--d", repr(D), "--joint", str(joint), "--sigma", repr(sigma)]
+            yield " ".join(argv), cli_output(argv, tmp / "report.json")
 
 
 def realtime_outputs():
@@ -166,17 +183,50 @@ def realtime_outputs():
     yield f"realtime ticks={ticks} poses", b"".join(poses)
 
 
-def main_hashes() -> None:
+def platform_record() -> dict[str, str]:
+    """What output bits depend on besides the code: numpy, its BLAS, the CPU model, the machine type."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = platform.processor()
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as fh:
+        cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}", "cpu": cpu, "machine": platform.machine()}
+
+
+def hashes() -> list[tuple[str, str]]:
+    """(name, SHA-256) of every output, in the order they are printed."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in (
-            *simulate_outputs(Path(tmp)),
-            *kinematics_outputs(Path(tmp)),
-            *realtime_outputs(),
-            *sampler_outputs(Path(tmp)),
-            *bench_csv_outputs(Path(tmp)),
-            *payload_outputs(Path(tmp)),
-        ):
-            print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+        return [
+            (name, hashlib.sha256(data).hexdigest())
+            for name, data in (
+                *simulate_outputs(Path(tmp)),
+                *kinematics_outputs(Path(tmp)),
+                *realtime_outputs(),
+                *sampler_outputs(Path(tmp)),
+                *bench_csv_outputs(Path(tmp)),
+                *payload_outputs(Path(tmp)),
+                *report_outputs(Path(tmp)),
+            )
+        ]
+
+
+def read_ledger(path: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """The platform record and the {name: SHA-256} of a file this tool printed."""
+    record, digests = {}, {}
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            key, value = line[2:].split(": ", 1)
+            record[key] = value
+        else:
+            digest, name = line.split("  ", 1)
+            digests[name] = digest
+    return record, digests
+
+
+def main_hashes() -> None:
+    for key, value in platform_record().items():
+        print(f"# {key}: {value}")
+    for name, digest in hashes():
+        print(f"{digest}  {name}")
 
 
 if __name__ == "__main__":

@@ -612,10 +612,101 @@ class TestConfigFile:
 
     def test_dashed_and_underscored_keys(self, capsys, tmp_path):
         cfg = self.config(tmp_path, "method = c\nk = 3\nrho_max = 0.002\nrho-min = 0.001\n")
-        code, out, _ = run_cli(capsys, "sample", "--config", cfg, "--format", "csv")
+        code, out, _ = run_cli(capsys, "sample", "--config", cfg)
         assert code == 0
         amplitudes = [float(v) for v in out.splitlines()[1].split(",")]
         assert max(abs(v) for v in amplitudes) <= 0.002
+
+
+class RecordingArgs:
+    """Parsed arguments that record the name of every attribute a command reads."""
+
+    def __init__(self, args):
+        self.__dict__.update(args=args, read=set())
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.args, name)
+
+
+def command_modes(tmp_path) -> list[list[str]]:
+    """Each subcommand once per mode: every branch that reads different flags."""
+    pose = fk_direct(SegmentGeometry(layout=JointLayout(n=3, d=0.01), l=0.1), np.array([0.001, -0.0005, -0.0005]))
+    rotation = ",".join(map(repr, pose.rotation.ravel().tolist()))
+    position = ",".join(map(repr, pose.position.tolist()))
+    rows, positions = tmp_path / "rho.csv", tmp_path / "positions.csv"
+    rows.write_text("rho_1,rho_2,rho_3\n0.001,-0.0005,-0.0005\n")
+    positions.write_text(f"px,py,pz\n{position}\n")
+    trace = ["--trace-out", str(tmp_path / "trace")]
+    return [
+        ["matrix"],
+        ["transform", "--rho=1,-0.5,-0.5"],
+        ["transform", "--xi=0,1"],
+        ["fk", "--rho=0.001,-0.0005,-0.0005"],
+        ["fk", "--in", str(rows)],
+        ["ik", f"--position={position}"],
+        ["ik", f"--rotation={rotation}"],
+        ["ik", f"--pose={rotation},{position}"],
+        ["ik", "--in", str(positions)],
+        *(["sample", "--method", method, "--k", "5"] for method in "abcde"),
+        ["bench", "--methods", "c", "--k", "5", "--runs", "1"],
+        ["simulate", *trace],
+        ["simulate", "--pure-p", *trace],
+        ["noise-report"],
+    ]
+
+
+def test_every_subcommand_reads_every_flag_it_declares(capsys, tmp_path):
+    # main reads --config; the command reads every other flag in one of its modes.
+    unread = {}
+    for argv in command_modes(tmp_path):
+        args = build_parser().parse_args([*argv, "--out", str(tmp_path / "out")])
+        recorder = RecordingArgs(args)
+        assert args.func(recorder) == 0, argv
+        unread.setdefault(argv[0], set(vars(args)) - {"command", "func", "config"})
+        unread[argv[0]] -= recorder.read
+    capsys.readouterr()
+    subcommands = next(action.choices for action in build_parser()._actions if action.dest == "command")
+    assert sorted(unread) == sorted(subcommands)
+    unread = {command: sorted(flags) for command, flags in unread.items() if flags}
+    assert not unread, f"declared but never read: {unread}"
+
+
+REMOVED_FLAGS = {
+    "matrix": ["--d", "--l", "--seed", "--format"],
+    "transform": ["--d", "--l", "--seed"],
+    "fk": ["--seed"],
+    "ik": ["--seed"],
+    "sample": ["--l", "--format"],
+    "bench": ["--l"],
+    "noise-report": ["--l", "--seed", "--format"],
+}
+FLAG_VALUES = {"--d": "0.01", "--l": "0.1", "--seed": "1", "--format": "csv"}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REMOVED_FLAGS.items() for f in flags])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, tmp_path, command, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = {FLAG_VALUES[flag]}\n")
+    for argv in ([command, flag, FLAG_VALUES[flag]], [command, "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, rows", [("fk", "rho_1,rho_2,rho_3\n0,0,0\n"), ("ik", "px,py,pz\n0,0,0.1\n")])
+def test_in_writes_csv_and_refuses_format_json(capsys, tmp_path, command, rows):
+    src, cfg = tmp_path / "rows.csv", tmp_path / "run.cfg"
+    src.write_text(rows)
+    cfg.write_text("format = json\n")
+    for given in (["--format", "json"], ["--config", str(cfg)]):
+        code, out, err = run_cli(capsys, command, "--in", str(src), *given)
+        assert code == 2 and out == ""
+        assert err == "error: --in writes CSV; --format json applies to one value only\n"
+    code, out, _ = run_cli(capsys, command, "--in", str(src))
+    assert code == 0 and out.count("\n") == 2
+    assert run_cli(capsys, command, "--in", str(src), "--format", "csv") == (0, out, "")
 
 
 def test_non_finite_flag_value_is_a_domain_error(capsys):

@@ -2,6 +2,7 @@
 the header-then-blocks stream built on it, and the one in-place file writer."""
 
 import ast
+import itertools
 import math
 import os
 import stat
@@ -40,8 +41,16 @@ def test_row_formatter_matches_per_value_format():
     )
     assert values.size == 10**5
     rows = values.reshape(-1, 10)
-    assert format_rows(rows) == per_value_rows(rows)
+    assert_same_text(format_rows(rows), per_value_rows(rows))
     assert [format_float(v) for v in values[-6:]] == ["nan", "inf", "-inf", "-0", "0", "4.9406564584124654e-324"]
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, failing with the first differing row: pytest's own report
+    diffs the whole of two long texts and takes minutes on a formatter slip."""
+    if got != want:
+        wrong = [(g, w) for g, w in itertools.zip_longest(got.split("\n"), want.split("\n")) if g != w]
+        pytest.fail(f"{len(wrong)} rows differ, first {wrong[0]}")
 
 
 def exact_ties() -> np.ndarray:
@@ -90,10 +99,7 @@ def assert_exact(values, width: int) -> None:
     values = np.concatenate([values, -values])
     rows = np.resize(values, (-(-values.size // width), width))
     assert rows.size >= _FAST_VALUES
-    text = format_rows(rows)
-    if text != per_value_rows(rows):
-        wrong = [(got, want) for got, want in zip(text.split("\n"), per_value_rows(rows).split("\n")) if got != want]
-        pytest.fail(f"{len(wrong)} rows differ, first {wrong[0]}")
+    assert_same_text(format_rows(rows), per_value_rows(rows))
 
 
 class TestBlockFormatterExactness:
@@ -126,8 +132,8 @@ class TestBlockFormatterExactness:
         specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, 2.0**-1022, np.nextafter(2.0**-1022, 0.0)]
         values = np.concatenate([subnormals, nans, specials, sensitive_values()])
         assert_exact(values, 9)
-        assert format_rows(np.zeros((_FAST_VALUES, 1))) == "0\n" * _FAST_VALUES
-        assert format_rows(np.full((_FAST_VALUES, 1), -0.0)) == "-0\n" * _FAST_VALUES
+        assert_same_text(format_rows(np.zeros((_FAST_VALUES, 1))), "0\n" * _FAST_VALUES)
+        assert_same_text(format_rows(np.full((_FAST_VALUES, 1), -0.0)), "-0\n" * _FAST_VALUES)
 
     @pytest.mark.parametrize("width", range(1, 25))
     def test_every_row_width_across_passes(self, width):
@@ -143,7 +149,7 @@ class TestBlockFormatterExactness:
         values = np.resize(sensitive_values(), size)
         for width in (1, 3):
             rows = np.resize(values, (size // width, width))
-            assert format_rows(rows) == per_value_rows(rows)
+            assert_same_text(format_rows(rows), per_value_rows(rows))
 
     def test_the_exponent_table_is_exact(self):
         # _tables takes floor(b * log10(2)) in floating point; integers are the oracle.
@@ -179,7 +185,7 @@ def test_csv_chunks_are_the_header_then_blocks_of_rows():
     chunks = list(csv_chunks(["a", "b", "c"], rows))
     assert chunks[0] == "a,b,c\n"
     assert [chunk.count("\n") for chunk in chunks[1:]] == [_BLOCK_ROWS, _BLOCK_ROWS, 5]
-    assert "".join(chunks[1:]) == per_value_rows(rows)
+    assert_same_text("".join(chunks[1:]), per_value_rows(rows))
 
 
 @pytest.mark.parametrize("split", [1, 2])
@@ -187,7 +193,10 @@ def test_csv_chunks_set_parts_side_by_side(split):
     # The chunks of the columns in two parts, one a transposed view, are those of the whole rows.
     rows = np.random.default_rng(23).standard_normal((2 * _BLOCK_ROWS + 5, 3))
     parts = (rows[:, :split], np.asfortranarray(rows[:, split:]))
-    assert list(csv_chunks(["a", "b", "c"], *parts)) == list(csv_chunks(["a", "b", "c"], rows))
+    got, want = list(csv_chunks(["a", "b", "c"], *parts)), list(csv_chunks(["a", "b", "c"], rows))
+    # The same text cut at the same places is the same chunks.
+    assert [len(chunk) for chunk in got] == [len(chunk) for chunk in want]
+    assert_same_text("".join(got), "".join(want))
 
 
 def test_trace_file_byte_identical_to_per_value_writer(tmp_path):
@@ -198,14 +207,14 @@ def test_trace_file_byte_identical_to_per_value_writer(tmp_path):
     columns = (trace.time, trace.rho_desired, trace.rho_measured, trace.rho_command, trace.rho_plant)
     text = trace_file.read_text()
     header = text.split("\n", 1)[0]
-    assert text == header + "\n" + per_value_rows(np.vstack(columns).T)
+    assert_same_text(text, header + "\n" + per_value_rows(np.vstack(columns).T))
 
 
 def test_sample_file_byte_identical_to_per_value_writer(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["sample", "--method", "d", "--k", "200", "--seed", "7", "--out", str(out)]) == 0
     columns = load_batch_csv(out)
-    assert out.read_text() == "rho_1,rho_2,rho_3\n" + per_value_rows(columns.T)
+    assert_same_text(out.read_text(), "rho_1,rho_2,rho_3\n" + per_value_rows(columns.T))
 
 
 class TestReadCsv:
