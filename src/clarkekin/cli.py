@@ -315,11 +315,12 @@ _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
 
-def _config_tokens(path: str, args) -> list[str]:
-    """The KEY = VALUE lines of a config file as argv tokens --key-with-dashes=VALUE.
+def _config_tokens(path: str, args) -> list[tuple[int, str, str]]:
+    """The KEY = VALUE lines of a config file as (line number, key, argv token).
 
-    A switch (a flag that takes no value, False unless given) becomes the
-    bare flag when its value is true and is left out when it is false.
+    The token is --key-with-dashes=VALUE. A switch (a flag that takes no
+    value, False unless given) becomes the bare flag when its value is true
+    and is left out when it is false.
     Every other value is parsed and checked by argparse like a typed flag.
     """
     tokens = []
@@ -335,9 +336,9 @@ def _config_tokens(path: str, args) -> list[str]:
                 raise UsageError(f"{path}:{lineno}: empty key")
             flag = "--" + key.replace("_", "-")
             if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
-                tokens.append(f"{flag}={value}")
+                tokens.append((lineno, key, f"{flag}={value}"))
             elif value.lower() in _TRUE:
-                tokens.append(flag)
+                tokens.append((lineno, key, flag))
             elif value.lower() not in _FALSE:
                 raise UsageError(f"{path}:{lineno}: {key} is a switch, give true or false, got {value!r}")
     return tokens
@@ -448,7 +449,11 @@ def main(argv=None) -> int:
             # The file's tokens go right after the subcommand, so a flag on
             # the command line comes later and wins: argparse keeps the last.
             at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_tokens(args.config, args) + argv[at:])
+            path, lines = args.config, _config_tokens(args.config, args)
+            args, unknown = parser.parse_known_args(argv[:at] + [token for _, _, token in lines] + argv[at:])
+            for lineno, key, token in lines:
+                if token in unknown:
+                    raise UsageError(f"{path}:{lineno}: {key} is not an option of {args.command}")
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

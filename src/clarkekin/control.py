@@ -25,7 +25,7 @@ import numpy as np
 
 from .arcspace import SegmentGeometry
 from .clarke import _product, all_finite, as_clarke, as_displacement, build_transform, check_finite
-from .csvio import csv_chunks, read_csv, write_text
+from .csvio import csv_chunks, write_text
 
 
 @dataclass(frozen=True)
@@ -189,13 +189,21 @@ def plant_step(plant: PT1Plant, command, dt: float) -> PT1Plant:
 def _profile_durations(length: float, v: float, a: float, d: float) -> tuple[float, float, float, float]:
     # Rest-to-rest scalar profile over `length`: returns accel, cruise and
     # decel durations plus the peak speed (trapezoid, or triangle when the
-    # ramps meet before cruise speed is reached).
+    # ramps meet before cruise speed is reached). Where the triangle's square
+    # underflows, the peak is sqrt(2*length*m/(1 + m/M)), m = min(a, d) and
+    # M = max(a, d), formed from factors that cannot underflow: a positive
+    # length never gets a profile of zero time.
     ramp = v * v / (2.0 * a) + v * v / (2.0 * d)
     if length >= ramp:
         peak = v
         cruise = (length - ramp) / v
     else:
-        peak = math.sqrt(2.0 * length * a * d / (a + d))
+        square = 2.0 * length * a * d / (a + d)
+        if square < sys.float_info.min:
+            m, big = min(a, d), max(a, d)
+            peak = math.sqrt(2.0 * length) * (math.sqrt(m) / math.sqrt(1.0 + m / big))
+        else:
+            peak = math.sqrt(square)
         cruise = 0.0
     return peak / a, cruise, peak / d, peak
 
@@ -429,23 +437,3 @@ def save_trace_csv(trace: SimTrace, path) -> None:
 def trace_to_dict(trace: SimTrace) -> dict:
     arrays = {f.name: getattr(trace, f.name).tolist() for f in fields(trace)}
     return {"t": arrays.pop("time"), **arrays}
-
-
-def load_trace_csv(path) -> SimTrace:
-    """Read a trace CSV back (lossless at 17 significant digits).
-
-    Line 1 must be the header save_trace_csv writes for some n >= 1.
-    """
-    header, rows = read_csv(path)
-    n = (len(header) - 1) // 4
-    if n < 1 or header != _trace_header(n):
-        expected = "t,rho_d_1..n,rho_m_1..n,rho_cmd_1..n,rho_plant_1..n"
-        raise ValueError(f"{path}: line 1 must be the trace header {expected}, got {','.join(header)!r}")
-    data = rows.T
-    return SimTrace(
-        time=data[0],
-        rho_desired=data[1 : 1 + n],
-        rho_measured=data[1 + n : 1 + 2 * n],
-        rho_command=data[1 + 2 * n : 1 + 3 * n],
-        rho_plant=data[1 + 3 * n :],
-    )

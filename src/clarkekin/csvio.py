@@ -2,7 +2,8 @@
 
 Every float is written as "%.17g", which reads back to the same double and
 gives the same text as format(float(v), ".17g") for every value, nan, inf
-and -0.0 included. A file starts with one header line naming its columns.
+and -0.0 included. A file starts with one header line naming its columns,
+and read_csv always checks it against the headers its caller names.
 Every CSV output, stdout included, is the csv_chunks stream, so a block of
 _BLOCK_ROWS rows, not the file, bounds its text: `sample --k 1000000 --out`
 peaks at 59 MB RSS, `fk --in` of 200,000 rows at 78 MB (289, 248 MB whole).
@@ -100,10 +101,10 @@ def write_text(path, chunks) -> None:
         os.close(fd)
 
 
-def read_csv(path, headers: list[list[str]] | None = None) -> tuple[list[str], np.ndarray]:
+def read_csv(path, headers: list[list[str]]) -> tuple[list[str], np.ndarray]:
     """The header and the (rows, columns) float array of a CSV file.
 
-    Line 1 must be one of `headers` if given; blank lines are skipped. A different
+    Line 1 must be one of `headers`; blank lines are skipped. A different
     header, a row whose value count differs from the header's, or a value
     that is not a number raises ValueError with a one-line message. A file
     holding only the header gives zero rows.
@@ -111,7 +112,7 @@ def read_csv(path, headers: list[list[str]] | None = None) -> tuple[list[str], n
     with open(path) as fh:
         first = fh.readline()
         header = [name.strip() for name in first.split(",")]
-        if headers is not None and header not in headers:
+        if header not in headers:
             expected = " or ".join(repr(",".join(h)) for h in headers)
             raise ValueError(f"{path}: line 1 must be the header {expected}, got {first.strip()!r}")
         try:

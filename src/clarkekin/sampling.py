@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clarke import TWO_PI, JointLayout, build_transform, check_finite
-from .csvio import csv_chunks, displacement_header, format_rows, read_csv, write_text
+from .csvio import csv_chunks, format_rows
 
 REJECTION_METHODS = ("a", "b")
 
@@ -519,19 +519,6 @@ def benchmark(
     by_method = {r.method: r.time_mean for r in results}
     reference = by_method.get("c", min(by_method.values()))
     return [replace(r, factor=r.time_mean / reference if reference > 0.0 else math.inf) for r in results]
-
-
-def save_batch_csv(batch: SampleBatch, path) -> None:
-    """Write one sample per row with header rho_1..rho_n, 17 significant digits."""
-    write_text(path, csv_chunks(displacement_header(batch.columns.shape[0]), batch.columns.T))
-
-
-def load_batch_csv(path) -> np.ndarray:
-    """Read a batch CSV back into an n x k column matrix (lossless)."""
-    header, rows = read_csv(path)
-    if header != displacement_header(len(header)):
-        raise ValueError(f"{path}: not a sample batch CSV (header {','.join(header)!r})")
-    return rows.T
 
 
 def stats_csv(results: list[MethodBenchmark]) -> str:

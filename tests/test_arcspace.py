@@ -135,6 +135,11 @@ class TestClarkeFromArc:
         xi = clarke_from_arc(geom, ca)
         assert np.linalg.norm(xi) == pytest.approx(geom.layout.d * geom.l * ca.kappa, rel=1e-12)
 
+    @pytest.mark.parametrize("arc", [AngleAngle(1.0, 0.5), (17.0, 2.2)])
+    def test_other_arc_types_are_refused(self, geom, arc):
+        with pytest.raises(TypeError, match=rf"^expected CurvatureAngle or CurvatureCurvature, got {type(arc).__name__}$"):
+            clarke_from_arc(geom, arc)
+
 
 class TestArcFromClarke:
     def test_origin(self, geom):

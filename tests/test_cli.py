@@ -25,8 +25,8 @@ from clarkekin import (
 )
 from clarkekin import cli
 from clarkekin.cli import build_parser, main
-from clarkekin.control import load_trace_csv
-from clarkekin.csvio import read_csv
+from clarkekin.control import _trace_header
+from clarkekin.csvio import csv_chunks, displacement_header, read_csv, write_text
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +83,18 @@ class TestTransform:
 
 
 class TestKinematics:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fk"], "give exactly one of --rho or --in FILE"),
+            (["fk", "--rho", "0,0,0", "--in", "rows.csv"], "give exactly one of --rho or --in FILE"),
+            (["ik"], "give exactly one of --position, --rotation or --pose"),
+            (["ik", "--position", "0,0,0.1", "--rotation", "1,0,0,0,1,0,0,0,1"], "give exactly one of --position, --rotation or --pose"),
+        ],
+    )
+    def test_exactly_one_target_or_source(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_fk_zero(self, capsys):
         code, out, _ = run_cli(capsys, "fk", "--n", "5", "--l", "0.1", "--rho", "0,0,0,0,0")
         assert code == 0
@@ -149,11 +161,10 @@ class TestKinematics:
     def test_fk_ik_fk_batch_round_trip(self, capsys, tmp_path):
         rho_file = tmp_path / "rho.csv"
         from clarkekin import JointLayout, SamplerConfig, sample_direct_batched
-        from clarkekin.sampling import save_batch_csv
 
         layout = JointLayout(n=4, d=0.01)
         cfg = SamplerConfig(layout=layout, rho_min=0.1 * 0.01 * np.pi, rho_max=0.9 * 0.01 * np.pi, seed=9)
-        save_batch_csv(sample_direct_batched(cfg, 25, "annulus"), rho_file)
+        write_text(rho_file, csv_chunks(displacement_header(4), sample_direct_batched(cfg, 25, "annulus").columns.T))
 
         pose_file = tmp_path / "poses.csv"
         code, _, _ = run_cli(capsys, "fk", "--n", "4", "--in", str(rho_file), "--out", str(pose_file))
@@ -188,11 +199,10 @@ class TestBatchCsv:
 
     def poses_file(self, capsys, tmp_path, rows):
         from clarkekin import JointLayout, SamplerConfig, sample_direct_batched
-        from clarkekin.sampling import save_batch_csv
 
         cfg = SamplerConfig(layout=JointLayout(n=4, d=0.01), rho_min=0.001, rho_max=0.028, seed=5)
         rho_file = tmp_path / "rho.csv"
-        save_batch_csv(sample_direct_batched(cfg, rows, "annulus"), rho_file)
+        write_text(rho_file, csv_chunks(displacement_header(4), sample_direct_batched(cfg, rows, "annulus").columns.T))
         pose_file = tmp_path / "poses.csv"
         code, _, _ = run_cli(capsys, "fk", "--n", "4", "--in", str(rho_file), "--out", str(pose_file))
         assert code == 0
@@ -403,6 +413,14 @@ class TestSimulate:
         assert out == ""
         assert err.count("\n") == 1 and "leg 1" in err and "too long" in err
 
+    def test_leg_whose_triangle_underflows_is_too_long(self, capsys):
+        # 2*length*a*d/(a + d) underflows to 0 for this leg; a profile of zero
+        # time would give a reference that never leaves its start.
+        argv = ["simulate", "--waypoints", "0,0,0.001,0", "--a-max", "1e-170", "--d-max", "1e-170", "--noise", "0"]
+        code, out, err = run_cli_strict(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "leg 1 (waypoint 1 to 2) is too long to tick: 6.32456e+86 ticks" in err
+
     def test_enormous_leg_fails_fast(self, capsys):
         # About 3e304 ticks: refused before any tick array is built.
         code, out, err = run_cli_strict(capsys, ["simulate", "--waypoints", "0,0,1e300,0", "--noise", "0"])
@@ -439,13 +457,14 @@ def summary_and_errors(capsys, tmp_path, argv):
     path = tmp_path / "trace.csv"
     code, out, err = run_cli_strict(capsys, ["simulate", "--format", "csv", "--trace-out", str(path)] + argv)
     assert code == 0 and err == ""
-    closed = load_trace_csv(path)
+    columns = read_csv(path, [_trace_header(5)])[1].T
+    desired, closed = columns[1:6], columns[16:]
     cfg = ControllerConfig(kp=125.0, dt=1e-3, geometry=SegmentGeometry(layout=JointLayout(n=5, d=0.01), l=0.1))
     plant = PT1Plant(tau=0.25, state=np.zeros(5))
-    opened = run_simulation(cfg, plant, NoiseModel(0.0), closed.rho_desired, closed_loop=False)
+    opened = run_simulation(cfg, plant, NoiseModel(0.0), desired, closed_loop=False).rho_plant
     forward = build_transform(5).forward
-    traces = {"rms_closed_loop": closed, "rms_open_loop": opened}
-    return strict_json(out), {key: forward @ (tr.rho_desired - tr.rho_plant) for key, tr in traces.items()}
+    plants = {"rms_closed_loop": closed, "rms_open_loop": opened}
+    return strict_json(out), {key: forward @ (desired - states) for key, states in plants.items()}
 
 
 class TestSimulateRms:
@@ -514,6 +533,11 @@ def test_large_joint_counts_run(capsys, argv):
     [
         (["ik", "--position", "1,2"], "--position needs 3 values"),
         (["ik", "--position", "0,0,0.1,0"], "--position needs 3 values"),
+        (["ik", "--rotation", "1,0,0,0,1,0,0,0"], "--rotation needs 9 row-major values, got 8"),
+        (["ik", "--pose", "1,0,0,0,1,0,0,0,1,0,0"], "--pose needs 9 rotation + 3 position values, got 11"),
+        (["simulate", "--waypoints", "0,0,0.001"], "--waypoints needs an even number (>= 4) of values"),
+        (["simulate", "--waypoints", "0,0"], "--waypoints needs an even number (>= 4) of values"),
+        (["transform", "--rho", "1,x,-1"], "could not parse float list '1,x,-1'"),
         (["sample", "--method", "a", "--k", "-3"], "k must be >= 0"),
         (["sample", "--method", "b", "--k", "-3"], "k must be >= 0"),
         (["sample", "--method", "c", "--k", "-3"], "k must be >= 0"),
@@ -594,9 +618,19 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key", ["bogus", "infile", "func"])
     def test_unknown_key_is_a_usage_error(self, capsys, tmp_path, key):
-        with pytest.raises(SystemExit) as exc:
-            main(["noise-report", "--config", self.config(tmp_path, f"{key} = 1\n")])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, "noise-report", "--config", self.config(tmp_path, f"n = 4\n{key} = 1\n"))
+        assert code == 2 and out == ""
+        assert err == f"error: {tmp_path / 'run.cfg'}:2: {key} is not an option of noise-report\n"
+
+    def test_comment_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "# the fault\n\n   # on joint 2\njoint = 2  # zero-based\n")
+        code, out, _ = run_cli(capsys, "noise-report", "--config", cfg)
+        assert code == 0 and json.loads(out)["joint_index"] == 2
+
+    def test_empty_key(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "noise-report", "--config", self.config(tmp_path, "n = 4\n = 3\n"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / 'run.cfg'}:2: empty key\n"
 
     @pytest.mark.parametrize("value, vectorized", [("true", True), ("yes", True), ("false", False), ("0", False)])
     def test_switch_values(self, capsys, tmp_path, value, vectorized):
@@ -688,11 +722,12 @@ FLAG_VALUES = {"--d": "0.01", "--l": "0.1", "--seed": "1", "--format": "csv"}
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, tmp_path, command, flag):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{flag[2:]} = {FLAG_VALUES[flag]}\n")
-    for argv in ([command, flag, FLAG_VALUES[flag]], [command, "--config", str(cfg)]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {cfg}:1: {flag[2:]} is not an option of {command}\n")
 
 
 @pytest.mark.parametrize("command, rows", [("fk", "rho_1,rho_2,rho_3\n0,0,0\n"), ("ik", "px,py,pz\n0,0,0.1\n")])
@@ -998,7 +1033,7 @@ class TestStreamedCsv:
         rows, out = tmp_path / "rows.csv", tmp_path / "poses.csv"
         assert main(["sample", "--d", "0.01", "--k", "40000", "--out", str(rows)]) == 0
         geom = SegmentGeometry(layout=JointLayout(n=3, d=0.01), l=0.1)
-        _, computing = peak_bytes(lambda: fk_direct(geom, read_csv(rows)[1].T))
+        _, computing = peak_bytes(lambda: fk_direct(geom, read_csv(rows, [displacement_header(3)])[1].T))
         code, peak = peak_bytes(lambda: main(["fk", "--in", str(rows), "--out", str(out)]))
         assert code == 0
         assert peak <= computing + 4 * 2**20
@@ -1015,15 +1050,15 @@ class TestStreamedCsv:
             rows, out = tmp_path / f"rows{k}.csv", tmp_path / f"poses{k}.csv"
             assert main(["sample", "--d", "0.01", "--k", str(k), "--out", str(rows)]) == 0
             argv = ["fk", "--in", str(rows), "--out", str(out)]
-            _, computing = peak_bytes(lambda: fk_direct(geom, read_csv(rows)[1].T))
+            _, computing = peak_bytes(lambda: fk_direct(geom, read_csv(rows, [displacement_header(3)])[1].T))
             code, peak = peak_bytes(lambda: main(argv))
             assert code == 0
             beyond_fk.append(peak - computing)
             text = out.read_text()
-            stack = fk_direct(geom, read_csv(rows)[1].T)
+            stack = fk_direct(geom, read_csv(rows, [displacement_header(3)])[1].T)
             with monkeypatch.context() as patch:
                 patch.setattr(cli, "fk_direct", lambda g, rho: stack)
-                _, reading = peak_bytes(lambda: read_csv(rows))
+                _, reading = peak_bytes(lambda: read_csv(rows, [displacement_header(3)]))
                 code, peak = peak_bytes(lambda: main(argv))
             assert code == 0 and out.read_text() == text
             beyond_reading.append(peak - reading)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from clarkekin import (
     run_simulation,
 )
 from clarkekin.clarke import all_finite, as_clarke, as_displacement
-from clarkekin.control import _profile_durations, load_trace_csv, save_trace_csv
+from clarkekin.control import _profile_durations, _trace_header, save_trace_csv
+from clarkekin.csvio import read_csv
 
 V_MAX = 0.01 * np.pi
 A_MAX = 0.1 * np.pi
@@ -423,6 +425,8 @@ class TestTrajectory:
         limits=st.tuples(*[st.floats(-3, 1).map(lambda e: 10.0**e)] * 3),
         longest_ticks=st.integers(1, 1500),
     )
+    # A leg of 5e-324 whose triangle square underflows: its profile still takes time.
+    @example(n=3, scale=1.0, raw=[(0.0, 0.0), (0.0, 5e-324)], repeat=0, limits=(1.0, 1.0, 0.1), longest_ticks=1)
     def test_bitwise_equal_to_per_tick_oracle(self, n, scale, raw, repeat, limits, longest_ticks):
         # repeat < len(raw) doubles that waypoint, which gives a zero-length
         # leg; limits across decades give trapezoid and triangle legs, and dt
@@ -447,6 +451,20 @@ class TestTrajectory:
         spec = TrajectorySpec(waypoints=(np.zeros(2), np.array([1.0, 0.0])), v_max=1.0, a_max=1.0, d_max=1.0)
         with pytest.raises(ValueError, match=r"leg 1 \(waypoint 1 to 2\) is too long to tick: 2e\+1\d ticks"):
             generate_trajectory(geom.layout, spec, dt)
+
+    @pytest.mark.parametrize(
+        "length, limits",
+        [(5e-324, (1.0, 1.0, 0.1)), (5e-324, (1.0, 5e-324, 5e-324)), (1e-3, (1.0, 1e-170, 1e-170)), (1e-200, (1.0, 1e-200, 1e300))],
+    )
+    def test_underflowing_triangle_still_takes_time(self, length, limits):
+        # 2*length*a*d/(a + d) underflows to 0 for each of these legs.
+        v, a, d = limits
+        assert 2.0 * length * a * d / (a + d) == 0.0
+        t_acc, t_cruise, t_dec, peak = _profile_durations(length, v, a, d)
+        assert peak > 0.0 and t_acc + t_cruise + t_dec > 0.0
+        # The exact peak sqrt(2*length*a*d/(a + d)), from exact rationals.
+        exact = Fraction(2) * Fraction(length) * Fraction(a) * Fraction(d) / (Fraction(a) + Fraction(d))
+        assert abs(Fraction(peak) ** 2 / exact - 1) < Fraction(1, 10**14)
 
     def test_non_finite_leg_extent_rejected(self, geom):
         spec = spec_between([-1e308, 0.0], [-1e308, 0.0], [-1e308, 0.0], [1e308, 0.0])
@@ -493,6 +511,15 @@ class TestSimulation:
         trace = run_simulation(cfg, PT1Plant(tau=0.25, state=np.zeros(5)), NoiseModel(2.5e-3, seed=3), traj)
         for i in range(0, trace.rho_command.shape[1], 13):
             assert manifold_residual(t, trace.rho_command[:, i]) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 3), (5, 3, 1)])
+    def test_trajectory_of_another_shape_is_refused(self, cfg, shape):
+        with pytest.raises(ValueError, match=rf"trajectory must be n x T with n=5, got \({shape[0]},"):
+            run_simulation(cfg, PT1Plant(tau=0.25, state=np.zeros(5)), NoiseModel(0.0), np.zeros(shape))
+
+    def test_trace_columns_must_match_its_ticks(self):
+        with pytest.raises(ValueError, match="^rho_command has 2 columns for 3 ticks$"):
+            SimTrace(np.zeros(3), np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((5, 2)), np.zeros((5, 3)))
 
     def test_zero_length_trajectory(self, cfg):
         state = np.array([0.01, 0.0, -0.01, 0.005, -0.005])
@@ -699,12 +726,12 @@ class TestSimulation:
         trace = run_simulation(cfg, PT1Plant(tau=0.25, state=np.zeros(5)), NoiseModel(1e-3, seed=2), traj)
         path = tmp_path / "trace.csv"
         save_trace_csv(trace, path)
-        back = load_trace_csv(path)
-        assert np.array_equal(back.time, trace.time)
-        assert np.array_equal(back.rho_desired, trace.rho_desired)
-        assert np.array_equal(back.rho_measured, trace.rho_measured)
-        assert np.array_equal(back.rho_command, trace.rho_command)
-        assert np.array_equal(back.rho_plant, trace.rho_plant)
+        back = read_csv(path, [_trace_header(5)])[1].T
+        assert np.array_equal(back[0], trace.time)
+        assert np.array_equal(back[1:6], trace.rho_desired)
+        assert np.array_equal(back[6:11], trace.rho_measured)
+        assert np.array_equal(back[11:16], trace.rho_command)
+        assert np.array_equal(back[16:], trace.rho_plant)
 
     def test_trace_csv_streams_without_a_copy_of_the_trace(self, tmp_path):
         # Four times the ticks, and the peak past the trace's own arrays stays
@@ -721,19 +748,9 @@ class TestSimulation:
             finally:
                 tracemalloc.stop()
             beyond.append(peak)
-            back = load_trace_csv(tmp_path / f"trace{ticks}.csv")
-            assert np.array_equal(back.time, trace.time) and np.array_equal(back.rho_plant, trace.rho_plant)
+            back = read_csv(tmp_path / f"trace{ticks}.csv", [_trace_header(5)])[1].T
+            assert np.array_equal(back[0], trace.time) and np.array_equal(back[16:], trace.rho_plant)
         assert beyond[1] <= beyond[0] + 2**18 and max(beyond) <= 2**20
-
-    @pytest.mark.parametrize(
-        "header",["a,b,c", "t", "t,rho_d_1,rho_m_1,rho_cmd_1,rho_plant_2", "t,rho_m_1,rho_d_1,rho_cmd_1,rho_plant_1"]
-    )
-    def test_load_trace_rejects_foreign_header(self, tmp_path, header):
-        path = tmp_path / "trace.csv"
-        width = len(header.split(","))
-        path.write_text(header + "\n" + (",".join(["0"] * width) + "\n") * 2)
-        with pytest.raises(ValueError, match="trace header"):
-            load_trace_csv(path)
 
 
 class TestNoisePropagation:

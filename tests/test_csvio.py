@@ -15,10 +15,18 @@ import pytest
 
 import clarkekin
 from clarkekin.cli import main
-from clarkekin.control import load_trace_csv
+from clarkekin.control import _trace_header
 from clarkekin._csvblock import _PASS_VALUES
-from clarkekin.csvio import _BLOCK_ROWS, _FAST_VALUES, csv_chunks, format_float, format_rows, read_csv, write_text
-from clarkekin.sampling import load_batch_csv
+from clarkekin.csvio import (
+    _BLOCK_ROWS,
+    _FAST_VALUES,
+    csv_chunks,
+    displacement_header,
+    format_float,
+    format_rows,
+    read_csv,
+    write_text,
+)
 
 
 def per_value_rows(rows) -> str:
@@ -203,18 +211,15 @@ def test_trace_file_byte_identical_to_per_value_writer(tmp_path):
     trace_file = tmp_path / "trace.csv"
     argv = ["simulate", "--seed", "11", "--format", "csv", "--trace-out", str(trace_file), "--out", str(tmp_path / "s.json")]
     assert main(argv) == 0
-    trace = load_trace_csv(trace_file)
-    columns = (trace.time, trace.rho_desired, trace.rho_measured, trace.rho_command, trace.rho_plant)
-    text = trace_file.read_text()
-    header = text.split("\n", 1)[0]
-    assert_same_text(text, header + "\n" + per_value_rows(np.vstack(columns).T))
+    header, rows = read_csv(trace_file, [_trace_header(5)])
+    assert_same_text(trace_file.read_text(), ",".join(header) + "\n" + per_value_rows(rows))
 
 
 def test_sample_file_byte_identical_to_per_value_writer(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["sample", "--method", "d", "--k", "200", "--seed", "7", "--out", str(out)]) == 0
-    columns = load_batch_csv(out)
-    assert_same_text(out.read_text(), "rho_1,rho_2,rho_3\n" + per_value_rows(columns.T))
+    _, rows = read_csv(out, [displacement_header(3)])
+    assert_same_text(out.read_text(), "rho_1,rho_2,rho_3\n" + per_value_rows(rows))
 
 
 class TestReadCsv:

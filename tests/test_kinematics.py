@@ -1047,6 +1047,11 @@ class TestRecoverPose:
             with pytest.raises(ValueError, match="reachable surface"):
                 recover_pose_from_position(make_geom(l=0.1), p)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (3, 1)])
+    def test_one_position_only(self, shape):
+        with pytest.raises(ValueError, match=rf"^position must have shape \(3,\), got \({shape[0]},"):
+            recover_pose_from_position(make_geom(l=0.1), np.full(shape, 0.01))
+
     def test_on_axis_straight_convention(self):
         geom = make_geom()
         pose = recover_pose_from_position(geom, np.array([0.0, 0.0, geom.l]))
