@@ -146,9 +146,10 @@ def build_transform(layout: JointLayout | int) -> ClarkeTransform:
 def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m times x: one column or Clarke pair x, or a batch x of k columns.
 
-    A batch is a stack of matrix-vector products, so each of its columns
-    gets the bits of m.dot(column); one matrix-matrix product rounds unlike
-    it, which turns a tiny Clarke pair's bending plane.
+    Every product on a transform matrix goes through here. A batch is a
+    stack of matrix-vector products, so each column gets the bits of
+    m.dot(column); one matrix-matrix product rounds unlike it, which turns
+    a tiny Clarke pair's bending plane. The sampler's c*x + s*y is elementwise.
     """
     if x.ndim == 1:
         return m.dot(x)
@@ -183,22 +184,22 @@ def inverse_transform(t: ClarkeTransform, xi) -> np.ndarray:
     """
     xi = as_clarke(xi)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _in_float_range(t.inverse @ xi, "the displacements of these Clarke coordinates")
+        return _in_float_range(_product(t.inverse, xi), "the displacements of these Clarke coordinates")
 
 
 def projector(t: ClarkeTransform) -> np.ndarray:
-    """The n x n manifold projector P = inverse @ forward.
+    """The n x n manifold projector P = inverse @ forward, column by column.
 
     P is a symmetric circulant matrix with entries (2/n)*cos(2*pi*(i-j)/n);
     it is idempotent, has rank 2, and annihilates constant vectors.
     """
-    return t.inverse @ t.forward
+    return _product(t.inverse, t.forward)
 
 
 def manifold_residual(t: ClarkeTransform, rho) -> float:
     """Max-norm distance of rho from its projection onto the manifold."""
     rho = as_displacement(rho, t.n)
-    return float(np.max(np.abs(t.inverse @ (t.forward @ rho) - rho)))
+    return float(np.max(np.abs(_product(t.inverse, _product(t.forward, rho)) - rho)))
 
 
 def is_on_manifold(t: ClarkeTransform, rho, tol: float = 1e-12) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .arcspace import SegmentGeometry
-from .clarke import JointLayout, _product, build_transform, inverse_transform, transform
+from .clarke import JointLayout, build_transform, inverse_transform, transform
 from .control import (
     ControllerConfig,
     NoiseModel,
@@ -139,9 +139,6 @@ def cmd_fk(args) -> int:
 
 
 def _target_from_args(args):
-    given = [v for v in (args.position, args.rotation, args.pose) if v is not None]
-    if len(given) != 1:
-        raise UsageError("give exactly one of --position, --rotation or --pose")
     if args.position is not None:
         vals = _parse_floats(args.position)
         if len(vals) != 3:
@@ -160,6 +157,8 @@ def _target_from_args(args):
 
 def cmd_ik(args) -> int:
     geom = _geometry(args)
+    if sum(v is not None for v in (args.position, args.rotation, args.pose, args.infile)) != 1:
+        raise UsageError("give exactly one of --position, --rotation, --pose or --in FILE")
     if args.infile is not None:
         _refuse_json_rows(args)
         header, rows = read_csv(args.infile, [POSE_HEADER, POSITION_HEADER])
@@ -196,11 +195,10 @@ def _sampler_config(args, method: str | None = None) -> SamplerConfig:
 
 def cmd_sample(args) -> int:
     cfg = _sampler_config(args, method=args.method)
-    batch, stats = sample(cfg, args.k, args.method, args.vectorized)
+    batch, stats = sample(cfg, args.k, args.method, vectorized=True)
     _emit(csv_chunks(displacement_header(cfg.layout.n), batch.columns.T), args.out)
     sys.stderr.write(
-        f"method {stats.method}: k={args.k}{' vectorized' if args.vectorized else ''} "
-        f"iterations={stats.iterations} resamples={stats.resamples} "
+        f"method {stats.method}: k={args.k} iterations={stats.iterations} resamples={stats.resamples} "
         f"success_rate={format_float(stats.success_rate)} time_s={format_float(stats.wall_time)} seed={args.seed}\n"
     )
     return 0
@@ -252,7 +250,7 @@ def _default_waypoints(layout: JointLayout, seed: int, count: int = 5) -> tuple:
         seed=seed,
     )
     batch = sample_direct_batched(cfg, count, "annulus")
-    return tuple(_product(build_transform(layout.n).forward, batch.columns).T)
+    return tuple(transform(build_transform(layout.n), batch.columns).T)
 
 
 def cmd_simulate(args) -> int:
@@ -305,8 +303,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_noise_report(args) -> int:
-    layout = JointLayout(n=args.n, d=args.d)
-    report = noise_propagation(layout, args.sigma, args.joint)
+    report = noise_propagation(args.n, args.sigma, args.joint)
     _emit((json.dumps(report.to_dict(), indent=2) + "\n",), args.out)
     return 0
 
@@ -368,7 +365,6 @@ def _add_sampler_flags(p: argparse.ArgumentParser, *reads: str) -> None:
     p.add_argument("--rho-min", type=float, default=None, help="lower bound, m (default -d*pi)")
     p.add_argument("--rho-max", type=float, default=None, help="upper bound, m (default d*pi)")
     p.add_argument("--rounding-eps", type=float, default=1e-5, help="method (a) sum granularity, m")
-    p.add_argument("--vectorized", action="store_true", help="batched kernel for c/d/e; a and b are unchanged")
 
 
 @functools.cache
@@ -415,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=",".join(ALL_METHODS), help="comma list from a,b,c,d,e")
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--hist-dir", default=None, help="write per-joint histogram CSVs here")
+    p.add_argument("--vectorized", action="store_true", help="time c/d/e through the batched kernel; a and b are unchanged")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("simulate", help="closed-loop displacement control simulation")
@@ -432,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("noise-report", help="single-joint error spread over the manifold")
-    _add_common(p, "d")
+    _add_common(p)
     p.add_argument("--sigma", type=float, default=1.0, help="error size on the faulty joint, m")
     p.add_argument("--joint", type=int, default=0, help="zero-based faulty joint index")
     p.set_defaults(func=cmd_noise_report)

@@ -149,16 +149,15 @@ def controller_step(cfg: ControllerConfig, xi_desired, rho_measured) -> np.ndarr
     cancels a shared offset in exact arithmetic instead of leaving it to
     the vanishing row sums of the matrix.
 
-    The n-vector work and both products run in numpy; the Clarke pair in
-    between (the rescaling, the error and the command) runs on Python
-    floats, whose IEEE operations give numpy's bits. A command whose
-    |re| + |im| passes the float range, where a joint of inverse @ command
-    may overflow, raises OverflowError.
+    The n-vector work and both products run in numpy (clarke._product), the
+    Clarke pair in between (rescaling, error, command) on Python floats, whose
+    IEEE operations give numpy's bits. A command whose |re| + |im| passes the
+    float range, where a joint of it may overflow, raises OverflowError.
     """
     t = build_transform(cfg.geometry.layout.n)
     d_re, d_im = as_clarke(xi_desired).tolist()
     rho_m = as_displacement(rho_measured, t.n)
-    m_re, m_im = t.forward.dot(t.n * rho_m - np.add.reduce(rho_m)).tolist()
+    m_re, m_im = _product(t.forward, t.n * rho_m - np.add.reduce(rho_m)).tolist()
     e_re, e_im = d_re - m_re / t.n, d_im - m_im / t.n
     kp = cfg.kp
     if cfg.feedforward:
@@ -167,7 +166,7 @@ def controller_step(cfg: ControllerConfig, xi_desired, rho_measured) -> np.ndarr
         c_re, c_im = kp * e_re, kp * e_im
     if not math.isfinite(abs(c_re) + abs(c_im)):
         raise OverflowError(f"the Clarke command ({c_re:.6g}, {c_im:.6g}) overflows")
-    return t.inverse.dot(np.array((c_re, c_im)))
+    return _product(t.inverse, np.array((c_re, c_im)))
 
 
 def plant_step(plant: PT1Plant, command, dt: float) -> PT1Plant:
@@ -218,9 +217,9 @@ def generate_trajectory(layout, spec: TrajectorySpec, dt: float) -> np.ndarray:
     Between consecutive waypoints the Clarke coordinates move on a straight
     line under a trapezoidal speed profile, scaled so that the faster
     coordinate exactly respects v_max/a_max/d_max. Each leg is stretched to
-    a whole number of ticks (never violating the limits) and ends at rest.
-    The result is mapped to joints through the right-inverse, so every
-    column lies on the manifold.
+    a whole number of ticks (never violating the limits), and its last tick
+    is at its goal, at rest. The result is mapped to joints through the
+    right-inverse (clarke._product), so every column lies on the manifold.
 
     Each leg is one array expression over its ticks. A leg numpy cannot
     tick, or a reference past the float range, raises ValueError.
@@ -254,6 +253,7 @@ def generate_trajectory(layout, spec: TrajectorySpec, dt: float) -> np.ndarray:
             except (MemoryError, ValueError):
                 raise ValueError(too_long) from None
             tk = np.minimum(j * dt * (total / (ticks * dt)), total)
+            tk[-1] = total  # the dilation may round the leg's end down, even to 0
             remaining = total - tk
             # The scalar profile's branches in its order: rest, arrived, accel, cruise, decel.
             s = np.select(
@@ -262,7 +262,7 @@ def generate_trajectory(layout, spec: TrajectorySpec, dt: float) -> np.ndarray:
                 length - 0.5 * d * remaining * remaining,
             )
             xi_legs.append(start[:, None] + (s / length) * delta[:, None])
-        joints = t.inverse @ np.concatenate(xi_legs, axis=1)
+        joints = _product(t.inverse, np.concatenate(xi_legs, axis=1))
     if not all_finite(joints):
         raise ValueError("the joint-space reference is not finite: the waypoints are too large")
     return joints
@@ -317,7 +317,7 @@ def run_simulation(
         raise ValueError(f"trajectory must be n x T with n={n}, got {trajectory.shape}")
     ticks = trajectory.shape[1]
     if ticks == 0:
-        rest = (t.inverse @ (t.forward @ plant.state)).reshape(n, 1)
+        rest = _product(t.inverse, _product(t.forward, plant.state)).reshape(n, 1)
         col = plant.state.reshape(n, 1)
         return SimTrace(np.array([0.0]), rest, col.copy(), rest.copy(), col.copy())
     # One row per tick; states[i] is the plant state read at tick i.
@@ -355,7 +355,7 @@ def clarke_tracking_rms(trace: SimTrace, transform_) -> float:
     """
     exponent = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        err = transform_.forward @ (trace.rho_desired - trace.rho_plant)
+        err = _product(transform_.forward, trace.rho_desired - trace.rho_plant)
         square = np.mean(np.sum(err * err, axis=0))
         if not sys.float_info.min <= square < math.inf and np.any(err):
             exponent = math.frexp(np.max(np.abs(err)))[1]
@@ -408,7 +408,7 @@ def noise_propagation(layout, sigma: float, joint_index: int) -> NoisePropagatio
         raise ValueError(f"joint index must be in [0, {t.n}), got {joint_index}")
     fault = np.zeros(t.n)
     fault[joint_index] = sigma
-    spread = t.inverse @ (t.forward @ fault)
+    spread = _product(t.inverse, _product(t.forward, fault))
     squared = float(spread @ spread)
     return NoisePropagationReport(
         n=t.n,

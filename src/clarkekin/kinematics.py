@@ -153,14 +153,14 @@ def f_dep_inverse(geom: SegmentGeometry, arc) -> np.ndarray:
 
 
 def f_dep(geom: SegmentGeometry, rho) -> CurvatureCurvature:
-    """Curvature components of a displacement vector: (1/(d*l)) * forward @ rho.
+    """Curvature components of a displacement vector: (1/(d*l)) * _product(forward, rho).
 
     For rho off the manifold this equals f_dep of the projected vector,
     by linearity.
     """
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n)
-    kxy = (t.forward @ rho) / (geom.layout.d * geom.l)
+    kxy = _product(t.forward, rho) / (geom.layout.d * geom.l)
     return CurvatureCurvature(kappa_x=float(kxy[0]), kappa_y=float(kxy[1]))
 
 
@@ -277,10 +277,10 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
     columns (n, k), giving a stacked Pose with (k, 3, 3) rotations and
     (k, 3) positions. One formula serves both. A single column evaluates
     its elementwise functions with `math` and a batch with numpy. Each
-    column of a batch takes its own matrix-vector product, so its Clarke
-    pair forward.dot(rho) has the bits of the single-column call. A row of
-    a batch agrees with that call within 1e-14 absolute, not bit for bit:
-    numpy's hypot and arctan2 differ from math's in the last bits.
+    Clarke pair comes from clarke._product, which gives a batch column the
+    bits of the single-column call. A row of a batch agrees with that call
+    within 1e-14 absolute, not bit for bit: numpy's hypot and arctan2
+    differ from math's in the last bits.
 
     It computes what f_ind(arc_from_clarke(xi)) computes for the Clarke
     pair xi = forward @ rho: the arc bent by |xi|/d in the plane of xi
@@ -311,7 +311,7 @@ def _check_position_target(x, y, z, elementwise) -> None:
 
 
 def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, r, p, what: str) -> np.ndarray:
-    """The displacements rho = d * inverse.dot((bx, by)) of the bend IK found
+    """The displacements rho = d * _product(inverse, (bx, by)) of the bend IK found
     for a target, (n,) or (n, k), refused unless fk_direct of them gives
     the target back: IK's one acceptance rule. Each position p = (x, y, z)
     within REACH_TOL*|p|, each rotation r (r[j][i] is entry (i, j)) within
@@ -319,7 +319,7 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, r, p, what: str) 
     (k,) rows for a stack; what, with an {l} field, names a position target.
 
     The tip is fk_direct's arc of rho: the plane and the bend |xi|/d of its
-    Clarke pair xi = forward.dot(rho); only the parts of the tip that the
+    Clarke pair xi = _product(forward, rho); only the parts of the tip that the
     target has are built. A bend of a full circle or more, outside FK's
     domain, is held at 2*pi, whose tip is the base, |p| from the target.
     Overflow gives a NaN or infinite rho, refused without a warning as a

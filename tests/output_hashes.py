@@ -11,8 +11,8 @@ test_output_ledger.py compares against. It covers:
 - `fk --in` and `ik --in` on pose rows and on position rows, n = 3, 5, 12;
 - a 1 kHz loop of controller_step, plant_step and fk_direct at n = 5 over
   a seeded reference: the command, plant state and pose of every tick;
-- `sample --out`: methods a and b at n = 3, and c, d and e at n = 3 and 12,
-  sequential and `--vectorized`;
+- `sample --out`: methods a (k = 4,000) and b at n = 3, and c, d and e at
+  n = 3 and 12;
 - `bench --hist-dir` over a-e, sequential and `--vectorized`: the JSON
   without its timings (`time_s_mean`, `time_s_std`, `factor`) and every
   histogram CSV it writes;
@@ -98,11 +98,11 @@ def kinematics_outputs(tmp: Path):
 def sampler_outputs(tmp: Path):
     # sample writes its wall time to stderr, and bench's timing fields are
     # dropped here: times are not outputs.
-    runs = [(m, 3, []) for m in "ab"]
-    runs += [(m, n, flags) for m in "cde" for n in (3, 12) for flags in ([], ["--vectorized"])]
+    # Method a accepts about one draw in 840, so it runs a tenth of the samples.
+    runs = [("a", 3, 4000), ("b", 3, 40000)] + [(m, n, 40000) for m in "cde" for n in (3, 12)]
     with contextlib.redirect_stderr(io.StringIO()):
-        for method, n, flags in runs:
-            argv = ["sample", "--method", method, "--n", str(n), "--k", "40000", "--seed", "27", *flags]
+        for method, n, k in runs:
+            argv = ["sample", "--method", method, "--n", str(n), "--k", str(k), "--seed", "27"]
             yield " ".join(argv), cli_output(argv, tmp / "sample.csv")
     for flags in ([], ["--vectorized"]):
         argv = ["bench", "--k", "2000", "--runs", "3", "--seed", "27", *flags]
@@ -152,7 +152,7 @@ def report_outputs(tmp: Path):
     for n in (3, 5, 12):
         yield f"matrix n={n}", cli_output(["matrix", "--n", str(n)], tmp / "matrix.txt")
         for joint, sigma in ((0, 1.0), (1, 0.001), (n - 1, 2.5e-3)):
-            argv = ["noise-report", "--n", str(n), "--d", repr(D), "--joint", str(joint), "--sigma", repr(sigma)]
+            argv = ["noise-report", "--n", str(n), "--joint", str(joint), "--sigma", repr(sigma)]
             yield " ".join(argv), cli_output(argv, tmp / "report.json")
 
 

@@ -82,18 +82,32 @@ class TestTransform:
         assert exc.value.code == 2
 
 
+IK_SOURCES = "give exactly one of --position, --rotation, --pose or --in FILE"
+
+
 class TestKinematics:
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["fk"], "give exactly one of --rho or --in FILE"),
             (["fk", "--rho", "0,0,0", "--in", "rows.csv"], "give exactly one of --rho or --in FILE"),
-            (["ik"], "give exactly one of --position, --rotation or --pose"),
-            (["ik", "--position", "0,0,0.1", "--rotation", "1,0,0,0,1,0,0,0,1"], "give exactly one of --position, --rotation or --pose"),
+            (["ik"], IK_SOURCES),
+            (["ik", "--position", "0,0,0.1", "--rotation", "1,0,0,0,1,0,0,0,1"], IK_SOURCES),
         ],
     )
     def test_exactly_one_target_or_source(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "key, value", [("position", "0.5,0.5,0.5"), ("rotation", "1,0,0,0,1,0,0,0,1"), ("pose", "1,0,0,0,1,0,0,0,1,0,0,0.1")]
+    )
+    def test_ik_in_refuses_a_target_beside_it(self, capsys, tmp_path, key, value):
+        # The file's answer would be printed and the target ignored.
+        rows, cfg = tmp_path / "positions.csv", tmp_path / "run.cfg"
+        rows.write_text("px,py,pz\n0,0,0.1\n")
+        cfg.write_text(f"{key} = {value}\n")
+        for given in ([f"--{key}={value}"], ["--config", str(cfg)]):
+            assert run_cli(capsys, "ik", "--in", str(rows), *given) == (2, "", f"error: {IK_SOURCES}\n")
 
     def test_fk_zero(self, capsys):
         code, out, _ = run_cli(capsys, "fk", "--n", "5", "--l", "0.1", "--rho", "0,0,0,0,0")
@@ -311,15 +325,15 @@ class TestSample:
         assert code == 3
         assert "rho_min > 0" in err
 
-    @pytest.mark.parametrize("method", ["a", "b"])
-    def test_vectorized_rejection_method_matches_sequential(self, capsys, method):
-        # A rejection method's block loop is its vectorized kernel, so the
-        # flag changes only the stats line.
-        code, out, err = run_cli(capsys, "sample", "--method", method, "--k", "4", "--vectorized")
-        plain_code, plain_out, _ = run_cli(capsys, "sample", "--method", method, "--k", "4")
-        assert code == plain_code == 0
-        assert out == plain_out
-        assert err.count("\n") == 1 and err.startswith(f"method {method}: k=4 vectorized ")
+    @pytest.mark.parametrize("method", ["c", "d", "e"])
+    def test_direct_methods_take_the_batched_kernel(self, capsys, monkeypatch, method):
+        def refuse(*args):
+            raise AssertionError("sample_direct was called")
+
+        monkeypatch.setattr("clarkekin.sampling.sample_direct", refuse)
+        code, out, err = run_cli(capsys, "sample", "--method", method, "--k", "4")
+        assert code == 0 and out.count("\n") == 5
+        assert err.count("\n") == 1 and err.startswith(f"method {method}: k=4 iterations=4 ")
 
     def test_annulus_default_inner_radius(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sample", "--method", "e", "--k", "5", "--out", str(tmp_path / "e.csv"))
@@ -464,7 +478,7 @@ def summary_and_errors(capsys, tmp_path, argv):
     opened = run_simulation(cfg, plant, NoiseModel(0.0), desired, closed_loop=False).rho_plant
     forward = build_transform(5).forward
     plants = {"rms_closed_loop": closed, "rms_open_loop": opened}
-    return strict_json(out), {key: forward @ (desired - states) for key, states in plants.items()}
+    return strict_json(out), {key: np.column_stack([forward.dot(e) for e in (desired - states).T]) for key, states in plants.items()}
 
 
 class TestSimulateRms:
@@ -543,7 +557,6 @@ def test_large_joint_counts_run(capsys, argv):
         (["sample", "--method", "c", "--k", "-3"], "k must be >= 0"),
         (["sample", "--method", "d", "--k", "-3"], "k must be >= 0"),
         (["sample", "--method", "e", "--k", "-3"], "k must be >= 0"),
-        (["sample", "--method", "e", "--k", "-3", "--vectorized"], "k must be >= 0"),
         (["bench", "--runs", "0"], "runs >= 1"),
         (["sample", "--method", "a", "--rho-min", "0.0001", "--k", "1"], "method (a) can never accept"),
         (["sample", "--method", "b", "--rho-min", "0.0001", "--k", "1"], "method (b) can never accept"),
@@ -553,7 +566,7 @@ def test_large_joint_counts_run(capsys, argv):
         (["bench", "--methods", "c,c"], "each method once, got c,c"),
         # 10^15 columns need 24 PB, past any address space, so the batched
         # kernel's one allocation fails before it touches memory.
-        (["sample", "--method", "c", "--vectorized", "--k", "1000000000000000"], "Unable to allocate"),
+        (["sample", "--method", "c", "--k", "1000000000000000"], "Unable to allocate"),
         (["bench", "--methods", "c", "--vectorized", "--k", "1000000000000000"], "Unable to allocate"),
     ],
 )
@@ -632,15 +645,15 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err == f"error: {tmp_path / 'run.cfg'}:2: empty key\n"
 
-    @pytest.mark.parametrize("value, vectorized", [("true", True), ("yes", True), ("false", False), ("0", False)])
-    def test_switch_values(self, capsys, tmp_path, value, vectorized):
-        cfg = self.config(tmp_path, f"method = c\nk = 5\nvectorized = {value}\n")
-        code, _, err = run_cli(capsys, "sample", "--config", cfg)
+    @pytest.mark.parametrize("value, pure_p", [("true", True), ("yes", True), ("false", False), ("0", False)])
+    def test_switch_values(self, capsys, tmp_path, value, pure_p):
+        cfg = self.config(tmp_path, f"waypoints = 0,0,0.0001,0\npure_p = {value}\n")
+        code, out, _ = run_cli(capsys, "simulate", "--config", cfg)
         assert code == 0
-        assert ("vectorized" in err) == vectorized
+        assert json.loads(out)["config"]["feedforward"] == (not pure_p)
 
     def test_bad_switch_value(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "sample", "--config", self.config(tmp_path, "vectorized = maybe\n"))
+        code, _, err = run_cli(capsys, "simulate", "--config", self.config(tmp_path, "pure_p = maybe\n"))
         assert code == 2
         assert "run.cfg:1" in err
 
@@ -711,11 +724,11 @@ REMOVED_FLAGS = {
     "transform": ["--d", "--l", "--seed"],
     "fk": ["--seed"],
     "ik": ["--seed"],
-    "sample": ["--l", "--format"],
+    "sample": ["--l", "--format", "--vectorized"],
     "bench": ["--l"],
-    "noise-report": ["--l", "--seed", "--format"],
+    "noise-report": ["--d", "--l", "--seed", "--format"],
 }
-FLAG_VALUES = {"--d": "0.01", "--l": "0.1", "--seed": "1", "--format": "csv"}
+FLAG_VALUES = {"--d": "0.01", "--l": "0.1", "--seed": "1", "--format": "csv", "--vectorized": "true"}
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REMOVED_FLAGS.items() for f in flags])
@@ -745,7 +758,7 @@ def test_in_writes_csv_and_refuses_format_json(capsys, tmp_path, command, rows):
 
 
 def test_non_finite_flag_value_is_a_domain_error(capsys):
-    code, out, err = run_cli(capsys, "noise-report", "--d", "inf")
+    code, out, err = run_cli(capsys, "sample", "--d", "inf")
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "finite" in err
@@ -798,10 +811,8 @@ def test_bad_float_in_a_valid_command_fails_in_one_line(capsys, name, bad, data)
             (["sample", "--method", m, "--rho-min=-1e308", "--rho-max=1e308", "--k", "2"], "rho_max - rho_min must be finite")
             for m in "abcde"
         ),
-        (["sample", "--method", "c", "--rho-min=-1e308", "--rho-max=1e308", "--k", "2", "--vectorized"], "rho_max - rho_min must be finite"),
         (["bench", "--rho-min=-1e308", "--rho-max=1e308"], "rho_max - rho_min must be finite"),
         (["sample", "--method", "e", "--rho-max", "1e200", "--k", "3"], "finite rho_max**2"),
-        (["sample", "--method", "e", "--rho-max", "1e200", "--k", "3", "--vectorized"], "finite rho_max**2"),
         (["bench", "--methods", "e", "--rho-max", "1e200"], "finite rho_max**2"),
         (["sample", "--method", "a", "--rho-min", "3e-6", "--rho-max", "4e-6", "--k", "1"], "method (a) can never accept"),
         (["sample", "--method", "a", "--rho-min=-1e308", "--k", "1"], "method (a) is hopeless"),
@@ -839,7 +850,7 @@ _TIP_FRAME = "0.5403023058681398,0,0.8414709848078965,0,1,0,-0.8414709848078965,
         ["ik", "--position=1e308,1e308,1e308"],
         ["ik", "--d", "1e308", "--rotation", _TIP_FRAME],
         ["noise-report"],
-        ["noise-report", "--n", "64", "--sigma=-1.7e308", "--d", "1e308"],
+        ["noise-report", "--n", "64", "--sigma=-1.7e308"],
         ["simulate"],
         ["simulate", "--noise", "1e300"],
         ["bench", "--k", "20", "--runs", "1", "--methods", "c,d,e"],
@@ -871,7 +882,6 @@ def _finite_rows(text, skip=0):
     [
         ["sample", "--method", "c", "--rho-min=-8e307", "--rho-max=8e307", "--k", "50"],
         ["sample", "--method", "e", "--rho-max", "1.34e154", "--k", "50"],
-        ["sample", "--method", "e", "--rho-max", "1.34e154", "--k", "50", "--vectorized"],
         ["sample", "--method", "a", "--rho-min", "1.6e-6", "--rho-max", "1.8e-6", "--k", "2"],
         ["bench", "--methods", "e", "--rho-max", "1.34e154", "--k", "20", "--runs", "2", "--format", "csv"],
     ],
@@ -887,7 +897,6 @@ def test_just_feasible_sampling_bounds_run(capsys, argv):
 # Sampling commands that take --rho-min/--rho-max, for the bad-bound property.
 SAMPLING_COMMANDS = {
     **{f"sample {m}": ["sample", "--method", m, "--k", "20"] for m in "cde"},
-    **{f"sample {m} --vectorized": ["sample", "--method", m, "--k", "20", "--vectorized"] for m in "cde"},
     "bench": ["bench", "--methods", "c,d,e", "--k", "10", "--runs", "2", "--format", "csv"],
 }
 
@@ -911,10 +920,10 @@ def test_bad_sampling_bound_gives_finite_samples_or_one_line(capsys, name, flag,
 
 def test_parser_built_once_and_calls_do_not_leak(capsys):
     assert build_parser() is build_parser()
-    code, _, err = run_cli(capsys, "sample", "--method", "c", "--k", "4", "--vectorized")
-    assert code == 0 and "vectorized" in err
-    code, _, err = run_cli(capsys, "sample", "--method", "c", "--k", "4")
-    assert code == 0 and "vectorized" not in err and "iterations=4" in err
+    code, out, _ = run_cli(capsys, "noise-report", "--sigma", "2")
+    assert code == 0 and json.loads(out)["sigma"] == 2.0
+    code, out, _ = run_cli(capsys, "noise-report")
+    assert code == 0 and json.loads(out)["sigma"] == 1.0
 
 
 def test_console_entry_point():
@@ -1022,7 +1031,7 @@ class TestStreamedCsv:
         # The 3 x k samples take 4.8 MB; the whole file's text, with a
         # Python float per value, took seven times that.
         out, k = tmp_path / "s.csv", 200_000
-        code, peak = peak_bytes(lambda: main(["sample", "--vectorized", "--k", str(k), "--out", str(out)]))
+        code, peak = peak_bytes(lambda: main(["sample", "--k", str(k), "--out", str(out)]))
         assert code == 0
         assert peak <= 3 * k * 8 + 4 * 2**20
         assert out.read_text().count("\n") == k + 1
@@ -1068,7 +1077,7 @@ class TestStreamedCsv:
     @pytest.mark.parametrize(
         "argv, first, err",
         [
-            (["sample", "--k", "400000", "--vectorized"], "rho_1,rho_2,rho_3\n", "method e: k=400000 vectorized "),
+            (["sample", "--k", "400000"], "rho_1,rho_2,rho_3\n", "method e: k=400000 iterations="),
             (["matrix", "--n", "200000"], "forward (2 x 200000):\n", ""),
         ],
         ids=["sample", "matrix"],

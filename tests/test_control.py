@@ -30,7 +30,7 @@ from clarkekin import (
     projector,
     run_simulation,
 )
-from clarkekin.clarke import all_finite, as_clarke, as_displacement
+from clarkekin.clarke import _product, all_finite, as_clarke, as_displacement, transform
 from clarkekin.control import _profile_durations, _trace_header, save_trace_csv
 from clarkekin.csvio import read_csv
 
@@ -97,9 +97,8 @@ def _profile_position(t, t_acc, t_cruise, t_dec, peak, a, d, length):
     return length - 0.5 * d * remaining * remaining
 
 
-def per_tick_trajectory_oracle(layout, spec, dt):
-    """generate_trajectory as one _profile_position call and one column per tick."""
-    t = build_transform(layout)
+def per_tick_clarke_pairs(spec, dt):
+    """generate_trajectory's Clarke pairs, one _profile_position call and one column per tick."""
     xi_cols = [np.asarray(spec.waypoints[0], dtype=float)]
     for start, goal in zip(spec.waypoints[:-1], spec.waypoints[1:]):
         delta = goal - start
@@ -112,11 +111,17 @@ def per_tick_trajectory_oracle(layout, spec, dt):
         ticks = max(1, math.ceil(total / dt - 1e-12))
         dilation = total / (ticks * dt)
         for j in range(1, ticks + 1):
-            s = _profile_position(
-                min(j * dt * dilation, total), t_acc, t_cruise, t_dec, peak, spec.a_max, spec.d_max, length
-            )
+            # The last tick of a leg is at its end, even where the dilation rounds it down.
+            tk = total if j == ticks else min(j * dt * dilation, total)
+            s = _profile_position(tk, t_acc, t_cruise, t_dec, peak, spec.a_max, spec.d_max, length)
             xi_cols.append(start + (s / length) * delta)
-    return t.inverse @ np.column_stack(xi_cols)
+    return np.column_stack(xi_cols)
+
+
+def per_tick_trajectory_oracle(layout, spec, dt):
+    """generate_trajectory as one column per tick: each tick's Clarke pair through its own product."""
+    t = build_transform(layout)
+    return np.column_stack([t.inverse.dot(xi) for xi in per_tick_clarke_pairs(spec, dt).T])
 
 
 def per_tick_simulation_oracle(cfg, plant, noise, trajectory, closed_loop=True):
@@ -443,6 +448,28 @@ class TestTrajectory:
         expected = per_tick_trajectory_oracle(layout, spec, dt)
         assert np.array_equal(generate_trajectory(layout, spec, dt), expected)
 
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    def test_every_column_has_the_bits_of_its_own_clarke_pair(self, n):
+        # A batch column of the right-inverse product rounds as the product
+        # of that column alone; one matrix-matrix product rounds unlike it.
+        t = build_transform(n)
+        spec = spec_between([0.0, 0.0], [0.02, -0.01], [-0.015, 0.02], [0.003, 0.0])
+        pairs = per_tick_clarke_pairs(spec, 1e-3)
+        joints = generate_trajectory(n, spec, 1e-3)
+        assert joints.shape == (n, pairs.shape[1]) and joints.shape[1] > 1000
+        assert joints.tobytes() == np.column_stack([_product(t.inverse, xi) for xi in pairs.T]).tobytes()
+
+    def test_every_leg_ends_at_its_goal(self):
+        # The leg takes 2e-150 s, one tick of 1e300 s: total/(ticks*dt)
+        # underflows to 0, and the last tick still reads the goal.
+        t = build_transform(3)
+        goal = np.array([1e-300, 0.0])
+        spec = TrajectorySpec(waypoints=(np.zeros(2), goal), v_max=1.0, a_max=1.0, d_max=1.0)
+        joints = generate_trajectory(3, spec, 1e300)
+        assert joints.shape == (3, 2)
+        assert joints[:, -1].tobytes() == t.inverse.dot(goal).tobytes()
+        assert np.array_equal(joints, per_tick_trajectory_oracle(3, spec, 1e300))
+
     @pytest.mark.parametrize("dt", [1e-16, 1e-18, 1e-19])
     def test_enormous_leg_fails_fast(self, geom, dt):
         # A 2 s leg at these steps needs 2e16 (more than the address space
@@ -553,6 +580,19 @@ class TestSimulation:
         closed = run_simulation(cfg, plant, noise, traj, closed_loop=True)
         opened = run_simulation(cfg, plant, noise, traj, closed_loop=False)
         assert clarke_tracking_rms(closed, t) < clarke_tracking_rms(opened, t)
+
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    def test_rms_is_that_of_the_per_column_transform_pairs(self, n):
+        # On traces of 1 to 4 ticks an error column that rounds unlike its
+        # own transform call shows in the RMS (on about a fifth of them for
+        # one matrix-matrix product).
+        t, rng = build_transform(n), np.random.default_rng([32, n])
+        for _ in range(200):
+            ticks = int(rng.integers(1, 5))
+            desired, plant = 0.01 * rng.standard_normal((2, n, ticks))
+            trace = SimTrace(1e-3 * np.arange(ticks), desired, desired, desired, plant)
+            err = np.column_stack([transform(t, rho) for rho in (desired - plant).T])
+            assert clarke_tracking_rms(trace, t) == float(np.sqrt(np.mean(np.sum(err * err, axis=0))))
 
     @pytest.mark.parametrize("plant_sign", [0.0, -1.0])
     def test_rms_past_the_float_range_is_a_value_error(self, plant_sign):
