@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .clarke import _readonly
+
 _PASS_VALUES = 2048  # values per numpy pass: bounds the working set
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's constant: splits a double into two 26-bit halves
 _E_MIN, _E_MAX = 1023 - 328, 1023 + 327  # biased exponents of 2**-328 <= |v| < 2**328, where -99 <= k <= 98
@@ -111,7 +113,7 @@ _OK, _K0, _UP, _SCALE = _exponent_tables()
 _WORDS, _LAST_DIGIT = _word_tables()
 _FORM, _MASKS, _LENGTHS = _mask_tables()
 for _table in (_OK, _K0, _UP, _SCALE, _WORDS, _LAST_DIGIT, _FORM, _MASKS, _LENGTHS):
-    _table.flags.writeable = False
+    _readonly(_table)
 
 
 def _pass_text(x: np.ndarray, ends: np.ndarray) -> str:

@@ -23,9 +23,16 @@ TWO_PI = 2.0 * math.pi
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """Freeze a in place and return it: the one place in the package that makes an array read-only."""
     a.setflags(write=False)
     return a
+
+
+def _owned(a) -> np.ndarray:
+    """A value type's own copy of an input: a itself if a is a read-only float64 array, else a frozen C-order float copy."""
+    if type(a) is np.ndarray and a.dtype == np.float64 and not a.flags.writeable:
+        return a
+    return _readonly(np.array(a, dtype=float, order="C"))
 
 
 def all_finite(a: np.ndarray) -> bool:

@@ -279,7 +279,7 @@ def cmd_simulate(args) -> int:
     summary = {
         "seed": args.seed,
         "ticks": int(len(closed.time)),
-        "duration_s": float(closed.time[-1]) if len(closed.time) else 0.0,
+        "duration_s": float(closed.time[-1]),
         "rms_closed_loop": clarke_tracking_rms(closed, t),
         "rms_open_loop": clarke_tracking_rms(opened, t),
         "config": {
@@ -372,10 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="clarkekin",
+        allow_abbrev=False,
         description="Clarke-transform toolkit for displacement-actuated continuum robots",
     )
     parser.add_argument("--version", action="version", version=f"clarkekin {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Flags and config keys are matched whole: argparse would take a prefix, --k for --kp.
+    whole = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=whole)
 
     p = sub.add_parser("matrix", help="print the transform matrix pair for n joints")
     _add_common(p)

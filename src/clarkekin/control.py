@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .arcspace import SegmentGeometry
-from .clarke import _product, all_finite, as_clarke, as_displacement, build_transform, check_finite
+from .clarke import _owned, _product, _readonly, all_finite, as_clarke, as_displacement, build_transform, check_finite
 from .csvio import csv_chunks, write_text
 
 
@@ -48,17 +48,16 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class PT1Plant:
-    """First-order lag actuators: per joint, tau*x' + x = u."""
+    """First-order lag actuators: per joint, tau*x' + x = u. The state is a read-only copy (clarke._owned)."""
 
     tau: float
     state: np.ndarray
 
     def __post_init__(self):
         check_finite("time constant tau", self.tau)
-        state = np.ascontiguousarray(self.state, dtype=float)
+        state = _owned(self.state)
         if state.ndim != 1 or not all_finite(state):
             raise ValueError("plant state must be a finite vector")
-        state.setflags(write=False)
         object.__setattr__(self, "state", state)
 
 
@@ -67,10 +66,9 @@ def _built_plant(tau: float, state: np.ndarray) -> PT1Plant:
     # a new state it owns, finite because it is a convex combination of two
     # finite vectors, which is only frozen. It is a PT1Plant made without
     # running __init__, so dataclasses.replace of it is checked.
-    state.setflags(write=False)
     plant = object.__new__(PT1Plant)
     object.__setattr__(plant, "tau", tau)
-    object.__setattr__(plant, "state", state)
+    object.__setattr__(plant, "state", _readonly(state))
     return plant
 
 
@@ -91,6 +89,8 @@ class NoiseModel:
 
     def __post_init__(self):
         check_finite("noise half-width epsilon", self.epsilon, "non-negative")
+        if self.epsilon > sys.float_info.max / 2:  # the draws span 2*epsilon
+            raise ValueError(f"noise half-width epsilon must be at most {sys.float_info.max / 2!r}, got {self.epsilon}")
         check_finite("bias", self.bias, None)
         check_finite("quantum", self.quantum, "non-negative")
 
@@ -110,7 +110,7 @@ class TrajectorySpec:
     d_max: float
 
     def __post_init__(self):
-        pts = tuple(as_clarke(w) for w in self.waypoints)
+        pts = tuple(as_clarke(_owned(w)) for w in self.waypoints)
         if len(pts) < 2:
             raise ValueError(f"need at least 2 waypoints, got {len(pts)}")
         for name in ("v_max", "a_max", "d_max"):
@@ -123,7 +123,7 @@ class SimTrace:
     """Time series of one run: desired, measured, commanded and plant state.
 
     All four arrays are n x T with one column per tick; time holds the tick
-    instants in seconds.
+    instants in seconds. Each is a read-only copy (clarke._owned).
     """
 
     time: np.ndarray
@@ -133,11 +133,18 @@ class SimTrace:
     rho_plant: np.ndarray
 
     def __post_init__(self):
-        t = len(self.time)
+        time = _owned(self.time)
+        if time.ndim != 1:
+            raise ValueError(f"time must be a vector, got shape {time.shape}")
+        object.__setattr__(self, "time", time)
+        t = len(time)
         for name in ("rho_desired", "rho_measured", "rho_command", "rho_plant"):
-            arr = getattr(self, name)
+            arr = _owned(getattr(self, name))
+            if arr.ndim != 2:
+                raise ValueError(f"{name} must be an n x T array, got shape {arr.shape}")
             if arr.shape[1] != t:
                 raise ValueError(f"{name} has {arr.shape[1]} columns for {t} ticks")
+            object.__setattr__(self, name, arr)
 
 
 def controller_step(cfg: ControllerConfig, xi_desired, rho_measured) -> np.ndarray:
@@ -319,7 +326,7 @@ def run_simulation(
     if ticks == 0:
         rest = _product(t.inverse, _product(t.forward, plant.state)).reshape(n, 1)
         col = plant.state.reshape(n, 1)
-        return SimTrace(np.array([0.0]), rest, col.copy(), rest.copy(), col.copy())
+        return SimTrace(np.array([0.0]), rest, col, rest, col)
     # One row per tick; states[i] is the plant state read at tick i.
     states = np.empty((ticks + 1, n))
     states[0] = plant.state
@@ -343,7 +350,7 @@ def run_simulation(
             measured = _read(states[:-1] + draws, noise)
     except (FloatingPointError, OverflowError) as exc:
         raise ValueError(f"simulation left the float range: {exc}") from None
-    return SimTrace(cfg.dt * np.arange(ticks), trajectory.copy(), measured.T.copy(), command.T.copy(), states[1:].T.copy())
+    return SimTrace(cfg.dt * np.arange(ticks), trajectory, measured.T, command.T, states[1:].T)
 
 
 def clarke_tracking_rms(trace: SimTrace, transform_) -> float:
@@ -408,7 +415,7 @@ def noise_propagation(layout, sigma: float, joint_index: int) -> NoisePropagatio
         raise ValueError(f"joint index must be in [0, {t.n}), got {joint_index}")
     fault = np.zeros(t.n)
     fault[joint_index] = sigma
-    spread = _product(t.inverse, _product(t.forward, fault))
+    spread = _readonly(_product(t.inverse, _product(t.forward, fault)))
     squared = float(spread @ spread)
     return NoisePropagationReport(
         n=t.n,

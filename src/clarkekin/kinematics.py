@@ -27,7 +27,7 @@ import numpy as np
 
 from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car, arc_from_clarke, clarke_from_arc
 from .clarke import (
-    ClarkeTransform, _product, all_finite, as_displacement, build_transform, inverse_transform, manifold_residual
+    ClarkeTransform, _owned, _product, _readonly, all_finite, as_displacement, build_transform, inverse_transform, manifold_residual
 )
 
 # Targets with p_z at or below this height (meters) are rejected: the tip of
@@ -97,15 +97,17 @@ class Pose:
     both, if any rotation is not orthonormal with determinant +1 (within
     1e-9) or any entry is not finite. The poses fk_direct, f_ind and
     recover_pose_from_position return are not checked again; a copy of one
-    made with dataclasses.replace is.
+    made with dataclasses.replace is. The pose holds read-only float64 arrays
+    (clarke._owned): it copies what the caller passes, except an array that
+    is already read-only float64, so replace shares what it does not change.
     """
 
     rotation: np.ndarray
     position: np.ndarray
 
     def __post_init__(self):
-        rotation = np.asarray(self.rotation, dtype=float)
-        position = np.asarray(self.position, dtype=float)
+        rotation = _owned(self.rotation)
+        position = _owned(self.position)
         if rotation.shape[-2:] != (3, 3) or rotation.ndim > 3 or position.shape != rotation.shape[:-1]:
             raise ValueError(
                 "pose needs a (3, 3) rotation and a (3,) position, "
@@ -115,8 +117,6 @@ class Pose:
         _check_rotations(elementwise.split(rotation.T), elementwise, "rotation matrix")
         if not all_finite(position):
             raise ValueError("position entries must be finite")
-        rotation.setflags(write=False)
-        position.setflags(write=False)
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "position", position)
 
@@ -132,9 +132,7 @@ class _BuiltPose(Pose):
 
 def _frozen_pose(entries, elementwise) -> tuple[np.ndarray, np.ndarray]:
     """Rotation and position views of one frozen (12,) or (12, k) array of a frame's nine row-major entries and a tip's three."""
-    buffer = np.array(entries)
-    buffer.setflags(write=False)
-    return elementwise.pose(buffer)
+    return elementwise.pose(_readonly(np.array(entries)))
 
 
 def _rotation(ct, st, cp, sp) -> tuple:

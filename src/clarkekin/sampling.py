@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clarke import TWO_PI, JointLayout, build_transform, check_finite
+from .clarke import TWO_PI, JointLayout, _owned, _readonly, build_transform, check_finite
 from .csvio import csv_chunks, format_rows
 
 REJECTION_METHODS = ("a", "b")
@@ -111,10 +111,16 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """k displacement samples as the columns of a read-only, C-contiguous n x k matrix."""
+    """k displacement samples as the columns of a read-only n x k matrix.
+
+    The samplers build it C-contiguous; columns a caller passes go through clarke._owned.
+    """
 
     columns: np.ndarray
     method: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", _owned(self.columns))
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,6 @@ def _stream(cfg: SamplerConfig, k: int) -> np.random.Generator:
 
 
 def _finalize(method: str, columns: np.ndarray, wall: float, iterations: int, k: int) -> tuple[SampleBatch, SamplingStats]:
-    columns.setflags(write=False)
     rate = 1.0 if iterations == 0 else k / iterations
     stats = SamplingStats(
         method=method,
@@ -154,7 +159,7 @@ def _finalize(method: str, columns: np.ndarray, wall: float, iterations: int, k:
         resamples=iterations - k,
         success_rate=rate,
     )
-    return SampleBatch(columns=columns, method=method), stats
+    return SampleBatch(columns=_readonly(columns), method=method), stats
 
 
 def _accept_in_blocks(
@@ -485,7 +490,7 @@ def benchmark(
         raise ValueError(f"benchmark needs each method once, got {','.join(methods) or 'none'}")
     if k < 1 or runs < 1:
         raise ValueError(f"benchmark needs k >= 1 and runs >= 1, got k={k}, runs={runs}")
-    edges = np.linspace(cfg.rho_min, cfg.rho_max, _HIST_BINS + 1)
+    edges = _readonly(np.linspace(cfg.rho_min, cfg.rho_max, _HIST_BINS + 1))
     results: list[MethodBenchmark] = []
     for mi, method in enumerate(methods):
         method_cfg = cfg
@@ -513,7 +518,7 @@ def benchmark(
                 success_rate=runs * k / float(iters.sum()),
                 factor=math.nan,
                 bin_edges=edges,
-                histograms=hist,
+                histograms=_readonly(hist),
             )
         )
     by_method = {r.method: r.time_mean for r in results}

@@ -442,6 +442,11 @@ class TestSimulate:
         assert out == ""
         assert err.count("\n") == 1 and "leg 1" in err and "e+304 ticks" in err
 
+    def test_noise_past_half_the_float_range_is_refused(self, capsys):
+        code, out, err = run_cli_strict(capsys, ["simulate", "--noise", "1e308"])
+        assert (code, out) == (3, "")
+        assert err == "error: noise half-width epsilon must be at most 8.988465674311579e+307, got 1e+308\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -739,6 +744,19 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, tmp_path, 
         main([command, flag, FLAG_VALUES[flag]])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {cfg}:1: {flag[2:]} is not an option of {command}\n")
+
+
+@pytest.mark.parametrize("command, flag, value", [("simulate", "--k", "5"), ("bench", "--method", "c"), ("sample", "--meth", "c")])
+def test_a_flag_prefix_is_a_usage_error(capsys, tmp_path, command, flag, value):
+    # Flags are matched whole: argparse would take --k for --kp, --method for --methods and --meth for --method.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     code, out, err = run_cli(capsys, command, "--config", str(cfg))
     assert (code, out, err) == (2, "", f"error: {cfg}:1: {flag[2:]} is not an option of {command}\n")
 

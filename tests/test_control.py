@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -548,6 +550,17 @@ class TestSimulation:
         with pytest.raises(ValueError, match="^rho_command has 2 columns for 3 ticks$"):
             SimTrace(np.zeros(3), np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((5, 2)), np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("given", [np.zeros(3), [0.0, 0.0, 0.0], np.zeros((5, 3, 1))])
+    def test_trace_arrays_must_be_n_x_t(self, given):
+        # A vector or a list was an IndexError or AttributeError; each array is now checked as a matrix.
+        shape = np.shape(given)
+        with pytest.raises(ValueError, match=rf"^rho_measured must be an n x T array, got shape {re.escape(str(shape))}$"):
+            SimTrace(np.zeros(3), np.zeros((5, 3)), given, np.zeros((5, 3)), np.zeros((5, 3)))
+
+    def test_trace_time_must_be_a_vector(self):
+        with pytest.raises(ValueError, match=r"^time must be a vector, got shape \(1, 3\)$"):
+            SimTrace(np.zeros((1, 3)), np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((5, 3)))
+
     def test_zero_length_trajectory(self, cfg):
         state = np.array([0.01, 0.0, -0.01, 0.005, -0.005])
         trace = run_simulation(cfg, PT1Plant(tau=0.25, state=state), NoiseModel(0.0), np.empty((5, 0)))
@@ -716,7 +729,19 @@ class TestSimulation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=match):
-                run_simulation(cfg, PT1Plant(tau=0.25, state=state), NoiseModel(1e308, bias=1e308), traj, closed_loop)
+                run_simulation(cfg, PT1Plant(tau=0.25, state=state), NoiseModel(1e307, bias=1e308), traj, closed_loop)
+
+    def test_noise_wider_than_the_float_range_is_refused(self, cfg):
+        # The draws span 2*epsilon, which overflows past half the largest float.
+        half = sys.float_info.max / 2
+        above = math.nextafter(half, math.inf)
+        message = f"noise half-width epsilon must be at most {half!r}, got {above!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoiseModel(above)
+        # At the limit the draws stay finite: an open loop at rest reads them.
+        plant = PT1Plant(tau=0.25, state=np.zeros(5))
+        trace = run_simulation(cfg, plant, NoiseModel(half, seed=2), np.zeros((5, 4)), closed_loop=False)
+        assert all_finite(trace.rho_measured) and np.max(np.abs(trace.rho_measured)) > 1e306
 
     def test_closed_loop_overflow_is_a_value_error(self, cfg):
         # A stable gain, but a reading past the float range.
@@ -725,7 +750,7 @@ class TestSimulation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="float range"):
-                run_simulation(cfg, plant, NoiseModel(1e308, bias=1e308), traj, closed_loop=True)
+                run_simulation(cfg, plant, NoiseModel(1e307, bias=1e308), traj, closed_loop=True)
 
     def test_overflowing_command_is_a_value_error(self, cfg):
         # A stable gain and finite readings, but a reference so large that

@@ -1,0 +1,118 @@
+"""An exact oracle for the transform matrices, in stdlib decimal.
+
+cos and sin of psi_i = 2*pi*i/n are computed to 60 significant digits:
+pi by Machin's formula, the angle reduced to its nearest quarter turn
+q*pi/2 plus a rest of at most pi/4 (an exact fraction of pi/2), a Taylor
+series on the rest, and q quarter turns as exact sign swaps. Every float
+converts to a Decimal exactly, so the error of a matrix entry is measured
+to about 1e-60, far below the float ulps it is compared with.
+
+The bound the tests state for build_transform(n): every `inverse` entry is
+within 16 * 2**-53 of cos(psi_i) or sin(psi_i), and every `forward` entry
+within (2/n) * 16 * 2**-53 of (2/n)*cos(psi_i) or (2/n)*sin(psi_i). The
+worst case over the counts below is about 9.6 * 2**-53.
+"""
+
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+import pytest
+
+from clarkekin import build_transform
+
+DIGITS = 60
+_GUARD = 10  # extra working digits
+_TINY = Decimal(10) ** -(DIGITS + 5)
+ULP_BOUND = 16  # in units of 2**-53
+COUNTS = list(range(3, 65)) + [100, 257, 1000]
+
+
+def _atan_inverse(x: int) -> Decimal:
+    # atan(1/x) by its Taylor series, for an integer x > 1.
+    total, power, k = Decimal(0), Decimal(1) / x, 0
+    while power > _TINY:
+        total += (-1) ** k * power / (2 * k + 1)
+        power /= x * x
+        k += 1
+    return total
+
+
+def _pi() -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + _GUARD
+        return 16 * _atan_inverse(5) - 4 * _atan_inverse(239)
+
+
+PI = _pi()
+
+
+def _cos_sin_taylor(x: Decimal) -> tuple[Decimal, Decimal]:
+    # cos x and sin x by their Taylor series, for |x| <= pi/4.
+    x2 = x * x
+    c = s = Decimal(0)
+    term_c, term_s, k = Decimal(1), x, 0
+    while abs(term_c) > _TINY or abs(term_s) > _TINY:
+        c += term_c
+        s += term_s
+        term_c = -term_c * x2 / ((2 * k + 1) * (2 * k + 2))
+        term_s = -term_s * x2 / ((2 * k + 2) * (2 * k + 3))
+        k += 1
+    return c, s
+
+
+def exact_cos_sin(i: int, n: int) -> tuple[Decimal, Decimal]:
+    """cos and sin of 2*pi*i/n to DIGITS significant digits (absolute error below 1e-60)."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + _GUARD
+        quarters = Fraction(4 * i, n)
+        q = round(quarters)
+        rest = quarters - q  # in [-1/2, 1/2]: an angle of at most pi/4
+        c, s = _cos_sin_taylor(PI / 2 * rest.numerator / rest.denominator)
+        for _ in range(q % 4):
+            c, s = -s, c  # a quarter turn: cos(x + pi/2) = -sin x, sin(x + pi/2) = cos x
+        return c, s
+
+
+def worst_errors(n: int) -> tuple[Decimal, Decimal]:
+    """The largest |entry - exact| of build_transform(n).inverse and of .forward, in units of 2**-53."""
+    t = build_transform(n)
+    ulp = Decimal(2) ** -53
+    worst_inverse = worst_forward = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + _GUARD
+        for i in range(n):
+            for column, exact in enumerate(exact_cos_sin(i, n)):
+                worst_inverse = max(worst_inverse, abs(Decimal(float(t.inverse[i, column])) - exact))
+                worst_forward = max(worst_forward, abs(Decimal(float(t.forward[column, i])) - 2 * exact / n))
+        return worst_inverse / ulp, worst_forward * n / 2 / ulp
+
+
+class TestOracle:
+    def test_pi(self):
+        assert str(PI).startswith("3.14159265358979323846264338327950288419716939937510582097494459")
+
+    @pytest.mark.parametrize(
+        "i, n, cos, sin",
+        [(0, 4, 1, 0), (1, 4, 0, 1), (2, 4, -1, 0), (3, 4, 0, -1), (1, 6, "0.5", None), (1, 12, None, "0.5"), (2, 3, "-0.5", None)],
+    )
+    def test_exact_values(self, i, n, cos, sin):
+        c, s = exact_cos_sin(i, n)
+        for got, want in ((c, cos), (s, sin)):
+            if want is not None:
+                assert abs(got - Decimal(want)) < Decimal(10) ** -DIGITS
+
+    @pytest.mark.parametrize("n", [3, 7, 64, 1000])
+    def test_agrees_with_math_and_lies_on_the_circle(self, n):
+        for i in range(n):
+            c, s = exact_cos_sin(i, n)
+            assert abs(c * c + s * s - 1) < Decimal(10) ** -DIGITS
+            angle = 2 * math.pi * i / n
+            assert abs(float(c) - math.cos(angle)) < 1e-12 and abs(float(s) - math.sin(angle)) < 1e-12
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_transform_entries_are_within_the_stated_bound(n):
+    inverse, forward = worst_errors(n)
+    assert inverse <= ULP_BOUND, f"inverse entry {float(inverse):.3g} * 2**-53 from exact at n={n}"
+    assert forward <= ULP_BOUND, f"forward entry {float(forward):.3g} * (2/n) * 2**-53 from exact at n={n}"
