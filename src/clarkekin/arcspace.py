@@ -136,8 +136,8 @@ def arc_from_clarke(geom: SegmentGeometry, xi) -> CurvatureAngle:
     kappa = |xi| / (d*l) and theta = atan2(rho_im, rho_re) in (-pi, pi];
     the origin, with either sign of zero, maps to the straight segment (0, 0).
     """
-    xi = as_clarke(xi)
-    return CurvatureAngle(kappa=math.hypot(xi[0], xi[1]) / (geom.layout.d * geom.l), theta=_angle(xi[0], xi[1]))
+    re, im = as_clarke(xi)
+    return CurvatureAngle(kappa=math.hypot(re, im) / (geom.layout.d * geom.l), theta=_angle(re, im))
 
 
 def virtual_displacement(geom: SegmentGeometry, ca: CurvatureAngle) -> tuple[float, float, float]:

@@ -29,9 +29,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _owned(a) -> np.ndarray:
-    """A value type's own copy of an input: a itself if a is a read-only float64 array, else a frozen C-order float copy."""
-    if type(a) is np.ndarray and a.dtype == np.float64 and not a.flags.writeable:
-        return a
+    """A value type's own copy of an input: always a new frozen C-order float64 array, as a read-only one may share a writeable owner."""
     return _readonly(np.array(a, dtype=float, order="C"))
 
 
@@ -63,15 +61,15 @@ def as_displacement(rho, n: int, batch: bool = False) -> np.ndarray:
     return rho
 
 
-def as_clarke(xi) -> np.ndarray:
-    """Validate and return Clarke coordinates as a length-2 float array."""
+def as_clarke(xi) -> tuple[float, float]:
+    """Validate Clarke coordinates, a length-2 vector, and return them as the two floats (re, im)."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,):
         raise ValueError(f"Clarke coordinates must have shape (2,), got {xi.shape}")
     re, im = xi.tolist()
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError("Clarke coordinates must be finite")
-    return xi
+    return re, im
 
 
 def check_finite(name: str, value, sign: str | None = "positive") -> None:
@@ -189,7 +187,7 @@ def inverse_transform(t: ClarkeTransform, xi) -> np.ndarray:
     on the 2-dof displacement manifold. Clarke coordinates whose
     displacements overflow are refused.
     """
-    xi = as_clarke(xi)
+    xi = np.array(as_clarke(xi))
     with np.errstate(over="ignore", invalid="ignore"):
         return _in_float_range(_product(t.inverse, xi), "the displacements of these Clarke coordinates")
 
@@ -242,8 +240,8 @@ def rectangular_to_polar(xi) -> tuple[float, float]:
     in (-pi, pi]. The origin, with either sign of zero, maps to (0.0, 0.0)
     by convention (the continuous limit along the +x direction).
     """
-    xi = as_clarke(xi)
-    return math.hypot(xi[0], xi[1]), _angle(xi[0], xi[1])
+    re, im = as_clarke(xi)
+    return math.hypot(re, im), _angle(re, im)
 
 
 def polar_to_rectangular(amplitude: float, angle: float) -> np.ndarray:

@@ -110,7 +110,7 @@ class TrajectorySpec:
     d_max: float
 
     def __post_init__(self):
-        pts = tuple(as_clarke(_owned(w)) for w in self.waypoints)
+        pts = tuple(_owned(as_clarke(w)) for w in self.waypoints)
         if len(pts) < 2:
             raise ValueError(f"need at least 2 waypoints, got {len(pts)}")
         for name in ("v_max", "a_max", "d_max"):
@@ -162,7 +162,7 @@ def controller_step(cfg: ControllerConfig, xi_desired, rho_measured) -> np.ndarr
     float range, where a joint of it may overflow, raises OverflowError.
     """
     t = build_transform(cfg.geometry.layout.n)
-    d_re, d_im = as_clarke(xi_desired).tolist()
+    d_re, d_im = as_clarke(xi_desired)
     rho_m = as_displacement(rho_measured, t.n)
     m_re, m_im = _product(t.forward, t.n * rho_m - np.add.reduce(rho_m)).tolist()
     e_re, e_im = d_re - m_re / t.n, d_im - m_im / t.n

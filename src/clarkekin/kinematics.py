@@ -98,8 +98,7 @@ class Pose:
     1e-9) or any entry is not finite. The poses fk_direct, f_ind and
     recover_pose_from_position return are not checked again; a copy of one
     made with dataclasses.replace is. The pose holds read-only float64 arrays
-    (clarke._owned): it copies what the caller passes, except an array that
-    is already read-only float64, so replace shares what it does not change.
+    (clarke._owned): it copies what the caller passes, read-only or not.
     """
 
     rotation: np.ndarray

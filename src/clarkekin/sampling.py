@@ -38,7 +38,7 @@ wherever numpy's float64 cos and sin are the C library's, as they are for
 numpy 2.4.6 on x86_64 with glibc 2.36; TestTrigPremise checks that equality.
 Every sampler fills one preallocated C-contiguous (n, k) output and returns
 it read-only, so it needs that output plus one block's fixed working set,
-whatever k and n.
+whatever k and n. No sampler reads a clock; benchmark() times its runs.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class SamplerConfig:
 class SampleBatch:
     """k displacement samples as the columns of a read-only n x k matrix.
 
-    The samplers build it C-contiguous; columns a caller passes go through clarke._owned.
+    The samplers build it C-contiguous; columns a caller passes are copied (clarke._owned).
     """
 
     columns: np.ndarray
@@ -125,15 +125,14 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class SamplingStats:
-    """Cost accounting for one sampler call.
+    """Cost accounting for one sampler call, a function of the config and k.
 
-    wall_time covers the whole call, from its checks to the read-only
-    output; iterations counts every attempted draw, resamples the rejected
-    ones; success_rate = requested/iterations (1.0 for an empty request).
+    iterations counts every attempted draw, resamples the rejected ones;
+    success_rate = requested/iterations (1.0 for an empty request). It holds
+    no time, so one seed gives equal stats; benchmark() times each run.
     """
 
     method: str
-    wall_time: float
     iterations: int
     resamples: int
     success_rate: float
@@ -150,16 +149,14 @@ def _stream(cfg: SamplerConfig, k: int) -> np.random.Generator:
     return _rng(cfg.seed)
 
 
-def _finalize(method: str, columns: np.ndarray, wall: float, iterations: int, k: int) -> tuple[SampleBatch, SamplingStats]:
+def _finalize(method: str, columns: np.ndarray, iterations: int, k: int) -> tuple[SampleBatch, SamplingStats]:
+    # The sampler's own output, frozen in place: a SampleBatch made without
+    # running __init__, which would copy it, so dataclasses.replace of it copies.
+    batch = object.__new__(SampleBatch)
+    object.__setattr__(batch, "columns", _readonly(columns))
+    object.__setattr__(batch, "method", method)
     rate = 1.0 if iterations == 0 else k / iterations
-    stats = SamplingStats(
-        method=method,
-        wall_time=wall,
-        iterations=iterations,
-        resamples=iterations - k,
-        success_rate=rate,
-    )
-    return SampleBatch(columns=_readonly(columns), method=method), stats
+    return batch, SamplingStats(method=method, iterations=iterations, resamples=iterations - k, success_rate=rate)
 
 
 def _accept_in_blocks(
@@ -258,7 +255,6 @@ def sample_rejection_independent(
     refused. Raises RuntimeError when iteration_cap attempts did not
     produce k samples.
     """
-    t0 = time.perf_counter()
     rng = _stream(cfg, k)
     # A candidate rho_min + span*u lies in [rho_min, rho_max] (u < 1 keeps
     # it at or below rho_max), but the sum of n of them may round toward
@@ -285,7 +281,7 @@ def sample_rejection_independent(
         rng, cfg, columns, iteration_cap, lambda block: _zero_sum_rows(block, eps, largest), "a",
         "; widen rounding_epsilon or raise the cap",
     )
-    return _finalize("a", columns, time.perf_counter() - t0, iterations, k)
+    return _finalize("a", columns, iterations, k)
 
 
 def sample_rejection_resolved(
@@ -306,7 +302,6 @@ def sample_rejection_resolved(
     any draw, as method (a) does. Raises RuntimeError when iteration_cap
     attempts did not produce k samples.
     """
-    t0 = time.perf_counter()
     if cfg.layout.n != 3:
         raise ValueError(f"method (b) resolves one of exactly 3 joints, got n={cfg.layout.n}")
 
@@ -341,7 +336,7 @@ def sample_rejection_resolved(
     # rho_1 = -(rho_2 + rho_3), in place: the same two IEEE operations.
     np.add(columns[1], columns[2], out=columns[0])
     np.negative(columns[0], out=columns[0])
-    return _finalize("b", columns, time.perf_counter() - t0, iterations, k)
+    return _finalize("b", columns, iterations, k)
 
 
 def _clarke_pair(cfg: SamplerConfig, amplitude, xp, u_angle, u_amp):
@@ -366,7 +361,6 @@ def _direct(cfg: SamplerConfig, k: int, radial: str, pairs) -> tuple[SampleBatch
     Joint j of a block is then c_j*x + s_j*y, (c_j, s_j) the right-inverse's
     row: the one joint map.
     """
-    t0 = time.perf_counter()
     method = _LAW_METHODS.get(radial)
     if method is None:
         raise ValueError(f"unknown radial law {radial!r}; expected line, disk or annulus")
@@ -383,7 +377,7 @@ def _direct(cfg: SamplerConfig, k: int, radial: str, pairs) -> tuple[SampleBatch
         x, y = pairs(amplitude, rng.random((block.shape[1], 2)))
         np.multiply(c, x, out=block)
         block += s * y
-    return _finalize(method, columns, time.perf_counter() - t0, iterations=k, k=k)
+    return _finalize(method, columns, iterations=k, k=k)
 
 
 def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch, SamplingStats]:
@@ -422,7 +416,7 @@ def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatc
 def sample(cfg: SamplerConfig, k: int, method: str, vectorized: bool = False) -> tuple[SampleBatch, SamplingStats]:
     """k samples by method letter a-e; the one place that picks a method's kernel.
 
-    vectorized=True times c, d and e through sample_direct_batched (same bits,
+    vectorized=True runs c, d and e through sample_direct_batched (same bits,
     iterations = k); a and b ignore it: their block loop is already vectorized.
     """
     if method == "a":
@@ -433,9 +427,8 @@ def sample(cfg: SamplerConfig, k: int, method: str, vectorized: bool = False) ->
         raise ValueError(f"unknown sampling method {method!r}; expected one of {ALL_METHODS}")
     if not vectorized:
         return sample_direct(cfg, k, DIRECT_METHODS[method][0])
-    t0 = time.perf_counter()
     batch = sample_direct_batched(cfg, k, DIRECT_METHODS[method][0])
-    return _finalize(method, batch.columns, time.perf_counter() - t0, iterations=k, k=k)
+    return _finalize(method, batch.columns, iterations=k, k=k)
 
 
 @dataclass(frozen=True)
@@ -471,7 +464,8 @@ def benchmark(
     """Run each method `runs` times for k samples and aggregate the cost.
 
     Every method letter is checked before any runs; the list must name at
-    least one method and none twice. Wall times are averaged per method
+    least one method and none twice. Each sample() call is timed here, the
+    one clock of the samplers; the wall times are averaged per method
     and normalized into `factor` against method (c) when present, else
     against the fastest method. Histograms count the samples of all runs
     on _HIST_BINS fixed bins over [rho_min, rho_max]; each run's counts are
@@ -499,12 +493,15 @@ def benchmark(
 
         # A run's batch dies as counted returns, before the next run draws.
         def counted(seed):
-            batch, stats = sample(replace(method_cfg, seed=seed), k, method, vectorized)
-            return stats, np.vstack([np.histogram(row, bins=edges)[0] for row in batch.columns])
+            run_cfg = replace(method_cfg, seed=seed)
+            t0 = time.perf_counter()
+            batch, stats = sample(run_cfg, k, method, vectorized)
+            seconds = time.perf_counter() - t0
+            return stats, seconds, np.vstack([np.histogram(row, bins=edges)[0] for row in batch.columns])
 
-        stats_list, counts = zip(*(counted(_run_seed(cfg.seed, mi, run)) for run in range(runs)))
+        stats_list, seconds, counts = zip(*(counted(_run_seed(cfg.seed, mi, run)) for run in range(runs)))
         hist = sum(counts)
-        times = np.array([s.wall_time for s in stats_list])
+        times = np.array(seconds)
         iters = np.array([s.iterations for s in stats_list], dtype=float)
         results.append(
             MethodBenchmark(

@@ -12,7 +12,7 @@ test_output_ledger.py compares against. It covers:
 - a 1 kHz loop of controller_step, plant_step and fk_direct at n = 5 over
   a seeded reference: the command, plant state and pose of every tick;
 - `sample --out`: methods a (k = 4,000) and b at n = 3, and c, d and e at
-  n = 3 and 12;
+  n = 3 and 12, each with its stderr stats line without its `time_s` field;
 - `bench --hist-dir` over a-e, sequential and `--vectorized`: the JSON
   without its timings (`time_s_mean`, `time_s_std`, `factor`) and every
   histogram CSV it writes;
@@ -96,14 +96,17 @@ def kinematics_outputs(tmp: Path):
 
 
 def sampler_outputs(tmp: Path):
-    # sample writes its wall time to stderr, and bench's timing fields are
+    # The time_s field of sample's stderr line and bench's timing fields are
     # dropped here: times are not outputs.
     # Method a accepts about one draw in 840, so it runs a tenth of the samples.
     runs = [("a", 3, 4000), ("b", 3, 40000)] + [(m, n, 40000) for m in "cde" for n in (3, 12)]
-    with contextlib.redirect_stderr(io.StringIO()):
-        for method, n, k in runs:
-            argv = ["sample", "--method", method, "--n", str(n), "--k", str(k), "--seed", "27"]
-            yield " ".join(argv), cli_output(argv, tmp / "sample.csv")
+    for method, n, k in runs:
+        argv = ["sample", "--method", method, "--n", str(n), "--k", str(k), "--seed", "27"]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            samples = cli_output(argv, tmp / "sample.csv")
+        yield " ".join(argv), samples
+        stats = " ".join(field for field in err.getvalue().split(" ") if not field.startswith("time_s="))
+        yield f"{' '.join(argv)} stderr without time_s", stats.encode()
     for flags in ([], ["--vectorized"]):
         argv = ["bench", "--k", "2000", "--runs", "3", "--seed", "27", *flags]
         hists = tmp / f"hist{len(flags)}"

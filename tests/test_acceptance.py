@@ -206,13 +206,15 @@ def test_criterion_07_vectorized_sampling():
     layout = JointLayout(n=3, d=1.0 * MM)
     cfg = SamplerConfig(layout=layout, rho_min=-np.pi * MM, rho_max=np.pi * MM, seed=1009)
     k = 100_000
-    sequential, stats = sample_direct(cfg, k, "disk")
+    t0 = time.perf_counter()
+    sequential, _ = sample_direct(cfg, k, "disk")
+    sequential_time = time.perf_counter() - t0
     t0 = time.perf_counter()
     batched = sample_direct_batched(cfg, k, "disk")
     batched_time = time.perf_counter() - t0
     assert np.array_equal(sequential.columns, batched.columns)
     assert np.max(np.abs(batched.columns)) <= np.pi * MM + 1e-12
-    ratio = batched_time / stats.wall_time
+    ratio = batched_time / sequential_time
     if ratio > 0.5:
         import warnings
 

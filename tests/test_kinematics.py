@@ -1163,7 +1163,7 @@ class TestOneBufferPose:
         with pytest.raises(ValueError, match="pose needs"):
             dataclasses.replace(pose, position=[0.0, 0.1])
         moved = dataclasses.replace(pose, position=[0.0, 0.0, 0.2])
-        assert type(moved) is Pose and moved.rotation is pose.rotation and moved.position.tolist() == [0.0, 0.0, 0.2]
+        assert type(moved) is Pose and np.array_equal(moved.rotation, pose.rotation) and moved.position.tolist() == [0.0, 0.0, 0.2]
 
 
 def scalar_fk_oracle(geom, rho):

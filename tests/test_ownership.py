@@ -1,14 +1,16 @@
 """Public types own their arrays: each holds read-only float64 arrays that the caller's cannot change.
 
-The value types take the arrays a caller passes through clarke._owned: an
-array that is already read-only float64 is kept, anything else is copied
-once into a frozen C-order float array. What the library returns is
+The value types take the arrays a caller passes through clarke._owned,
+which always copies once into a frozen C-order float array: a read-only
+array may still be written through its writeable owner, or through a
+writeable view taken before it was frozen. What the library returns is
 frozen by clarke._readonly.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 
 from clarkekin import (
     ControllerConfig,
@@ -25,19 +27,69 @@ from clarkekin import (
     generate_trajectory,
     noise_propagation,
     run_simulation,
+    sample,
 )
 from clarkekin.clarke import _owned, _readonly
 
 
-def test_owned_keeps_a_frozen_float_array_and_copies_anything_else():
-    frozen = _readonly(np.zeros((3, 4))[:, 1:3])
-    assert _owned(frozen) is frozen
-    read_only = (_readonly(np.arange(4)), _readonly(np.zeros(3, np.float32)))
+def test_owned_always_returns_a_new_frozen_copy():
+    read_only = (_readonly(np.zeros((3, 4))[:, 1:3]), _readonly(np.arange(4.0)), _readonly(np.zeros(3, np.float32)))
     for given in ([[1, 2], [3, 4]], np.arange(4).reshape(2, 2), np.zeros((4, 3)).T, np.zeros(3)) + read_only:
         owned = _owned(given)
+        assert owned is not given
         assert owned.dtype == np.float64 and owned.flags.c_contiguous and not owned.flags.writeable
         assert not np.shares_memory(owned, np.asarray(given))
         assert np.array_equal(owned, np.asarray(given))
+
+
+def _aliased(owner: np.ndarray, form: str) -> tuple[np.ndarray, np.ndarray]:
+    """(a read-only array to pass, a writeable array that writes into it)."""
+    if form == "read-only view":
+        return _readonly(owner[...]), owner
+    writer = owner[...]  # a writeable view, taken before its owner is frozen
+    return _readonly(owner), writer
+
+
+_TICKS = np.arange(3) * 1e-3
+
+# name: (the array to alias, the value built on it, the array the value holds for it)
+_HOLDERS = {
+    "pose rotation": (lambda: np.eye(3), lambda a: Pose(a, [0.0, 0.0, 0.1]), lambda v: v.rotation),
+    "pose position": (lambda: np.array([0.0, 0.0, 0.1]), lambda a: Pose(np.eye(3), a), lambda v: v.position),
+    "stack rotation": (lambda: np.tile(np.eye(3), (4, 1, 1)), lambda a: Pose(a, np.zeros((4, 3))), lambda v: v.rotation),
+    "plant state": (lambda: np.zeros(5), lambda a: PT1Plant(0.25, a), lambda v: v.state),
+    "trace time": (lambda: _TICKS.copy(), lambda a: SimTrace(a, *[np.zeros((5, 3))] * 4), lambda v: v.time),
+    "trace rows": (lambda: np.zeros((5, 3)), lambda a: SimTrace(_TICKS, a, a, a, a), lambda v: v.rho_plant),
+    "batch columns": (lambda: np.zeros((5, 7)), lambda a: SampleBatch(a, "e"), lambda v: v.columns),
+    "spec waypoint": (
+        lambda: np.array([1e-3, 0.0]),
+        lambda a: TrajectorySpec((a, [0.0, 1e-3]), 1.0, 1.0, 1.0),
+        lambda v: v.waypoints[0],
+    ),
+}
+
+
+@pytest.mark.parametrize("form", ["read-only view", "frozen owner"])
+@pytest.mark.parametrize("name", sorted(_HOLDERS))
+def test_a_write_through_an_alias_changes_no_value(name, form):
+    make, build, held = _HOLDERS[name]
+    given, writer = _aliased(make(), form)
+    assert not given.flags.writeable and writer.flags.writeable
+    value = build(given)
+    before = held(value).copy()
+    writer[(0,) * writer.ndim] = 2.0
+    assert given[(0,) * given.ndim] == 2.0  # the alias is real
+    assert np.array_equal(held(value), before), name
+    assert not np.shares_memory(held(value), given), name
+
+
+def test_replace_copies_what_it_keeps():
+    pose = Pose(np.eye(3), [0.0, 0.0, 0.1])
+    moved = dataclasses.replace(pose, position=[0.0, 0.0, 0.2])
+    assert np.array_equal(moved.rotation, pose.rotation) and not np.shares_memory(moved.rotation, pose.rotation)
+    batch, _ = sample(SamplerConfig(JointLayout(n=3, d=1e-3), rho_min=-1e-3, rho_max=1e-3), 2, "c")
+    renamed = dataclasses.replace(batch, method="d")
+    assert np.array_equal(renamed.columns, batch.columns) and not np.shares_memory(renamed.columns, batch.columns)
 
 
 def _held_arrays(value) -> list[np.ndarray]:

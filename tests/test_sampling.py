@@ -900,6 +900,15 @@ class TestDeterminism:
         assert np.array_equal(b1.columns, b2.columns)
         assert s1.iterations == s2.iterations
 
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_one_seed_gives_equal_stats_and_columns(self, method, vectorized):
+        # No sampler reads a clock: a call is a function of its config and k.
+        cfg = config3(seed=17, rho_min=0.1 * RHO_MAX if method == "e" else -RHO_MAX)
+        (b1, s1), (b2, s2) = (sample(cfg, 50, method, vectorized) for _ in range(2))
+        assert s1 == s2 and s1.method == method
+        assert b1.columns.tobytes() == b2.columns.tobytes() and b1.columns.shape == (3, 50)
+
 
 class TestBenchmark:
     def test_structure_and_rates(self):
