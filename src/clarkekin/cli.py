@@ -4,8 +4,9 @@ Subcommands: matrix, transform, fk, ik, sample, bench, simulate,
 noise-report. Each takes --n, --out and --config, and those of --d, --l,
 --seed and --format that its command reads; any other flag or config key
 is a usage error. Every randomized subcommand takes an explicit --seed
-(default 0, echoed in the output) so results are replayable. Exit codes:
-0 success, 2 usage error, 3 domain/precondition error.
+(default 0) so results are replayable; sample's stderr line and simulate's
+summary echo it. Exit codes: 0 success, 2 usage error, 3 domain/precondition
+error.
 """
 
 from __future__ import annotations
@@ -58,11 +59,14 @@ POSE_HEADER = [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)] + ["px", "py", 
 POSITION_HEADER = ["px", "py", "pz"]
 
 
-def _parse_floats(text: str) -> np.ndarray:
+def _parse_floats(text: str, count: int | None = None, needs: str = "") -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.replace(";", ",").split(",") if v.strip()])
+        vals = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise ValueError(f"could not parse float list {text!r}: {exc}") from None
+    if count is not None and len(vals) != count:
+        raise ValueError(f"{needs}, got {len(vals)}")
+    return vals
 
 
 def _emit(chunks, out: str | None) -> None:
@@ -141,18 +145,10 @@ def cmd_fk(args) -> int:
 
 def _target_from_args(args):
     if args.position is not None:
-        vals = _parse_floats(args.position)
-        if len(vals) != 3:
-            raise ValueError(f"--position needs 3 values px,py,pz, got {len(vals)}")
-        return vals
+        return _parse_floats(args.position, 3, "--position needs 3 values px,py,pz")
     if args.rotation is not None:
-        vals = _parse_floats(args.rotation)
-        if len(vals) != 9:
-            raise ValueError(f"--rotation needs 9 row-major values, got {len(vals)}")
-        return vals.reshape(3, 3)
-    vals = _parse_floats(args.pose)
-    if len(vals) != 12:
-        raise ValueError(f"--pose needs 9 rotation + 3 position values, got {len(vals)}")
+        return _parse_floats(args.rotation, 9, "--rotation needs 9 row-major values").reshape(3, 3)
+    vals = _parse_floats(args.pose, 12, "--pose needs 9 rotation + 3 position values")
     return Pose(rotation=vals[:9].reshape(3, 3), position=vals[9:])
 
 
@@ -260,7 +256,7 @@ def cmd_simulate(args) -> int:
     geom = _geometry(args)
     cfg = ControllerConfig(kp=args.kp, dt=args.dt, geometry=geom, feedforward=not args.pure_p)
     layout = geom.layout
-    if args.waypoints:
+    if args.waypoints is not None:
         vals = _parse_floats(args.waypoints)
         if len(vals) < 4 or len(vals) % 2:
             raise ValueError("--waypoints needs an even number (>= 4) of values: re1,im1,re2,im2,...")

@@ -557,6 +557,12 @@ def test_large_joint_counts_run(capsys, argv):
         (["simulate", "--waypoints", "0,0,0.001"], "--waypoints needs an even number (>= 4) of values"),
         (["simulate", "--waypoints", "0,0"], "--waypoints needs an even number (>= 4) of values"),
         (["transform", "--rho", "1,x,-1"], "could not parse float list '1,x,-1'"),
+        (["transform", "--n", "3", "--rho", "0.01,,-0.01,0"], "could not parse float list '0.01,,-0.01,0'"),
+        (["transform", "--n", "3", "--rho", "0.01,-0.01,0,"], "could not parse float list '0.01,-0.01,0,'"),
+        (["transform", "--n", "3", "--rho", "0.01;-0.01;0"], "could not parse float list '0.01;-0.01;0'"),
+        (["ik", "--position", "0,,0.1"], "could not parse float list '0,,0.1'"),
+        (["simulate", "--waypoints", "0,0,,0.01,0"], "could not parse float list '0,0,,0.01,0'"),
+        (["simulate", "--waypoints", ""], "could not parse float list ''"),
         (["sample", "--method", "a", "--k", "-3"], "k must be >= 0"),
         (["sample", "--method", "b", "--k", "-3"], "k must be >= 0"),
         (["sample", "--method", "c", "--k", "-3"], "k must be >= 0"),
@@ -614,6 +620,13 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "fk", "--config", self.config(tmp_path, "rho = 0\n"))
         assert code == 3
         assert err.count("\n") == 1 and "shape" in err
+
+    def test_empty_field_in_a_float_list_is_a_domain_error(self, capsys, tmp_path):
+        # The file's list is read like the flag's: the empty field is refused,
+        # not skipped into the three-value list 0.01,-0.01,0.
+        code, out, err = run_cli(capsys, "transform", "--config", self.config(tmp_path, "rho = 0.01,,-0.01,0\n"))
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and err.startswith("error: could not parse float list '0.01,,-0.01,0'")
 
     def test_numeric_out_is_a_file_name(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
