@@ -205,7 +205,7 @@ def cmd_sample(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _sampler_config(args)
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    methods = tuple(m.strip() for m in args.methods.split(","))
     results = benchmark(
         cfg,
         args.k,
@@ -340,26 +340,29 @@ def _config_tokens(path: str, args) -> list[tuple[int, str, str]]:
     return tokens
 
 
-def _add_common(p: argparse.ArgumentParser, *reads: str, n: int = 3, d: float = 0.01, l: float = 0.1, fmt: str | None = "json") -> None:
+def _add_common(
+    p: argparse.ArgumentParser, *reads: str, n: int = 3, d: float = 0.01, l: float = 0.1, fmt: str | None = "json",
+    seed: str = "PRNG seed (printed with the output)",
+) -> None:
     # --n, --out, --config, and the shared flags named in `reads`. Sampling
     # subcommands default to the 1 mm benchmark radius; the kinematics and
-    # control ones to the 10 mm segment geometry.
+    # control ones to the 10 mm segment geometry. seed is --seed's help.
     p.add_argument("--n", type=int, default=n, help="number of displacement joints")
     if "d" in reads:
         p.add_argument("--d", type=float, default=d, help="joint radius from the center-line, m")
     if "l" in reads:
         p.add_argument("--l", type=float, default=l, help="segment length, m")
     if "seed" in reads:
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed (printed with the output)")
+        p.add_argument("--seed", type=int, default=0, help=seed)
     if "format" in reads:
         p.add_argument("--format", choices=("csv", "json"), default=fmt, help="output format")
     p.add_argument("--out", default=None, help="write the primary output to this path")
     p.add_argument("--config", default=None, help="KEY = VALUE defaults file; flags override it")
 
 
-def _add_sampler_flags(p: argparse.ArgumentParser, *reads: str) -> None:
+def _add_sampler_flags(p: argparse.ArgumentParser, *reads: str, **common) -> None:
     # The flags sample and bench share, on the sampling defaults.
-    _add_common(p, *reads, "d", "seed", d=0.001)
+    _add_common(p, *reads, "d", "seed", d=0.001, **common)
     p.add_argument("--k", type=int, default=1000, help="number of samples (per run for bench)")
     p.add_argument("--rho-min", type=float, default=None, help="lower bound, m (default -d*pi)")
     p.add_argument("--rho-max", type=float, default=None, help="upper bound, m (default d*pi)")
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("bench", help="time the sampling methods and emit stats/histograms")
-    _add_sampler_flags(p, "format")
+    _add_sampler_flags(p, "format", seed="base PRNG seed; each run samples on a seed spawned from it")
     p.add_argument("--methods", default=",".join(ALL_METHODS), help="comma list from a,b,c,d,e")
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--hist-dir", default=None, help="write per-joint histogram CSVs here")

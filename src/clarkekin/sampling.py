@@ -29,16 +29,20 @@ Direct methods draw an angle theta = 2*pi*U and an amplitude L per sample
 sample satisfies the displacement constraint by construction and the
 success rate is exactly 1. Both direct paths run one block loop (_direct)
 of at most _DIRECT_BLOCK samples, which draws a block's uniforms at once as
-one (b, 2) array from the stream. One formula (_clarke_pair) gives the
-block's Clarke pairs, per sample on Python floats with math's sqrt, cos and
-sin on the sequential path, and on the array's columns with numpy's on the
-batched one; one joint map writes the block's joints. sqrt rounds correctly
+one (b, 2) array from the stream. Each call binds its radial law's
+constants once, and one formula (_clarke_pair), a closure over math or
+numpy, gives the block's Clarke pairs: mapped per sample over Python floats
+with math's sqrt, cos and sin on the sequential path, once per block on the
+array's columns with numpy's on the batched one; one joint map writes the
+block's joints. sqrt rounds correctly
 and the rest is IEEE-exact, so the two are bit-identical under one seed
 wherever numpy's float64 cos and sin are the C library's, as they are for
 numpy 2.4.6 on x86_64 with glibc 2.36; TestTrigPremise checks that equality.
 Every sampler fills one preallocated C-contiguous (n, k) output and returns
 it read-only, so it needs that output plus one block's fixed working set,
-whatever k and n. No sampler reads a clock; benchmark() times its runs.
+whatever k and n. No sampler reads a clock; benchmark() times its runs and
+counts their joints on its own bin edges with np.histogram's rule
+(_joint_counts).
 """
 
 from __future__ import annotations
@@ -55,15 +59,28 @@ from .csvio import csv_chunks, format_rows
 
 REJECTION_METHODS = ("a", "b")
 
-# The direct methods: letter -> (radial law, amplitude L from a uniform u).
-# sample() dispatches through this one table. sqrt is math.sqrt for one
-# float and np.sqrt for an array (_clarke_pair passes its namespace's); both
-# round correctly, so a law gives the same bits either way.
-DIRECT_METHODS = {
-    "c": ("line", lambda cfg, u, sqrt: cfg.rho_min + (cfg.rho_max - cfg.rho_min) * u),
-    "d": ("disk", lambda cfg, u, sqrt: cfg.rho_max * sqrt(u)),
-    "e": ("annulus", lambda cfg, u, sqrt: sqrt(cfg.rho_min**2 + (cfg.rho_max**2 - cfg.rho_min**2) * u)),
-}
+
+def _line(cfg, sqrt):
+    lo, span = cfg.rho_min, cfg.rho_max - cfg.rho_min
+    return lambda u: lo + span * u
+
+
+def _disk(cfg, sqrt):
+    hi = cfg.rho_max
+    return lambda u: hi * sqrt(u)
+
+
+def _annulus(cfg, sqrt):
+    lo2, span2 = cfg.rho_min**2, cfg.rho_max**2 - cfg.rho_min**2
+    return lambda u: sqrt(lo2 + span2 * u)
+
+
+# The direct methods: letter -> (radial law, law(cfg, sqrt)). A law reads
+# cfg's bounds once per sampler call and returns amplitude(u), L from a
+# uniform u. sample() dispatches through this one table. sqrt is math.sqrt
+# for one float and np.sqrt for an array (_clarke_pair passes its
+# namespace's); both round correctly, so a law gives the same bits either way.
+DIRECT_METHODS = {"c": ("line", _line), "d": ("disk", _disk), "e": ("annulus", _annulus)}
 ALL_METHODS = REJECTION_METHODS + tuple(DIRECT_METHODS)
 
 _LAW_METHODS = {law: method for method, (law, _) in DIRECT_METHODS.items()}
@@ -78,8 +95,10 @@ _BLOCK_DOUBLES = 2**18
 # from block to block; blocks four to eight times larger page-fault anew.
 _DIRECT_BLOCK = 2**14
 
-# Histogram bins per joint over [rho_min, rho_max] in benchmark().
+# Histogram bins per joint over [rho_min, rho_max] in benchmark(), and the
+# values _joint_counts sorts at once, np.histogram's own block.
 _HIST_BINS = 50
+_HIST_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -339,25 +358,31 @@ def sample_rejection_resolved(
     return _finalize("b", columns, iterations, k)
 
 
-def _clarke_pair(cfg: SamplerConfig, amplitude, xp, u_angle, u_amp):
-    """Clarke coordinates L*(cos theta, sin theta) of direct samples, from their uniforms.
+def _clarke_pair(cfg: SamplerConfig, law, xp):
+    """pair(u_angle, u_amp) -> L*(cos theta, sin theta), the Clarke coordinates of direct samples.
 
-    The one direct-sampling formula, with sqrt, cos and sin from the namespace
-    xp: two floats (xp = math) give one sample, two (b,) arrays (xp = numpy)
-    give b. Both paths get the same bits where numpy's float64 cos and sin are
-    the C library's.
+    The one direct-sampling formula, a closure over the namespace xp, whose
+    sqrt, cos and sin it binds once with law's amplitude: two floats (xp =
+    math) give one sample, two (b,) arrays (xp = numpy) give b. Both paths
+    get the same bits where numpy's float64 cos and sin are the C library's.
     """
-    theta = TWO_PI * u_angle
-    amp = amplitude(cfg, u_amp, xp.sqrt)
-    return amp * xp.cos(theta), amp * xp.sin(theta)
+    amplitude, cos, sin = law(cfg, xp.sqrt), xp.cos, xp.sin
+
+    def pair(u_angle, u_amp):
+        theta = TWO_PI * u_angle
+        amp = amplitude(u_amp)
+        return amp * cos(theta), amp * sin(theta)
+
+    return pair
 
 
-def _direct(cfg: SamplerConfig, k: int, radial: str, pairs) -> tuple[SampleBatch, SamplingStats]:
+def _direct(cfg: SamplerConfig, k: int, radial: str, xp, pairs) -> tuple[SampleBatch, SamplingStats]:
     """k direct samples of the radial law into one (n, k) output, _DIRECT_BLOCK at a time.
 
     Each block of b samples draws its uniforms once, as rng.random((b, 2)):
     the doubles a single (k, 2) draw would give, (theta, L) in turn.
-    pairs(amplitude, u2) turns them into Clarke pairs, two (b,) arrays x, y.
+    pairs(pair, u2) turns them into Clarke pairs, two (b,) arrays x, y, with
+    the formula pair = _clarke_pair(cfg, law, xp) built once per call.
     Joint j of a block is then c_j*x + s_j*y, (c_j, s_j) the right-inverse's
     row: the one joint map.
     """
@@ -368,13 +393,14 @@ def _direct(cfg: SamplerConfig, k: int, radial: str, pairs) -> tuple[SampleBatch
         raise ValueError(f"annulus sampling needs rho_min > 0, got {cfg.rho_min}")
     if radial == "annulus" and not math.isfinite(cfg.rho_max * cfg.rho_max):
         raise ValueError(f"annulus sampling needs a finite rho_max**2, got rho_max={cfg.rho_max}")
-    amplitude = DIRECT_METHODS[method][1]
+    pair = _clarke_pair(cfg, DIRECT_METHODS[method][1], xp)
     rng = _stream(cfg, k)
-    c, s = np.split(build_transform(cfg.layout).inverse, 2, axis=1)
+    inverse = build_transform(cfg.layout).inverse
+    c, s = inverse[:, :1], inverse[:, 1:]
     columns = np.empty((cfg.layout.n, k))
     for start in range(0, k, _DIRECT_BLOCK):
         block = columns[:, start : start + _DIRECT_BLOCK]
-        x, y = pairs(amplitude, rng.random((block.shape[1], 2)))
+        x, y = pairs(pair, rng.random((block.shape[1], 2)))
         np.multiply(c, x, out=block)
         block += s * y
     return _finalize(method, columns, iterations=k, k=k)
@@ -386,17 +412,17 @@ def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch,
     radial selects the amplitude law: "line" (method c), "disk" (d) or
     "annulus" (e, needs rho_min > 0). Never resamples: iterations = k and
     success_rate = 1.0 for every seed. _direct draws each block's uniforms
-    at once; each iteration forms one sample's Clarke pair from its two, as
-    Python floats, with math's sqrt, cos and sin, and _direct maps the
-    block's pairs to joints. Bit-identical to sample_direct_batched wherever
-    numpy's float64 cos and sin are the C library's (TestTrigPremise checks it).
+    at once; the formula is mapped over the block's two lists of Python
+    floats, one sample per call, with math's sqrt, cos and sin, and _direct
+    maps the block's pairs to joints. Bit-identical to sample_direct_batched
+    wherever numpy's float64 cos and sin are the C library's (TestTrigPremise
+    checks it).
     """
-    def pairs(amplitude, u2):
-        each = (_clarke_pair(cfg, amplitude, math, u_angle, u_amp) for u_angle, u_amp in u2.tolist())
-        xy = np.fromiter(itertools.chain.from_iterable(each), float, 2 * len(u2))
+    def pairs(pair, u2):
+        xy = np.fromiter(itertools.chain.from_iterable(map(pair, *u2.T.tolist())), float, 2 * len(u2))
         return xy[0::2], xy[1::2]
 
-    return _direct(cfg, k, radial, pairs)
+    return _direct(cfg, k, radial, math, pairs)
 
 
 def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatch:
@@ -407,10 +433,7 @@ def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatc
     k sequential sample_direct draws under the same seed, because both paths
     draw the same blocks and evaluate the same formula.
     """
-    def pairs(amplitude, u2):
-        return _clarke_pair(cfg, amplitude, np, u2[:, 0], u2[:, 1])
-
-    return _direct(cfg, k, radial, pairs)[0]
+    return _direct(cfg, k, radial, np, lambda pair, u2: pair(u2[:, 0], u2[:, 1]))[0]
 
 
 def sample(cfg: SamplerConfig, k: int, method: str, vectorized: bool = False) -> tuple[SampleBatch, SamplingStats]:
@@ -446,6 +469,24 @@ class MethodBenchmark:
     factor: float
     bin_edges: np.ndarray
     histograms: np.ndarray  # one row of bin counts per joint
+
+
+def _joint_counts(columns: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Each row's bin counts on edges, as np.histogram(row, bins=edges)[0] gives them, one row per joint.
+
+    np.histogram's rule for given edges, without its checks of edges that
+    benchmark() built: each block of _HIST_BLOCK values of a row, sorted,
+    adds how many lie below each edge but the last and how many lie at or
+    below the last; the counts are the differences, so values outside the
+    edges count in no bin. Memory holds one sorted block.
+    """
+    cumulative = np.zeros((columns.shape[0], edges.size), np.intp)
+    for row, counted in zip(columns, cumulative):
+        for start in range(0, row.size, _HIST_BLOCK):
+            block = np.sort(row[start : start + _HIST_BLOCK])
+            counted[:-1] += block.searchsorted(edges[:-1], "left")
+            counted[-1] += block.searchsorted(edges[-1], "right")
+    return np.diff(cumulative)
 
 
 def _run_seed(base_seed: int, method_index: int, run: int) -> int:
@@ -497,7 +538,7 @@ def benchmark(
             t0 = time.perf_counter()
             batch, stats = sample(run_cfg, k, method, vectorized)
             seconds = time.perf_counter() - t0
-            return stats, seconds, np.vstack([np.histogram(row, bins=edges)[0] for row in batch.columns])
+            return stats, seconds, _joint_counts(batch.columns, edges)
 
         stats_list, seconds, counts = zip(*(counted(_run_seed(cfg.seed, mi, run)) for run in range(runs)))
         hist = sum(counts)

@@ -572,8 +572,9 @@ def test_large_joint_counts_run(capsys, argv):
         (["sample", "--method", "a", "--rho-min", "0.0001", "--k", "1"], "method (a) can never accept"),
         (["sample", "--method", "b", "--rho-min", "0.0001", "--k", "1"], "method (b) can never accept"),
         (["bench", "--methods", "b", "--rho-min", "0.0001"], "method (b) can never accept"),
-        (["bench", "--methods", ""], "each method once, got none"),
-        (["bench", "--methods", ","], "each method once, got none"),
+        (["bench", "--methods", ""], "unknown method ''; choose from a,b,c,d,e"),
+        (["bench", "--methods", ","], "unknown method ''; choose from a,b,c,d,e"),
+        (["bench", "--methods", "c,,d"], "unknown method ''; choose from a,b,c,d,e"),
         (["bench", "--methods", "c,c"], "each method once, got c,c"),
         # 10^15 columns need 24 PB, past any address space, so the batched
         # kernel's one allocation fails before it touches memory.
@@ -772,6 +773,25 @@ def test_a_flag_prefix_is_a_usage_error(capsys, tmp_path, command, flag, value):
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     code, out, err = run_cli(capsys, command, "--config", str(cfg))
     assert (code, out, err) == (2, "", f"error: {cfg}:1: {flag[2:]} is not an option of {command}\n")
+
+
+# Each subcommand whose --seed help promises an echo: a short run, and how its output shows seed 7.
+SEED_ECHOES = {
+    "sample": (["--k", "3"], lambda out, err: "seed=7" in err.split()),
+    "simulate": (["--waypoints", "0,0,0.001,0"], lambda out, err: json.loads(out)["seed"] == 7),
+}
+
+
+def test_every_seed_help_that_promises_an_echo_is_kept(capsys):
+    subcommands = next(action.choices for action in build_parser()._actions if action.dest == "command")
+    helps = {
+        name: action.help for name, p in subcommands.items() for action in p._actions if action.dest == "seed"
+    }
+    assert sorted(helps) == ["bench", "sample", "simulate"]
+    assert sorted(name for name, text in helps.items() if "printed with the output" in text) == sorted(SEED_ECHOES)
+    for name, (argv, echoed) in SEED_ECHOES.items():
+        code, out, err = run_cli(capsys, name, "--seed", "7", *argv)
+        assert code == 0 and echoed(out, err), (name, out, err)
 
 
 @pytest.mark.parametrize("command, rows", [("fk", "rho_1,rho_2,rho_3\n0,0,0\n"), ("ik", "px,py,pz\n0,0,0.1\n")])

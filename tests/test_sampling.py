@@ -30,9 +30,11 @@ from clarkekin.csvio import csv_chunks, displacement_header, read_csv, write_tex
 from clarkekin.sampling import (
     _BLOCK_DOUBLES,
     _DIRECT_BLOCK,
+    _HIST_BLOCK,
     ALL_METHODS,
     DEFAULT_ITERATION_CAP,
     DIRECT_METHODS,
+    _joint_counts,
     _zero_sum_rows,
     histogram_csv,
     stats_csv,
@@ -100,10 +102,19 @@ SAMPLER_AND_ORACLE = {
 }
 
 
-def trig_direct_columns_oracle(cfg, amplitude, u2):
+# The radial laws written out here, not taken from DIRECT_METHODS, so that a
+# wrong law in the library fails the bitwise tests: amplitude L from uniforms u.
+RADIAL_LAW_ORACLES = {
+    "line": lambda cfg, u: cfg.rho_min + (cfg.rho_max - cfg.rho_min) * u,
+    "disk": lambda cfg, u: cfg.rho_max * np.sqrt(u),
+    "annulus": lambda cfg, u: np.sqrt(cfg.rho_min**2 + (cfg.rho_max**2 - cfg.rho_min**2) * u),
+}
+
+
+def trig_direct_columns_oracle(cfg, radial, u2):
     """Direct-method columns from cos(psi) and sin(psi) of the layout, recomputed per call."""
     theta = TWO_PI * u2[:, 0]
-    amp = amplitude(cfg, u2[:, 1], np.sqrt)
+    amp = RADIAL_LAW_ORACLES[radial](cfg, u2[:, 1])
     xi_re = amp * np.cos(theta)
     xi_im = amp * np.sin(theta)
     psi = cfg.layout.psi
@@ -112,11 +123,10 @@ def trig_direct_columns_oracle(cfg, amplitude, u2):
 
 def per_sample_direct_oracle(cfg, k, radial):
     """Direct sampling with one (1, 2) draw of uniforms per sample, each column from the trig oracle."""
-    amplitude = next(law for name, law in DIRECT_METHODS.values() if name == radial)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     columns = np.empty((cfg.layout.n, k))
     for i in range(k):
-        columns[:, i : i + 1] = trig_direct_columns_oracle(cfg, amplitude, rng.random((1, 2)))
+        columns[:, i : i + 1] = trig_direct_columns_oracle(cfg, radial, rng.random((1, 2)))
     return columns
 
 
@@ -766,8 +776,9 @@ class TestDirectColumns:
         # Both kernels take the doubles of one (17, 2) draw from the seed's stream.
         cfg = SamplerConfig(layout=JointLayout(n=n, d=D), rho_min=0.1 * RHO_MAX, rho_max=RHO_MAX, seed=n)
         u2 = np.random.Generator(np.random.PCG64(n)).random((17, 2))
-        for radial, amplitude in DIRECT_METHODS.values():
-            expected = trig_direct_columns_oracle(cfg, amplitude, u2).tobytes()
+        assert sorted(radial for radial, _ in DIRECT_METHODS.values()) == sorted(RADIAL_LAW_ORACLES)
+        for radial in RADIAL_LAW_ORACLES:
+            expected = trig_direct_columns_oracle(cfg, radial, u2).tobytes()
             assert sample_direct_batched(cfg, 17, radial).columns.tobytes() == expected
             assert sample_direct(cfg, 17, radial)[0].columns.tobytes() == expected
 
@@ -1023,6 +1034,32 @@ class TestBenchmark:
         monkeypatch.setattr("clarkekin.sampling.sample_direct", refuse)
         with pytest.raises(ValueError, match=r"^unknown method 'q'; choose from a,b,c,d,e$"):
             benchmark(config3(), 10, methods=("c", "q"))
+
+
+class TestJointCounts:
+    B = _HIST_BLOCK
+
+    @pytest.mark.parametrize("n", [3, 7])
+    @pytest.mark.parametrize("k", [1, B - 1, B, B + 1])
+    def test_matches_numpy_histogram_row_by_row(self, n, k):
+        # Values on every edge and one ulp either side, at both ends of each
+        # row (so in the first and the last sort block), and outside the edges.
+        cfg = config3()
+        edges = np.linspace(cfg.rho_min, cfg.rho_max, 51)
+        span = cfg.rho_max - cfg.rho_min
+        special = np.concatenate([
+            [edges[0], edges[-1], cfg.rho_min - span, cfg.rho_max + span],
+            edges[1:-1], np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        ])
+        rng = np.random.Generator(np.random.PCG64(n * k))
+        columns = rng.uniform(cfg.rho_min - span / 4, cfg.rho_max + span / 4, (n, k))
+        for j in range(n):
+            for i, value in enumerate(np.roll(special, -j)[: (k + 1) // 2]):
+                columns[j, i] = columns[j, k - 1 - i] = value
+        counts = _joint_counts(columns, edges)
+        expected = np.vstack([np.histogram(row, bins=edges)[0] for row in columns])
+        assert counts.dtype == expected.dtype
+        assert np.array_equal(counts, expected)
 
 
 class TestCsv:
