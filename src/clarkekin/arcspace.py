@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,20 +61,26 @@ class AngleAngle:
 class SegmentGeometry:
     """Joint layout plus the constant segment length l (m).
 
-    FK raises a smaller bend to l times the smallest normal float, so l is
-    refused where that bend reaches FK's 1e-9 rad tolerance (l >= 4.49e298).
+    least_bend (rad), derived from l, is the bend that FK, f_ind and IK
+    raise a smaller one to: l times the smallest normal float, so the
+    radius l/phi stays finite, and never below the smallest float 5e-324,
+    which l*float_min underflows past for l < 2^-52. l is refused where
+    least_bend reaches FK's 1e-9 rad tolerance (l >= 4.49e298).
     """
 
     layout: JointLayout
     l: float
+    least_bend: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_finite("segment length", self.l)
-        if not self.l * sys.float_info.min < 1e-9:
+        least_bend = max(self.l * sys.float_info.min, 5e-324)
+        if not least_bend < 1e-9:
             raise ValueError(
                 f"segment length must be below {1e-9 / sys.float_info.min:.4g} m, "
                 f"where FK's least bend reaches 1e-9 rad, got {self.l}"
             )
+        object.__setattr__(self, "least_bend", least_bend)
 
 
 def ccr_to_car(cc: CurvatureCurvature) -> CurvatureAngle:

@@ -150,7 +150,8 @@ class SimTrace:
 def controller_step(cfg: ControllerConfig, xi_desired, rho_measured) -> np.ndarray:
     """One controller evaluation: measured joints in, commanded joints out.
 
-    The measurement is centered before the transform (n*rho - sum(rho),
+    The measurement is centered before the transform (n*rho - sum(rho), n
+    a float, which numpy need not convert from an int on every call;
     rescaled after the matrix product). Centering changes nothing
     mathematically since the transform annihilates constant vectors, but it
     cancels a shared offset in exact arithmetic instead of leaving it to
@@ -164,7 +165,7 @@ def controller_step(cfg: ControllerConfig, xi_desired, rho_measured) -> np.ndarr
     t = build_transform(cfg.geometry.layout.n)
     d_re, d_im = as_clarke(xi_desired)
     rho_m = as_displacement(rho_measured, t.n)
-    m_re, m_im = _product(t.forward, t.n * rho_m - np.add.reduce(rho_m)).tolist()
+    m_re, m_im = _product(t.forward, float(t.n) * rho_m - np.add.reduce(rho_m)).tolist()
     e_re, e_im = d_re - m_re / t.n, d_im - m_im / t.n
     kp = cfg.kp
     if cfg.feedforward:

@@ -11,15 +11,16 @@ straight-segment convention theta(kappa=0) = 0.
 
 fk_direct composes both mappings without ever branching on the curvature:
 it evaluates the exact arc of the Clarke pair for any bend below a full
-circle. IK's domain is smaller: p_z > 0, a bend below pi. IK accepts a
-target only when fk_direct of the displacements it returns gives the
-target back.
+circle. One formula, _arc, gives the frame and tip of every arc that FK,
+f_ind and IK's check build, each bend raised to the segment's least_bend
+(SegmentGeometry), so its radius l/phi stays finite. IK's domain is
+smaller: p_z > 0, a bend below pi. IK accepts a target only when
+fk_direct of the displacements it returns gives the target back.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -121,23 +122,30 @@ class Pose:
 
 
 class _BuiltPose(Pose):
-    # A pose the library computed: a rotation Rz(theta) @ Ry(phi) from the cos
-    # and sin of two angles and a finite position, as _frozen_pose's read-only
-    # views. It inherits Pose.__init__, checks nothing, and then becomes a
-    # Pose, so dataclasses.replace checks what a caller puts in a copy.
+    # A pose the library computed (_built_pose): a rotation Rz(theta) @ Ry(phi)
+    # from the cos and sin of two angles and a finite position. It inherits
+    # Pose.__init__, checks nothing, and then becomes a Pose, so
+    # dataclasses.replace checks what a caller puts in a copy.
     def __post_init__(self):
         object.__setattr__(self, "__class__", Pose)
 
 
-def _frozen_pose(entries, elementwise) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation and position views of one frozen (12,) or (12, k) array of a frame's nine row-major entries and a tip's three."""
-    return elementwise.pose(_readonly(np.array(entries)))
+def _built_pose(entries, elementwise) -> Pose:
+    """The pose of a frame's nine row-major entries and a tip's three, floats or (k,) arrays, as views of one frozen buffer."""
+    return _BuiltPose(*elementwise.pose(_readonly(np.array(entries))))
 
 
-def _rotation(ct, st, cp, sp) -> tuple:
-    """The nine entries of Rz(theta) @ Ry(phi), row-major, from cos/sin of theta and phi: floats or (k,) arrays."""
+def _arc(ct, st, phi, inv_kappa, elementwise) -> tuple:
+    """The twelve entries of the arc of radius inv_kappa bent by phi in the plane at (cos, sin) = (ct, st).
+
+    Rz(theta) @ Ry(phi) row-major, then the tip x, y, z: floats or (k,)
+    arrays. The bow 2*sin(phi/2)**2 is 1 - cos(phi) without its
+    cancellation near the straight pose, so the tip keeps full precision.
+    """
+    cp, sp = elementwise.cos(phi), elementwise.sin(phi)
     zero = 0.0 * abs(ct)  # +0.0 shaped like ct; 0.0 * ct is -0.0 for ct < 0
-    return ct * cp, -st, ct * sp, st * cp, ct, st * sp, -sp, zero, cp
+    bow = 2.0 * elementwise.sin(phi / 2.0) ** 2 * inv_kappa
+    return ct * cp, -st, ct * sp, st * cp, ct, st * sp, -sp, zero, cp, ct * bow, st * bow, sp * inv_kappa
 
 
 def f_dep_inverse(geom: SegmentGeometry, arc) -> np.ndarray:
@@ -212,40 +220,15 @@ def f_dep_curvature_angle(geom: SegmentGeometry, rho) -> CurvatureAngle:
     return arc_from_clarke(geom, (xi_re, xi_im))
 
 
-def _arc_tip(ct, st, sp, phi, inv_kappa, elementwise):
-    """Tip x, y, z of an arc of radius inv_kappa bent by phi (sp = sin(phi)) in the plane at (cos, sin) = (ct, st).
-
-    The bow 2*sin(phi/2)^2 is 1 - cos(phi) without its cancellation near
-    the straight pose, so the tip keeps full precision.
-    """
-    bow = 2.0 * elementwise.sin(phi / 2.0) ** 2 * inv_kappa
-    return ct * bow, st * bow, sp * inv_kappa
-
-
-def _arc_pose(ct, st, phi, inv_kappa, elementwise) -> tuple[np.ndarray, np.ndarray]:
-    """Tip rotation and position of _arc_tip's arc: one pose from floats, a stack from (k,) arrays."""
-    sp = elementwise.sin(phi)
-    tip = _arc_tip(ct, st, sp, phi, inv_kappa, elementwise)
-    return _frozen_pose(_rotation(ct, st, elementwise.cos(phi), sp) + tip, elementwise)
-
-
-def _least_bend(l: float) -> float:
-    """The bend (rad) that FK and IK raise a smaller one to: l times the
-    smallest normal float, so the radius l/phi stays finite, and never below
-    the smallest float 5e-324, which l*float_min underflows past for l < 2^-52.
-    """
-    return max(sys.float_info.min * l, 5e-324)
-
-
 def _bend_arc(geom: SegmentGeometry, bx, by, phi, elementwise):
     """The plane's cos and sin, phi and the radius l/phi of the bend phi in the plane of (bx, by), for fk_direct and IK.
 
     The plane is theta = atan2(by + 0.0, bx + 0.0): + 0.0 turns -0.0 into
-    +0.0, so a zero vector is the straight pose. phi is raised to
-    _least_bend, as f_ind raises its bend, so l/phi stays finite.
+    +0.0, so a zero vector is the straight pose. phi is raised to the
+    segment's least_bend, as f_ind raises its bend, so l/phi stays finite.
     """
     theta = elementwise.atan2(by + 0.0, bx + 0.0)
-    phi = elementwise.maximum(phi, _least_bend(geom.l))
+    phi = elementwise.maximum(phi, geom.least_bend)
     return elementwise.cos(theta), elementwise.sin(theta), phi, geom.l / phi
 
 
@@ -254,17 +237,17 @@ def f_ind(geom: SegmentGeometry, arc) -> Pose:
 
     For kappa > 0 the tip sits on a circular arc of radius 1/kappa in the
     bending plane; kappa = 0 yields the straight pose (identity rotation,
-    position (0, 0, l)). A bend kappa*l below _least_bend, whose radius
+    position (0, 0, l)). A bend kappa*l below geom.least_bend, whose radius
     would overflow, is raised to it: the rotation moves by < 3e-308*l, or
     by 5e-324 for l < 2^-52. A bend kappa*l past the largest float is refused.
     """
-    ca = _as_car(arc)
+    ca, elementwise = _as_car(arc), _ELEMENTWISE[1]
     if ca.kappa == 0.0:
-        return _BuiltPose(*_frozen_pose((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, geom.l), _ELEMENTWISE[1]))
-    phi = max(ca.kappa * geom.l, _least_bend(geom.l))
+        return _built_pose((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, geom.l), elementwise)
+    phi = max(ca.kappa * geom.l, geom.least_bend)
     if not math.isfinite(phi):
         raise ValueError(f"curvature kappa={ca.kappa:.6g} 1/m bends a segment of l={geom.l:.6g} m past the float range")
-    return _BuiltPose(*_arc_pose(math.cos(ca.theta), math.sin(ca.theta), phi, geom.l / phi, _ELEMENTWISE[1]))
+    return _built_pose(_arc(math.cos(ca.theta), math.sin(ca.theta), phi, geom.l / phi, elementwise), elementwise)
 
 
 def fk_direct(geom: SegmentGeometry, rho) -> Pose:
@@ -290,7 +273,7 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
     rho = as_displacement(rho, t.n, batch=True)
     elementwise = _ELEMENTWISE[rho.ndim]
     # Nothing holds the Clarke pair once _bend_arc returns, so a batch's pose is built without it.
-    return _BuiltPose(*_arc_pose(*_bend_arc(geom, *_fk_clarke(geom, t, rho), elementwise), elementwise))
+    return _built_pose(_arc(*_bend_arc(geom, *_fk_clarke(geom, t, rho), elementwise), elementwise), elementwise)
 
 
 def _check_position_target(x, y, z, elementwise) -> None:
@@ -315,9 +298,9 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, r, p, what: str) 
     1e-9 entrywise; None where the target has none. Floats for one target,
     (k,) rows for a stack; what, with an {l} field, names a position target.
 
-    The tip is fk_direct's arc of rho: the plane and the bend |xi|/d of its
-    Clarke pair xi = _product(forward, rho); only the parts of the tip that the
-    target has are built. A bend of a full circle or more, outside FK's
+    The tip is fk_direct's arc of rho (_arc): the plane and the bend |xi|/d
+    of its Clarke pair xi = _product(forward, rho); a position target alone
+    builds only the tip position. A bend of a full circle or more, outside FK's
     domain, is held at 2*pi, whose tip is the base, |p| from the target.
     Overflow gives a NaN or infinite rho, refused without a warning as a
     target that needs displacements past the float range; even a rotation's
@@ -329,9 +312,13 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, r, p, what: str) 
         xi_re, xi_im = elementwise.split(_product(t.forward, rho))
         phi = elementwise.minimum(elementwise.hypot(xi_re, xi_im) / d, 2.0 * math.pi)
         ct, st, phi, inv_kappa = _bend_arc(geom, xi_re, xi_im, phi, elementwise)
-        sp = elementwise.sin(phi)
+        if r is None:  # a position alone: _arc's tip, without the frame it does not test
+            bow = 2.0 * elementwise.sin(phi / 2.0) ** 2 * inv_kappa
+            arc = (ct * bow, st * bow, elementwise.sin(phi) * inv_kappa)
+        else:
+            arc = _arc(ct, st, phi, inv_kappa, elementwise)  # entry (i, j) of the frame at 3*i + j
         if p is not None:
-            tx, ty, tz = _arc_tip(ct, st, sp, phi, inv_kappa, elementwise)
+            tx, ty, tz = arc[-3:]
             x, y, z = p
             gap = elementwise.hypot(elementwise.hypot(tx - x, ty - y), tz - z)
             norm = elementwise.hypot(elementwise.hypot(x, y), z)
@@ -344,8 +331,7 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, r, p, what: str) 
                     ends = "needs displacements past the float range"
                 raise ValueError(f"target position is {where} {ends} (|p|={norm:.6g} m)")
     if r is not None:
-        frame = _rotation(ct, st, elementwise.cos(phi), sp)  # entry (i, j) at 3*i + j
-        gap = elementwise.worst([frame[3 * i + j] - r[j][i] for i in range(3) for j in range(3)])
+        gap = elementwise.worst([arc[3 * i + j] - r[j][i] for i in range(3) for j in range(3)])
         if not gap <= 1e-9:
             if not all_finite(rho):
                 raise ValueError(f"target rotation needs displacements past the float range at d={d:.6g} m")

@@ -47,12 +47,11 @@ from clarkekin.kinematics import (
     BEND_ROUNDING_TOL,
     POSITION_Z_FLOOR,
     REACH_TOL,
-    _arc_pose,
-    _arc_tip,
+    _arc,
     _bend_arc,
+    _built_pose,
     _fk_clarke,
     _fk_gives_back,
-    _rotation,
 )
 
 
@@ -242,7 +241,7 @@ class TestFkDirect:
 
     def test_no_branch_in_the_shared_tail(self):
         # fk_direct hands its bend to these; they must not branch either.
-        for func in (_bend_arc, _arc_pose, _arc_tip, _rotation):
+        for func in (_bend_arc, _arc, _built_pose):
             assert not _function_has_branch_tokens(func)
 
     def test_both_shapes_define_the_same_elementwise_names(self):
@@ -764,6 +763,18 @@ class TestExactArc:
         code, out, err = cli_run(["ik", *geometry_flags(geom), "--rotation", "1,0,0,0,1,0,0,0,1"])
         assert code == 0 and err == "" and json.loads(out)["rho"] == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("l", [5e-324, 1e-320, 1e-300, 2.0**-60, 2.0**-53, 2.0**-52, 1e-3, 0.1, 1e3, 1e100, 4.4e298])
+    def test_the_segment_computes_its_least_bend(self, l):
+        # l*float_min, and 5e-324 where that underflows (l < 2^-52); a copy
+        # with another length computes its own.
+        geom = make_geom(n=3, l=l)
+        assert geom.least_bend == max(l * sys.float_info.min, 5e-324) > 0.0
+        assert (geom.least_bend == 5e-324) == (l <= 2.0**-52)
+        for other in (1e-310, 0.5, 1e200):
+            copy = dataclasses.replace(geom, l=other)
+            assert copy.least_bend == max(other * sys.float_info.min, 5e-324)
+            assert copy == make_geom(n=3, l=other) and "least_bend" not in repr(copy)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.floats(5e-324, sys.float_info.max),
@@ -1104,15 +1115,30 @@ class TestPoseType:
             dataclasses.replace(built, position=[0.0, math.inf, 0.1])
 
 
+def written_out_arc(ct, st_, phi, inv_kappa, elementwise):
+    """The arc of radius inv_kappa bent by phi in the plane at (ct, st_),
+    written apart from kinematics._arc: the frame Rz(theta) @ Ry(phi) as a
+    nested literal of its columns, the tip as one more array, each with a
+    batch index at the front."""
+    cp, sp = elementwise.cos(phi), elementwise.sin(phi)
+    bow = 2.0 * elementwise.sin(phi / 2.0) ** 2 * inv_kappa
+    return nested_literal_rotation(ct, st_, cp, sp), np.array([ct * bow, st_ * bow, sp * inv_kappa]).T
+
+
 def two_array_pose_oracle(geom, rho):
-    """fk_direct's pose built as two arrays: the nine frame entries as one,
-    the three tip entries as another, for one column or a batch."""
+    """fk_direct's pose built as two arrays, the frame and the tip, for one column or a batch."""
     elementwise = _ELEMENTWISE[rho.ndim]
-    ct, st_, phi, inv_kappa = _bend_arc(geom, *_fk_clarke(geom, build_transform(geom.layout), rho), elementwise)
-    sp = elementwise.sin(phi)
-    position = np.array(_arc_tip(ct, st_, sp, phi, inv_kappa, elementwise)).T
-    frame = np.array(_rotation(ct, st_, elementwise.cos(phi), sp))
-    return (frame.reshape(3, 3) if rho.ndim == 1 else frame.T.reshape(-1, 3, 3)), position
+    return written_out_arc(*_bend_arc(geom, *_fk_clarke(geom, build_transform(geom.layout), rho), elementwise), elementwise)
+
+
+def f_ind_oracle(geom, kappa, theta):
+    """f_ind's pose of (kappa, theta) as two arrays: the straight pose at
+    kappa = 0, else the arc bent by kappa*l raised to l*float_min, or to
+    5e-324 where that underflows."""
+    if kappa == 0.0:
+        return np.eye(3), np.array([0.0, 0.0, geom.l])
+    phi = max(kappa * geom.l, geom.l * sys.float_info.min, 5e-324)
+    return written_out_arc(math.cos(theta), math.sin(theta), phi, geom.l / phi, _ELEMENTWISE[1])
 
 
 def bases(a):
@@ -1134,10 +1160,14 @@ class TestOneBufferPose:
 
     @pytest.mark.parametrize("n", [3, 5, 12])
     def test_bits_of_the_two_array_oracle(self, n):
+        # fk_direct's poses of straight, near-half-circle and random columns,
+        # one by one and as a batch, then f_ind's straight and bent poses, a
+        # bend of 1e-310/m raised to the least bend among them.
         geom, cols = self.columns(n, seed=n)
-        for rho in [*cols.T, cols]:
-            pose = fk_direct(geom, rho)
-            rotation, position = two_array_pose_oracle(geom, rho)
+        built = [(fk_direct(geom, rho), two_array_pose_oracle(geom, rho)) for rho in [*cols.T, cols]]
+        for kappa, theta in itertools.product((0.0, 1e-310, 1e-3, 10.0, 31.0), (0.0, -2.5, 0.3, math.pi)):
+            built.append((f_ind(geom, CurvatureAngle(kappa, theta)), f_ind_oracle(geom, kappa, theta)))
+        for pose, (rotation, position) in built:
             assert type(pose) is Pose
             assert pose.rotation.shape == rotation.shape and pose.rotation.tobytes() == rotation.tobytes()
             assert pose.position.shape == position.shape and pose.position.tobytes() == position.tobytes()
@@ -1321,8 +1351,8 @@ class TestBatch:
 
 def nested_literal_rotation(ct, st, cp, sp):
     """Rz(theta) @ Ry(phi) as a nested literal of its columns, transposed so
-    that a batch index moves to the front: built apart from _rotation's
-    flat, row-major tuple."""
+    that a batch index moves to the front: built apart from _arc's flat,
+    row-major tuple."""
     zero = 0.0 * abs(ct)
     return np.array([[ct * cp, st * cp, -sp], [-st, ct, zero], [ct * sp, st * sp, cp]]).T
 
