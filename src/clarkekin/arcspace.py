@@ -123,39 +123,40 @@ def _as_car(arc) -> CurvatureAngle:
 def clarke_from_arc(geom: SegmentGeometry, arc) -> np.ndarray:
     """Clarke coordinates of a constant-curvature bend.
 
-    rho_re = d*l*kappa*cos(theta) and rho_im = d*l*kappa*sin(theta); the
-    magnitude of the pair is the virtual displacement d*l*kappa. Accepts
-    either arc representation; refuses an arc whose pair overflows.
+    rho_re = d*(l*kappa)*cos(theta) and rho_im = d*(l*kappa)*sin(theta);
+    the magnitude of the pair is the virtual displacement d*(l*kappa). The
+    bend l*kappa comes first, so no d*l underflows. Accepts either arc
+    representation; refuses an arc whose bend or pair overflows.
     """
-    dl = geom.layout.d * geom.l
+    d, l = geom.layout.d, geom.l
     if isinstance(arc, CurvatureCurvature):
-        xi = np.array([dl * arc.kappa_x, dl * arc.kappa_y])
+        xi = np.array([d * (l * arc.kappa_x), d * (l * arc.kappa_y)])
     else:
-        ca = _as_car(arc)
-        xi = np.array([dl * ca.kappa * math.cos(ca.theta), dl * ca.kappa * math.sin(ca.theta)])
+        xi = np.array(virtual_displacement(geom, _as_car(arc))[1:])
     return _in_float_range(xi, "the Clarke coordinates of this arc")
 
 
 def arc_from_clarke(geom: SegmentGeometry, xi) -> CurvatureAngle:
     """Arc parameters of the bend encoded by Clarke coordinates.
 
-    kappa = |xi| / (d*l) and theta = atan2(rho_im, rho_re) in (-pi, pi];
-    the origin, with either sign of zero, maps to the straight segment (0, 0).
+    kappa = (|xi|/d)/l, the bend over l, so no d*l underflows, and theta =
+    atan2(rho_im, rho_re) in (-pi, pi]; the origin, with either sign of
+    zero, maps to the straight segment (0, 0).
     """
     re, im = as_clarke(xi)
-    return CurvatureAngle(kappa=math.hypot(re, im) / (geom.layout.d * geom.l), theta=_angle(re, im))
+    return CurvatureAngle(kappa=math.hypot(re, im) / geom.layout.d / geom.l, theta=_angle(re, im))
 
 
 def virtual_displacement(geom: SegmentGeometry, ca: CurvatureAngle) -> tuple[float, float, float]:
     """Virtual displacement of a bend and its two plane projections.
 
-    Returns (total, proj_x, proj_y) in meters where total = d*l*kappa is the
-    maximum displacement, lying in the bending plane, and the projections
+    Returns (total, proj_x, proj_y) in meters where total = d*(l*kappa) is
+    the maximum displacement, lying in the bending plane, and the projections
     onto the xz- and yz-planes equal the Clarke coordinates. Always
     satisfies total^2 = proj_x^2 + proj_y^2. Refuses a bend whose total
     overflows; the projections never exceed it.
     """
-    total = geom.layout.d * geom.l * ca.kappa
+    total = geom.layout.d * (geom.l * ca.kappa)
     if not math.isfinite(total):
         raise ValueError("the virtual displacement of this arc is past the float range")
     return total, total * math.cos(ca.theta), total * math.sin(ca.theta)

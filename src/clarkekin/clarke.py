@@ -217,7 +217,7 @@ def is_on_manifold(t: ClarkeTransform, rho, tol: float = 1e-12) -> bool:
     """
     check_finite("tolerance", tol)
     rho = as_displacement(rho, t.n)
-    if abs(float(rho.sum())) > tol:
+    if abs(sum(rho.tolist())) > tol:  # Python floats: a sum that overflows is inf, with no warning
         return False
     return manifold_residual(t, rho) <= tol
 
@@ -225,9 +225,9 @@ def is_on_manifold(t: ClarkeTransform, rho, tol: float = 1e-12) -> bool:
 def _angle(x: float, y: float) -> float:
     """The angle of the 2-vector (x, y) in (-pi, pi], and 0 at the origin.
 
-    atan2(y + 0.0, x + 0.0), the plane rule of fk_direct: + 0.0 turns -0.0
-    into +0.0, so no signed zero turns the angle. atan2 still rounds to -pi
-    for x < 0 and y < 0 above about -3.4e-16*|x|; that is folded to pi.
+    atan2(y + 0.0, x + 0.0): + 0.0 turns -0.0 into +0.0, so no signed zero
+    turns the angle. atan2 still rounds to -pi for x < 0 and y < 0 above
+    about -3.4e-16*|x|; that is folded to pi.
     """
     angle = math.atan2(y + 0.0, x + 0.0)
     return math.pi if angle == -math.pi else angle

@@ -10,8 +10,9 @@ rotated into the bending plane, so R is the identity only under the
 straight-segment convention theta(kappa=0) = 0.
 
 fk_direct composes both mappings without ever branching on the curvature:
-it evaluates the exact arc of the Clarke pair for any bend below a full
-circle. One formula, _arc, gives the frame and tip of every arc that FK,
+it evaluates the exact arc of the Clarke pair xi for any bend below a full
+circle, in the plane xi/|xi|: a division, never an angle, so a batch row
+has the bits of its single call. One formula, _arc, gives the frame and tip of every arc that FK,
 f_ind and IK's check build, each bend raised to the segment's least_bend
 (SegmentGeometry), so its radius l/phi stays finite. IK's domain is
 smaller: p_z > 0, a bend below pi. IK accepts a target only when
@@ -26,9 +27,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car, arc_from_clarke, clarke_from_arc
+from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car, clarke_from_arc
 from .clarke import (
-    ClarkeTransform, _owned, _product, _readonly, all_finite, as_displacement, build_transform, inverse_transform, manifold_residual
+    ClarkeTransform, _angle, _owned, _product, _readonly, all_finite, as_displacement, build_transform, inverse_transform, manifold_residual
 )
 
 # Targets with p_z at or below this height (meters) are rejected: the tip of
@@ -51,24 +52,37 @@ BEND_ROUNDING_TOL = 1e-9
 
 # Elementwise functions by the number of dimensions of rho in fk_direct or
 # of a target in IK: one column or target runs on Python floats, as fast as
-# the scalar formula, and a batch in one numpy pass (numpy < 2 has no
-# atan2). split gives an array's rows; largest_abs, largest and least give
-# the largest |entry|, largest and least entry (+inf if none) as one float,
-# worst the largest |entry| of a list of entries, failing `<= tol` on a NaN;
-# pose views a frozen buffer of a frame's nine row-major entries and a tip's three as one pose or a stack.
+# the scalar formula, and a batch in one numpy pass that rounds as they do
+# (cos and sin where numpy's are the C library's, TestTrigPremise), save
+# atan2, for rotation IK's bend alone. split gives an array's rows;
+# largest_abs, largest and least give the largest |entry|, largest and least
+# entry (+inf if none) as one float, worst the largest |entry| of a list of
+# entries, failing `<= tol` on a NaN; pose views a frozen buffer of a frame's
+# nine row-major entries and a tip's three as one pose or a stack.
 _ELEMENTWISE = {
     1: SimpleNamespace(
-        hypot=math.hypot, atan2=math.atan2, maximum=max, minimum=min, cos=math.cos, sin=math.sin,
+        sqrt=math.sqrt, atan2=math.atan2, maximum=max, minimum=min, cos=math.cos, sin=math.sin,
         split=np.ndarray.tolist, largest_abs=lambda r: max(map(abs, r.tolist())), largest=float, least=float,
         worst=lambda v: max(math.inf if e != e else abs(e) for e in v), pose=lambda a: (a[:9].reshape(3, 3), a[9:]),
     ),
     2: SimpleNamespace(
-        hypot=np.hypot, atan2=np.arctan2, maximum=np.maximum, minimum=np.minimum, cos=np.cos, sin=np.sin,
+        sqrt=np.sqrt, atan2=np.arctan2, maximum=np.maximum, minimum=np.minimum, cos=np.cos, sin=np.sin,
         split=tuple, largest_abs=lambda r: float(abs(r).max(initial=0.0)), largest=lambda a: float(a.max(initial=0.0)),
         worst=lambda v: float(abs(np.array(v)).max(initial=0.0)), least=lambda a: float(a.min(initial=math.inf)),
         pose=lambda a: (a[:9].T.reshape(-1, 3, 3), a[9:].T),
     ),
 }
+
+
+def _polar(x, y, elementwise) -> tuple:
+    """|(x, y)| and (x, y)/|(x, y)|, floats or (k,) arrays: (x, y) over m = max(|x|, |y|), then over the root
+    of its sum of squares, which neither overflows nor turns subnormal to tilt the plane. IEEE operations, whose
+    bits floats and rows share. At the origin, either sign of zero, the divisor is 1 and u = 1: theta = 0."""
+    m = elementwise.maximum(abs(x), abs(y))
+    unit = m + (m == 0.0)
+    u, v = (x + 0.0) / unit + (m == 0.0), (y + 0.0) / unit
+    s = elementwise.sqrt(u * u + v * v)
+    return m * s, u / s, v / s
 
 
 def _check_rotations(m, elementwise, what: str) -> None:
@@ -139,12 +153,13 @@ def _arc(ct, st, phi, inv_kappa, elementwise) -> tuple:
     """The twelve entries of the arc of radius inv_kappa bent by phi in the plane at (cos, sin) = (ct, st).
 
     Rz(theta) @ Ry(phi) row-major, then the tip x, y, z: floats or (k,)
-    arrays. The bow 2*sin(phi/2)**2 is 1 - cos(phi) without its
-    cancellation near the straight pose, so the tip keeps full precision.
+    arrays. The bow 2*sin(phi/2)^2 is 1 - cos(phi) without its cancellation
+    near the straight pose, so the tip keeps full precision; it squares by a
+    product, as a float's ** 2 calls C pow, which numpy's does not.
     """
-    cp, sp = elementwise.cos(phi), elementwise.sin(phi)
+    cp, sp, half = elementwise.cos(phi), elementwise.sin(phi), elementwise.sin(phi / 2.0)
     zero = 0.0 * abs(ct)  # +0.0 shaped like ct; 0.0 * ct is -0.0 for ct < 0
-    bow = 2.0 * elementwise.sin(phi / 2.0) ** 2 * inv_kappa
+    bow = 2.0 * (half * half) * inv_kappa
     return ct * cp, -st, ct * sp, st * cp, ct, st * sp, -sp, zero, cp, ct * bow, st * bow, sp * inv_kappa
 
 
@@ -158,21 +173,21 @@ def f_dep_inverse(geom: SegmentGeometry, arc) -> np.ndarray:
 
 
 def f_dep(geom: SegmentGeometry, rho) -> CurvatureCurvature:
-    """Curvature components of a displacement vector: (1/(d*l)) * _product(forward, rho).
+    """Curvature components of a displacement vector: (_product(forward, rho)/d)/l.
 
-    For rho off the manifold this equals f_dep of the projected vector,
-    by linearity.
+    The bend over d first, so no d*l underflows. For rho off the manifold
+    this equals f_dep of the projected vector, by linearity.
     """
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n)
-    kxy = _product(t.forward, rho) / (geom.layout.d * geom.l)
+    kxy = _product(t.forward, rho) / geom.layout.d / geom.l
     return CurvatureCurvature(kappa_x=float(kxy[0]), kappa_y=float(kxy[1]))
 
 
 def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
-    """The Clarke pair xi_re, xi_im of rho (n,) or (n, k) and its bend
-    |xi|/d: floats for one column, (k,) arrays for a batch. Refuses rho
-    outside FK's domain.
+    """The plane (cos theta, sin theta) = xi/|xi| of the Clarke pair xi of
+    rho (n,) or (n, k), and its bend |xi|/d (_polar): floats for one column,
+    (k,) arrays for a batch. Refuses rho outside FK's domain.
 
     The transform sums n products of entries at most 2/n, so its rounding
     moves the bend |xi|/d by up to about 2n*2^-53*max|rho|/d; that must
@@ -188,48 +203,35 @@ def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
             f"displacements up to {top:.3e} m are too large for d={d:.6g} m: the transform's "
             f"rounding moves the bend by up to {rounding:.3e} rad, past {BEND_ROUNDING_TOL:.0e}"
         )
-    xi_re, xi_im = elementwise.split(_product(t.forward, rho))
-    amplitude = elementwise.hypot(xi_re, xi_im)
+    amplitude, ct, st = _polar(*elementwise.split(_product(t.forward, rho)), elementwise)
     widest = elementwise.largest(amplitude)
     if not widest < 2.0 * math.pi * d:
         raise ValueError(
             f"displacements bend the segment by {widest / d / math.pi:.6g}*pi rad, a full circle "
             f"or more: FK's domain is |xi| < 2*pi*d"
         )
-    return xi_re, xi_im, amplitude / d
+    return ct, st, amplitude / d
 
 
 def f_dep_curvature_angle(geom: SegmentGeometry, rho) -> CurvatureAngle:
     """Curvature and bending-plane angle of an on-manifold displacement vector.
 
-    The arc of its Clarke coordinates (arc_from_clarke); rho = 0 gives the
-    straight segment (0, 0). Rejects vectors outside FK's domain as
-    fk_direct does, then vectors whose projector residual exceeds
-    MANIFOLD_TOL instead of reading a bend into a vector that is not one;
-    f_dep projects such a vector silently.
+    kappa = (|xi|/d)/l in the plane of its Clarke coordinates xi, as
+    arc_from_clarke reads them; rho = 0 gives the straight segment (0, 0).
+    Rejects vectors outside FK's domain as fk_direct does, then vectors
+    whose projector residual exceeds MANIFOLD_TOL instead of reading a bend
+    into a vector that is not one; f_dep projects such a vector silently.
     """
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n)
-    xi_re, xi_im, _ = _fk_clarke(geom, t, rho)
+    ct, st, bend = _fk_clarke(geom, t, rho)
     residual = manifold_residual(t, rho)
     if residual > MANIFOLD_TOL:
         raise ValueError(
             f"displacement vector is off the manifold: projector residual "
             f"{residual:.3e} exceeds {MANIFOLD_TOL:.1e}"
         )
-    return arc_from_clarke(geom, (xi_re, xi_im))
-
-
-def _bend_arc(geom: SegmentGeometry, bx, by, phi, elementwise):
-    """The plane's cos and sin, phi and the radius l/phi of the bend phi in the plane of (bx, by), for fk_direct and IK.
-
-    The plane is theta = atan2(by + 0.0, bx + 0.0): + 0.0 turns -0.0 into
-    +0.0, so a zero vector is the straight pose. phi is raised to the
-    segment's least_bend, as f_ind raises its bend, so l/phi stays finite.
-    """
-    theta = elementwise.atan2(by + 0.0, bx + 0.0)
-    phi = elementwise.maximum(phi, geom.least_bend)
-    return elementwise.cos(theta), elementwise.sin(theta), phi, geom.l / phi
+    return CurvatureAngle(kappa=bend / geom.l, theta=_angle(ct, st))
 
 
 def f_ind(geom: SegmentGeometry, arc) -> Pose:
@@ -255,25 +257,24 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
 
     rho is one displacement column (n,), giving one Pose, or a batch of k
     columns (n, k), giving a stacked Pose with (k, 3, 3) rotations and
-    (k, 3) positions. One formula serves both. A single column evaluates
-    its elementwise functions with `math` and a batch with numpy. Each
-    Clarke pair comes from clarke._product, which gives a batch column the
-    bits of the single-column call. A row of a batch agrees with that call
-    within 1e-14 absolute, not bit for bit: numpy's hypot and arctan2
-    differ from math's in the last bits.
+    (k, 3) positions: one formula, on `math` for one column and on numpy
+    for a batch. Each Clarke pair comes from clarke._product, which gives a
+    batch column the bits of the single-column call, as does every later
+    step: a row of a batch is its single call bit for bit.
 
     It computes what f_ind(arc_from_clarke(xi)) computes for the Clarke
-    pair xi = forward @ rho: the arc bent by |xi|/d in the plane of xi
-    (_bend_arc), so rho = 0 is the straight pose. Where |xi|/(d*l)
+    pair xi = forward @ rho: the arc bent by |xi|/d, raised to least_bend
+    as f_ind raises it, in the plane (cos theta, sin theta) = xi/|xi|
+    (_polar), (1, 0) at rho = 0, the straight pose. Where |xi|/(d*l)
     underflows to 0, f_ind's straight branch takes theta = 0, and this
-    keeps the plane of xi. rho outside FK's domain (see _fk_clarke) is
-    refused.
+    keeps the plane of xi. rho outside FK's domain (_fk_clarke) is refused.
     """
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n, batch=True)
     elementwise = _ELEMENTWISE[rho.ndim]
-    # Nothing holds the Clarke pair once _bend_arc returns, so a batch's pose is built without it.
-    return _built_pose(_arc(*_bend_arc(geom, *_fk_clarke(geom, t, rho), elementwise), elementwise), elementwise)
+    ct, st, phi = _fk_clarke(geom, t, rho)
+    phi = elementwise.maximum(phi, geom.least_bend)
+    return _built_pose(_arc(ct, st, phi, geom.l / phi, elementwise), elementwise)
 
 
 def _check_position_target(x, y, z, elementwise) -> None:
@@ -300,28 +301,30 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, r, p, what: str) 
 
     The tip is fk_direct's arc of rho (_arc): the plane and the bend |xi|/d
     of its Clarke pair xi = _product(forward, rho); a position target alone
-    builds only the tip position. A bend of a full circle or more, outside FK's
-    domain, is held at 2*pi, whose tip is the base, |p| from the target.
-    Overflow gives a NaN or infinite rho, refused without a warning as a
-    target that needs displacements past the float range; even a rotation's
-    bend, at most pi, overflows at d = 1e308.
+    builds only the tip position. Each distance is a _polar magnitude, so a
+    row is accepted or refused as its single call is. A bend of a full
+    circle or more, outside FK's domain, is held at 2*pi, whose tip is the
+    base, |p| from the target. Overflow gives a NaN or infinite rho, refused
+    without a warning as a target that needs displacements past the float
+    range; even a rotation's bend, at most pi, overflows at d = 1e308.
     """
     t, d = build_transform(geom.layout), geom.layout.d
     with np.errstate(over="ignore", invalid="ignore"):
         rho = d * _product(t.inverse, np.array([bx, by]))
-        xi_re, xi_im = elementwise.split(_product(t.forward, rho))
-        phi = elementwise.minimum(elementwise.hypot(xi_re, xi_im) / d, 2.0 * math.pi)
-        ct, st, phi, inv_kappa = _bend_arc(geom, xi_re, xi_im, phi, elementwise)
+        amplitude, ct, st = _polar(*elementwise.split(_product(t.forward, rho)), elementwise)
+        phi = elementwise.maximum(elementwise.minimum(amplitude / d, 2.0 * math.pi), geom.least_bend)
+        inv_kappa = geom.l / phi
         if r is None:  # a position alone: _arc's tip, without the frame it does not test
-            bow = 2.0 * elementwise.sin(phi / 2.0) ** 2 * inv_kappa
+            half = elementwise.sin(phi / 2.0)
+            bow = 2.0 * (half * half) * inv_kappa
             arc = (ct * bow, st * bow, elementwise.sin(phi) * inv_kappa)
         else:
             arc = _arc(ct, st, phi, inv_kappa, elementwise)  # entry (i, j) of the frame at 3*i + j
         if p is not None:
             tx, ty, tz = arc[-3:]
             x, y, z = p
-            gap = elementwise.hypot(elementwise.hypot(tx - x, ty - y), tz - z)
-            norm = elementwise.hypot(elementwise.hypot(x, y), z)
+            gap = _polar(_polar(tx - x, ty - y, elementwise)[0], tz - z, elementwise)[0]
+            norm = _polar(_polar(x, y, elementwise)[0], z, elementwise)[0]
             ratio = gap / norm
             if not elementwise.largest(ratio) <= REACH_TOL:
                 i = np.argmin(np.ravel(ratio) <= REACH_TOL)
@@ -343,17 +346,15 @@ def ik_position(geom: SegmentGeometry, positions) -> np.ndarray:
     """Closed-form inverse kinematics to tip positions.
 
     positions is one position (3,), giving an (n,) displacement vector, or
-    a stack (k, 3), giving (n, k) displacement columns; column i agrees
-    with the single-position call within 1e-14 absolute: its transform
-    products have that call's bits, but numpy's hypot and arctan2 are not
-    math's. Positions have their own entry point because ik reads a (3, 3)
-    array as one rotation, never as three positions. Positions with p_z at
-    or below POSITION_Z_FLOOR, the origin and non-finite entries are
-    rejected. Otherwise IK bends toward p by l*(kappa_x, kappa_y) =
-    2l*(p_x, p_y)/|p|^2 and returns the displacements of that bend, refused
-    unless fk_direct of them gives p back within REACH_TOL*|p|. |p|^2
-    overflows only far out of reach, where the bend is zero, refused. A
-    stack is rejected if any row fails.
+    a stack (k, 3), giving (n, k) displacement columns, column i the
+    single-position call bit for bit. Positions have their own entry point
+    because ik reads a (3, 3) array as one rotation, never as three
+    positions. Positions with p_z at or below POSITION_Z_FLOOR, the origin
+    and non-finite entries are rejected. Otherwise IK bends toward p by
+    l*(kappa_x, kappa_y) = 2l*(p_x, p_y)/|p|^2 and returns the displacements
+    of that bend, refused unless fk_direct of them gives p back within
+    REACH_TOL*|p|. |p|^2 overflows only far out of reach, where the bend is
+    zero, refused. A stack is rejected if any row fails.
     """
     p = np.asarray(positions, dtype=float)
     if p.shape[-1:] != (3,) or p.ndim > 2:
@@ -375,14 +376,13 @@ def ik(geom: SegmentGeometry, target) -> np.ndarray:
     rho = d * inverse @ bend, with no branch on the curvature. Returns the
     displacement vector on the manifold that reproduces the target under
     fk_direct: (n,) for one target, and (n, k) columns for a stacked Pose
-    of k poses, column i within 1e-14 absolute of the call on pose i alone:
-    its transform products have that call's bits, but numpy's hypot and
-    arctan2 are not math's.
-    A position (3,) goes to ik_position, and so do stacks of positions. A
-    target is accepted only when fk_direct of the returned displacements
-    gives it back: rotations within 1e-9 entrywise, positions within
-    REACH_TOL*|p|. A rotation, alone or in a Pose, gives its bend by itself:
-    phi = atan2(|R[2, :2]|, R[2, 2]) toward (R[1, 1], -R[0, 1]). So a
+    of k poses, column i within 1e-14 absolute of the call on pose i alone,
+    as only the bend's atan2 is numpy's for a stack. A position (3,) goes
+    to ik_position, and so do stacks of positions. A target is accepted
+    only when fk_direct of the returned displacements gives it back:
+    rotations within 1e-9 entrywise, positions within REACH_TOL*|p|. A
+    rotation, alone or in a Pose, gives its bend by itself: phi =
+    atan2(|R[2, :2]|, R[2, 2]) toward (R[1, 1], -R[0, 1]). So a
     rotation-only target fixes the bending plane and kappa*l but not l; the
     returned displacements are independent of l.
     """
@@ -407,7 +407,7 @@ def ik(geom: SegmentGeometry, target) -> np.ndarray:
     # The bend of the tip frame Rz(theta) @ Ry(phi), from the rotation alone,
     # so l never enters: phi = atan2(|R[2, :2]|, R[2, 2]) in [0, pi] toward
     # (cos theta, sin theta) = (R[1, 1], -R[0, 1]).
-    phi = elementwise.atan2(elementwise.hypot(r[0][2], r[1][2]), r[2][2])
+    phi = elementwise.atan2(_polar(r[0][2], r[1][2], elementwise)[0], r[2][2])
     bx, by = phi * r[1][1], -phi * r[1][0]
     what = "not the tip of the arc its rotation describes: that arc of length l={l:.6g} m"
     return _fk_gives_back(geom, bx, by, elementwise, r, p, what)

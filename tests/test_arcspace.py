@@ -22,6 +22,8 @@ from clarkekin import (
     car_to_ccr,
     ccr_to_car,
     clarke_from_arc,
+    f_dep,
+    f_dep_curvature_angle,
     f_dep_inverse,
     rectangular_to_polar,
     virtual_displacement,
@@ -180,12 +182,35 @@ class TestVirtualDisplacement:
             assert total == pytest.approx(geom.layout.d * geom.l * ca.kappa, rel=1e-14)
 
 
+class TestTinySegments:
+    """The arc maps form the bend first, l*kappa or |xi|/d, so the product
+    d*l, which underflows to 0 at d = l = 1e-170 and loses digits at 1e-160,
+    never forms: a bend of 0.1 rad keeps full precision, with no warning."""
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1.0])
+    def test_a_tenth_of_a_radian(self, scale):
+        geom = SegmentGeometry(JointLayout(5, scale), scale)
+        ca = CurvatureAngle(0.1 / scale, 0.5)
+        total = scale * 0.1
+        pair = [total * math.cos(0.5), total * math.sin(0.5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert clarke_from_arc(geom, ca) == pytest.approx(pair, rel=1e-15)
+            assert virtual_displacement(geom, ca) == pytest.approx((total, *pair), rel=1e-15)
+            for back in (arc_from_clarke(geom, pair), f_dep_curvature_angle(geom, f_dep_inverse(geom, ca))):
+                assert (back.kappa, back.theta) == pytest.approx((ca.kappa, ca.theta), rel=1e-14)
+            rho = f_dep_inverse(geom, ca)
+            assert np.max(np.abs(rho - total * np.cos(2.0 * np.pi * np.arange(5) / 5 - 0.5))) <= 1e-14 * total
+            cc = f_dep(geom, rho)
+            assert (cc.kappa_x, cc.kappa_y) == pytest.approx([ca.kappa * math.cos(0.5), ca.kappa * math.sin(0.5)], rel=1e-14)
+
+
 def unchecked_clarke_from_arc(geom, arc):
     """clarke_from_arc with no float-range check: its formula, in its order."""
-    d = geom.layout.d
+    d, l = geom.layout.d, geom.l
     if isinstance(arc, CurvatureCurvature):
-        return d * geom.l * np.array([arc.kappa_x, arc.kappa_y])
-    scale = d * geom.l * arc.kappa
+        return np.array([d * (l * arc.kappa_x), d * (l * arc.kappa_y)])
+    scale = d * (l * arc.kappa)
     return np.array([scale * math.cos(arc.theta), scale * math.sin(arc.theta)])
 
 
@@ -223,7 +248,7 @@ class TestArcMapsPastTheFloatRange:
                     with pytest.raises(ValueError, match="past the float range"):
                         f_dep_inverse(geom, arc)
             ca = CurvatureAngle(abs(kx), ky % 7.0)
-            total = geom.layout.d * geom.l * ca.kappa
+            total = geom.layout.d * (geom.l * ca.kappa)
             if math.isfinite(total):
                 expected = (total, total * math.cos(ca.theta), total * math.sin(ca.theta))
                 assert virtual_displacement(geom, ca) == expected

@@ -470,6 +470,14 @@ class TestIsOnManifold:
         with pytest.raises(ValueError, match="positive"):
             is_on_manifold(t, [0.0, 0.0, 0.0], tol=0.0)
 
+    def test_a_sum_past_the_float_range_is_off_without_a_warning(self):
+        # numpy's sum of these finite entries overflowed with a RuntimeWarning.
+        t = build_transform(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_on_manifold(t, [1e308, 1e308, -1e308])
+            assert not is_on_manifold(t, [-1.7e308, -1.7e308, 1.0])
+
     def test_residual_zero_on_manifold(self):
         t = build_transform(6)
         rho = inverse_transform(t, [0.3, 0.4])

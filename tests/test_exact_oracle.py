@@ -20,6 +20,10 @@ inverse_transform(t, xi) within (16 + 3) * 2**-53 * (|xi_re| + |xi_im|),
 each plus n * 2**-1074 for products that fall among the subnormals. The
 worst cases measured are about 6.5 and 9.8 in those units. One column is
 checked per call: each column of a batch has the bits of its own call.
+
+FK's plane and amplitude (kinematics._polar) are checked against sqrt in
+decimal at 50 digits: cos and sin of the plane within 2 * 2**-53, and the
+amplitude within 2.5 * 2**-53 relative plus 2**-1074.
 """
 
 import functools
@@ -32,6 +36,7 @@ import numpy as np
 import pytest
 
 from clarkekin import build_transform, inverse_transform, transform
+from clarkekin.kinematics import _ELEMENTWISE, _polar
 
 DIGITS = 60
 _GUARD = 10  # extra working digits
@@ -173,3 +178,61 @@ def test_inverse_transform_is_within_the_stated_bound(n):
             for i, (got, (c, s)) in enumerate(zip(rho.tolist(), circle)):
                 error = abs(Decimal(got) - (c * re + s * im))
                 assert error <= bound, f"displacement {i} off by {float(error / bound):.3g} bounds at n={n}"
+
+
+PLANE_DIGITS = 50
+PLANE_BOUND = 2  # cos and sin, in units of 2**-53
+AMPLITUDE_BOUND = Decimal("2.5")  # relative, in units of 2**-53, plus 2**-1074
+
+
+def plane_pairs(count: int, seed: int) -> list[tuple[float, float]]:
+    """count pairs (x, y) of either sign over 624 decades, 10**-323.6 (5e-324) to
+    10**300, the smaller entry 10**0 to 10**600 below the larger or flushed to a
+    signed zero; signed zeros, subnormals and the pinned pairs first."""
+    rng = random.Random(seed)
+    pairs = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (5e-324, 5e-324), (-5e-324, 5e-324)]
+    pairs += [(5e-324, -0.0), (-0.0, -5e-324), (2.2250738585072014e-308, 5e-324), (1e300, -1e-300), (-3.0, 4.0)]
+    while len(pairs) < count:
+        e = rng.uniform(-323.6, 300.0)
+        gap = rng.choice([0.0, rng.uniform(0.0, 3.0), rng.uniform(0.0, 40.0), rng.uniform(0.0, 600.0)])
+        large, small = (rng.choice((-1.0, 1.0)) * 10.0 ** max(e - g, -400.0) for g in (0.0, gap))
+        pairs.append((large, small) if rng.random() < 0.5 else (small, large))
+    return pairs
+
+
+class TestPlane:
+    """_polar(x, y) = (|v|, cos, sin) of v = (x, y), FK's amplitude and plane,
+    within the stated bounds of the exact values on 20,000 pairs, with one
+    set of bits for a pair alone and as a row of a batch. Over 2*10**6 more
+    pairs the worst seen was 1.97 for the plane and 2.42 for |v|; a
+    first-order count of the five roundings allows about 2.3 and 3.25."""
+
+    PAIRS = plane_pairs(20000, seed=6)
+
+    def test_one_pair_and_a_batch_are_within_the_bounds(self):
+        xs, ys = np.array(self.PAIRS).T
+        singles = [_polar(x, y, _ELEMENTWISE[1]) for x, y in self.PAIRS]
+        assert np.array(singles).T.tobytes() == np.array(_polar(xs, ys, _ELEMENTWISE[2])).tobytes()
+        with localcontext() as ctx:
+            ctx.prec = PLANE_DIGITS
+            for (x, y), got in zip(self.PAIRS, singles):
+                exact = (Decimal(x) ** 2 + Decimal(y) ** 2).sqrt()
+                if exact == 0:
+                    # The origin, with either sign of zero, is the plane theta = 0.
+                    assert [math.copysign(1.0, v) * abs(v) for v in got] == [0.0, 1.0, 0.0]
+                    assert all(math.copysign(1.0, v) == 1.0 for v in got)
+                    continue
+                amplitude, cos, sin = map(Decimal, got)
+                where = f"at ({x!r}, {y!r})"
+                assert abs(amplitude - exact) <= AMPLITUDE_BOUND * ULP * exact + SUBNORMAL, where
+                assert abs(cos - Decimal(x) / exact) <= PLANE_BOUND * ULP, where
+                assert abs(sin - Decimal(y) / exact) <= PLANE_BOUND * ULP, where
+
+    def test_the_least_subnormal_pair_is_at_45_degrees(self):
+        # (x, y)/hypot(x, y) reads (5e-324, 5e-324) as the plane (1, 1):
+        # hypot rounds sqrt(2)*5e-324 to 5e-324. Dividing by max(|x|, |y|)
+        # first keeps the plane a unit vector.
+        for elementwise, pair in ((_ELEMENTWISE[1], (5e-324, 5e-324)), (_ELEMENTWISE[2], np.full((2, 3), 5e-324))):
+            amplitude, cos, sin = _polar(*pair, elementwise)
+            assert np.all(amplitude == 5e-324)
+            assert np.all(cos == sin) and np.all(abs(cos - math.sqrt(0.5)) <= PLANE_BOUND * 2.0**-53)

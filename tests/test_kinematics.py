@@ -48,10 +48,10 @@ from clarkekin.kinematics import (
     POSITION_Z_FLOOR,
     REACH_TOL,
     _arc,
-    _bend_arc,
     _built_pose,
     _fk_clarke,
     _fk_gives_back,
+    _polar,
 )
 
 
@@ -241,7 +241,7 @@ class TestFkDirect:
 
     def test_no_branch_in_the_shared_tail(self):
         # fk_direct hands its bend to these; they must not branch either.
-        for func in (_bend_arc, _arc, _built_pose):
+        for func in (_polar, _arc, _built_pose):
             assert not _function_has_branch_tokens(func)
 
     def test_both_shapes_define_the_same_elementwise_names(self):
@@ -587,12 +587,29 @@ def exact_arc_oracle(geom, xi):
     return f_ind(geom, arc_from_clarke(geom, xi))
 
 
+def divided_polar(x, y):
+    """(|v|, cos, sin) of v = (x, y) written apart from kinematics._polar,
+    with a branch at the origin: v over max(|x|, |y|), then over the root
+    of the sum of its squares. + 0.0 turns -0.0 into +0.0."""
+    m = max(abs(x), abs(y))
+    if m == 0.0:
+        return 0.0, 1.0, 0.0
+    u, v = (x + 0.0) / m, (y + 0.0) / m
+    s = math.sqrt(u * u + v * v)
+    return m * s, u / s, v / s
+
+
+def rowwise_polar(x, y):
+    """divided_polar of each row (x[i], y[i]) of two (k,) arrays, as three (k,) arrays."""
+    return np.array([divided_polar(a, b) for a, b in zip(x.tolist(), y.tolist())]).reshape(-1, 3).T
+
+
 def in_fk_domain(geom, rho, amplitude):
     """FK's domain from its definition: the bend amplitude/d below a full
     circle, and the transform's rounding bound 2n*2^-53*max|rho|/d on that
-    bend below BEND_ROUNDING_TOL. amplitude is |xi| rounded as the path
-    under test rounds it: math.hypot for one column, np.hypot for a batch.
-    The two can differ by an ulp, which decides a bend at 2*pi*d."""
+    bend below BEND_ROUNDING_TOL. amplitude is |xi| rounded as FK rounds it
+    (divided_polar), one rule for a column and for each row of a batch;
+    its last bit decides a bend at 2*pi*d."""
     n, d = geom.layout.n, geom.layout.d
     return amplitude < 2.0 * math.pi * d and 2.0 * n * 2.0**-53 * np.max(np.abs(rho)) / d < BEND_ROUNDING_TOL
 
@@ -630,10 +647,11 @@ def assert_refused(geom, rho, match):
 
 
 # A column at n = 27, d = l = 1 at the edge of FK's domain. Its Clarke pair
-# has |xi| = 6.2831853071795858, 4.4e-16 below the float 2*pi, which both
-# math.hypot and np.hypot round up to 2*pi: refused. A matrix-matrix
-# product rounds the pair of the same column to one np.hypot rounds down,
-# accepted; a batch takes the single call's pair, so it refuses too.
+# has |xi| = 6.2831853071795858, 4.4e-16 below the float 2*pi. math.hypot
+# and np.hypot round it to 2*pi, FK's divided amplitude to an ulp past it:
+# refused. A matrix-matrix product rounds the pair of the same column to
+# one np.hypot rounds below 2*pi; a batch takes the single call's pair and
+# amplitude, so it refuses too.
 BATCH_HYPOT_SPLIT_RHO = [
     6.087856292036114, 6.2822462315726995, 6.1379586506663735,
     5.662772130151243, 4.882304098345726, 3.838629788861078,
@@ -681,20 +699,20 @@ class TestExactArc:
         t = build_transform(geom.layout.n)
         cols = np.stack([rho, np.zeros_like(rho), rho], axis=1)
         xi = t.forward.dot(rho)
-        # A batch column has the Clarke pair of the call on it alone, but
-        # its own amplitude: np.hypot rounds unlike math.hypot.
-        batch_xis = columnwise(t.forward, cols)
-        for x, xis, amplitudes in ((rho, xi[:, None], [math.hypot(*xi)]), (cols, batch_xis, np.hypot(*batch_xis))):
+        # A batch column has the Clarke pair and the amplitude of the call
+        # on it alone, so one amplitude decides both.
+        inside = in_fk_domain(geom, rho, divided_polar(*xi.tolist())[0])
+        for x, xis in ((rho, xi[:, None]), (cols, columnwise(t.forward, cols))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                if all(in_fk_domain(geom, rho, amplitude) for amplitude in amplitudes):
+                if inside:
                     poses = fk_direct(geom, x)
                     for rotation, position, pair in zip(poses.rotation.reshape(-1, 3, 3), poses.position.reshape(-1, 3), xis.T):
                         assert_exact_arc(geom, Pose(rotation=rotation, position=position), pair)
                     continue
                 with pytest.raises(ValueError, match="FK's domain|rounding moves the bend"):
                     fk_direct(geom, x)
-        if not in_fk_domain(geom, rho, math.hypot(*xi)):
+        if not inside:
             code, out, err = cli_fk(geom, rho)
             assert code == 3 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
 
@@ -1119,16 +1137,18 @@ def written_out_arc(ct, st_, phi, inv_kappa, elementwise):
     """The arc of radius inv_kappa bent by phi in the plane at (ct, st_),
     written apart from kinematics._arc: the frame Rz(theta) @ Ry(phi) as a
     nested literal of its columns, the tip as one more array, each with a
-    batch index at the front."""
-    cp, sp = elementwise.cos(phi), elementwise.sin(phi)
-    bow = 2.0 * elementwise.sin(phi / 2.0) ** 2 * inv_kappa
+    batch index at the front. The bow squares sin(phi/2) as a product."""
+    cp, sp, half = elementwise.cos(phi), elementwise.sin(phi), elementwise.sin(phi / 2.0)
+    bow = 2.0 * (half * half) * inv_kappa
     return nested_literal_rotation(ct, st_, cp, sp), np.array([ct * bow, st_ * bow, sp * inv_kappa]).T
 
 
 def two_array_pose_oracle(geom, rho):
     """fk_direct's pose built as two arrays, the frame and the tip, for one column or a batch."""
     elementwise = _ELEMENTWISE[rho.ndim]
-    return written_out_arc(*_bend_arc(geom, *_fk_clarke(geom, build_transform(geom.layout), rho), elementwise), elementwise)
+    ct, st_, phi = _fk_clarke(geom, build_transform(geom.layout), rho)
+    phi = elementwise.maximum(phi, geom.least_bend)
+    return written_out_arc(ct, st_, phi, geom.l / phi, elementwise)
 
 
 def f_ind_oracle(geom, kappa, theta):
@@ -1206,14 +1226,13 @@ def scalar_fk_oracle(geom, rho):
     d = geom.layout.d
     l = geom.l
     xi = t.forward @ np.asarray(rho, dtype=float)
-    theta = math.atan2(xi[1] + 0.0, xi[0] + 0.0)
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    phi = max(math.hypot(xi[0], xi[1]) / d, sys.float_info.min * l)
+    amplitude, ct, st = divided_polar(*xi.tolist())
+    phi = max(amplitude / d, sys.float_info.min * l)
     cp = math.cos(phi)
     sp = math.sin(phi)
     inv_kappa = l / phi
-    bow = 2.0 * math.sin(phi / 2.0) ** 2 * inv_kappa
+    half = math.sin(phi / 2.0)
+    bow = 2.0 * (half * half) * inv_kappa
     position = np.array([ct * bow, st * bow, sp * inv_kappa])
     rotation = np.array(
         [
@@ -1232,6 +1251,7 @@ def displacement_columns(n, d, amplitude_fractions, thetas):
     return amp[None, :] * np.cos(psi[:, None] - np.asarray(thetas)[None, :])
 
 
+# Pose IK's bend is an atan2, numpy's for a stack and math's for one pose.
 BATCH_TOL = 1e-14
 
 fractions = st.one_of(st.just(0.0), st.floats(0.0, 0.99))
@@ -1260,9 +1280,24 @@ SUBNORMAL_BATCHES = [
 ]
 
 
+@st.composite
+def wide_batches(draw):
+    """Up to 12 columns at n in [3, 64], d and l across decades, each bent
+    by a fraction of d*pi that is 0, down to the subnormals, or up to 1.99."""
+    n = draw(st.integers(3, 64))
+    d, l = (10.0 ** draw(st.floats(-4.0, 1.0)) for _ in range(2))
+    amplitude = st.sampled_from([0.0, 5e-324]) | st.floats(-330.0, -1.0).map(lambda e: 10.0**e) | st.floats(0.0, 1.99)
+    pairs = draw(st.lists(st.tuples(amplitude, angles), min_size=1, max_size=12))
+    return make_geom(n=n, d=d, l=l), displacement_columns(n, d, *zip(*pairs))
+
+
 class TestBatch:
+    # A row is its single call bit for bit where numpy's cos and sin are the
+    # C library's (tests/test_sampling.py::TestTrigPremise): FK's phi still
+    # goes through them. The plane and every amplitude are IEEE divisions
+    # and roots (kinematics._polar), which numpy and math round alike.
     @settings(max_examples=200, deadline=None)
-    @given(fk_batches())
+    @given(wide_batches())
     @example((make_geom(n=8, d=1e-3, l=0.01), SUBNORMAL_BATCHES[0]))
     @example((make_geom(n=8, d=1e-3, l=0.01), SUBNORMAL_BATCHES[1]))
     def test_fk_batch_rows_match_single_calls(self, case):
@@ -1273,8 +1308,29 @@ class TestBatch:
         assert poses.position.shape == (k, 3)
         for i in range(k):
             one = fk_direct(geom, cols[:, i])
-            assert np.max(np.abs(poses.rotation[i] - one.rotation)) <= BATCH_TOL
-            assert np.max(np.abs(poses.position[i] - one.position)) <= BATCH_TOL
+            assert poses.rotation[i].tobytes() == one.rotation.tobytes()
+            assert poses.position[i].tobytes() == one.position.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_batches())
+    def test_position_ik_rows_are_their_single_calls(self, case):
+        # FK then IK, on the batch and on each column alone. Past a half
+        # circle a tip may lie at or below POSITION_Z_FLOOR: a row IK refuses
+        # alone refuses the stack, and only such a row does.
+        geom, cols = case
+        positions = fk_direct(geom, cols).position
+        singles = []
+        for rho in cols.T:
+            try:
+                singles.append(ik_position(geom, fk_direct(geom, rho).position))
+            except ValueError:
+                singles.append(None)
+        accepted = [rho is not None for rho in singles]
+        expected = np.array([rho for rho in singles if rho is not None]).reshape(-1, geom.layout.n).T
+        assert ik_position(geom, positions[accepted]).tobytes() == expected.tobytes()
+        if not all(accepted):
+            with pytest.raises(ValueError):
+                ik_position(geom, positions)
 
     @settings(max_examples=200, deadline=None)
     @given(fk_batches())
@@ -1298,7 +1354,7 @@ class TestBatch:
         for i in range(cols.shape[1]):
             one = Pose(rotation=poses.rotation[i], position=poses.position[i])
             assert np.max(np.abs(by_pose[:, i] - ik(geom, one))) <= BATCH_TOL
-            assert np.max(np.abs(by_position[:, i] - ik(geom, one.position))) <= BATCH_TOL
+            assert by_position[:, i].tobytes() == ik(geom, one.position).tobytes()
 
     def test_batch_round_trip(self):
         geom = make_geom(n=12)
@@ -1365,17 +1421,15 @@ def matmul_fk_oracle(geom, rho):
     t = build_transform(geom.layout.n)
     d, l = geom.layout.d, geom.l
     if rho.ndim == 1:
-        xi_re, xi_im = (t.forward @ rho).tolist()
-        hypot, atan2, maximum, cos, sin = math.hypot, math.atan2, max, math.cos, math.sin
+        amplitude, ct, st = divided_polar(*(t.forward @ rho).tolist())
+        maximum, cos, sin = max, math.cos, math.sin
     else:
-        xi_re, xi_im = columnwise(t.forward, rho)
-        hypot, atan2, maximum, cos, sin = np.hypot, np.arctan2, np.maximum, np.cos, np.sin
-    theta = atan2(xi_im + 0.0, xi_re + 0.0)
-    ct, st = cos(theta), sin(theta)
-    phi = maximum(hypot(xi_re, xi_im) / d, sys.float_info.min * l)
+        amplitude, ct, st = rowwise_polar(*columnwise(t.forward, rho))
+        maximum, cos, sin = np.maximum, np.cos, np.sin
+    phi = maximum(amplitude / d, sys.float_info.min * l)
     inv_kappa = l / phi
-    cp, sp = cos(phi), sin(phi)
-    bow = 2.0 * sin(phi / 2.0) ** 2 * inv_kappa
+    cp, sp, half = cos(phi), sin(phi), sin(phi / 2.0)
+    bow = 2.0 * (half * half) * inv_kappa
     return nested_literal_rotation(ct, st, cp, sp), np.array([ct * bow, st * bow, sp * inv_kappa]).T
 
 
