@@ -125,6 +125,10 @@ class ClarkeTransform:
 
 _TRANSFORM_CACHE: dict[int, ClarkeTransform] = {}
 
+# Each cached matrix's entries as n pairs of Python floats, listed once by build_transform,
+# keyed by its id: a cached matrix lives as long as this module, so no other array has it.
+_ENTRIES: dict[int, list] = {}
+
 
 def build_transform(layout: JointLayout | int) -> ClarkeTransform:
     """Construct (or fetch from cache) the transform pair for a layout.
@@ -144,21 +148,42 @@ def build_transform(layout: JointLayout | int) -> ClarkeTransform:
     forward = _readonly((2.0 / n) * np.vstack([cos_psi, sin_psi]))
     inverse = _readonly(np.column_stack([cos_psi, sin_psi]))
     t = ClarkeTransform(n=n, forward=forward, inverse=inverse)
+    _ENTRIES[id(forward)], _ENTRIES[id(inverse)] = forward.T.tolist(), inverse.tolist()
     _TRANSFORM_CACHE[n] = t
     return t
 
 
-def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m times x: one column or Clarke pair x, or a batch x of k columns.
+def _sum(terms) -> float:
+    """The terms added left to right from the first: not builtin sum (compensated from 3.12) nor add.reduce."""
+    total = -0.0  # -0.0 + x is x for every float x
+    for term in terms:
+        total += term
+    return total
 
-    Every product on a transform matrix goes through here. A batch is a
-    stack of matrix-vector products, so each column gets the bits of
-    m.dot(column); one matrix-matrix product rounds unlike it, which turns
-    a tiny Clarke pair's bending plane. The sampler's c*x + s*y is elementwise.
+
+def _product(m: np.ndarray, x):
+    """m times x, m a cached transform matrix: entry i is m[i][0]*x[0] + m[i][1]*x[1] + ..., left to right.
+
+    Every transform product goes through here, in this one IEEE order from the first product, so no bit comes
+    from the BLAS and -0.0 adds alike on both paths. One column (floats or a 1-D array) runs on Python floats over
+    build_transform's listed entries and gives a list; a batch (a 2-D array or c (k,) rows) runs the same
+    multiplies and in-place adds on its rows and gives an r x k array, each column the bits of its single call.
     """
-    if x.ndim == 1:
-        return m.dot(x)
-    return np.matmul(m, x.T[:, :, None])[:, :, 0].T
+    if isinstance(x, np.ndarray) and x.ndim == 1:
+        x = x.tolist()
+    if isinstance(x[0], float):
+        if len(x) == 2:  # the inverse matrix: n rows of two products
+            x0, x1 = x
+            return [a * x0 + b * x1 for a, b in _ENTRIES[id(m)]]
+        re = im = -0.0  # the forward matrix: two sums of n products, from -0.0, which adds as nothing
+        for (c, s), v in zip(_ENTRIES[id(m)], x):
+            re += c * v
+            im += s * v
+        return [re, im]
+    out = m[:, :1] * x[0]
+    for j in range(1, m.shape[1]):
+        out += m[:, j, None] * x[j]
+    return out
 
 
 def _in_float_range(result: np.ndarray, what: str) -> np.ndarray:
@@ -177,7 +202,7 @@ def transform(t: ClarkeTransform, rho) -> np.ndarray:
     """
     rho = as_displacement(rho, t.n, batch=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _in_float_range(_product(t.forward, rho), "the Clarke coordinates of these displacements")
+        return _in_float_range(np.asarray(_product(t.forward, rho)), "the Clarke coordinates of these displacements")
 
 
 def inverse_transform(t: ClarkeTransform, xi) -> np.ndarray:
@@ -187,9 +212,7 @@ def inverse_transform(t: ClarkeTransform, xi) -> np.ndarray:
     on the 2-dof displacement manifold. Clarke coordinates whose
     displacements overflow are refused.
     """
-    xi = np.array(as_clarke(xi))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _in_float_range(_product(t.inverse, xi), "the displacements of these Clarke coordinates")
+    return _in_float_range(np.array(_product(t.inverse, as_clarke(xi))), "the displacements of these Clarke coordinates")
 
 
 def projector(t: ClarkeTransform) -> np.ndarray:
@@ -204,21 +227,16 @@ def projector(t: ClarkeTransform) -> np.ndarray:
 def manifold_residual(t: ClarkeTransform, rho) -> float:
     """Max-norm distance of rho from its projection onto the manifold."""
     rho = as_displacement(rho, t.n)
-    return float(np.max(np.abs(_product(t.inverse, _product(t.forward, rho)) - rho)))
+    return float(np.max(np.abs(np.subtract(_product(t.inverse, _product(t.forward, rho)), rho))))
 
 
 def is_on_manifold(t: ClarkeTransform, rho, tol: float = 1e-12) -> bool:
-    """Whether rho lies on the displacement manifold within tol.
+    """Whether rho lies on the displacement manifold within tol: its projector residual is at most tol.
 
-    Checks both the scalar constraint |sum(rho)| <= tol and the projector
-    residual. The scalar sum alone characterizes the manifold only for
-    n = 3; for n >= 4 vectors such as [1, -1, 1, -1] sum to zero yet are
-    geometrically infeasible, so full subspace membership is required.
+    The residual alone decides: it bounds |sum(rho)| by about n*tol, does not overflow on 1.7e308*inverse[:, 0]
+    as a sum does, and refuses [1, -1, 1, -1] at n = 4, which sums to zero. A residual past the float range reads off.
     """
     check_finite("tolerance", tol)
-    rho = as_displacement(rho, t.n)
-    if abs(sum(rho.tolist())) > tol:  # Python floats: a sum that overflows is inf, with no warning
-        return False
     return manifold_residual(t, rho) <= tol
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .arcspace import SegmentGeometry
-from .clarke import _owned, _product, _readonly, all_finite, as_clarke, as_displacement, build_transform, check_finite
+from .clarke import _owned, _product, _readonly, _sum, all_finite, as_clarke, as_displacement, build_transform, check_finite
 from .csvio import csv_chunks, write_text
 
 
@@ -150,22 +150,18 @@ class SimTrace:
 def controller_step(cfg: ControllerConfig, xi_desired, rho_measured) -> np.ndarray:
     """One controller evaluation: measured joints in, commanded joints out.
 
-    The measurement is centered before the transform (n*rho - sum(rho), n
-    a float, which numpy need not convert from an int on every call;
-    rescaled after the matrix product). Centering changes nothing
-    mathematically since the transform annihilates constant vectors, but it
-    cancels a shared offset in exact arithmetic instead of leaving it to
-    the vanishing row sums of the matrix.
+    The measurement is centered before the transform (n*rho - sum(rho), rescaled after the matrix product).
+    Centering changes nothing mathematically since the transform annihilates constant vectors, but it cancels
+    a shared offset in exact arithmetic instead of leaving it to the vanishing row sums of the matrix.
 
-    The n-vector work and both products run in numpy (clarke._product), the
-    Clarke pair in between (rescaling, error, command) on Python floats, whose
-    IEEE operations give numpy's bits. A command whose |re| + |im| passes the
-    float range, where a joint of it may overflow, raises OverflowError.
+    All on Python floats, the Clarke pair never an array: the centring sum left to right (clarke._sum), both
+    products in clarke._product's order. A command whose |re| + |im| passes the float range raises OverflowError.
     """
     t = build_transform(cfg.geometry.layout.n)
     d_re, d_im = as_clarke(xi_desired)
-    rho_m = as_displacement(rho_measured, t.n)
-    m_re, m_im = _product(t.forward, float(t.n) * rho_m - np.add.reduce(rho_m)).tolist()
+    rho_m = as_displacement(rho_measured, t.n).tolist()
+    n, total = float(t.n), _sum(rho_m)
+    m_re, m_im = _product(t.forward, [n * r - total for r in rho_m])
     e_re, e_im = d_re - m_re / t.n, d_im - m_im / t.n
     kp = cfg.kp
     if cfg.feedforward:
@@ -174,23 +170,22 @@ def controller_step(cfg: ControllerConfig, xi_desired, rho_measured) -> np.ndarr
         c_re, c_im = kp * e_re, kp * e_im
     if not math.isfinite(abs(c_re) + abs(c_im)):
         raise OverflowError(f"the Clarke command ({c_re:.6g}, {c_im:.6g}) overflows")
-    return _product(t.inverse, np.array((c_re, c_im)))
+    return np.array(_product(t.inverse, (c_re, c_im)))
 
 
 def plant_step(plant: PT1Plant, command, dt: float) -> PT1Plant:
     """Advance the PT1 actuators by dt under a held command.
 
-    Exact zero-order-hold discretization x+ = a*x + (1-a)*u with
-    a = exp(-dt/tau); stable for every dt, tau > 0. dt and the command are
-    checked here; the plant's tau was checked when it was built, so the
-    next plant is built without checking it again, and its state is not
-    checked either: with a in [0, 1], a*x + (1-a)*u of finite x and u
-    rounds below the overflow threshold even at the largest float.
+    Exact zero-order-hold discretization x+ = a*x + (1-a)*u with a = exp(-dt/tau), on Python floats
+    with numpy's bits; stable for every dt, tau > 0. dt and the command are checked here; the plant's
+    tau was checked when it was built, so the next plant is built without checking it again, and its
+    state is not checked either: with a in [0, 1], a*x + (1-a)*u of finite x and u rounds below the
+    overflow threshold even at the largest float.
     """
     check_finite("dt", dt)
     u = as_displacement(command, len(plant.state))
     a = math.exp(-dt / plant.tau)
-    return _built_plant(plant.tau, a * plant.state + (1.0 - a) * u)
+    return _built_plant(plant.tau, np.array([a * x + (1.0 - a) * v for x, v in zip(plant.state.tolist(), u.tolist())]))
 
 
 def _profile_durations(length: float, v: float, a: float, d: float) -> tuple[float, float, float, float]:
@@ -325,7 +320,7 @@ def run_simulation(
         raise ValueError(f"trajectory must be n x T with n={n}, got {trajectory.shape}")
     ticks = trajectory.shape[1]
     if ticks == 0:
-        rest = _product(t.inverse, _product(t.forward, plant.state)).reshape(n, 1)
+        rest = np.reshape(_product(t.inverse, _product(t.forward, plant.state)), (n, 1))
         col = plant.state.reshape(n, 1)
         return SimTrace(np.array([0.0]), rest, col, rest, col)
     # One row per tick; states[i] is the plant state read at tick i.
@@ -405,8 +400,8 @@ def noise_propagation(layout, sigma: float, joint_index: int) -> NoisePropagatio
     """Project a single-joint error of size sigma onto the manifold.
 
     The projection is inverse @ (forward @ fault), O(n) in time and memory;
-    no n x n matrix is built. The reported norm_ratio is measured, not
-    checked: its agreement with the closed form 2/n is a test property.
+    no n x n matrix is built; its squared norm adds left to right (clarke._sum). The reported
+    norm_ratio is measured, not checked: its agreement with the closed form 2/n is a test property.
     """
     check_finite("sigma", sigma, None)
     if sigma != 0.0 and not sys.float_info.min <= sigma * sigma < math.inf:
@@ -416,14 +411,14 @@ def noise_propagation(layout, sigma: float, joint_index: int) -> NoisePropagatio
         raise ValueError(f"joint index must be in [0, {t.n}), got {joint_index}")
     fault = np.zeros(t.n)
     fault[joint_index] = sigma
-    spread = _readonly(_product(t.inverse, _product(t.forward, fault)))
-    squared = float(spread @ spread)
+    spread = _product(t.inverse, _product(t.forward, fault))
+    squared = _sum([s * s for s in spread])
     return NoisePropagationReport(
         n=t.n,
         joint_index=joint_index,
         sigma=sigma,
-        spread=spread,
-        peak=float(spread[joint_index]),
+        spread=_readonly(np.array(spread)),
+        peak=spread[joint_index],
         squared_norm=squared,
         norm_ratio=squared / (sigma * sigma) if sigma != 0.0 else 0.0,
         norm_ratio_closed_form=2.0 / t.n,

@@ -54,20 +54,20 @@ BEND_ROUNDING_TOL = 1e-9
 # of a target in IK: one column or target runs on Python floats, as fast as
 # the scalar formula, and a batch in one numpy pass that rounds as they do
 # (cos and sin where numpy's are the C library's, TestTrigPremise), save
-# atan2, for rotation IK's bend alone. split gives an array's rows;
-# largest_abs, largest and least give the largest |entry|, largest and least
+# atan2, for rotation IK's bend alone. split gives an array's rows, column a column's floats
+# or a batch; largest_abs (of a column), largest and least give the largest |entry|, largest and least
 # entry (+inf if none) as one float, worst the largest |entry| of a list of
 # entries, failing `<= tol` on a NaN; pose views a frozen buffer of a frame's
 # nine row-major entries and a tip's three as one pose or a stack.
 _ELEMENTWISE = {
     1: SimpleNamespace(
         sqrt=math.sqrt, atan2=math.atan2, maximum=max, minimum=min, cos=math.cos, sin=math.sin,
-        split=np.ndarray.tolist, largest_abs=lambda r: max(map(abs, r.tolist())), largest=float, least=float,
+        split=np.ndarray.tolist, column=np.ndarray.tolist, largest_abs=lambda r: max(map(abs, r)), largest=float, least=float,
         worst=lambda v: max(math.inf if e != e else abs(e) for e in v), pose=lambda a: (a[:9].reshape(3, 3), a[9:]),
     ),
     2: SimpleNamespace(
         sqrt=np.sqrt, atan2=np.arctan2, maximum=np.maximum, minimum=np.minimum, cos=np.cos, sin=np.sin,
-        split=tuple, largest_abs=lambda r: float(abs(r).max(initial=0.0)), largest=lambda a: float(a.max(initial=0.0)),
+        split=tuple, column=np.asarray, largest_abs=lambda r: float(abs(r).max(initial=0.0)), largest=lambda a: float(a.max(initial=0.0)),
         worst=lambda v: float(abs(np.array(v)).max(initial=0.0)), least=lambda a: float(a.min(initial=math.inf)),
         pose=lambda a: (a[:9].T.reshape(-1, 3, 3), a[9:].T),
     ),
@@ -179,15 +179,14 @@ def f_dep(geom: SegmentGeometry, rho) -> CurvatureCurvature:
     this equals f_dep of the projected vector, by linearity.
     """
     t = build_transform(geom.layout)
-    rho = as_displacement(rho, t.n)
-    kxy = _product(t.forward, rho) / geom.layout.d / geom.l
-    return CurvatureCurvature(kappa_x=float(kxy[0]), kappa_y=float(kxy[1]))
+    re, im = _product(t.forward, as_displacement(rho, t.n))
+    d, l = geom.layout.d, geom.l
+    return CurvatureCurvature(kappa_x=re / d / l, kappa_y=im / d / l)
 
 
 def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
-    """The plane (cos theta, sin theta) = xi/|xi| of the Clarke pair xi of
-    rho (n,) or (n, k), and its bend |xi|/d (_polar): floats for one column,
-    (k,) arrays for a batch. Refuses rho outside FK's domain.
+    """The plane (cos theta, sin theta) = xi/|xi| of the Clarke pair xi of rho (n,) or (n, k), and its bend
+    |xi|/d (_polar): floats for one column (clarke._product's), (k,) arrays for a batch. Refuses rho outside FK's domain.
 
     The transform sums n products of entries at most 2/n, so its rounding
     moves the bend |xi|/d by up to about 2n*2^-53*max|rho|/d; that must
@@ -196,14 +195,15 @@ def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
     below a full circle, past which the arc closes on itself.
     """
     elementwise, d = _ELEMENTWISE[rho.ndim], geom.layout.d
-    top = elementwise.largest_abs(rho)
-    rounding = 2.0 * rho.shape[0] * 2.0**-53 * top / d
+    column = elementwise.column(rho)
+    top = elementwise.largest_abs(column)
+    rounding = 2.0 * t.n * 2.0**-53 * top / d
     if not rounding < BEND_ROUNDING_TOL:
         raise ValueError(
             f"displacements up to {top:.3e} m are too large for d={d:.6g} m: the transform's "
             f"rounding moves the bend by up to {rounding:.3e} rad, past {BEND_ROUNDING_TOL:.0e}"
         )
-    amplitude, ct, st = _polar(*elementwise.split(_product(t.forward, rho)), elementwise)
+    amplitude, ct, st = _polar(*_product(t.forward, column), elementwise)
     widest = elementwise.largest(amplitude)
     if not widest < 2.0 * math.pi * d:
         raise ValueError(
@@ -310,8 +310,8 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, r, p, what: str) 
     """
     t, d = build_transform(geom.layout), geom.layout.d
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = d * _product(t.inverse, np.array([bx, by]))
-        amplitude, ct, st = _polar(*elementwise.split(_product(t.forward, rho)), elementwise)
+        rho = d * np.asarray(_product(t.inverse, (bx, by)))
+        amplitude, ct, st = _polar(*_product(t.forward, rho), elementwise)
         phi = elementwise.maximum(elementwise.minimum(amplitude / d, 2.0 * math.pi), geom.least_bend)
         inv_kappa = geom.l / phi
         if r is None:  # a position alone: _arc's tip, without the frame it does not test

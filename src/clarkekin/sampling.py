@@ -229,15 +229,14 @@ def _zero_sum_rows(block: np.ndarray, eps: float, largest: float) -> np.ndarray:
     (see the module docstring).
     """
     n = block.shape[1]
-    # The BLAS sums rho/m, m a power of two above 2n: it adds at most
-    # n/m < 1/2 times largest, so no order overflows, and the scaling is
-    # exact but for the subnormals. rint gives 0 only when |sum| <= eps/2 +
-    # 2**-54 * eps. Any order of summation rounds the sum by at most
-    # (n - 1)*2**-53 * sum|rho|, so two orders differ by less than
-    # n*n*2**-52 * largest. The slack doubles that, which also covers the
-    # ulp past eps/2 (a row that reaches it has a value past eps/(2n)), and
-    # divides by m; n*2**-1074, which does not underflow, covers the
-    # subnormal products and the division's rounding.
+    # The BLAS sums rho/m, m a power of two above 2n: it adds at most n/m < 1/2 times largest, so
+    # no order overflows, and the scaling is exact but for the subnormals. rint gives 0 only when
+    # |sum| <= eps/2 + 2**-54 * eps. Any order of summation rounds the sum by at most
+    # (n - 1)*2**-53 * sum|rho|, so two orders differ by less than n*n*2**-52 * largest. The slack
+    # doubles that, which also covers the ulp past eps/2 (a row that reaches it has a value past
+    # eps/(2n)), and divides by m; n*2**-1074, which does not underflow, covers the subnormal
+    # products and the division's rounding. So this BLAS product decides no output bit: its slack
+    # covers any order, and every row it keeps takes the exact test.
     m = 2.0 ** (n.bit_length() + 1)
     slack = (0.5 * eps + n * n * 2.0**-51 * largest) / m + n * 2.0**-1074
     approx = block.dot(np.full(n, 1.0 / m))

@@ -24,11 +24,13 @@ test_output_ledger.py compares against. It covers:
 - `matrix` at n = 3, 5, 12;
 - `noise-report` at n = 3, 5, 12, on three joints and error sizes each.
 
-Inputs come from numpy's seeded generators, not from the library. The
-numbers depend on numpy's build and the CPU as well, so compare two
-commits on one machine; the first lines, each starting with "#", name the
-numpy version, its BLAS, the CPU model and the machine type. pytest does
-not collect this file: its name does not start with test_.
+Inputs come from numpy's seeded generators, not from the library, and
+every product here and in the library adds left to right in IEEE floats,
+so no bit comes from the BLAS. The numbers still depend on numpy's build
+(its cos and sin) and the CPU, so compare two commits on one machine; the
+first lines, each starting with "#", name the numpy version, the CPU model
+and the machine type. pytest does not collect this file: its name does not
+start with test_.
 """
 
 from __future__ import annotations
@@ -169,7 +171,12 @@ def realtime_outputs():
     waypoints = tuple(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
     spec = control.TrajectorySpec(waypoints=waypoints, v_max=0.01 * math.pi, a_max=0.1 * math.pi, d_max=0.1 * math.pi)
     psi = 2.0 * math.pi * np.arange(n) / n
-    xi_ref = ((2.0 / n) * np.vstack([np.cos(psi), np.sin(psi)]) @ control.generate_trajectory(geom.layout, spec, dt)).T
+    forward = (2.0 / n) * np.vstack([np.cos(psi), np.sin(psi)])
+    reference = control.generate_trajectory(geom.layout, spec, dt)
+    xi_ref = forward[:, :1] * reference[0]  # forward @ reference, added left to right
+    for j in range(1, n):
+        xi_ref += forward[:, j : j + 1] * reference[j]
+    xi_ref = xi_ref.T
     noise = rng.uniform(-2.5e-3, 2.5e-3, (xi_ref.shape[0], n))
     plant = control.PT1Plant(tau=0.25, state=np.zeros(n))
     commands, states, poses = [], [], []
@@ -187,12 +194,14 @@ def realtime_outputs():
 
 
 def platform_record() -> dict[str, str]:
-    """What output bits depend on besides the code: numpy, its BLAS, the CPU model, the machine type."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """What output bits depend on besides the code: numpy, the CPU model, the machine type.
+
+    No BLAS: every product adds left to right in IEEE floats (clarke._product).
+    """
     cpu = platform.processor()
     with contextlib.suppress(OSError), open("/proc/cpuinfo") as fh:
         cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}", "cpu": cpu, "machine": platform.machine()}
+    return {"numpy": np.__version__, "cpu": cpu, "machine": platform.machine()}
 
 
 def hashes() -> list[tuple[str, str]]:

@@ -21,7 +21,8 @@ from clarkekin import (
     transform,
     wrap_to_two_pi,
 )
-from clarkekin.clarke import TWO_PI, all_finite, as_clarke, as_displacement
+from clarkekin.clarke import TWO_PI, _sum, all_finite, as_clarke, as_displacement
+from test_products import left_to_right
 
 N_RANGE = range(3, 65)
 
@@ -295,9 +296,9 @@ class TestTransformPairPastTheFloatRange:
 
     @staticmethod
     def decide(call, unchecked):
-        """call's result must have the bits of the unchecked product where that
-        is finite; elsewhere call must raise a one-line ValueError. No warning
-        either way."""
+        """call's result must have the bits of the unchecked product (the
+        left-to-right oracle) where that is finite; elsewhere call must raise
+        a one-line ValueError. No warning either way."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):
@@ -315,15 +316,15 @@ class TestTransformPairPastTheFloatRange:
     def test_transform(self, rho):
         t = build_transform(len(rho))
         rho = np.array(rho)
-        self.decide(lambda: transform(t, rho), lambda: t.forward.dot(rho))
+        self.decide(lambda: transform(t, rho), lambda: left_to_right(t.forward, rho))
         batch = np.stack([rho, rho[::-1]], axis=1)
-        self.decide(lambda: transform(t, batch), lambda: np.stack([t.forward.dot(c) for c in batch.T], axis=1))
+        self.decide(lambda: transform(t, batch), lambda: left_to_right(t.forward, batch))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(3, 64), huge_entries, huge_entries)
     def test_inverse_transform(self, n, re, im):
         t = build_transform(n)
-        self.decide(lambda: inverse_transform(t, [re, im]), lambda: t.inverse @ np.array([re, im]))
+        self.decide(lambda: inverse_transform(t, [re, im]), lambda: left_to_right(t.inverse, [re, im]))
 
     def test_the_two_cli_cases(self):
         with pytest.raises(ValueError, match="displacements of these Clarke coordinates are past the float range"):
@@ -477,6 +478,18 @@ class TestIsOnManifold:
             warnings.simplefilter("error")
             assert not is_on_manifold(t, [1e308, 1e308, -1e308])
             assert not is_on_manifold(t, [-1.7e308, -1.7e308, 1.0])
+
+    def test_on_the_manifold_where_the_sum_overflows(self):
+        # The left-to-right sum of this vector's entries is inf (1.7e308 +
+        # 0.53e308 already passes the float range), which read it as off.
+        t = build_transform(5)
+        rho = 1.7e308 * t.inverse[:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _sum(rho.tolist()) == math.inf
+            assert manifold_residual(t, rho) < 1e293
+            assert is_on_manifold(t, rho, tol=1e300)
+            assert not is_on_manifold(t, rho, tol=1e290)
 
     def test_residual_zero_on_manifold(self):
         t = build_transform(6)

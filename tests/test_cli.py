@@ -27,6 +27,7 @@ from clarkekin import cli
 from clarkekin.cli import build_parser, main
 from clarkekin.control import _trace_header
 from clarkekin.csvio import csv_chunks, displacement_header, read_csv, write_text
+from test_products import left_to_right
 
 
 def run_cli(capsys, *argv):
@@ -483,7 +484,7 @@ def summary_and_errors(capsys, tmp_path, argv):
     opened = run_simulation(cfg, plant, NoiseModel(0.0), desired, closed_loop=False).rho_plant
     forward = build_transform(5).forward
     plants = {"rms_closed_loop": closed, "rms_open_loop": opened}
-    return strict_json(out), {key: np.column_stack([forward.dot(e) for e in (desired - states).T]) for key, states in plants.items()}
+    return strict_json(out), {key: left_to_right(forward, desired - states) for key, states in plants.items()}
 
 
 class TestSimulateRms:
@@ -1004,7 +1005,7 @@ class TestRerunToTheSamePath:
             (["ik", "--n", "5", IK_POSITION], ["ik", "--n", "5", IK_POSITION, "--format", "csv"], "--out"),
             (["sample", "--method", "c", "--k", "50"], ["sample", "--method", "c", "--k", "5"], "--out"),
             (["matrix", "--n", "8"], ["matrix", "--n", "3"], "--out"),
-            (SIM + ["--pure-p", "--n", "12"], SIM + ["--n", "3"], "--out"),
+            (SIM + ["--pure-p", "--n", "12", "--seed", "123456789"], SIM + ["--n", "3"], "--out"),
             (SIM + ["--n", "12", "--format", "csv"], SIM + ["--n", "3", "--format", "csv"], "--trace-out"),
             (SIM + ["--n", "12"], SIM + ["--n", "3"], "--trace-out"),
         ],

@@ -35,6 +35,7 @@ from clarkekin import (
 from clarkekin.clarke import _product, all_finite, as_clarke, as_displacement, transform
 from clarkekin.control import _profile_durations, _trace_header, save_trace_csv
 from clarkekin.csvio import read_csv
+from test_products import left_to_right, left_to_right_sum
 
 V_MAX = 0.01 * np.pi
 A_MAX = 0.1 * np.pi
@@ -60,15 +61,15 @@ def spec_between(a, b, *more):
 
 
 def reference_controller_step(cfg, xi_desired, rho_measured):
-    """controller_step as first written (`@` products and `.sum()`): the oracle."""
+    """controller_step on numpy arrays, with the left-to-right sum and products of test_products: the oracle."""
     t = build_transform(cfg.geometry.layout.n)
-    xi_d = as_clarke(xi_desired)
+    xi_d = np.array(as_clarke(xi_desired))
     rho_m = as_displacement(rho_measured, t.n)
-    centered_scaled = t.n * rho_m - rho_m.sum()
-    xi_m = (t.forward @ centered_scaled) / t.n
+    centered_scaled = t.n * rho_m - left_to_right_sum(rho_m.tolist())
+    xi_m = left_to_right(t.forward, centered_scaled) / t.n
     error = xi_d - xi_m
     xi_cmd = xi_d + cfg.kp * error if cfg.feedforward else cfg.kp * error
-    return t.inverse @ xi_cmd
+    return left_to_right(t.inverse, xi_cmd)
 
 
 # Finite floats, the largest ones and 1.7e308 among them.
@@ -123,7 +124,7 @@ def per_tick_clarke_pairs(spec, dt):
 def per_tick_trajectory_oracle(layout, spec, dt):
     """generate_trajectory as one column per tick: each tick's Clarke pair through its own product."""
     t = build_transform(layout)
-    return np.column_stack([t.inverse.dot(xi) for xi in per_tick_clarke_pairs(spec, dt).T])
+    return np.column_stack([left_to_right(t.inverse, xi) for xi in per_tick_clarke_pairs(spec, dt).T])
 
 
 def per_tick_simulation_oracle(cfg, plant, noise, trajectory, closed_loop=True):
@@ -143,7 +144,7 @@ def per_tick_simulation_oracle(cfg, plant, noise, trajectory, closed_loop=True):
         reading = reading + noise.bias
         rho_d = trajectory[:, i]
         if closed_loop:
-            cmd = reference_controller_step(cfg, t.forward @ rho_d, reading)
+            cmd = reference_controller_step(cfg, left_to_right(t.forward, rho_d), reading)
         else:
             cmd = rho_d
         plant = reference_plant_step(plant, cmd, cfg.dt)
@@ -460,6 +461,7 @@ class TestTrajectory:
         joints = generate_trajectory(n, spec, 1e-3)
         assert joints.shape == (n, pairs.shape[1]) and joints.shape[1] > 1000
         assert joints.tobytes() == np.column_stack([_product(t.inverse, xi) for xi in pairs.T]).tobytes()
+        assert joints.tobytes() == left_to_right(t.inverse, pairs).tobytes()
 
     def test_every_leg_ends_at_its_goal(self):
         # The leg takes 2e-150 s, one tick of 1e300 s: total/(ticks*dt)
@@ -469,7 +471,7 @@ class TestTrajectory:
         spec = TrajectorySpec(waypoints=(np.zeros(2), goal), v_max=1.0, a_max=1.0, d_max=1.0)
         joints = generate_trajectory(3, spec, 1e300)
         assert joints.shape == (3, 2)
-        assert joints[:, -1].tobytes() == t.inverse.dot(goal).tobytes()
+        assert joints[:, -1].tobytes() == left_to_right(t.inverse, goal).tobytes()
         assert np.array_equal(joints, per_tick_trajectory_oracle(3, spec, 1e300))
 
     @pytest.mark.parametrize("dt", [1e-16, 1e-18, 1e-19])

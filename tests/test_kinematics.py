@@ -53,6 +53,7 @@ from clarkekin.kinematics import (
     _fk_gives_back,
     _polar,
 )
+from test_products import left_to_right
 
 
 def make_geom(n=5, d=0.01, l=0.1):
@@ -574,14 +575,6 @@ class TestNearStraightTip:
                 assert np.max(np.abs(tip - fk_oracle(geom, cols[:, i]))) <= 1e-15 * l
 
 
-def columnwise(m, x):
-    """m @ x with one matrix-vector product per column of a batch x (., k):
-    each column rounds as the product on that column alone."""
-    if x.ndim == 1:
-        return m @ x
-    return np.array([m @ c for c in x.T]).reshape(-1, m.shape[0]).T
-
-
 def exact_arc_oracle(geom, xi):
     """What fk_direct computes for a Clarke pair xi (2,): f_ind of its arc."""
     return f_ind(geom, arc_from_clarke(geom, xi))
@@ -698,11 +691,11 @@ class TestExactArc:
         geom, rho = case
         t = build_transform(geom.layout.n)
         cols = np.stack([rho, np.zeros_like(rho), rho], axis=1)
-        xi = t.forward.dot(rho)
+        xi = left_to_right(t.forward, rho)
         # A batch column has the Clarke pair and the amplitude of the call
         # on it alone, so one amplitude decides both.
         inside = in_fk_domain(geom, rho, divided_polar(*xi.tolist())[0])
-        for x, xis in ((rho, xi[:, None]), (cols, columnwise(t.forward, cols))):
+        for x, xis in ((rho, xi[:, None]), (cols, left_to_right(t.forward, cols))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 if inside:
@@ -1225,7 +1218,7 @@ def scalar_fk_oracle(geom, rho):
     t = build_transform(geom.layout.n)
     d = geom.layout.d
     l = geom.l
-    xi = t.forward @ np.asarray(rho, dtype=float)
+    xi = left_to_right(t.forward, rho)
     amplitude, ct, st = divided_polar(*xi.tolist())
     phi = max(amplitude / d, sys.float_info.min * l)
     cp = math.cos(phi)
@@ -1413,18 +1406,18 @@ def nested_literal_rotation(ct, st, cp, sp):
     return np.array([[ct * cp, st * cp, -sp], [-st, ct, zero], [ct * sp, st * sp, cp]]).T
 
 
-def matmul_fk_oracle(geom, rho):
-    """fk_direct with `@` products and the nested-literal frame, on Python
-    floats for one column (n,) and on numpy arrays for a batch (n, k), one
-    product per column: the reference whose bits fk_direct keeps on both
-    shapes."""
+def left_to_right_fk_oracle(geom, rho):
+    """fk_direct with the left-to-right products of test_products and the
+    nested-literal frame, on Python floats for one column (n,) and on numpy
+    arrays for a batch (n, k): the reference whose bits fk_direct keeps on
+    both shapes."""
     t = build_transform(geom.layout.n)
     d, l = geom.layout.d, geom.l
     if rho.ndim == 1:
-        amplitude, ct, st = divided_polar(*(t.forward @ rho).tolist())
+        amplitude, ct, st = divided_polar(*left_to_right(t.forward, rho).tolist())
         maximum, cos, sin = max, math.cos, math.sin
     else:
-        amplitude, ct, st = rowwise_polar(*columnwise(t.forward, rho))
+        amplitude, ct, st = rowwise_polar(*left_to_right(t.forward, rho))
         maximum, cos, sin = np.maximum, np.cos, np.sin
     phi = maximum(amplitude / d, sys.float_info.min * l)
     inv_kappa = l / phi
@@ -1433,12 +1426,12 @@ def matmul_fk_oracle(geom, rho):
     return nested_literal_rotation(ct, st, cp, sp), np.array([ct * bow, st * bow, sp * inv_kappa]).T
 
 
-def matmul_ik_position_oracle(geom, p):
-    """ik_position's displacements with one `@` product per target: d * inverse @ (2l/|p|^2)*(p_x, p_y)."""
+def left_to_right_ik_position_oracle(geom, p):
+    """ik_position's displacements with the left-to-right product: d * inverse @ (2l/|p|^2)*(p_x, p_y)."""
     t = build_transform(geom.layout.n)
     x, y, z = p.T
     scale = 2.0 * geom.l / (x * x + y * y + z * z)
-    return geom.layout.d * columnwise(t.inverse, np.array([scale * x, scale * y]))
+    return geom.layout.d * left_to_right(t.inverse, np.array([scale * x, scale * y]))
 
 
 @st.composite
@@ -1455,17 +1448,17 @@ def fk_shapes(draw):
     return make_geom(n=n, d=d, l=l), cols[:, 0] if k is None else cols
 
 
-class TestMatmulOracle:
-    """fk_direct and ik_position give the bits of the `@` products, one per
-    column, and the nested-literal frame, -0.0 included, for one column and
-    for batches."""
+class TestLeftToRightOracle:
+    """fk_direct and ik_position give the bits of the left-to-right products
+    and the nested-literal frame, -0.0 included, for one column and for
+    batches."""
 
     @settings(max_examples=300, deadline=None)
     @given(fk_shapes())
     def test_fk_direct(self, case):
         geom, rho = case
         pose = fk_direct(geom, rho)
-        rotation, position = matmul_fk_oracle(geom, rho)
+        rotation, position = left_to_right_fk_oracle(geom, rho)
         assert type(pose) is Pose
         assert pose.rotation.shape == ((3, 3) if rho.ndim == 1 else (rho.shape[1], 3, 3))
         assert pose.rotation.shape == rotation.shape and pose.position.shape == position.shape
@@ -1479,7 +1472,7 @@ class TestMatmulOracle:
         # Bend angles stay below pi, so every tip is reachable.
         geom, rho = case
         p = fk_direct(geom, rho).position
-        expected = matmul_ik_position_oracle(geom, p)
+        expected = left_to_right_ik_position_oracle(geom, p)
         got = ik_position(geom, p)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
@@ -1489,8 +1482,9 @@ def clarke_products(call):
     formed = []
 
     def record(m, x):
-        formed.append(_product(m, x))
-        return formed[-1]
+        product = _product(m, x)
+        formed.append(np.asarray(product))
+        return product
 
     with mock.patch.object(clarke, "_product", record), mock.patch.object(kinematics, "_product", record):
         call()

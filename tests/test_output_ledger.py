@@ -13,7 +13,7 @@ def test_every_output_matches_the_ledger():
     recorded, want = output_hashes.read_ledger(LEDGER)
     here = output_hashes.platform_record()
     if here != recorded:
-        # numpy's cos, sin and BLAS bits may differ on another build or CPU.
+        # numpy's cos and sin bits may differ on another build or CPU.
         pytest.skip(f"the ledger was taken on {recorded}; this platform is {here}")
     got = dict(output_hashes.hashes())
     differ = [name for name in {**want, **got} if want.get(name) != got.get(name)]
