@@ -143,7 +143,11 @@ def arc_from_clarke(geom: SegmentGeometry, xi) -> CurvatureAngle:
     atan2(rho_im, rho_re) in (-pi, pi]; the origin, with either sign of
     zero, maps to the straight segment (0, 0).
     """
-    re, im = as_clarke(xi)
+    return _arc_of_pair(geom, *as_clarke(xi))
+
+
+def _arc_of_pair(geom: SegmentGeometry, re: float, im: float) -> CurvatureAngle:
+    # arc_from_clarke's arc of the Clarke pair (re, im), for a pair the library computed and does not check again.
     return CurvatureAngle(kappa=math.hypot(re, im) / geom.layout.d / geom.l, theta=_angle(re, im))
 
 

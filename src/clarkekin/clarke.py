@@ -38,27 +38,28 @@ def all_finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
-def as_displacement(rho, n: int, batch: bool = False) -> np.ndarray:
-    """Validate and return a length-n displacement vector as a float array.
+def as_displacement(rho, n: int, batch: bool = False) -> list | np.ndarray:
+    """Validate a length-n displacement vector and return it as its n Python floats, a list.
 
     With batch=True an n x k matrix of displacement columns is accepted as
-    well; callers that reduce over the joints leave it off, so they reject
+    well, and returned as a float array; callers that reduce over the joints leave it off, so they reject
     a batch instead of reducing over every column at once.
 
     One column is checked by the sum of its entries as Python floats, which
-    never warns: a finite sum proves them finite. A sum that is not finite
-    and a batch take all_finite's exact count, which accepts finite entries
-    whose sum overflows.
+    never warns: a finite sum proves them finite, and the floats are handed
+    on, never listed again. A sum that is not finite and a batch take
+    all_finite's exact count, which accepts finite entries whose sum overflows.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (n,) and not (batch and rho.ndim == 2 and rho.shape[0] == n):
         shapes = f"({n},) or ({n}, k)" if batch else f"({n},)"
         raise ValueError(f"displacement vector must have shape {shapes}, got {rho.shape}")
-    if rho.ndim == 1 and math.isfinite(sum(rho.tolist())):
-        return rho
+    checked = rho.tolist() if rho.ndim == 1 else rho
+    if rho.ndim == 1 and math.isfinite(sum(checked)):
+        return checked
     if not all_finite(rho):
         raise ValueError("displacement vector entries must be finite")
-    return rho
+    return checked
 
 
 def as_clarke(xi) -> tuple[float, float]:
@@ -165,12 +166,10 @@ def _product(m: np.ndarray, x):
     """m times x, m a cached transform matrix: entry i is m[i][0]*x[0] + m[i][1]*x[1] + ..., left to right.
 
     Every transform product goes through here, in this one IEEE order from the first product, so no bit comes
-    from the BLAS and -0.0 adds alike on both paths. One column (floats or a 1-D array) runs on Python floats over
-    build_transform's listed entries and gives a list; a batch (a 2-D array or c (k,) rows) runs the same
-    multiplies and in-place adds on its rows and gives an r x k array, each column the bits of its single call.
+    from the BLAS and -0.0 adds alike on both paths. One column, a sequence of Python floats (as_displacement's
+    list), runs over build_transform's listed entries and gives a list; a batch (a 2-D array or c (k,) rows) runs
+    the same multiplies and in-place adds on its rows and gives an r x k array, each column the bits of its single call.
     """
-    if isinstance(x, np.ndarray) and x.ndim == 1:
-        x = x.tolist()
     if isinstance(x[0], float):
         if len(x) == 2:  # the inverse matrix: n rows of two products
             x0, x1 = x
@@ -256,10 +255,14 @@ def rectangular_to_polar(xi) -> tuple[float, float]:
 
     amplitude = hypot(rho_re, rho_im) >= 0 and angle = atan2(rho_im, rho_re)
     in (-pi, pi]. The origin, with either sign of zero, maps to (0.0, 0.0)
-    by convention (the continuous limit along the +x direction).
+    by convention (the continuous limit along the +x direction). Coordinates
+    whose amplitude overflows are refused.
     """
     re, im = as_clarke(xi)
-    return math.hypot(re, im), _angle(re, im)
+    amplitude = math.hypot(re, im)
+    if not math.isfinite(amplitude):
+        raise ValueError("the amplitude of these Clarke coordinates is past the float range")
+    return amplitude, _angle(re, im)
 
 
 def polar_to_rectangular(amplitude: float, angle: float) -> np.ndarray:

@@ -159,7 +159,7 @@ def controller_step(cfg: ControllerConfig, xi_desired, rho_measured) -> np.ndarr
     """
     t = build_transform(cfg.geometry.layout.n)
     d_re, d_im = as_clarke(xi_desired)
-    rho_m = as_displacement(rho_measured, t.n).tolist()
+    rho_m = as_displacement(rho_measured, t.n)
     n, total = float(t.n), _sum(rho_m)
     m_re, m_im = _product(t.forward, [n * r - total for r in rho_m])
     e_re, e_im = d_re - m_re / t.n, d_im - m_im / t.n
@@ -185,7 +185,7 @@ def plant_step(plant: PT1Plant, command, dt: float) -> PT1Plant:
     check_finite("dt", dt)
     u = as_displacement(command, len(plant.state))
     a = math.exp(-dt / plant.tau)
-    return _built_plant(plant.tau, np.array([a * x + (1.0 - a) * v for x, v in zip(plant.state.tolist(), u.tolist())]))
+    return _built_plant(plant.tau, np.array([a * x + (1.0 - a) * v for x, v in zip(plant.state.tolist(), u)]))
 
 
 def _profile_durations(length: float, v: float, a: float, d: float) -> tuple[float, float, float, float]:
@@ -320,7 +320,7 @@ def run_simulation(
         raise ValueError(f"trajectory must be n x T with n={n}, got {trajectory.shape}")
     ticks = trajectory.shape[1]
     if ticks == 0:
-        rest = np.reshape(_product(t.inverse, _product(t.forward, plant.state)), (n, 1))
+        rest = np.reshape(_product(t.inverse, _product(t.forward, plant.state.tolist())), (n, 1))
         col = plant.state.reshape(n, 1)
         return SimTrace(np.array([0.0]), rest, col, rest, col)
     # One row per tick; states[i] is the plant state read at tick i.
@@ -409,8 +409,8 @@ def noise_propagation(layout, sigma: float, joint_index: int) -> NoisePropagatio
     t = build_transform(layout)
     if not 0 <= joint_index < t.n:
         raise ValueError(f"joint index must be in [0, {t.n}), got {joint_index}")
-    fault = np.zeros(t.n)
-    fault[joint_index] = sigma
+    fault = [0.0] * t.n
+    fault[joint_index] = float(sigma)
     spread = _product(t.inverse, _product(t.forward, fault))
     squared = _sum([s * s for s in spread])
     return NoisePropagationReport(

@@ -27,9 +27,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _as_car, clarke_from_arc
+from .arcspace import CurvatureAngle, CurvatureCurvature, SegmentGeometry, _arc_of_pair, _as_car, clarke_from_arc
 from .clarke import (
-    ClarkeTransform, _angle, _owned, _product, _readonly, all_finite, as_displacement, build_transform, inverse_transform, manifold_residual
+    ClarkeTransform, _owned, _product, _readonly, all_finite, as_displacement, build_transform, inverse_transform, manifold_residual
 )
 
 # Targets with p_z at or below this height (meters) are rejected: the tip of
@@ -54,20 +54,20 @@ BEND_ROUNDING_TOL = 1e-9
 # of a target in IK: one column or target runs on Python floats, as fast as
 # the scalar formula, and a batch in one numpy pass that rounds as they do
 # (cos and sin where numpy's are the C library's, TestTrigPremise), save
-# atan2, for rotation IK's bend alone. split gives an array's rows, column a column's floats
-# or a batch; largest_abs (of a column), largest and least give the largest |entry|, largest and least
+# atan2, for rotation IK's bend alone; a checked column (as_displacement's list, without ndim) takes 1. split gives
+# an array's rows; largest_abs (of a column), largest and least give the largest |entry|, largest and least
 # entry (+inf if none) as one float, worst the largest |entry| of a list of
 # entries, failing `<= tol` on a NaN; pose views a frozen buffer of a frame's
 # nine row-major entries and a tip's three as one pose or a stack.
 _ELEMENTWISE = {
     1: SimpleNamespace(
         sqrt=math.sqrt, atan2=math.atan2, maximum=max, minimum=min, cos=math.cos, sin=math.sin,
-        split=np.ndarray.tolist, column=np.ndarray.tolist, largest_abs=lambda r: max(map(abs, r)), largest=float, least=float,
+        split=np.ndarray.tolist, largest_abs=lambda r: max(map(abs, r)), largest=float, least=float,
         worst=lambda v: max(math.inf if e != e else abs(e) for e in v), pose=lambda a: (a[:9].reshape(3, 3), a[9:]),
     ),
     2: SimpleNamespace(
         sqrt=np.sqrt, atan2=np.arctan2, maximum=np.maximum, minimum=np.minimum, cos=np.cos, sin=np.sin,
-        split=tuple, column=np.asarray, largest_abs=lambda r: float(abs(r).max(initial=0.0)), largest=lambda a: float(a.max(initial=0.0)),
+        split=tuple, largest_abs=lambda r: float(abs(r).max(initial=0.0)), largest=lambda a: float(a.max(initial=0.0)),
         worst=lambda v: float(abs(np.array(v)).max(initial=0.0)), least=lambda a: float(a.min(initial=math.inf)),
         pose=lambda a: (a[:9].T.reshape(-1, 3, 3), a[9:].T),
     ),
@@ -184,8 +184,8 @@ def f_dep(geom: SegmentGeometry, rho) -> CurvatureCurvature:
     return CurvatureCurvature(kappa_x=re / d / l, kappa_y=im / d / l)
 
 
-def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
-    """The plane (cos theta, sin theta) = xi/|xi| of the Clarke pair xi of rho (n,) or (n, k), and its bend
+def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho):
+    """The plane (cos theta, sin theta) = xi/|xi| of the Clarke pair xi of rho, n floats or (n, k), and its bend
     |xi|/d (_polar): floats for one column (clarke._product's), (k,) arrays for a batch. Refuses rho outside FK's domain.
 
     The transform sums n products of entries at most 2/n, so its rounding
@@ -194,16 +194,15 @@ def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
     overflows on some of the vectors it refuses. And the bend must stay
     below a full circle, past which the arc closes on itself.
     """
-    elementwise, d = _ELEMENTWISE[rho.ndim], geom.layout.d
-    column = elementwise.column(rho)
-    top = elementwise.largest_abs(column)
+    elementwise, d = _ELEMENTWISE[getattr(rho, "ndim", 1)], geom.layout.d
+    top = elementwise.largest_abs(rho)
     rounding = 2.0 * t.n * 2.0**-53 * top / d
     if not rounding < BEND_ROUNDING_TOL:
         raise ValueError(
             f"displacements up to {top:.3e} m are too large for d={d:.6g} m: the transform's "
             f"rounding moves the bend by up to {rounding:.3e} rad, past {BEND_ROUNDING_TOL:.0e}"
         )
-    amplitude, ct, st = _polar(*_product(t.forward, column), elementwise)
+    amplitude, ct, st = _polar(*_product(t.forward, rho), elementwise)
     widest = elementwise.largest(amplitude)
     if not widest < 2.0 * math.pi * d:
         raise ValueError(
@@ -216,22 +215,22 @@ def _fk_clarke(geom: SegmentGeometry, t: ClarkeTransform, rho: np.ndarray):
 def f_dep_curvature_angle(geom: SegmentGeometry, rho) -> CurvatureAngle:
     """Curvature and bending-plane angle of an on-manifold displacement vector.
 
-    kappa = (|xi|/d)/l in the plane of its Clarke coordinates xi, as
-    arc_from_clarke reads them; rho = 0 gives the straight segment (0, 0).
+    kappa = (|xi|/d)/l in the plane of its Clarke coordinates xi, bit for bit
+    arc_from_clarke's arc of xi; rho = 0 gives the straight segment (0, 0).
     Rejects vectors outside FK's domain as fk_direct does, then vectors
     whose projector residual exceeds MANIFOLD_TOL instead of reading a bend
     into a vector that is not one; f_dep projects such a vector silently.
     """
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n)
-    ct, st, bend = _fk_clarke(geom, t, rho)
+    _fk_clarke(geom, t, rho)
     residual = manifold_residual(t, rho)
     if residual > MANIFOLD_TOL:
         raise ValueError(
             f"displacement vector is off the manifold: projector residual "
             f"{residual:.3e} exceeds {MANIFOLD_TOL:.1e}"
         )
-    return CurvatureAngle(kappa=bend / geom.l, theta=_angle(ct, st))
+    return _arc_of_pair(geom, *_product(t.forward, rho))
 
 
 def f_ind(geom: SegmentGeometry, arc) -> Pose:
@@ -271,7 +270,7 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
     """
     t = build_transform(geom.layout)
     rho = as_displacement(rho, t.n, batch=True)
-    elementwise = _ELEMENTWISE[rho.ndim]
+    elementwise = _ELEMENTWISE[getattr(rho, "ndim", 1)]
     ct, st, phi = _fk_clarke(geom, t, rho)
     phi = elementwise.maximum(phi, geom.least_bend)
     return _built_pose(_arc(ct, st, phi, geom.l / phi, elementwise), elementwise)
@@ -299,10 +298,9 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, r, p, what: str) 
     1e-9 entrywise; None where the target has none. Floats for one target,
     (k,) rows for a stack; what, with an {l} field, names a position target.
 
-    The tip is fk_direct's arc of rho (_arc): the plane and the bend |xi|/d
-    of its Clarke pair xi = _product(forward, rho); a position target alone
-    builds only the tip position. Each distance is a _polar magnitude, so a
-    row is accepted or refused as its single call is. A bend of a full
+    The tip is fk_direct's arc of rho (_arc), frame and all: the plane and the bend |xi|/d of its Clarke
+    pair xi = _product(forward, rho). Each distance is a _polar magnitude, so a row is accepted or refused
+    as its single call is. A bend of a full
     circle or more, outside FK's domain, is held at 2*pi, whose tip is the
     base, |p| from the target. Overflow gives a NaN or infinite rho, refused
     without a warning as a target that needs displacements past the float
@@ -311,15 +309,9 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, r, p, what: str) 
     t, d = build_transform(geom.layout), geom.layout.d
     with np.errstate(over="ignore", invalid="ignore"):
         rho = d * np.asarray(_product(t.inverse, (bx, by)))
-        amplitude, ct, st = _polar(*_product(t.forward, rho), elementwise)
+        amplitude, ct, st = _polar(*_product(t.forward, elementwise.split(rho)), elementwise)
         phi = elementwise.maximum(elementwise.minimum(amplitude / d, 2.0 * math.pi), geom.least_bend)
-        inv_kappa = geom.l / phi
-        if r is None:  # a position alone: _arc's tip, without the frame it does not test
-            half = elementwise.sin(phi / 2.0)
-            bow = 2.0 * (half * half) * inv_kappa
-            arc = (ct * bow, st * bow, elementwise.sin(phi) * inv_kappa)
-        else:
-            arc = _arc(ct, st, phi, inv_kappa, elementwise)  # entry (i, j) of the frame at 3*i + j
+        arc = _arc(ct, st, phi, geom.l / phi, elementwise)  # entry (i, j) of the frame at 3*i + j
         if p is not None:
             tx, ty, tz = arc[-3:]
             x, y, z = p

@@ -1,6 +1,7 @@
 """Core transform: matrix construction, algebraic identities, coordinate ops."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -377,7 +378,8 @@ DISPLACEMENT_ENTRIES = (
 
 
 class TestOneColumnCheck:
-    """One column is checked on Python floats and a batch by all_finite; both refuse what all_finite refuses."""
+    """One column is checked on Python floats and a batch by all_finite; both refuse what all_finite refuses.
+    A column is handed back as the floats its check listed."""
 
     @staticmethod
     def assert_matches_the_oracle(rho):
@@ -391,7 +393,9 @@ class TestOneColumnCheck:
                         as_displacement(x, n, batch=batch)
                     continue
                 got = as_displacement(x, n, batch=batch)
-            assert got.shape == x.shape and got.tobytes() == x.tobytes()
+            # One column comes back as the list of its Python floats, a batch as the checked array.
+            assert type(got) is (list if x.ndim == 1 else np.ndarray)
+            assert np.shape(got) == x.shape and np.array(got).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("n", [3, 5, 12, 64])
     def test_a_non_finite_entry_anywhere_is_refused(self, n):
@@ -509,6 +513,16 @@ class TestPolarForms:
 
     def test_origin_convention(self):
         assert rectangular_to_polar([0.0, 0.0]) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("xi", [[1.7e308, 1.7e308], [-1.7e308, 1.7e308], [1.3e308, -1.3e308]])
+    def test_an_amplitude_past_the_float_range_is_refused(self, xi):
+        with pytest.raises(ValueError, match="^the amplitude of these Clarke coordinates is past the float range$"):
+            rectangular_to_polar(xi)
+
+    def test_the_largest_amplitudes_are_kept(self):
+        big = sys.float_info.max
+        assert rectangular_to_polar([big, 0.0]) == (big, 0.0)
+        assert rectangular_to_polar([-1.2e308, -1.2e308])[0] == math.hypot(1.2e308, 1.2e308)
 
     def test_angle_range_half_open(self):
         _, ang = rectangular_to_polar([-1.0, 0.0])

@@ -64,7 +64,7 @@ def reference_controller_step(cfg, xi_desired, rho_measured):
     """controller_step on numpy arrays, with the left-to-right sum and products of test_products: the oracle."""
     t = build_transform(cfg.geometry.layout.n)
     xi_d = np.array(as_clarke(xi_desired))
-    rho_m = as_displacement(rho_measured, t.n)
+    rho_m = np.array(as_displacement(rho_measured, t.n))
     centered_scaled = t.n * rho_m - left_to_right_sum(rho_m.tolist())
     xi_m = left_to_right(t.forward, centered_scaled) / t.n
     error = xi_d - xi_m

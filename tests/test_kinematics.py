@@ -171,6 +171,25 @@ class TestFDepCurvatureAngle:
         with pytest.raises(ValueError, match="residual"):
             f_dep_curvature_angle(geom, [1.0, -1.0, 1.0, -1.0])
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(3, 64),
+        st.floats(-4.0, 2.0).map(lambda e: 10.0**e),
+        st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 1.999 * np.pi]) | st.floats(0.0, 1.99 * np.pi),
+        st.floats(-np.pi, np.pi),
+    )
+    @example(5, 0.01, 0.1, 1.0, 0.5)  # the plane's division read kappa one ulp off
+    @example(3, 1.0, 1.0, 1e-300, 3.0)
+    def test_the_arc_of_its_clarke_pair_bit_for_bit(self, n, d, l, bend, theta):
+        # An on-manifold column of any bend in FK's domain, near-straight and
+        # near-full-circle included: kappa and theta are arc_from_clarke's of
+        # the column's Clarke pair, to the bit.
+        geom, t = make_geom(n=n, d=d, l=l), build_transform(n)
+        rho = inverse_transform(t, [bend * d * math.cos(theta), bend * d * math.sin(theta)])
+        got, expected = f_dep_curvature_angle(geom, rho), arc_from_clarke(geom, transform(t, rho))
+        assert (got.kappa.hex(), got.theta.hex()) == (expected.kappa.hex(), expected.theta.hex())
+
 
 class TestFInd:
     def test_straight(self):

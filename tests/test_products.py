@@ -170,8 +170,8 @@ class TestLeftToRight:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if x.ndim == 1:
-                # A column as floats and as an array; all Python floats, no warning.
-                got = [np.array(_product(m, x)), np.array(_product(m, x.tolist()))]
+                # A column as a list and as a tuple of Python floats: no warning.
+                got = [np.array(_product(m, x.tolist())), np.array(_product(m, tuple(x.tolist())))]
             else:
                 with np.errstate(over="ignore", invalid="ignore"):
                     got = [_product(m, x), _product(m, tuple(x))]
