@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clarke import JointLayout, _angle, _in_float_range, as_clarke, check_finite
+from .clarke import JointLayout, _in_float_range, as_clarke, check_finite
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,17 @@ class SegmentGeometry:
                 f"where FK's least bend reaches 1e-9 rad, got {self.l}"
             )
         object.__setattr__(self, "least_bend", least_bend)
+
+
+def _angle(x: float, y: float) -> float:
+    """The angle of the 2-vector (x, y) in (-pi, pi], and 0 at the origin.
+
+    atan2(y + 0.0, x + 0.0): + 0.0 turns -0.0 into +0.0, so no signed zero
+    turns the angle. atan2 still rounds to -pi for x < 0 and y < 0 above
+    about -3.4e-16*|x|; that is folded to pi.
+    """
+    angle = math.atan2(y + 0.0, x + 0.0)
+    return math.pi if angle == -math.pi else angle
 
 
 def ccr_to_car(cc: CurvatureCurvature) -> CurvatureAngle:

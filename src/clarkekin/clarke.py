@@ -227,57 +227,3 @@ def manifold_residual(t: ClarkeTransform, rho) -> float:
     """Max-norm distance of rho from its projection onto the manifold."""
     rho = as_displacement(rho, t.n)
     return float(np.max(np.abs(np.subtract(_product(t.inverse, _product(t.forward, rho)), rho))))
-
-
-def is_on_manifold(t: ClarkeTransform, rho, tol: float = 1e-12) -> bool:
-    """Whether rho lies on the displacement manifold within tol: its projector residual is at most tol.
-
-    The residual alone decides: it bounds |sum(rho)| by about n*tol, does not overflow on 1.7e308*inverse[:, 0]
-    as a sum does, and refuses [1, -1, 1, -1] at n = 4, which sums to zero. A residual past the float range reads off.
-    """
-    check_finite("tolerance", tol)
-    return manifold_residual(t, rho) <= tol
-
-
-def _angle(x: float, y: float) -> float:
-    """The angle of the 2-vector (x, y) in (-pi, pi], and 0 at the origin.
-
-    atan2(y + 0.0, x + 0.0): + 0.0 turns -0.0 into +0.0, so no signed zero
-    turns the angle. atan2 still rounds to -pi for x < 0 and y < 0 above
-    about -3.4e-16*|x|; that is folded to pi.
-    """
-    angle = math.atan2(y + 0.0, x + 0.0)
-    return math.pi if angle == -math.pi else angle
-
-
-def rectangular_to_polar(xi) -> tuple[float, float]:
-    """Convert Clarke coordinates to (amplitude, angle).
-
-    amplitude = hypot(rho_re, rho_im) >= 0 and angle = atan2(rho_im, rho_re)
-    in (-pi, pi]. The origin, with either sign of zero, maps to (0.0, 0.0)
-    by convention (the continuous limit along the +x direction). Coordinates
-    whose amplitude overflows are refused.
-    """
-    re, im = as_clarke(xi)
-    amplitude = math.hypot(re, im)
-    if not math.isfinite(amplitude):
-        raise ValueError("the amplitude of these Clarke coordinates is past the float range")
-    return amplitude, _angle(re, im)
-
-
-def polar_to_rectangular(amplitude: float, angle: float) -> np.ndarray:
-    """Convert polar (amplitude, angle) to Clarke coordinates."""
-    check_finite("amplitude", amplitude, "non-negative")
-    check_finite("angle", angle, None)
-    return np.array([amplitude * math.cos(angle), amplitude * math.sin(angle)])
-
-
-def wrap_to_two_pi(angle: float) -> float:
-    """Normalize an angle from atan2 range into [0, 2*pi)."""
-    check_finite("angle", angle, None)
-    wrapped = math.fmod(angle, TWO_PI)
-    if wrapped < 0.0:
-        wrapped += TWO_PI
-    # A negative angle within half an ulp of 0 rounds up to TWO_PI; on the
-    # circle, 0 is the nearest value in range.
-    return 0.0 if wrapped == TWO_PI else wrapped

@@ -3,7 +3,8 @@
 Five methods, named after the letters used throughout the stats output:
 
   a: independent per-joint uniform draws, rejected unless the sum rounds
-     to zero at the configured granularity (wasteful by design);
+     to zero at the configured granularity (wasteful by design); it samples
+     the slice sum(rho) ~ 0, which is the 2-D Clarke manifold only at n = 3;
   b: resolve rho_1 = -(rho_2 + rho_3) and reject when rho_1 leaves the
      bounds (three joints only);
   c: direct on the manifold, amplitude uniform on a line;
@@ -260,7 +261,8 @@ def sample_rejection_independent(
 
     A draw is accepted when its displacement sum, rounded half-to-even at
     granularity rounding_epsilon, equals zero, i.e. when |sum/eps| <= 1/2.
-    Works for any n. Candidate blocks are tested in stream order,
+    Works for any n, but from n = 4 it meets only that sum constraint: its samples
+    lie off the 2-D Clarke manifold. Candidate blocks are tested in stream order,
     bit-identical to one draw per iteration; _zero_sum_rows filters a block
     with one BLAS sum and tests the few rows near the grid exactly.
 

@@ -25,9 +25,9 @@ from clarkekin import (
     f_dep,
     f_dep_curvature_angle,
     f_dep_inverse,
-    rectangular_to_polar,
     virtual_displacement,
 )
+from clarkekin.arcspace import _angle
 from clarkekin.clarke import all_finite
 from test_products import left_to_right
 
@@ -269,13 +269,13 @@ class TestArcMapsPastTheFloatRange:
 
 
 def angles_of(x, y):
-    """The angle each of the three 2-vector maps gives (x, y)."""
+    """The angle of (x, y) by the rule itself, arc_from_clarke and ccr_to_car."""
     geom = SegmentGeometry(JointLayout(3, 0.01), 0.1)
-    return rectangular_to_polar([x, y])[1], arc_from_clarke(geom, [x, y]).theta, ccr_to_car(CurvatureCurvature(x, y)).theta
+    return _angle(x, y), arc_from_clarke(geom, [x, y]).theta, ccr_to_car(CurvatureCurvature(x, y)).theta
 
 
 class TestOneAngleRule:
-    """rectangular_to_polar, arc_from_clarke and ccr_to_car give a 2-vector
+    """arcspace._angle, arc_from_clarke and ccr_to_car give a 2-vector
     one angle: atan2(y + 0.0, x + 0.0) in (-pi, pi], and +0.0 at the origin."""
 
     @pytest.mark.parametrize("x, y", list(itertools.product([0.0, -0.0], repeat=2)))

@@ -1,7 +1,6 @@
-"""Core transform: matrix construction, algebraic identities, coordinate ops."""
+"""Core transform: matrix construction, algebraic identities, the manifold residual."""
 
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -14,13 +13,9 @@ from clarkekin import (
     JointLayout,
     build_transform,
     inverse_transform,
-    is_on_manifold,
     manifold_residual,
-    polar_to_rectangular,
     projector,
-    rectangular_to_polar,
     transform,
-    wrap_to_two_pi,
 )
 from clarkekin.clarke import TWO_PI, _sum, all_finite, as_clarke, as_displacement
 from test_products import left_to_right
@@ -123,8 +118,6 @@ class TestDisplacementBatches:
         cols = np.zeros((4, 3))
         with pytest.raises(ValueError, match=r"shape \(4,\)"):
             manifold_residual(t, cols)
-        with pytest.raises(ValueError, match=r"shape \(4,\)"):
-            is_on_manifold(t, cols)
 
     def test_batch_shape_errors(self):
         t = build_transform(4)
@@ -448,40 +441,38 @@ class TestMagnitudeRelations:
             r1 = manifold_point(n, rng)
             r2 = manifold_point(n, rng)
             a, b = rng.standard_normal(2)
-            assert is_on_manifold(t, a * r1 + b * r2, tol=1e-9)
+            assert manifold_residual(t, a * r1 + b * r2) <= 1e-9
 
 
-class TestIsOnManifold:
+class TestManifoldResidual:
+    # Membership within tol is manifold_residual(t, rho) <= tol: it bounds |sum(rho)| by
+    # about n*tol and refuses [1, -1, 1, -1] at n = 4, which sums to zero.
     def test_alternating_n4_rejected(self):
         t = build_transform(4)
-        assert not is_on_manifold(t, [1.0, -1.0, 1.0, -1.0], tol=1e-9)
+        assert not manifold_residual(t, [1.0, -1.0, 1.0, -1.0]) <= 1e-9
 
     def test_simple_n3_accepted(self):
         t = build_transform(3)
-        assert is_on_manifold(t, [1.0, -0.5, -0.5], tol=1e-9)
+        assert manifold_residual(t, [1.0, -0.5, -0.5]) <= 1e-9
 
     def test_constructed_points_accepted(self):
         t = build_transform(5)
         rng = np.random.default_rng(8)
         for _ in range(20):
-            assert is_on_manifold(t, inverse_transform(t, rng.standard_normal(2)), tol=1e-12)
+            assert manifold_residual(t, inverse_transform(t, rng.standard_normal(2))) <= 1e-12
 
     def test_sum_violation_rejected(self):
         t = build_transform(3)
-        assert not is_on_manifold(t, [1.0, 0.0, 0.0], tol=1e-9)
-
-    def test_bad_tolerance(self):
-        t = build_transform(3)
-        with pytest.raises(ValueError, match="positive"):
-            is_on_manifold(t, [0.0, 0.0, 0.0], tol=0.0)
+        assert not manifold_residual(t, [1.0, 0.0, 0.0]) <= 1e-9
 
     def test_a_sum_past_the_float_range_is_off_without_a_warning(self):
-        # numpy's sum of these finite entries overflowed with a RuntimeWarning.
+        # numpy's sum of these finite entries overflowed with a RuntimeWarning;
+        # a residual past the float range reads off.
         t = build_transform(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not is_on_manifold(t, [1e308, 1e308, -1e308])
-            assert not is_on_manifold(t, [-1.7e308, -1.7e308, 1.0])
+            assert not manifold_residual(t, [1e308, 1e308, -1e308]) <= 1e-12
+            assert not manifold_residual(t, [-1.7e308, -1.7e308, 1.0]) <= 1e-12
 
     def test_on_the_manifold_where_the_sum_overflows(self):
         # The left-to-right sum of this vector's entries is inf (1.7e308 +
@@ -492,70 +483,13 @@ class TestIsOnManifold:
             warnings.simplefilter("error")
             assert _sum(rho.tolist()) == math.inf
             assert manifold_residual(t, rho) < 1e293
-            assert is_on_manifold(t, rho, tol=1e300)
-            assert not is_on_manifold(t, rho, tol=1e290)
+            assert manifold_residual(t, rho) <= 1e300
+            assert not manifold_residual(t, rho) <= 1e290
 
     def test_residual_zero_on_manifold(self):
         t = build_transform(6)
         rho = inverse_transform(t, [0.3, 0.4])
         assert manifold_residual(t, rho) < 1e-15
-
-
-class TestPolarForms:
-    def test_examples(self):
-        assert rectangular_to_polar([1.0, 0.0]) == (1.0, 0.0)
-        amp, ang = rectangular_to_polar([0.0, 2.0])
-        assert amp == pytest.approx(2.0, abs=1e-15)
-        assert ang == pytest.approx(np.pi / 2, abs=1e-15)
-        amp, ang = rectangular_to_polar([-1.0, -1.0])
-        assert amp == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        assert ang == pytest.approx(-3 * np.pi / 4, abs=1e-15)
-
-    def test_origin_convention(self):
-        assert rectangular_to_polar([0.0, 0.0]) == (0.0, 0.0)
-
-    @pytest.mark.parametrize("xi", [[1.7e308, 1.7e308], [-1.7e308, 1.7e308], [1.3e308, -1.3e308]])
-    def test_an_amplitude_past_the_float_range_is_refused(self, xi):
-        with pytest.raises(ValueError, match="^the amplitude of these Clarke coordinates is past the float range$"):
-            rectangular_to_polar(xi)
-
-    def test_the_largest_amplitudes_are_kept(self):
-        big = sys.float_info.max
-        assert rectangular_to_polar([big, 0.0]) == (big, 0.0)
-        assert rectangular_to_polar([-1.2e308, -1.2e308])[0] == math.hypot(1.2e308, 1.2e308)
-
-    def test_angle_range_half_open(self):
-        _, ang = rectangular_to_polar([-1.0, 0.0])
-        assert ang == pytest.approx(np.pi)
-        _, ang = rectangular_to_polar([-1.0, -0.0])
-        assert -np.pi < ang <= np.pi
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            xi = rng.standard_normal(2)
-            amp, ang = rectangular_to_polar(xi)
-            back = polar_to_rectangular(amp, ang)
-            assert np.max(np.abs(back - xi)) < 1e-12
-
-    def test_polar_examples(self):
-        assert np.max(np.abs(polar_to_rectangular(1.0, 0.0) - [1.0, 0.0])) < 1e-15
-        assert np.max(np.abs(polar_to_rectangular(2.0, np.pi / 2) - [0.0, 2.0])) < 1e-15
-
-    def test_norm_preserved(self):
-        d = 0.01
-        for alpha in np.linspace(0, 6.0, 13):
-            xi = polar_to_rectangular(d * np.pi, alpha)
-            assert np.linalg.norm(xi) == pytest.approx(d * np.pi, rel=1e-15)
-
-    def test_negative_amplitude_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            polar_to_rectangular(-1.0, 0.0)
-
-    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
-    def test_non_finite_angle_rejected(self, angle):
-        with pytest.raises(ValueError, match="angle must be finite"):
-            polar_to_rectangular(1.0, angle)
 
 
 def displacement_from_rectangular(layout, rho_re, rho_im):
@@ -587,27 +521,6 @@ class TestDisplacementFromRectangular:
                 direct = displacement_from_rectangular(layout, re, im)
                 via_matrix = inverse_transform(t, [re, im])
                 assert np.max(np.abs(direct - via_matrix)) < 1e-14
-
-
-def test_wrap_to_two_pi():
-    assert wrap_to_two_pi(0.0) == 0.0
-    assert wrap_to_two_pi(-np.pi / 2) == pytest.approx(3 * np.pi / 2, abs=1e-15)
-    assert wrap_to_two_pi(7.0) == pytest.approx(7.0 - 2 * np.pi, abs=1e-15)
-    assert 0.0 <= wrap_to_two_pi(-1e-9) < 2 * np.pi
-    # fmod(a, TWO_PI) + TWO_PI rounds up to TWO_PI for these; 0 is the nearest value in range.
-    for tiny in (-1e-17, -2.2e-16, -4.4e-16, -5e-324):
-        assert wrap_to_two_pi(tiny) == 0.0
-
-
-@given(st.floats(allow_nan=False, allow_infinity=False))
-def test_wrap_to_two_pi_stays_in_range(angle):
-    assert 0.0 <= wrap_to_two_pi(angle) < TWO_PI
-
-
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
-def test_wrap_to_two_pi_rejects_non_finite(angle):
-    with pytest.raises(ValueError, match="angle must be finite"):
-        wrap_to_two_pi(angle)
 
 
 # Entries that break a sum-based shortcut: inf + -inf is NaN, and 1e308 + 1e308 overflows.

@@ -1137,11 +1137,11 @@ class TestStreamedCsv:
     def test_closed_stdout_ends_the_output_not_the_command(self, argv, first, err):
         # The reader takes one line and leaves; the rest of the output meets
         # a closed pipe. No error line, no "Exception ignored" at exit.
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "clarkekin.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
-        )
-        assert proc.stdout.readline() == first
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0, stderr
-        assert stderr.startswith(err) and stderr.count("\n") == (1 if err else 0)
+        ) as proc:
+            assert proc.stdout.readline() == first
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0, stderr
+            assert stderr.startswith(err) and stderr.count("\n") == (1 if err else 0)

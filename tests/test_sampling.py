@@ -496,6 +496,19 @@ class TestRejectionIndependent:
         assert batch.columns.shape == (5, 20)
         assert np.max(np.abs(batch.columns.sum(axis=0))) <= cfg.rounding_epsilon
 
+    def test_samples_the_sum_slice_which_is_the_manifold_only_at_three_joints(self):
+        # At n = 3 the Clarke manifold is the plane sum(rho) = 0; from n = 4
+        # it is a 2-D subspace of that slice, and method (a) tests only the sum.
+        eps, residuals = 1e-5, {}
+        for n in (3, 4):
+            cfg = SamplerConfig(JointLayout(n=n, d=D), -RHO_MAX, RHO_MAX, rounding_epsilon=eps, seed=3)
+            columns = sample(cfg, 100, "a")[0].columns
+            t = build_transform(n)
+            residuals[n] = max(manifold_residual(t, columns[:, i]) for i in range(100))
+            assert max(abs(math.fsum(columns[:, i])) for i in range(100)) <= eps / 2
+        assert residuals[3] <= eps
+        assert residuals[4] > 100 * eps
+
     def test_iteration_cap(self):
         # A draw is accepted with chance about 1.6e-10: 10^5 attempts give
         # 10 samples with chance about 1.6e-6, too much to refuse at once.
