@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -53,6 +54,23 @@ class TestTypes:
     def test_bad_segment_length(self):
         with pytest.raises(ValueError, match="positive"):
             SegmentGeometry(layout=JointLayout(n=3, d=0.01), l=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda v: CurvatureAngle(v, 0.0), "curvature"),
+            (lambda v: CurvatureAngle(1.0, v), "bending-plane angle"),
+            (lambda v: CurvatureCurvature(v, 0.0), "kappa_x"),
+            (lambda v: CurvatureCurvature(0.0, v), "kappa_y"),
+            (lambda v: AngleAngle(v, 0.0), "bending angle"),
+            (lambda v: AngleAngle(1.0, v), "bending-plane angle"),
+        ],
+        ids=["car-kappa", "car-theta", "ccr-kappa_x", "ccr-kappa_y", "aar-phi", "aar-theta"],
+    )
+    def test_a_non_finite_field_is_refused_by_name(self, make, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make(value)
 
 
 class TestCcrCar:
@@ -160,6 +178,37 @@ class TestArcFromClarke:
             xi = rng.uniform(-0.05, 0.05, 2)
             back = clarke_from_arc(geom, arc_from_clarke(geom, xi))
             assert np.max(np.abs(back - xi)) < 1e-12
+
+
+class TestPairAmplitudes:
+    """ccr_to_car and arc_from_clarke take a pair's amplitude by hypot: one
+    past the float range is refused as a non-finite curvature, with no
+    warning, and the largest finite amplitudes are kept."""
+
+    @pytest.mark.parametrize("pair", [(1.7e308, 1.7e308), (-1.7e308, 1.7e308), (1.3e308, -1.3e308)])
+    @pytest.mark.parametrize(
+        "to_arc",
+        [
+            lambda x, y: ccr_to_car(CurvatureCurvature(x, y)),
+            lambda x, y: arc_from_clarke(SegmentGeometry(JointLayout(3, 1.0), 1.0), [x, y]),
+        ],
+        ids=["ccr_to_car", "arc_from_clarke"],
+    )
+    def test_an_amplitude_past_the_float_range_is_refused(self, to_arc, pair):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^curvature must be finite and non-negative, got inf$"):
+                to_arc(*pair)
+
+    def test_the_largest_amplitudes_are_kept(self):
+        big = sys.float_info.max
+        unit = SegmentGeometry(JointLayout(3, 1.0), 1.0)
+        for to_arc in (lambda x, y: ccr_to_car(CurvatureCurvature(x, y)), lambda x, y: arc_from_clarke(unit, [x, y])):
+            ca = to_arc(big, 0.0)
+            assert (ca.kappa, ca.theta) == (big, 0.0)
+            ca = to_arc(-1.2e308, -1.2e308)
+            assert ca.kappa == math.hypot(1.2e308, 1.2e308)
+            assert ca.theta == pytest.approx(-3 * math.pi / 4, abs=1e-15)
 
 
 class TestVirtualDisplacement:
