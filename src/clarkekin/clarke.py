@@ -33,6 +33,13 @@ def _owned(a) -> np.ndarray:
     return _readonly(np.array(a, dtype=float, order="C"))
 
 
+def _built(cls, **fields):
+    """A cls the library computed, made without __init__: nothing copied or checked, its arrays frozen by the caller."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 def all_finite(a: np.ndarray) -> bool:
     """Whether every entry is finite: an exact count that never warns, unlike a sum."""
     return np.count_nonzero(np.isfinite(a)) == a.size

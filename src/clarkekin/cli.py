@@ -274,13 +274,12 @@ def cmd_simulate(args) -> int:
     noise = NoiseModel(epsilon=args.noise, seed=args.seed)
     closed = run_simulation(cfg, plant, noise, trajectory, closed_loop=True)
     opened = run_simulation(cfg, plant, noise, trajectory, closed_loop=False)
-    t = build_transform(layout.n)
     summary = {
         "seed": args.seed,
         "ticks": int(len(closed.time)),
         "duration_s": float(closed.time[-1]),
-        "rms_closed_loop": clarke_tracking_rms(closed, t),
-        "rms_open_loop": clarke_tracking_rms(opened, t),
+        "rms_closed_loop": clarke_tracking_rms(closed),
+        "rms_open_loop": clarke_tracking_rms(opened),
         "config": {
             "n": layout.n,
             "d": layout.d,

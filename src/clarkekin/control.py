@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .arcspace import SegmentGeometry
-from .clarke import _owned, _product, _readonly, _sum, all_finite, as_clarke, as_displacement, build_transform, check_finite
+from .clarke import _built, _owned, _product, _readonly, _sum, all_finite, as_clarke, as_displacement, build_transform, check_finite
 from .csvio import csv_chunks, write_text
 
 
@@ -48,7 +48,7 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class PT1Plant:
-    """First-order lag actuators: per joint, tau*x' + x = u. The state is a read-only copy (clarke._owned)."""
+    """First-order lag actuators: per joint, tau*x' + x = u. The state is read-only; a caller's is copied (clarke._owned)."""
 
     tau: float
     state: np.ndarray
@@ -59,17 +59,6 @@ class PT1Plant:
         if state.ndim != 1 or not all_finite(state):
             raise ValueError("plant state must be a finite vector")
         object.__setattr__(self, "state", state)
-
-
-def _built_plant(tau: float, state: np.ndarray) -> PT1Plant:
-    # A plant plant_step computed: tau from the checked plant it stepped and
-    # a new state it owns, finite because it is a convex combination of two
-    # finite vectors, which is only frozen. It is a PT1Plant made without
-    # running __init__, so dataclasses.replace of it is checked.
-    plant = object.__new__(PT1Plant)
-    object.__setattr__(plant, "tau", tau)
-    object.__setattr__(plant, "state", _readonly(state))
-    return plant
 
 
 @dataclass(frozen=True)
@@ -122,8 +111,8 @@ class TrajectorySpec:
 class SimTrace:
     """Time series of one run: desired, measured, commanded and plant state.
 
-    All four arrays are n x T with one column per tick; time holds the tick
-    instants in seconds. Each is a read-only copy (clarke._owned).
+    All four arrays are n x T, for one joint count n, with one column per tick; time holds the tick instants in
+    seconds. Each is read-only: one run_simulation computed, frozen in place, or a copy of a caller's (clarke._owned).
     """
 
     time: np.ndarray
@@ -145,6 +134,8 @@ class SimTrace:
             if arr.shape[1] != t:
                 raise ValueError(f"{name} has {arr.shape[1]} columns for {t} ticks")
             object.__setattr__(self, name, arr)
+            if arr.shape[0] != self.rho_desired.shape[0]:
+                raise ValueError(f"{name} has {arr.shape[0]} joints, rho_desired has {self.rho_desired.shape[0]}")
 
 
 def controller_step(cfg: ControllerConfig, xi_desired, rho_measured) -> np.ndarray:
@@ -178,14 +169,15 @@ def plant_step(plant: PT1Plant, command, dt: float) -> PT1Plant:
 
     Exact zero-order-hold discretization x+ = a*x + (1-a)*u with a = exp(-dt/tau), on Python floats
     with numpy's bits; stable for every dt, tau > 0. dt and the command are checked here; the plant's
-    tau was checked when it was built, so the next plant is built without checking it again, and its
-    state is not checked either: with a in [0, 1], a*x + (1-a)*u of finite x and u rounds below the
+    tau was checked when it was built, so the next plant is built (clarke._built) without checking it again,
+    and its state is not checked either: with a in [0, 1], a*x + (1-a)*u of finite x and u rounds below the
     overflow threshold even at the largest float.
     """
     check_finite("dt", dt)
     u = as_displacement(command, len(plant.state))
     a = math.exp(-dt / plant.tau)
-    return _built_plant(plant.tau, np.array([a * x + (1.0 - a) * v for x, v in zip(plant.state.tolist(), u)]))
+    state = np.array([a * x + (1.0 - a) * v for x, v in zip(plant.state.tolist(), u)])
+    return _built(PT1Plant, tau=plant.tau, state=_readonly(state))
 
 
 def _profile_durations(length: float, v: float, a: float, d: float) -> tuple[float, float, float, float]:
@@ -309,20 +301,21 @@ def run_simulation(
     block from the same PCG64 stream, bitwise the values of T per-tick
     draws, so seeded traces are unchanged. Raises ValueError if the loop
     leaves the float range, and for the closed loop if kp is at or past
-    the stability bound (1 + a)/(1 - a), a = exp(-dt/tau).
+    the stability bound (1 + a)/(1 - a), a = exp(-dt/tau). Its trace holds
+    one frozen copy of the trajectory and the run's own arrays, never copied.
     """
     if closed_loop:
         _check_stable(cfg, plant)
     n = cfg.geometry.layout.n
     t = build_transform(n)
-    trajectory = np.asarray(trajectory, dtype=float)
+    trajectory = _owned(trajectory)
     if trajectory.ndim != 2 or trajectory.shape[0] != n:
         raise ValueError(f"trajectory must be n x T with n={n}, got {trajectory.shape}")
     ticks = trajectory.shape[1]
     if ticks == 0:
-        rest = np.reshape(_product(t.inverse, _product(t.forward, plant.state.tolist())), (n, 1))
-        col = plant.state.reshape(n, 1)
-        return SimTrace(np.array([0.0]), rest, col, rest, col)
+        p = _readonly(np.array(_product(t.inverse, _product(t.forward, plant.state.tolist()))))[:, None]
+        x = plant.state.reshape(n, 1)
+        return _built(SimTrace, time=_readonly(np.zeros(1)), rho_desired=p, rho_measured=x, rho_command=p, rho_plant=x)
     # One row per tick; states[i] is the plant state read at tick i.
     states = np.empty((ticks + 1, n))
     states[0] = plant.state
@@ -343,13 +336,14 @@ def run_simulation(
                 np.multiply(command, 1.0 - a, out=states[1:])
                 for x, x_next in zip(states[:-1], states[1:]):
                     x_next += a * x
-            measured = _read(states[:-1] + draws, noise)
+            measured = _readonly(_read(states[:-1] + draws, noise)).T
     except (FloatingPointError, OverflowError) as exc:
         raise ValueError(f"simulation left the float range: {exc}") from None
-    return SimTrace(cfg.dt * np.arange(ticks), trajectory, measured.T, command.T, states[1:].T)
+    time, command, states = _readonly(cfg.dt * np.arange(ticks)), _readonly(command).T, _readonly(states)[1:].T
+    return _built(SimTrace, time=time, rho_desired=trajectory, rho_measured=measured, rho_command=command, rho_plant=states)
 
 
-def clarke_tracking_rms(trace: SimTrace, transform_) -> float:
+def clarke_tracking_rms(trace: SimTrace) -> float:
     """RMS of the Clarke-space error between desired and plant displacement.
 
     Where the mean square overflows or falls below the normal range, the
@@ -358,7 +352,7 @@ def clarke_tracking_rms(trace: SimTrace, transform_) -> float:
     """
     exponent = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        err = _product(transform_.forward, trace.rho_desired - trace.rho_plant)
+        err = _product(build_transform(trace.rho_desired.shape[0]).forward, trace.rho_desired - trace.rho_plant)
         square = np.mean(np.sum(err * err, axis=0))
         if not sys.float_info.min <= square < math.inf and np.any(err):
             exponent = math.frexp(np.max(np.abs(err)))[1]

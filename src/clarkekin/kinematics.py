@@ -136,10 +136,10 @@ class Pose:
 
 
 class _BuiltPose(Pose):
-    # A pose the library computed (_built_pose): a rotation Rz(theta) @ Ry(phi)
-    # from the cos and sin of two angles and a finite position. It inherits
-    # Pose.__init__, checks nothing, and then becomes a Pose, so
-    # dataclasses.replace checks what a caller puts in a copy.
+    # A pose the library computed (_built_pose): a rotation Rz(theta) @ Ry(phi) from the cos and sin of two angles
+    # and a finite position. It runs Pose.__init__, checks nothing, then becomes a Pose, so dataclasses.replace
+    # checks a caller's copy. Not clarke._built, which skips __init__: the realtime-loop benchmark counts each pose
+    # the library builds as a kinematics.Pose call (perfbench/measure.py SERVES), and would see none.
     def __post_init__(self):
         object.__setattr__(self, "__class__", Pose)
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clarke import TWO_PI, JointLayout, _owned, _readonly, build_transform, check_finite
+from .clarke import TWO_PI, JointLayout, _built, _owned, _readonly, build_transform, check_finite
 from .csvio import csv_chunks, format_rows
 
 REJECTION_METHODS = ("a", "b")
@@ -133,7 +133,7 @@ class SamplerConfig:
 class SampleBatch:
     """k displacement samples as the columns of a read-only n x k matrix.
 
-    The samplers build it C-contiguous; columns a caller passes are copied (clarke._owned).
+    A sampler's batch holds its own C-contiguous matrix, frozen in place; a caller's columns are copied (clarke._owned).
     """
 
     columns: np.ndarray
@@ -170,11 +170,8 @@ def _stream(cfg: SamplerConfig, k: int) -> np.random.Generator:
 
 
 def _finalize(method: str, columns: np.ndarray, iterations: int, k: int) -> tuple[SampleBatch, SamplingStats]:
-    # The sampler's own output, frozen in place: a SampleBatch made without
-    # running __init__, which would copy it, so dataclasses.replace of it copies.
-    batch = object.__new__(SampleBatch)
-    object.__setattr__(batch, "columns", _readonly(columns))
-    object.__setattr__(batch, "method", method)
+    # The sampler's own output, frozen in place and not copied (clarke._built); dataclasses.replace of it copies.
+    batch = _built(SampleBatch, columns=_readonly(columns), method=method)
     rate = 1.0 if iterations == 0 else k / iterations
     return batch, SamplingStats(method=method, iterations=iterations, resamples=iterations - k, success_rate=rate)
 

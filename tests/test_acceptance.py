@@ -253,7 +253,7 @@ def test_criterion_08_control_simulation():
         opened = run_simulation(cfg, plant, noise, trajectory, closed_loop=False)
         residual = np.max(np.abs(p @ closed.rho_command - closed.rho_command))
         assert residual < 1e-12
-        assert clarke_tracking_rms(closed, t) < clarke_tracking_rms(opened, t)
+        assert clarke_tracking_rms(closed) < clarke_tracking_rms(opened)
 
     # Constant measurement bias on quantized encoder readings leaves the
     # command stream bitwise unchanged.

@@ -124,6 +124,12 @@ class TestAngleAngle:
         with pytest.raises(ValueError, match="positive"):
             car_to_aar(CurvatureAngle(1.0, 0.0), l=-0.1)
 
+    @pytest.mark.parametrize("l", [0.0, -0.1, math.inf, math.nan])
+    def test_back_needs_a_finite_positive_length(self, l):
+        # Unchecked, 0 was a ZeroDivisionError, -0.1 was blamed on the curvature and inf gave a straight arc.
+        with pytest.raises(ValueError, match=f"^segment length must be finite and positive, got {l}$"):
+            aar_to_car(AngleAngle(phi=1.2, theta=1.3), l=l)
+
 
 class TestClarkeFromArc:
     def test_straight(self, geom):

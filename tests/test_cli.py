@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import clarkekin
 from clarkekin import (
     ControllerConfig,
     JointLayout,
@@ -989,6 +990,18 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "forward" in proc.stdout
+
+
+def test_console_entry_point_reads_config_and_version(capsys, tmp_path):
+    # main() with no arguments takes sys.argv; --config needs the list itself to place the file's tokens.
+    config = tmp_path / "run.cfg"
+    config.write_text("n = 4\nsigma = 2.0\njoint = 1\n")
+    argv = ["noise-report", "--config", str(config), "--joint", "0"]
+    proc = subprocess.run([sys.executable, "-m", "clarkekin.cli", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli(capsys, *argv)[1] and json.loads(proc.stdout)["joint_index"] == 0
+    proc = subprocess.run([sys.executable, "-m", "clarkekin.cli", "--version"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"clarkekin {clarkekin.__version__}\n", "")
 
 
 IK_POSITION = "--position=-0.0019715429862298814,-0.0022647031558552804,0.099939868941973459"

@@ -474,6 +474,13 @@ class TestTrajectory:
         assert joints[:, -1].tobytes() == left_to_right(t.inverse, goal).tobytes()
         assert np.array_equal(joints, per_tick_trajectory_oracle(3, spec, 1e300))
 
+    @pytest.mark.parametrize("dt", [-1e-3, 0.0, math.inf, math.nan])
+    def test_dt_must_be_finite_and_positive(self, geom, dt):
+        # Unchecked, -1e-3 and inf gave the whole 0.3 s leg in one tick, 0 a ZeroDivisionError.
+        spec = TrajectorySpec(waypoints=(np.zeros(2), np.array([0.02, 0.0])), v_max=0.1, a_max=1.0, d_max=1.0)
+        with pytest.raises(ValueError, match=f"^dt must be finite and positive, got {re.escape(str(dt))}$"):
+            generate_trajectory(geom.layout, spec, dt)
+
     @pytest.mark.parametrize("dt", [1e-16, 1e-18, 1e-19])
     def test_enormous_leg_fails_fast(self, geom, dt):
         # A 2 s leg at these steps needs 2e16 (more than the address space
@@ -552,6 +559,20 @@ class TestSimulation:
         with pytest.raises(ValueError, match="^rho_command has 2 columns for 3 ticks$"):
             SimTrace(np.zeros(3), np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((5, 2)), np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("joints", [3, 5])
+    @pytest.mark.parametrize("name", ["rho_measured", "rho_command", "rho_plant"])
+    def test_trace_holds_one_joint_count(self, tmp_path, name, joints):
+        # A trace of 4 joints with one array of 3 or 5 was accepted, and its CSV rows
+        # then held 16 or 18 values under a header of 17 names.
+        fields = ("rho_desired", "rho_measured", "rho_command", "rho_plant")
+        arrays = {field: np.zeros((joints if field == name else 4, 2)) for field in fields}
+        with pytest.raises(ValueError, match=f"^{name} has {joints} joints, rho_desired has 4$"):
+            SimTrace(np.zeros(2), **arrays)
+        trace = SimTrace(np.zeros(2), **dict(arrays, **{name: np.zeros((4, 2))}))
+        save_trace_csv(trace, tmp_path / "trace.csv")
+        rows = (tmp_path / "trace.csv").read_text().splitlines()
+        assert {len(row.split(",")) for row in rows} == {17}
+
     @pytest.mark.parametrize("given", [np.zeros(3), [0.0, 0.0, 0.0], np.zeros((5, 3, 1))])
     def test_trace_arrays_must_be_n_x_t(self, given):
         # A vector or a list was an IndexError or AttributeError; each array is now checked as a matrix.
@@ -588,13 +609,12 @@ class TestSimulation:
         assert np.max(np.abs(scaled.rho_plant - 3.0 * base.rho_plant)) < 1e-9
 
     def test_closed_loop_beats_open_loop(self, cfg, geom):
-        t = build_transform(5)
         traj = generate_trajectory(geom.layout, spec_between([0.0, 0.0], [0.02, 0.01], [0.0, 0.025]), cfg.dt)
         plant = PT1Plant(tau=0.25, state=np.zeros(5))
         noise = NoiseModel(epsilon=2.5e-3, seed=21)
         closed = run_simulation(cfg, plant, noise, traj, closed_loop=True)
         opened = run_simulation(cfg, plant, noise, traj, closed_loop=False)
-        assert clarke_tracking_rms(closed, t) < clarke_tracking_rms(opened, t)
+        assert clarke_tracking_rms(closed) < clarke_tracking_rms(opened)
 
     @pytest.mark.parametrize("n", [3, 5, 12])
     def test_rms_is_that_of_the_per_column_transform_pairs(self, n):
@@ -607,19 +627,18 @@ class TestSimulation:
             desired, plant = 0.01 * rng.standard_normal((2, n, ticks))
             trace = SimTrace(1e-3 * np.arange(ticks), desired, desired, desired, plant)
             err = np.column_stack([transform(t, rho) for rho in (desired - plant).T])
-            assert clarke_tracking_rms(trace, t) == float(np.sqrt(np.mean(np.sum(err * err, axis=0))))
+            assert clarke_tracking_rms(trace) == float(np.sqrt(np.mean(np.sum(err * err, axis=0))))
 
     @pytest.mark.parametrize("plant_sign", [0.0, -1.0])
     def test_rms_past_the_float_range_is_a_value_error(self, plant_sign):
         # At n = 4, joints of +-1.7e308 make an error of 1.7e308 in both
         # Clarke coordinates, an RMS of 2.4e308; against the opposite plant
         # the joint error overflows as well.
-        t = build_transform(4)
         desired = np.array([[1.7e308], [1.7e308], [-1.7e308], [-1.7e308]])
         trace = SimTrace(np.zeros(1), desired, desired, desired, plant_sign * desired)
         with pytest.raises(ValueError, match="^the Clarke tracking RMS passes the float range"):
-            clarke_tracking_rms(trace, t)
-        assert clarke_tracking_rms(SimTrace(np.zeros(1), desired, desired, desired, desired), t) == 0.0
+            clarke_tracking_rms(trace)
+        assert clarke_tracking_rms(SimTrace(np.zeros(1), desired, desired, desired, desired)) == 0.0
 
     def test_bias_leaves_commands_bitwise_unchanged(self, cfg, geom):
         # Quantized encoder readings plus a grid-aligned constant offset:

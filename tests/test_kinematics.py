@@ -171,6 +171,16 @@ class TestFDepCurvatureAngle:
         with pytest.raises(ValueError, match="residual"):
             f_dep_curvature_angle(geom, [1.0, -1.0, 1.0, -1.0])
 
+    @pytest.mark.parametrize(
+        "rho, message",
+        [([0, 0, 0], r"must have shape \(4,\), got \(3,\)"), ([[0.0] * 4], r"must have shape \(4,\), got \(1, 4\)"),
+         ([math.nan, 0.0, 0.0, 0.0], "entries must be finite")],
+    )
+    def test_malformed_vector_refused_before_the_domain_check(self, rho, message):
+        # Unchecked, the short vector was an IndexError, the nested list a TypeError, and the NaN was blamed on its size.
+        with pytest.raises(ValueError, match=f"^displacement vector {message}$"):
+            f_dep_curvature_angle(make_geom(n=4), rho)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(3, 64),
