@@ -169,13 +169,13 @@ def _sum(terms) -> float:
     return total
 
 
-def _product(m: np.ndarray, x):
+def _product(m: np.ndarray, x, out=None):
     """m times x, m a cached transform matrix: entry i is m[i][0]*x[0] + m[i][1]*x[1] + ..., left to right.
 
-    Every transform product goes through here, in this one IEEE order from the first product, so no bit comes
-    from the BLAS and -0.0 adds alike on both paths. One column, a sequence of Python floats (as_displacement's
-    list), runs over build_transform's listed entries and gives a list; a batch (a 2-D array or c (k,) rows) runs
-    the same multiplies and in-place adds on its rows and gives an r x k array, each column the bits of its single call.
+    Every transform product, the samplers' joint map too, goes through here, in this one IEEE order from the first
+    product, so no bit comes from the BLAS and -0.0 adds alike on both paths. One column, a sequence of Python floats
+    (as_displacement's list), runs over build_transform's listed entries and gives a list; a batch (a 2-D array or c
+    (k,) rows) runs the same multiplies and in-place adds into out (r x k) or a new array, each column its single call's bits.
     """
     if isinstance(x[0], float):
         if len(x) == 2:  # the inverse matrix: n rows of two products
@@ -186,7 +186,7 @@ def _product(m: np.ndarray, x):
             re += c * v
             im += s * v
         return [re, im]
-    out = m[:, :1] * x[0]
+    out = np.multiply(m[:, :1], x[0], out=out)
     for j in range(1, m.shape[1]):
         out += m[:, j, None] * x[j]
     return out

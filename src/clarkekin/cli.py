@@ -170,9 +170,15 @@ def cmd_ik(args) -> int:
     return 0
 
 
+def _half_circle(d: float, annulus: bool) -> float:
+    if not np.isfinite(d * np.pi * (d * np.pi if annulus else 2.0)):
+        raise ValueError(f"--d={d:g} m is too large for the default bounds on d*pi: their {'square' if annulus else 'span'} overflows")
+    return d * np.pi
+
+
 def _sampler_config(args, method: str | None = None) -> SamplerConfig:
     layout = JointLayout(n=args.n, d=args.d)
-    rho_max = args.rho_max if args.rho_max is not None else layout.d * np.pi
+    rho_max = args.rho_max if args.rho_max is not None else _half_circle(layout.d, method == "e")
     if args.rho_min is not None:
         rho_min = args.rho_min
     elif method == "e":
@@ -212,7 +218,7 @@ def cmd_bench(args) -> int:
         methods=methods,
         runs=args.runs,
         vectorized=args.vectorized,
-        annulus_rho_min=_sampler_config(args, "e").rho_min,
+        annulus_rho_min=_sampler_config(args, "e").rho_min if "e" in methods else None,
     )
     if args.format == "json":
         payload = [
@@ -245,7 +251,7 @@ def _default_waypoints(layout: JointLayout, seed: int, count: int = 5) -> tuple:
     cfg = SamplerConfig(
         layout=layout,
         rho_min=0.1 * layout.d * np.pi,
-        rho_max=layout.d * np.pi,
+        rho_max=_half_circle(layout.d, annulus=True),
         seed=seed,
     )
     batch = sample_direct_batched(cfg, count, "annulus")

@@ -13,8 +13,8 @@ fk_direct composes both mappings without ever branching on the curvature:
 it evaluates the exact arc of the Clarke pair xi for any bend below a full
 circle, in the plane xi/|xi|: a division, never an angle, so a batch row
 has the bits of its single call. One formula, _arc, gives the frame and tip of every arc that FK,
-f_ind and IK's check build, each bend raised to the segment's least_bend
-(SegmentGeometry), so its radius l/phi stays finite. IK's domain is
+f_ind and IK's check build, and raises each bend it is given to the segment's least_bend
+(SegmentGeometry) itself, so its radius l/phi stays finite. IK's domain is
 smaller: p_z > 0, a bend below pi. IK accepts a target only when
 fk_direct of the displacements it returns gives the target back.
 """
@@ -149,14 +149,15 @@ def _built_pose(entries, elementwise) -> Pose:
     return _BuiltPose(*elementwise.pose(_readonly(np.array(entries))))
 
 
-def _arc(ct, st, phi, inv_kappa, elementwise) -> tuple:
-    """The twelve entries of the arc of radius inv_kappa bent by phi in the plane at (cos, sin) = (ct, st).
+def _arc(geom: SegmentGeometry, ct, st, phi, elementwise) -> tuple:
+    """The twelve entries of geom's arc bent by phi in the plane at (cos, sin) = (ct, st), floats or (k,) arrays.
 
-    Rz(theta) @ Ry(phi) row-major, then the tip x, y, z: floats or (k,)
-    arrays. The bow 2*sin(phi/2)^2 is 1 - cos(phi) without its cancellation
-    near the straight pose, so the tip keeps full precision; it squares by a
-    product, as a float's ** 2 calls C pow, which numpy's does not.
+    Rz(theta) @ Ry(phi) row-major, then the tip x, y, z. The bend is raised to geom.least_bend here, for every
+    caller, so the radius l/phi stays finite. The bow 2*sin(phi/2)^2 is 1 - cos(phi) without its cancellation near
+    the straight pose, so the tip keeps full precision; it squares by a product, as a float's ** 2 calls C pow.
     """
+    phi = elementwise.maximum(phi, geom.least_bend)
+    inv_kappa = geom.l / phi
     cp, sp, half = elementwise.cos(phi), elementwise.sin(phi), elementwise.sin(phi / 2.0)
     zero = 0.0 * abs(ct)  # +0.0 shaped like ct; 0.0 * ct is -0.0 for ct < 0
     bow = 2.0 * (half * half) * inv_kappa
@@ -239,16 +240,16 @@ def f_ind(geom: SegmentGeometry, arc) -> Pose:
     For kappa > 0 the tip sits on a circular arc of radius 1/kappa in the
     bending plane; kappa = 0 yields the straight pose (identity rotation,
     position (0, 0, l)). A bend kappa*l below geom.least_bend, whose radius
-    would overflow, is raised to it: the rotation moves by < 3e-308*l, or
+    would overflow, is raised to it (_arc): the rotation moves by < 3e-308*l, or
     by 5e-324 for l < 2^-52. A bend kappa*l past the largest float is refused.
     """
     ca, elementwise = _as_car(arc), _ELEMENTWISE[1]
     if ca.kappa == 0.0:
         return _built_pose((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, geom.l), elementwise)
-    phi = max(ca.kappa * geom.l, geom.least_bend)
+    phi = ca.kappa * geom.l
     if not math.isfinite(phi):
         raise ValueError(f"curvature kappa={ca.kappa:.6g} 1/m bends a segment of l={geom.l:.6g} m past the float range")
-    return _built_pose(_arc(math.cos(ca.theta), math.sin(ca.theta), phi, geom.l / phi, elementwise), elementwise)
+    return _built_pose(_arc(geom, math.cos(ca.theta), math.sin(ca.theta), phi, elementwise), elementwise)
 
 
 def fk_direct(geom: SegmentGeometry, rho) -> Pose:
@@ -263,7 +264,7 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
 
     It computes what f_ind(arc_from_clarke(xi)) computes for the Clarke
     pair xi = forward @ rho: the arc bent by |xi|/d, raised to least_bend
-    as f_ind raises it, in the plane (cos theta, sin theta) = xi/|xi|
+    by _arc as in f_ind, in the plane (cos theta, sin theta) = xi/|xi|
     (_polar), (1, 0) at rho = 0, the straight pose. Where |xi|/(d*l)
     underflows to 0, f_ind's straight branch takes theta = 0, and this
     keeps the plane of xi. rho outside FK's domain (_fk_clarke) is refused.
@@ -272,8 +273,7 @@ def fk_direct(geom: SegmentGeometry, rho) -> Pose:
     rho = as_displacement(rho, t.n, batch=True)
     elementwise = _ELEMENTWISE[getattr(rho, "ndim", 1)]
     ct, st, phi = _fk_clarke(geom, t, rho)
-    phi = elementwise.maximum(phi, geom.least_bend)
-    return _built_pose(_arc(ct, st, phi, geom.l / phi, elementwise), elementwise)
+    return _built_pose(_arc(geom, ct, st, phi, elementwise), elementwise)
 
 
 def _check_position_target(x, y, z, elementwise) -> None:
@@ -310,8 +310,7 @@ def _fk_gives_back(geom: SegmentGeometry, bx, by, elementwise, r, p, what: str) 
     with np.errstate(over="ignore", invalid="ignore"):
         rho = d * np.asarray(_product(t.inverse, (bx, by)))
         amplitude, ct, st = _polar(*_product(t.forward, elementwise.split(rho)), elementwise)
-        phi = elementwise.maximum(elementwise.minimum(amplitude / d, 2.0 * math.pi), geom.least_bend)
-        arc = _arc(ct, st, phi, geom.l / phi, elementwise)  # entry (i, j) of the frame at 3*i + j
+        arc = _arc(geom, ct, st, elementwise.minimum(amplitude / d, 2.0 * math.pi), elementwise)  # frame (i, j) at 3*i + j
         if p is not None:
             tx, ty, tz = arc[-3:]
             x, y, z = p

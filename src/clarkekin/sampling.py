@@ -34,8 +34,8 @@ one (b, 2) array from the stream. Each call binds its radial law's
 constants once, and one formula (_clarke_pair), a closure over math or
 numpy, gives the block's Clarke pairs: mapped per sample over Python floats
 with math's sqrt, cos and sin on the sequential path, once per block on the
-array's columns with numpy's on the batched one; one joint map writes the
-block's joints. sqrt rounds correctly
+array's columns with numpy's on the batched one; one joint map, clarke._product
+of the right-inverse, writes the block's joints in place. sqrt rounds correctly
 and the rest is IEEE-exact, so the two are bit-identical under one seed
 wherever numpy's float64 cos and sin are the C library's, as they are for
 numpy 2.4.6 on x86_64 with glibc 2.36; TestTrigPremise checks that equality.
@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clarke import TWO_PI, JointLayout, _built, _owned, _readonly, build_transform, check_finite
+from .clarke import TWO_PI, JointLayout, _built, _owned, _product, _readonly, build_transform, check_finite
 from .csvio import csv_chunks, format_rows
 
 REJECTION_METHODS = ("a", "b")
@@ -381,8 +381,8 @@ def _direct(cfg: SamplerConfig, k: int, radial: str, xp, pairs) -> tuple[SampleB
     the doubles a single (k, 2) draw would give, (theta, L) in turn.
     pairs(pair, u2) turns them into Clarke pairs, two (b,) arrays x, y, with
     the formula pair = _clarke_pair(cfg, law, xp) built once per call.
-    Joint j of a block is then c_j*x + s_j*y, (c_j, s_j) the right-inverse's
-    row: the one joint map.
+    The one joint map, clarke._product of the right-inverse and (x, y),
+    then fills the block: joint j is c_j*x + s_j*y, (c_j, s_j) its row.
     """
     method = _LAW_METHODS.get(radial)
     if method is None:
@@ -393,14 +393,11 @@ def _direct(cfg: SamplerConfig, k: int, radial: str, xp, pairs) -> tuple[SampleB
         raise ValueError(f"annulus sampling needs a finite rho_max**2, got rho_max={cfg.rho_max}")
     pair = _clarke_pair(cfg, DIRECT_METHODS[method][1], xp)
     rng = _stream(cfg, k)
-    inverse = build_transform(cfg.layout).inverse
-    c, s = inverse[:, :1], inverse[:, 1:]
+    t = build_transform(cfg.layout)
     columns = np.empty((cfg.layout.n, k))
     for start in range(0, k, _DIRECT_BLOCK):
         block = columns[:, start : start + _DIRECT_BLOCK]
-        x, y = pairs(pair, rng.random((block.shape[1], 2)))
-        np.multiply(c, x, out=block)
-        block += s * y
+        _product(t.inverse, pairs(pair, rng.random((block.shape[1], 2))), out=block)
     return _finalize(method, columns, iterations=k, k=k)
 
 
@@ -505,9 +502,10 @@ def benchmark(
 ) -> list[MethodBenchmark]:
     """Run each method `runs` times for k samples and aggregate the cost.
 
-    Every method letter is checked before any runs; the list must name at
-    least one method and none twice. Each sample() call is timed here, the
-    one clock of the samplers; the wall times are averaged per method
+    Every method letter and config (by a k = 0 sample() call) is refused
+    before the first run, save a hopeless run of (a) or (b), which depends on
+    k; the list must name at least one method and none twice. Each sample()
+    call is timed here, the one clock of the samplers; the wall times are averaged per method
     and normalized into `factor` against method (c) when present, else
     against the fastest method. Histograms count the samples of all runs
     on _HIST_BINS fixed bins over [rho_min, rho_max]; each run's counts are
@@ -526,13 +524,12 @@ def benchmark(
         raise ValueError(f"benchmark needs each method once, got {','.join(methods) or 'none'}")
     if k < 1 or runs < 1:
         raise ValueError(f"benchmark needs k >= 1 and runs >= 1, got k={k}, runs={runs}")
+    cfgs = [replace(cfg, rho_min=annulus_rho_min) if m == "e" and annulus_rho_min is not None else cfg for m in methods]
+    for method, method_cfg in zip(methods, cfgs):
+        sample(method_cfg, 0, method, vectorized)  # k = 0 draws nothing: each sampler refuses its config first
     edges = _readonly(np.linspace(cfg.rho_min, cfg.rho_max, _HIST_BINS + 1))
     results: list[MethodBenchmark] = []
-    for mi, method in enumerate(methods):
-        method_cfg = cfg
-        if method == "e" and annulus_rho_min is not None:
-            method_cfg = replace(cfg, rho_min=annulus_rho_min)
-
+    for mi, (method, method_cfg) in enumerate(zip(methods, cfgs)):
         # A run's batch dies as counted returns, before the next run draws.
         def counted(seed):
             run_cfg = replace(method_cfg, seed=seed)

@@ -24,7 +24,7 @@ from clarkekin import (
     fk_direct,
     run_simulation,
 )
-from clarkekin import cli
+from clarkekin import cli, sampling
 from clarkekin.cli import build_parser, main
 from clarkekin.control import _trace_header
 from clarkekin.csvio import csv_chunks, displacement_header, read_csv, write_text
@@ -377,6 +377,27 @@ class TestBench:
         assert code == 3
         assert "unknown method" in err
 
+    @pytest.mark.parametrize(
+        "argv, message, drawn",
+        [
+            (["--rho-min=-0.001"], "annulus sampling needs rho_min > 0, got -0.001", []),
+            (["--n", "4"], "method (b) resolves one of exactly 3 joints, got n=4", []),
+            # A hopeless run depends on k: its method's first run refuses it, after c has run.
+            (["--methods", "c,a", "--rounding-eps", "1e-300"], "method (a) is hopeless", ["c", "c", "a"]),
+        ],
+    )
+    def test_a_config_is_refused_before_any_method_draws(self, capsys, monkeypatch, argv, message, drawn):
+        calls, real = [], sampling.sample
+
+        def spy(cfg, k, method, vectorized=False):
+            calls.append((method, k))
+            return real(cfg, k, method, vectorized)
+
+        monkeypatch.setattr(sampling, "sample", spy)
+        code, out, err = run_cli(capsys, "bench", "--k", "20", "--runs", "2", *argv)
+        assert (code, out) == (3, "") and err.count("\n") == 1 and err.startswith(f"error: {message}")
+        assert [method for method, k in calls if k > 0] == drawn
+
 
 class TestSimulate:
     def test_summary_and_determinism(self, capsys, tmp_path):
@@ -462,6 +483,39 @@ class TestSimulate:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+class TestDefaultBounds:
+    """A --d whose default bounds on d*pi overflow is refused by its own name; with given bounds or waypoints,
+    or a bench without the annulus, whose bounds need no square, it runs."""
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["sample", "--d", "6e307", "--method", "c"], "span"),
+            (["simulate", "--d", "1e308"], "square"),
+            (["simulate", "--d", "1e307"], "square"),
+            (["bench", "--d", "1e307", "--methods", "c,e"], "square"),
+        ],
+    )
+    def test_the_default_bounds_overflow(self, capsys, argv, bound):
+        code, out, err = run_cli_strict(capsys, argv)
+        assert (code, out) == (3, "")
+        d = f"{float(argv[2]):g}"
+        assert err == f"error: --d={d} m is too large for the default bounds on d*pi: their {bound} overflows\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--d", "6e307", "--method", "c", "--rho-min=-1", "--rho-max", "1", "--k", "2"],
+            ["sample", "--d", "6e307", "--method", "e", "--rho-min", "1", "--rho-max", "2", "--k", "2"],
+            ["simulate", "--d", "1e308", "--waypoints", "0,0,0.002,0.001", "--noise", "0"],
+            ["bench", "--d", "1e307", "--methods", "c", "--k", "2", "--runs", "1"],
+        ],
+    )
+    def test_given_bounds_run(self, capsys, argv):
+        code, out, err = run_cli_strict(capsys, argv)
+        assert code == 0 and out
 
 
 def strict_json(text):

@@ -327,6 +327,73 @@ def test_taylor_series_oracle():
         assert 2.0 * math.sin(x / 2.0) ** 2 / kappa == pytest.approx(vers_series, abs=1e-12)
 
 
+# Central differences of FK's tip in the Clarke pair xi step by JACOBIAN_STEP*d. The tip is l*F(xi/d),
+# F(u) = ((1 - cos|u|)/|u|^2 * u, sin|u|/|u|), so a difference is off the derivative by at most
+# (h^2/6)*(l/d^3)*M = (JACOBIAN_STEP^2/6)*M*l/d, M the largest third partial of F on |u| <= 1.001*pi:
+# below 2, the bound of its majorant series (cosh|u| - 1)/|u|^2 * u, sinh|u|/|u|, so 3.4e-9*l/d. FK's
+# rounding, ulps of l and n*2^-52*|xi| through the transform, adds below n*1e-11*l/d. The test allows
+# JACOBIAN_TOL*l/d.
+JACOBIAN_STEP = 1e-4
+JACOBIAN_TOL = 1e-7
+
+
+def clarke_jacobian(geom, xi) -> np.ndarray:
+    """The 3 x 2 central-difference Jacobian of fk_direct's tip in xi, rho = inverse_transform(t, xi)."""
+    t, h = build_transform(geom.layout), JACOBIAN_STEP * geom.layout.d
+    columns = []
+    for step in np.eye(2) * h:
+        ahead, behind = (fk_direct(geom, inverse_transform(t, xi + s)).position for s in (step, -step))
+        columns.append((ahead - behind) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+def clarke_singular_values(geom, phi) -> tuple[float, float]:
+    """(sigma_t, sigma_r): across the plane of xi, (l/d)*(1 - cos phi)/phi^2; in it, (l/d)*|d/dphi ((1 - cos phi)/phi, sin phi/phi)|."""
+    scale = geom.l / geom.layout.d
+    if phi == 0.0:
+        return scale / 2.0, scale / 2.0
+    across = scale * (1.0 - math.cos(phi)) / phi**2
+    bow = math.sin(phi) / phi - (1.0 - math.cos(phi)) / phi**2
+    rise = math.cos(phi) / phi - math.sin(phi) / phi**2
+    return across, scale * math.hypot(bow, rise)
+
+
+class TestClarkeJacobian:
+    """FK's tip has full rank 2 in the Clarke pair on |xi| <= d*pi, with closed-form singular values."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 64])
+    def test_full_rank_with_the_closed_form_singular_values(self, n):
+        for d, l in ((1e-3, 1e-2), (1e-2, 1e-1), (1e-2, 3.0), (0.5, 1e-3), (2.0, 40.0)):
+            geom, scale = make_geom(n=n, d=d, l=l), l / d
+            for fraction in (0.0, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0):
+                phi = fraction * math.pi
+                for theta in (0.0, 0.4, 2.0, -2.9):
+                    jacobian = clarke_jacobian(geom, phi * d * np.array([math.cos(theta), math.sin(theta)]))
+                    singular = np.linalg.svd(jacobian, compute_uv=False)
+                    assert np.linalg.matrix_rank(jacobian, tol=JACOBIAN_TOL * scale) == 2
+                    expected = sorted(clarke_singular_values(geom, phi), reverse=True)
+                    assert np.max(np.abs(singular - expected)) <= JACOBIAN_TOL * scale
+                    assert singular[0] / singular[1] < 1.87
+                    if phi == 0.0:
+                        assert np.max(np.abs(jacobian[:2] - scale / 2.0 * np.eye(2))) <= JACOBIAN_TOL * scale
+
+    def test_the_singular_values_at_a_1_cm_radius(self):
+        # n = 5, d = 1 cm, l = 10 cm: 5 and 5 straight, 4.6666 and 4.0528 at d*pi/2, and
+        # 3.7734 and 2.0264 at d*pi, where the condition number reaches its largest, 1.862.
+        geom = make_geom()
+        for fraction, expected in ((0.0, (5.0, 5.0)), (0.5, (4.6666, 4.0528)), (1.0, (3.7734, 2.0264))):
+            singular = np.linalg.svd(clarke_jacobian(geom, np.array([fraction * math.pi * 0.01, 0.0])), compute_uv=False)
+            assert np.max(np.abs(singular - expected)) < 1e-4
+        assert 1.862 < singular[0] / singular[1] < 1.8621
+
+    def test_arc_parameters_lose_the_rank_the_clarke_pair_keeps(self):
+        # At the straight pose the tip does not move with theta in (kappa, theta): dp/dtheta = 0 there,
+        # while in the Clarke pair it moves by l/(2d) per unit of xi in every direction.
+        geom = make_geom()
+        tips = [f_ind(geom, CurvatureAngle(kappa=0.0, theta=theta)).position for theta in (-3.0, -0.5, 0.0, 0.5, 2.0)]
+        assert all(np.array_equal(tip, tips[0]) for tip in tips)
+
+
 class TestFIndInverse:
     def test_straight_position(self):
         geom = make_geom()

@@ -2,10 +2,14 @@
 
 The guard reads src/ and fails on any `@`, `.dot`, `np.dot` or `matmul`
 (or another numpy product) with a `.forward` or `.inverse` operand outside
-`_product`, so one function decides how every such product rounds. The
-order tests hold that function, on any CPU, to left_to_right: the stored
-entries' products added left to right in plain Python floats, the oracle
-every bitwise product test compares against.
+`_product`, so one function decides how every such product rounds. A second
+guard fails on any read of `.forward` or `.inverse` outside clarke.py other
+than as `_product`'s first argument, or in `cli.cmd_matrix`, which prints
+the matrices: no module holds a matrix, or a slice of one, to form a
+product by hand. The order tests hold
+that function, on any CPU, to left_to_right: the stored entries' products
+added left to right in plain Python floats, the oracle every bitwise
+product test compares against.
 """
 
 import ast
@@ -133,6 +137,84 @@ def test_every_transform_product_goes_through_product():
 )
 def test_the_guard_sees_every_product_form(code, count):
     assert len(matrix_products(ast.parse(code), "_product")) == count
+
+
+def matrix_reads(tree, allowed=()) -> list[tuple[int, str]]:
+    """(line, source) of each read of a transform matrix in tree, x.forward, x.inverse or getattr(x, "forward"),
+    other than as _product's first argument, outside the functions named in allowed."""
+    operands = {
+        id(node.args[0]) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_product" and node.args
+    }
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and child.name in allowed:
+                continue
+            named = isinstance(child, ast.Attribute) and child.attr in MATRICES and id(child) not in operands
+            fetched = (
+                isinstance(child, ast.Call) and getattr(child.func, "id", None) == "getattr" and len(child.args) >= 2
+                and isinstance(child.args[1], ast.Constant) and child.args[1].value in MATRICES
+            )
+            if named or fetched:
+                found.append((child.lineno, ast.unparse(child)))
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_a_transform_matrix_is_read_only_by_product():
+    modules = [m for m in sorted(Path(clarkekin.__file__).parent.glob("*.py")) if m.name != "clarke.py"]
+    assert len(modules) >= 8
+    found = [
+        f"{module.name}:{line}: {source}"
+        for module in modules
+        for line, source in matrix_reads(ast.parse(module.read_text(), str(module)), ("cmd_matrix",) if module.name == "cli.py" else ())
+    ]
+    assert not found, "transform matrices read outside _product's first argument and cli.cmd_matrix:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize(
+    "code, count",
+    [
+        ("_product(t.inverse, xi)", 0),
+        ("_product(build_transform(n).forward, rho)", 0),
+        ("_product(t.inverse, _product(t.forward, rho))", 0),
+        ("inverse = build_transform(layout).inverse", 1),
+        ("c, s = (t.inverse[:, :1], t.inverse[:, 1:])", 2),
+        ("np.multiply(t.inverse[:, :1], x, out=block)", 1),
+        ("_product(t.inverse[:, :1], x)", 1),
+        ("_product(t.forward.T, x)", 1),
+        ("_product(xi, t.inverse)", 1),
+        ("_product(m=t.inverse, x=xi)", 1),
+        ("other(t.forward, rho)", 1),
+        ("t.forward = m", 1),
+        ("getattr(t, 'inverse')", 1),
+        ("getattr(t, 'n')", 0),
+        ("t.forwards", 0),
+        ("def cmd_matrix(args):\n    return t.forward", 0),
+        ("def other(args):\n    return t.forward", 1),
+    ],
+)
+def test_the_read_guard_sees_every_form(code, count):
+    assert len(matrix_reads(ast.parse(code), ("cmd_matrix",))) == count
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_product_fills_a_strided_view_with_the_bits_it_returns(n):
+    # The samplers' block form: out a view of every other column of a wider array, x two (k,) rows or a 2-D array.
+    t, rng = build_transform(n), np.random.default_rng(n)
+    for m in (t.forward, t.inverse):
+        x = rng.normal(size=(m.shape[1], 7))
+        x[0, :3] = [-0.0, 5e-324, -1e-310]
+        for operand in (x, tuple(x)):
+            wide = np.full((m.shape[0], 15), np.nan)
+            view = wide[:, 1::2]
+            assert _product(m, operand, out=view) is view and not view.flags.c_contiguous
+            assert view.tobytes() == _product(m, operand).tobytes() == left_to_right(m, x).tobytes()
+            assert np.isnan(wide[:, 0::2]).all()
 
 
 # Entries that cancel, underflow, sign zeros and overflow: the largest
