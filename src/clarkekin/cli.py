@@ -170,15 +170,18 @@ def cmd_ik(args) -> int:
     return 0
 
 
-def _half_circle(d: float, annulus: bool) -> float:
-    if not np.isfinite(d * np.pi * (d * np.pi if annulus else 2.0)):
-        raise ValueError(f"--d={d:g} m is too large for the default bounds on d*pi: their {'square' if annulus else 'span'} overflows")
+def _half_circle(d: float, need: str) -> float:
+    # The default rho_max = d*pi, refused by --d's name where what its bounds need overflows: d*pi alone beside a
+    # given rho_min (SamplerConfig refuses their span), else their span 2*d*pi, or their square for an annulus.
+    if not np.isfinite(d * np.pi * {"d*pi": 1.0, "their span": 2.0, "their square": d * np.pi}[need]):
+        raise ValueError(f"--d={d:g} m is too large for the default bounds on d*pi: {need} overflows")
     return d * np.pi
 
 
 def _sampler_config(args, method: str | None = None) -> SamplerConfig:
     layout = JointLayout(n=args.n, d=args.d)
-    rho_max = args.rho_max if args.rho_max is not None else _half_circle(layout.d, method == "e")
+    need = "d*pi" if args.rho_min is not None else "their square" if method == "e" else "their span"
+    rho_max = args.rho_max if args.rho_max is not None else _half_circle(layout.d, need)
     if args.rho_min is not None:
         rho_min = args.rho_min
     elif method == "e":
@@ -251,7 +254,7 @@ def _default_waypoints(layout: JointLayout, seed: int, count: int = 5) -> tuple:
     cfg = SamplerConfig(
         layout=layout,
         rho_min=0.1 * layout.d * np.pi,
-        rho_max=_half_circle(layout.d, annulus=True),
+        rho_max=_half_circle(layout.d, "their square"),
         seed=seed,
     )
     batch = sample_direct_batched(cfg, count, "annulus")

@@ -204,6 +204,7 @@ def _profile_durations(length: float, v: float, a: float, d: float) -> tuple[flo
 
 # np.arange past 2**63 - 1 ticks returns an empty float array instead of raising.
 _TICK_LIMIT = float(2**63)
+_BLOCK = 256  # ticks the closed loop lists before one store: unbounded lists keep about 250 B per tick
 
 
 def generate_trajectory(layout, spec: TrajectorySpec, dt: float) -> np.ndarray:
@@ -294,9 +295,10 @@ def run_simulation(
 
     Per tick the closed loop measures (plant state, noise draw, optional
     quantization, then bias), evaluates controller_step and advances the
-    plant through plant_step. closed_loop=False feeds the reference
-    straight to the actuators, for open-loop comparisons: one ZOH
-    recurrence, its reference checked once, with the bits of plant_step.
+    plant through plant_step, storing commands and states _BLOCK ticks at
+    a time. closed_loop=False feeds the reference straight to the actuators,
+    for open-loop comparisons: its reference checked once, then one ZOH
+    recurrence per joint on Python floats, with the bits of plant_step.
     Deterministic for a given noise seed: the noise is drawn as one T x n
     block from the same PCG64 stream, bitwise the values of T per-tick
     draws, so seeded traces are unchanged. Raises ValueError if the loop
@@ -325,17 +327,19 @@ def run_simulation(
             if closed_loop:
                 command = np.empty((ticks, n))
                 desired = _product(t.forward, trajectory).T
-                for i in range(ticks):
-                    command[i] = cmd = controller_step(cfg, desired[i], _read(plant.state + draws[i], noise))
-                    plant = plant_step(plant, cmd, cfg.dt)
-                    states[i + 1] = plant.state
+                for start in range(0, ticks, _BLOCK):
+                    cmds, xs = [], []
+                    for xi_d, draw in zip(desired[start : start + _BLOCK], draws[start : start + _BLOCK]):
+                        cmds.append(cmd := controller_step(cfg, xi_d, _read(plant.state + draw, noise)))
+                        plant = plant_step(plant, cmd, cfg.dt)
+                        xs.append(plant.state)
+                    command[start : start + _BLOCK], states[start + 1 : start + 1 + _BLOCK] = cmds, xs
             else:
                 command = as_displacement(trajectory, n, batch=True).T
                 a = math.exp(-cfg.dt / plant.tau)
-                # plant_step's a*x + (1 - a)*u, summed the other way round: the same bits.
-                np.multiply(command, 1.0 - a, out=states[1:])
-                for x, x_next in zip(states[:-1], states[1:]):
-                    x_next += a * x
+                # Per joint on floats, plant_step's a*x + (1 - a)*u summed the other way round: the same bits.
+                for j, (x, u) in enumerate(zip(plant.state.tolist(), trajectory)):
+                    states[1:, j] = [x := v + a * x for v in ((1.0 - a) * u).tolist()]
             measured = _readonly(_read(states[:-1] + draws, noise)).T
     except (FloatingPointError, OverflowError) as exc:
         raise ValueError(f"simulation left the float range: {exc}") from None

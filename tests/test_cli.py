@@ -517,6 +517,20 @@ class TestDefaultBounds:
         code, out, err = run_cli_strict(capsys, argv)
         assert code == 0 and out
 
+    def test_a_given_rho_min_leaves_the_span_to_the_config(self, capsys):
+        # --d answers only for d*pi then: the bounds [0, 1.57e308] have a finite span, [-1e308, 1.57e308] do not.
+        head = ["sample", "--d", "5e307", "--method", "c", "--k", "2"]
+        code, out, err = run_cli_strict(capsys, head + ["--rho-min", "0"])
+        assert code == 0 and out
+        code, out, err = run_cli_strict(capsys, head + ["--rho-min=-1e308"])
+        assert (code, out) == (3, "")
+        assert err == "error: rho_max - rho_min must be finite, got [-1e+308, 1.5707963267948966e+308]\n"
+
+    def test_a_given_rho_min_still_needs_a_finite_d_pi(self, capsys):
+        code, out, err = run_cli_strict(capsys, ["sample", "--d", "1e308", "--rho-min", "0", "--method", "c", "--k", "2"])
+        assert (code, out) == (3, "")
+        assert err == "error: --d=1e+308 m is too large for the default bounds on d*pi: d*pi overflows\n"
+
 
 def strict_json(text):
     """json.loads that refuses Infinity, -Infinity and NaN."""

@@ -530,6 +530,8 @@ class TestTrajectory:
 
 # The settings the float-edge examples of the per-tick oracle test share.
 EDGE = dict(n=5, ticks=40, feedforward=True, epsilon=2.5e-3, bias=2.0**-10, seed=3, dt=1e-3, tau=0.25, stability=0.5)
+# Signed zeros: a plant at -0.0, a reference whose entries 2**-1100 rounds to +-0.0, and no noise.
+ZEROS = dict(n=5, ticks=40, feedforward=True, epsilon=0.0, quantum=0.0, seed=3, dt=1e-3, tau=0.25, stability=0.5)
 
 
 class TestSimulation:
@@ -677,6 +679,11 @@ class TestSimulation:
     @example(**EDGE, closed_loop=False, quantum=0.0, state_fill=-1.7e308, traj_exp=1028)
     @example(**EDGE, closed_loop=False, quantum=0.0, state_fill=None, traj_exp=1028)
     @example(**EDGE, closed_loop=False, quantum=2.0**-40, state_fill=-1.7e308, traj_exp=0)
+    # Each loop keeps every -0.0 of the per-tick steps, under a bias of 0.0 and of -0.0.
+    @example(**ZEROS, closed_loop=True, bias=0.0, state_fill=-0.0, traj_exp=-1100)
+    @example(**ZEROS, closed_loop=True, bias=-0.0, state_fill=-0.0, traj_exp=-1100)
+    @example(**ZEROS, closed_loop=False, bias=0.0, state_fill=-0.0, traj_exp=-1100)
+    @example(**ZEROS, closed_loop=False, bias=-0.0, state_fill=-0.0, traj_exp=-1100)
     def test_bitwise_equal_to_per_tick_oracle(
         self, n, ticks, closed_loop, feedforward, epsilon, bias, quantum, seed, dt, tau, stability, state_fill, traj_exp
     ):
@@ -700,7 +707,7 @@ class TestSimulation:
         expected = per_tick_simulation_oracle(cfg, plant, noise, traj, closed_loop=closed_loop)
         got = (trace.time, trace.rho_desired, trace.rho_measured, trace.rho_command, trace.rho_plant)
         for name, g, e in zip(("time", "desired", "measured", "command", "plant"), got, expected):
-            assert np.array_equal(g, e), name
+            assert g.shape == e.shape and g.tobytes() == e.tobytes(), name
 
     def test_public_steps_run_every_tick(self, cfg, geom, monkeypatch):
         # The traced control-sim benchmark counts these calls; a loop that
@@ -730,6 +737,27 @@ class TestSimulation:
         calls.update(controller_step=0, plant_step=0)
         run_simulation(cfg, plant, NoiseModel(1e-3, seed=1), traj, closed_loop=False)
         assert calls == {"controller_step": 0, "plant_step": 0}
+
+    def test_closed_loop_memory_does_not_grow_past_its_arrays(self, cfg):
+        # Ten times the ticks, and the peak past the trace's own arrays, the
+        # noise draws, the Clarke reference and the reading's one temporary
+        # stays put: a loop that lists every tick's command and state before
+        # one store took about 310 B more per tick at n = 5.
+        unit = inverse_transform(build_transform(5), [0.01, 0.005])[:, None]
+        plant, noise = PT1Plant(tau=0.25, state=np.zeros(5)), NoiseModel(2.5e-3, seed=1)
+        run_simulation(cfg, plant, noise, unit * np.ones(300))  # first-call caches
+        beyond = []
+        for ticks in (2_000, 20_000):
+            traj = unit * np.sin(1e-3 * np.arange(ticks))
+            tracemalloc.start()
+            try:
+                trace = run_simulation(cfg, plant, noise, traj)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            own = sum(getattr(trace, f.name).nbytes for f in dataclasses.fields(trace))
+            beyond.append(peak - own - 8 * ticks * (5 + 2 + 5))
+        assert beyond[1] <= beyond[0] + 2**18 and max(beyond) <= 2**20
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("tick", [0, 7, -1])
