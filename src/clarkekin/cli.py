@@ -215,6 +215,9 @@ def cmd_sample(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _sampler_config(args)
     methods = tuple(m.strip() for m in args.methods.split(","))
+    if args.hist_dir:
+        # Made before the first run, so a path that cannot be a directory is refused before any draw.
+        os.makedirs(args.hist_dir, exist_ok=True)
     results = benchmark(
         cfg,
         args.k,
@@ -241,10 +244,9 @@ def cmd_bench(args) -> int:
     else:
         _emit((stats_csv(results),), args.out)
     if args.hist_dir:
-        os.makedirs(args.hist_dir, exist_ok=True)
         for r in results:
-            for j in range(cfg.layout.n):
-                _emit((histogram_csv(r, j),), os.path.join(args.hist_dir, f"hist_{r.method}_joint{j + 1}.csv"))
+            for j, text in enumerate(histogram_csv(r)):
+                _emit((text,), os.path.join(args.hist_dir, f"hist_{r.method}_joint{j + 1}.csv"))
     return 0
 
 

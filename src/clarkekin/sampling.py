@@ -30,15 +30,16 @@ Direct methods draw an angle theta = 2*pi*U and an amplitude L per sample
 sample satisfies the displacement constraint by construction and the
 success rate is exactly 1. Both direct paths run one block loop (_direct)
 of at most _DIRECT_BLOCK samples, which draws a block's uniforms at once as
-one (b, 2) array from the stream. Each call binds its radial law's
-constants once, and one formula (_clarke_pair), a closure over math or
-numpy, gives the block's Clarke pairs: mapped per sample over Python floats
-with math's sqrt, cos and sin on the sequential path, once per block on the
-array's columns with numpy's on the batched one; one joint map, clarke._product
-of the right-inverse, writes the block's joints in place. sqrt rounds correctly
-and the rest is IEEE-exact, so the two are bit-identical under one seed
-wherever numpy's float64 cos and sin are the C library's, as they are for
-numpy 2.4.6 on x86_64 with glibc 2.36; TestTrigPremise checks that equality.
+one (b, 2) array from the stream. Each call builds its law's own closure
+once (DIRECT_METHODS), over math or numpy, with the law's constants bound
+and its amplitude written inline; it gives the block's Clarke pairs: mapped
+over Python floats on the sequential path, one Python call per sample with
+math's sqrt, cos and sin, once per block on the array's columns with numpy's
+on the batched one; one joint map, clarke._product of the right-inverse,
+writes the block's joints in place. sqrt rounds correctly and the rest is
+IEEE-exact, so the two are bit-identical under one seed wherever numpy's
+float64 cos and sin are the C library's, as they are for numpy 2.4.6 on
+x86_64 with glibc 2.36; TestTrigPremise checks that equality.
 Every sampler fills one preallocated C-contiguous (n, k) output and returns
 it read-only, so it needs that output plus one block's fixed working set,
 whatever k and n. No sampler reads a clock; benchmark() times its runs and
@@ -56,31 +57,48 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clarke import TWO_PI, JointLayout, _built, _owned, _product, _readonly, build_transform, check_finite
-from .csvio import csv_chunks, format_rows
+from .csvio import format_rows
 
 REJECTION_METHODS = ("a", "b")
 
 
-def _line(cfg, sqrt):
-    lo, span = cfg.rho_min, cfg.rho_max - cfg.rho_min
-    return lambda u: lo + span * u
+def _line(cfg, xp):
+    lo, span, cos, sin = cfg.rho_min, cfg.rho_max - cfg.rho_min, xp.cos, xp.sin
+
+    def pair(u_angle, u_amp):
+        theta, amp = TWO_PI * u_angle, lo + span * u_amp
+        return amp * cos(theta), amp * sin(theta)
+
+    return pair
 
 
-def _disk(cfg, sqrt):
-    hi = cfg.rho_max
-    return lambda u: hi * sqrt(u)
+def _disk(cfg, xp):
+    hi, sqrt, cos, sin = cfg.rho_max, xp.sqrt, xp.cos, xp.sin
+
+    def pair(u_angle, u_amp):
+        theta, amp = TWO_PI * u_angle, hi * sqrt(u_amp)
+        return amp * cos(theta), amp * sin(theta)
+
+    return pair
 
 
-def _annulus(cfg, sqrt):
-    lo2, span2 = cfg.rho_min**2, cfg.rho_max**2 - cfg.rho_min**2
-    return lambda u: sqrt(lo2 + span2 * u)
+def _annulus(cfg, xp):
+    lo2, span2, sqrt, cos, sin = cfg.rho_min**2, cfg.rho_max**2 - cfg.rho_min**2, xp.sqrt, xp.cos, xp.sin
+
+    def pair(u_angle, u_amp):
+        theta, amp = TWO_PI * u_angle, sqrt(lo2 + span2 * u_amp)
+        return amp * cos(theta), amp * sin(theta)
+
+    return pair
 
 
-# The direct methods: letter -> (radial law, law(cfg, sqrt)). A law reads
-# cfg's bounds once per sampler call and returns amplitude(u), L from a
-# uniform u. sample() dispatches through this one table. sqrt is math.sqrt
-# for one float and np.sqrt for an array (_clarke_pair passes its
-# namespace's); both round correctly, so a law gives the same bits either way.
+# The direct methods: letter -> (radial law, factory(cfg, xp)). A factory
+# reads cfg's bounds once per sampler call and returns the law's Clarke-pair
+# closure, pair(u_angle, u_amp) -> L*(cos theta, sin theta) with theta =
+# 2*pi*u_angle and the law's amplitude L written inline. xp is math for one
+# sample of Python floats and numpy for a block's (b,) arrays; sqrt rounds
+# correctly in both, so a law gives the same bits either way. sample()
+# dispatches through this one table.
 DIRECT_METHODS = {"c": ("line", _line), "d": ("disk", _disk), "e": ("annulus", _annulus)}
 ALL_METHODS = REJECTION_METHODS + tuple(DIRECT_METHODS)
 
@@ -356,31 +374,14 @@ def sample_rejection_resolved(
     return _finalize("b", columns, iterations, k)
 
 
-def _clarke_pair(cfg: SamplerConfig, law, xp):
-    """pair(u_angle, u_amp) -> L*(cos theta, sin theta), the Clarke coordinates of direct samples.
-
-    The one direct-sampling formula, a closure over the namespace xp, whose
-    sqrt, cos and sin it binds once with law's amplitude: two floats (xp =
-    math) give one sample, two (b,) arrays (xp = numpy) give b. Both paths
-    get the same bits where numpy's float64 cos and sin are the C library's.
-    """
-    amplitude, cos, sin = law(cfg, xp.sqrt), xp.cos, xp.sin
-
-    def pair(u_angle, u_amp):
-        theta = TWO_PI * u_angle
-        amp = amplitude(u_amp)
-        return amp * cos(theta), amp * sin(theta)
-
-    return pair
-
-
 def _direct(cfg: SamplerConfig, k: int, radial: str, xp, pairs) -> tuple[SampleBatch, SamplingStats]:
     """k direct samples of the radial law into one (n, k) output, _DIRECT_BLOCK at a time.
 
     Each block of b samples draws its uniforms once, as rng.random((b, 2)):
     the doubles a single (k, 2) draw would give, (theta, L) in turn.
     pairs(pair, u2) turns them into Clarke pairs, two (b,) arrays x, y, with
-    the formula pair = _clarke_pair(cfg, law, xp) built once per call.
+    the law's own closure pair = factory(cfg, xp) from DIRECT_METHODS, built
+    once per call.
     The one joint map, clarke._product of the right-inverse and (x, y),
     then fills the block: joint j is c_j*x + s_j*y, (c_j, s_j) its row.
     """
@@ -391,7 +392,7 @@ def _direct(cfg: SamplerConfig, k: int, radial: str, xp, pairs) -> tuple[SampleB
         raise ValueError(f"annulus sampling needs rho_min > 0, got {cfg.rho_min}")
     if radial == "annulus" and not math.isfinite(cfg.rho_max * cfg.rho_max):
         raise ValueError(f"annulus sampling needs a finite rho_max**2, got rho_max={cfg.rho_max}")
-    pair = _clarke_pair(cfg, DIRECT_METHODS[method][1], xp)
+    pair = DIRECT_METHODS[method][1](cfg, xp)
     rng = _stream(cfg, k)
     t = build_transform(cfg.layout)
     columns = np.empty((cfg.layout.n, k))
@@ -407,11 +408,11 @@ def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch,
     radial selects the amplitude law: "line" (method c), "disk" (d) or
     "annulus" (e, needs rho_min > 0). Never resamples: iterations = k and
     success_rate = 1.0 for every seed. _direct draws each block's uniforms
-    at once; the formula is mapped over the block's two lists of Python
-    floats, one sample per call, with math's sqrt, cos and sin, and _direct
-    maps the block's pairs to joints. Bit-identical to sample_direct_batched
-    wherever numpy's float64 cos and sin are the C library's (TestTrigPremise
-    checks it).
+    at once; the law's closure is mapped over the block's two lists of
+    Python floats, one Python call per sample, with math's sqrt, cos and
+    sin, and _direct maps the block's pairs to joints. Bit-identical to
+    sample_direct_batched wherever numpy's float64 cos and sin are the C
+    library's (TestTrigPremise checks it).
     """
     def pairs(pair, u2):
         xy = np.fromiter(itertools.chain.from_iterable(map(pair, *u2.T.tolist())), float, 2 * len(u2))
@@ -421,12 +422,12 @@ def sample_direct(cfg: SamplerConfig, k: int, radial: str) -> tuple[SampleBatch,
 
 
 def sample_direct_batched(cfg: SamplerConfig, k: int, radial: str) -> SampleBatch:
-    """Vectorized direct sampling, one Clarke-pair formula per block of uniforms.
+    """Vectorized direct sampling, one call of the law's closure per block of uniforms.
 
     Each block of at most _DIRECT_BLOCK samples forms its Clarke pairs on the
     columns of its (b, 2) draw; no temporary grows with k. Bit-identical to
     k sequential sample_direct draws under the same seed, because both paths
-    draw the same blocks and evaluate the same formula.
+    draw the same blocks and run the same closure, over numpy here.
     """
     return _direct(cfg, k, radial, np, lambda pair, u2: pair(u2[:, 0], u2[:, 1]))[0]
 
@@ -571,7 +572,13 @@ def stats_csv(results: list[MethodBenchmark]) -> str:
     return "".join(lines)
 
 
-def histogram_csv(result: MethodBenchmark, joint: int) -> str:
-    """Per-joint histogram with columns bin_lo,bin_hi,count."""
+def histogram_csv(result: MethodBenchmark) -> list[str]:
+    """Each joint's histogram, one text per joint, with columns bin_lo,bin_hi,count.
+
+    The edges are written as "%.17g" and the counts as integers ("%d"). The
+    joints share the edges, so each bin's "lo,hi," prefix is formatted once
+    per method, into one template that each joint's counts fill.
+    """
     edges = result.bin_edges
-    return "".join(csv_chunks(["bin_lo", "bin_hi", "count"], np.column_stack([edges[:-1], edges[1:], result.histograms[joint]])))
+    template = "bin_lo,bin_hi,count\n" + format_rows(np.column_stack([edges[:-1], edges[1:]])).replace("\n", ",%d\n")
+    return [template % tuple(counts.tolist()) for counts in result.histograms]

@@ -29,6 +29,7 @@ from clarkekin.cli import build_parser, main
 from clarkekin.control import _trace_header
 from clarkekin.csvio import csv_chunks, displacement_header, read_csv, write_text
 from test_products import left_to_right
+from test_sampling import NoDraws
 
 
 def run_cli(capsys, *argv):
@@ -397,6 +398,15 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", "--k", "20", "--runs", "2", *argv)
         assert (code, out) == (3, "") and err.count("\n") == 1 and err.startswith(f"error: {message}")
         assert [method for method, k in calls if k > 0] == drawn
+
+    def test_a_hist_dir_that_cannot_be_made_is_refused_before_any_draw(self, capsys, monkeypatch, tmp_path):
+        taken, out = tmp_path / "hists", tmp_path / "o.json"
+        taken.write_text("a file\n")
+        monkeypatch.setattr("clarkekin.sampling._rng", NoDraws)
+        code, stdout, err = run_cli(capsys, "bench", "--k", "20", "--runs", "2", "--hist-dir", str(taken), "--out", str(out))
+        assert (code, stdout) == (3, "") and err.count("\n") == 1 and "File exists" in err
+        assert not out.exists()
+        assert taken.read_text() == "a file\n"
 
 
 class TestSimulate:

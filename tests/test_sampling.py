@@ -3,6 +3,7 @@
 import itertools
 import math
 import platform
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -796,6 +797,34 @@ class TestDirectColumns:
             assert sample_direct(cfg, 17, radial)[0].columns.tobytes() == expected
 
 
+def python_calls(call) -> int:
+    """The Python function calls that call() makes, counted by sys.setprofile."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestOneCallPerDraw:
+    # Every Python call but the law's closure is made once per sampler call
+    # or once per block, and 2,000 samples fill one block.
+    @pytest.mark.parametrize("radial", ["line", "disk", "annulus"])
+    def test_a_sequential_sample_is_one_python_call(self, radial):
+        assert 2000 <= _DIRECT_BLOCK
+        cfg = config3(seed=11, rho_min=0.1 * RHO_MAX)
+        sample_direct(cfg, 1, radial)  # fills build_transform's cache
+        counts = [python_calls(lambda: sample_direct(cfg, k, radial)) for k in (1000, 2000)]
+        assert counts[1] - counts[0] == 1000
+
+
 class TestTrigPremise:
     # sample_direct takes cos and sin from math, sample_direct_batched from
     # numpy: the two give the same bits only while these agree.
@@ -1097,11 +1126,24 @@ class TestCsv:
         assert stats_csv(results) == stats_csv_oracle(results)
         for r in results:
             for joint in range(3):
-                assert histogram_csv(r, joint) == histogram_csv_oracle(r, joint)
+                assert histogram_csv(r)[joint] == histogram_csv_oracle(r, joint)
+
+    def test_large_counts_print_as_integers(self):
+        # As "%.17g", 2**53 + 1 prints as 9007199254740992 and 10**17 as 1e+17.
+        result = benchmark(config3(seed=23), 20, methods=("c",), runs=1)[0]
+        counts = np.zeros((3, 50), np.int64)
+        counts[0, :3] = 2**53 + 1, 10**17, 2**63 - 1
+        counts[2, -1] = 10**17 + 1
+        large = replace(result, histograms=counts)
+        texts = histogram_csv(large)
+        assert len(texts) == 3
+        for joint in range(3):
+            assert texts[joint] == histogram_csv_oracle(large, joint)
+        assert ",9007199254740993\n" in texts[0] and ",100000000000000000\n" in texts[0]
 
     def test_histogram_csv_header(self):
         results = benchmark(config3(seed=20), 20, methods=("c",), runs=1)
-        text = histogram_csv(results[0], joint=0)
+        text = histogram_csv(results[0])[0]
         lines = text.strip().split("\n")
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == 51
